@@ -10,6 +10,12 @@ K ~ C(kappa) * lambda^{kappa-1} is an acceptance target, so K is computed
 by direct half-period partition with alternating-series (iterated-averaging)
 acceleration and never through C(kappa).
 
+CosineKernelTable serves one kappa from piecewise Chebyshev interpolation
+of lambda^{1-kappa} K in ln(lambda), built lazily from the direct kernel and
+checked against it; only the L2-endpoint scan uses it.  The scalar kernel,
+the batched direct kernel, C(kappa) and everything the dual scans, the
+oscint command and acceptance criterion 6 call stay direct.
+
 J0 evaluation: float64 power series below x = 7; precomputed local Taylor
 expansions (anchors every 0.5, seeded by exact rational series sums) on
 [7, 17); Hankel asymptotic expansion with optimal truncation above.
@@ -19,6 +25,7 @@ Absolute error stays below 1e-12 through x = 1e4.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +40,7 @@ __all__ = [
     "j0_zeros",
     "ExtremaTable",
     "OscIntSpec",
+    "CosineKernelTable",
     "cosine_weight_kernel",
     "cosine_weight_kernel_many",
     "fresnel_constant",
@@ -292,14 +300,18 @@ def j0_zeros(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _accelerate_rows(terms: np.ndarray, rtol: float, context: str) -> np.ndarray:
+def _accelerate_rows(
+    terms: np.ndarray, rtol: float, context: Callable[[int], str]
+) -> np.ndarray:
     """Sum alternating series rows by iterated averaging of partial sums.
 
     ``terms`` has shape (batch, n); each row is the signed tail of an
     alternating series with smoothly decaying envelope.  Repeated averaging
     of the partial-sum sequence converges geometrically for such rows.
     Raises :class:`NumericalError` when the last averaging step still moves
-    the answer by more than ``rtol`` relative to the result scale.
+    the answer by more than ``rtol`` relative to the result scale; the
+    message names the worst row's residual, the tolerance and
+    ``context(row)``, which describes that row's arguments.
     """
     if terms.shape[1] < 2:
         return terms[:, 0]
@@ -312,8 +324,14 @@ def _accelerate_rows(terms: np.ndarray, rtol: float, context: str) -> np.ndarray
     result = sums[:, 0]
     move = np.abs(result - last)
     scale = np.maximum(np.abs(result), np.max(np.abs(terms), axis=1) * 1e-6)
-    if np.any(move > rtol * np.maximum(scale, 1e-300)):
-        raise NumericalError(f"averaging acceleration did not converge in {context}")
+    floor = np.maximum(scale, 1e-300)
+    if np.any(move > rtol * floor):
+        resid = move / floor
+        worst = int(np.argmax(resid))
+        raise NumericalError(
+            f"averaging acceleration did not converge in {context(worst)}: "
+            f"relative residual {resid[worst]:.3e} > tolerance {rtol:.0e}"
+        )
     return result
 
 
@@ -352,6 +370,7 @@ def _tail_panels() -> tuple[np.ndarray, np.ndarray]:
 
 
 _TAIL_RHO, _TAIL_W = _tail_panels()  # shape (_N_TAIL, _GL_TAIL)
+_TAIL_COS = np.cos(_TAIL_RHO)
 
 
 _HEAD_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -406,10 +425,12 @@ def cosine_weight_kernel_many(kappa: float, lams: np.ndarray) -> np.ndarray:
             env = (1.0 + rho[None, :, :] / lam) ** (-kappa)
             head = np.einsum("bjk,jk->b", env * cos_rho[None, :, :], w)
             env_t = (1.0 + _TAIL_RHO[None, :, :] / lam) ** (-kappa)
-            tail_terms = np.einsum(
-                "bjk,jk->bj", env_t * np.cos(_TAIL_RHO)[None, :, :], _TAIL_W
+            tail_terms = np.einsum("bjk,jk->bj", env_t * _TAIL_COS[None, :, :], _TAIL_W)
+            tail = _accelerate_rows(
+                tail_terms,
+                1e-9,
+                lambda i: f"cosine_weight_kernel(kappa={kappa!r}, lambda={float(flat[idx[i]])!r})",
             )
-            tail = _accelerate_rows(tail_terms, 1e-9, "cosine_weight_kernel")
             out[idx] = (head + tail) / flat[idx]
 
     return out.reshape(lams.shape)
@@ -439,11 +460,105 @@ def fresnel_constant(kappa: float) -> float:
         power = 2 * m + 1 - kappa
         term = a**power / (fact * power)
         head += term if m % 2 == 0 else -term
-    tail_terms = np.einsum(
-        "jk,jk->j", _TAIL_RHO ** (-kappa) * np.cos(_TAIL_RHO), _TAIL_W
-    )[None, :]
-    tail = float(_accelerate_rows(tail_terms, 1e-9, "fresnel_constant")[0])
+    tail_terms = np.einsum("jk,jk->j", _TAIL_RHO ** (-kappa) * _TAIL_COS, _TAIL_W)[None, :]
+    tail = float(
+        _accelerate_rows(tail_terms, 1e-9, lambda i: f"fresnel_constant(kappa={kappa!r})")[0]
+    )
     return head + tail
+
+
+# ---------------------------------------------------------------------------
+# per-kappa Chebyshev table of the cosine kernel
+# ---------------------------------------------------------------------------
+
+_PIECE_DEGREE = 14
+_PIECE_RTOL = 1e-10
+
+
+def _clenshaw(coef: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coef[k, cols] T_k(x), elementwise over x."""
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for k in range(coef.shape[0] - 1, 0, -1):
+        b1, b2 = coef[k, cols] + 2.0 * x * b1 - b2, b1
+    return coef[0, cols] + x * b1 - b2
+
+
+class CosineKernelTable:
+    """K(kappa, lambda) for one kappa, interpolated in t = ln(lambda).
+
+    g(t) = lambda^{1-kappa} K(kappa, lambda) is smooth in t (it tends to
+    C(kappa) as t -> -inf), so it is fitted on fixed pieces [2j, 2j+2] of
+    the t-axis at degree 14 on 15 first-kind Chebyshev points, evaluated by
+    Clenshaw's recurrence and multiplied by lambda^{kappa-1}.  A piece is
+    built the first time a call needs it, from the direct
+    cosine_weight_kernel_many, and checked against it at the 14 points
+    between its nodes: a relative residual over 1e-10 raises
+    :class:`NumericalError`.  The pieces are fixed in t, so a value does not
+    depend on how calls are batched.  Relative deviation from the direct
+    kernel stays below 1e-12 for lambda in [1e-300, 1].
+    """
+
+    def __init__(self, kappa: float):
+        if not 0 < kappa < 1:
+            raise ValueError("kappa must lie in (0,1)")
+        self.kappa = kappa
+        n = _PIECE_DEGREE + 1
+        theta = math.pi * (np.arange(n) + 0.5) / n
+        self._nodes = np.cos(theta)
+        self._held_out = np.cos(math.pi * np.arange(1, n) / n)
+        # values at the nodes -> Chebyshev coefficients (discrete cosine transform)
+        self._fit = (2.0 / n) * np.cos(np.outer(theta, np.arange(n)))
+        self._fit[:, 0] *= 0.5
+        self._column: dict[int, int] = {}  # piece j -> column of self._coef
+        self._coef = np.empty((n, 0))
+
+    @property
+    def n_pieces(self) -> int:
+        return len(self._column)
+
+    def __call__(self, lams) -> np.ndarray:
+        lams = np.asarray(lams, dtype=float)
+        flat = lams.reshape(-1)
+        if not np.all((flat > 0) & (flat < np.inf)):
+            raise ValueError("lambda must be positive and finite")
+        t = np.log(flat)
+        piece = np.floor(0.5 * t)
+        x = t - (2.0 * piece + 1.0)  # position in the piece, in [-1, 1]
+        pieces, inverse = np.unique(piece.astype(np.int64), return_inverse=True)
+        missing = [j for j in pieces.tolist() if j not in self._column]
+        if missing:
+            self._build(np.array(missing))
+        cols = np.array([self._column[j] for j in pieces.tolist()], dtype=np.int64)[inverse]
+        g = _clenshaw(self._coef, cols, x)
+        return (g * flat ** (self.kappa - 1.0)).reshape(lams.shape)
+
+    def _build(self, pieces: np.ndarray) -> None:
+        n = _PIECE_DEGREE + 1
+        centers = 2.0 * pieces + 1.0
+        t = centers[:, None] + np.concatenate((self._nodes, self._held_out))[None, :]
+        lam = np.exp(t)
+        g = lam ** (1.0 - self.kappa) * cosine_weight_kernel_many(self.kappa, lam)
+        # accumulated term by term, not by matmul, whose summation order
+        # depends on how many pieces are built together
+        coef = np.zeros((n, len(pieces)))
+        for k in range(n):
+            coef += self._fit[k][:, None] * g[:, k]
+        rows = np.repeat(np.arange(len(pieces)), n - 1)
+        fitted = _clenshaw(coef, rows, np.tile(self._held_out, len(pieces)))
+        resid = np.abs(fitted.reshape(len(pieces), n - 1) / g[:, n:] - 1.0).max(axis=1)
+        if not np.all(resid <= _PIECE_RTOL):  # NaN residuals fail too
+            worst = int(np.argmax(resid))  # the first NaN, if any
+            lo = 2.0 * pieces[worst]
+            raise NumericalError(
+                f"cosine kernel table (kappa={self.kappa!r}) failed its check on "
+                f"t = ln(lambda) in [{lo:g}, {lo + 2:g}]: relative residual "
+                f"{resid[worst]:.3e} > tolerance {_PIECE_RTOL:.0e}"
+            )
+        start = self._coef.shape[1]
+        self._coef = np.concatenate((self._coef, coef), axis=1)
+        for offset, j in enumerate(pieces.tolist()):
+            self._column[j] = start + offset
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +569,13 @@ _N_HTAIL = 40
 _HZEROS = None
 
 
-def _hankel_zero_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hankel_zero_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Zeros of J0, tail panel nodes and weights between them, J0 at the nodes."""
     global _HZEROS
     if _HZEROS is None:
         zeros = j0_zeros(_N_HTAIL + 1)
         rho, w = _panel_nodes(zeros[:-1], zeros[1:], _GL_TAIL)
-        _HZEROS = (zeros, rho, w)
+        _HZEROS = (zeros, rho, w, _j0(rho))
     return _HZEROS
 
 
@@ -495,9 +611,8 @@ def hankel_decay_transform_many(delta_exp: float, s_vals: np.ndarray) -> np.ndar
     flat = s_vals.reshape(-1)
     ln_s = np.log(flat)
 
-    zeros, rho_t, w_t = _hankel_zero_panels()
+    zeros, rho_t, w_t, j0_t = _hankel_zero_panels()
     j1_zero = zeros[0]
-    j0_t = _j0(rho_t)
 
     out = np.empty_like(flat)
     # head panels [j1 e^{-(m+1)}, j1 e^{-m}] down to each s, plus [0, floor];
@@ -519,7 +634,11 @@ def hankel_decay_transform_many(delta_exp: float, s_vals: np.ndarray) -> np.ndar
             tail_terms = np.einsum(
                 "bjk,jk->bj", _scaled_env(rho_t, ls, delta_exp) * j0_t[None, :, :], w_t
             )
-            tail = _accelerate_rows(tail_terms, 1e-7, "hankel_decay_transform")
+            tail = _accelerate_rows(
+                tail_terms,
+                1e-7,
+                lambda i: f"hankel_decay_transform(delta={delta_exp!r}, s={float(flat[idx[i]])!r})",
+            )
             # H = 2 pi s^{delta-2} * scaled integral
             out[idx] = 2 * math.pi * np.exp((delta_exp - 2) * ls) * (head + tail)
 

@@ -1,10 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from restriction_lab import analysis
 from restriction_lab.analysis import (
+    CosineKernelTable,
     OscIntSpec,
     bessel_j0,
     bessel_j0_deriv,
@@ -16,6 +21,7 @@ from restriction_lab.analysis import (
     j0_extrema,
     j0_zeros,
 )
+from restriction_lab.errors import NumericalError
 
 # --- independent series oracles: straight float64 power series + bisection ---
 
@@ -163,6 +169,114 @@ class TestCosineKernel:
             cosine_weight_kernel(1.5, 1.0)
         with pytest.raises(ValueError):
             cosine_weight_kernel(0.5, 0.0)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.7])
+    def test_law_deviation_is_the_finite_lambda_correction(self, kappa):
+        # |lambda^{1-k} K / C - 1| at lambda = 1e-3 is not below 2% for every
+        # kappa because it is the exact correction lambda^{1-k}/((1-k) C):
+        # their quotient is near 1 and tends to 1 as lambda shrinks
+        c = fresnel_constant(kappa)
+
+        def quotient(lam):
+            law_dev = abs(lam ** (1 - kappa) * cosine_weight_kernel(kappa, lam) / c - 1)
+            return law_dev / (lam ** (1 - kappa) / ((1 - kappa) * c))
+
+        at_3, at_4 = quotient(1e-3), quotient(1e-4)
+        assert 0.85 <= at_3 <= 1.05
+        assert abs(at_4 - 1) < abs(at_3 - 1)
+
+    def test_non_convergence_names_kappa_and_lambda(self, monkeypatch):
+        # a tail without sign changes cannot be summed by averaging
+        monkeypatch.setattr(analysis, "_TAIL_COS", np.abs(analysis._TAIL_COS))
+        with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=0\.01\b"):
+            cosine_weight_kernel_many(0.4, np.array([0.01]))
+
+
+def _averaged(row: list[float]) -> tuple[float, float]:
+    """Final and previous iterated averages of the partial sums of row."""
+    sums = [sum(row[: i + 1]) for i in range(len(row))]
+    prev = last = sums[-1]
+    while len(sums) > 1:
+        sums = [(a + b) / 2 for a, b in zip(sums, sums[1:])]
+        prev, last = sums[-1], prev
+    return sums[0], last
+
+
+class TestAccelerateRows:
+    def test_error_carries_worst_residual_and_tolerance(self):
+        rows = [[(-1.0) ** j / (j + 1) for j in range(24)], [1.0 / (j + 1) for j in range(24)]]
+        result, last = _averaged(rows[1])
+        scale = max(abs(result), 1e-6)
+        expected = abs(result - last) / scale
+        with pytest.raises(NumericalError) as info:
+            analysis._accelerate_rows(np.array(rows), 1e-9, lambda i: f"row {i}")
+        message = str(info.value)
+        assert "row 1" in message
+        assert "tolerance 1e-09" in message
+        found = float(re.search(r"residual ([-+.e0-9]+)", message).group(1))
+        assert found == pytest.approx(expected, rel=1e-3)
+        assert found > 1e-9
+
+    def test_alternating_row_converges(self):
+        row = [(-1.0) ** j / (j + 1) for j in range(24)]
+        got = analysis._accelerate_rows(np.array([row]), 1e-9, lambda i: "")
+        assert abs(got[0] - math.log(2)) < 1e-9
+
+
+_TABLES = {kappa: CosineKernelTable(kappa) for kappa in (0.3, 5 / 9, 2 / 3, 0.9)}
+
+
+class TestCosineKernelTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kappa=st.sampled_from(sorted(_TABLES)),
+        ln_lams=st.lists(st.floats(math.log(1e-300), 0.0), min_size=1, max_size=8),
+    )
+    def test_matches_direct_kernel(self, kappa, ln_lams):
+        lams = np.exp(np.array(ln_lams))
+        direct = cosine_weight_kernel_many(kappa, lams)
+        assert np.all(np.abs(_TABLES[kappa](lams) / direct - 1) <= 1e-12)
+
+    def test_batch_independent(self):
+        table = CosineKernelTable(0.45)
+        lams = np.array([0.003, 0.9, 1e-7, 2.5e-200, np.exp(-4.0), 0.25])
+        batch = table(lams)
+        fresh = CosineKernelTable(0.45)
+        for lam, got in zip(lams, batch):
+            assert fresh(np.array([lam]))[0] == got
+            assert table(lam) == got
+
+    def test_builds_each_piece_once(self):
+        table = CosineKernelTable(0.5)
+        table(np.array([0.5, 0.3, 1e-3]))
+        assert table.n_pieces == 2  # t in [-2, 0) and [-8, -6)
+        table(np.array([0.4, 2e-3]))
+        assert table.n_pieces == 2
+
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            # alternating in sign from one lambda to the next: no smooth fit
+            lambda k: k * (1 + 1e-8 * (-1.0) ** np.arange(k.size).reshape(k.shape)),
+            lambda k: np.where(k > np.median(k), np.nan, k),
+        ],
+        ids=["alternating-1e-8", "nan"],
+    )
+    def test_perturbed_piece_raises(self, monkeypatch, perturb):
+        direct = analysis.cosine_weight_kernel_many
+        monkeypatch.setattr(
+            analysis, "cosine_weight_kernel_many", lambda kappa, lams: perturb(direct(kappa, lams))
+        )
+        with pytest.raises(NumericalError, match=r"kappa=0\.5.*\[-8, -6\].*residual"):
+            CosineKernelTable(0.5)(np.array([1e-3]))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            CosineKernelTable(1.0)
+        with pytest.raises(ValueError):
+            CosineKernelTable(0.5)(np.array([0.1, 0.0]))
+        with pytest.raises(ValueError):
+            CosineKernelTable(0.5)(np.array([np.nan]))
 
 
 class TestFresnelConstant:

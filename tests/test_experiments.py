@@ -202,6 +202,20 @@ class TestL2Endpoint:
         assert abs(res.fitted.slope - (-1 / 3)) < 0.12
         assert all(s.ratio > 0 for s in res.samples)
 
+    def test_samples_pinned(self):
+        # recorded with the direct kernel, before the scan read K from a
+        # per-kappa Chebyshev table
+        pinned = [
+            (0.125, 468.3496594326167, 1.3597659351036704, 344.4340289322729),
+            (0.0625, 1169.717634306419, 2.566896274807914, 455.69337794685583),
+            (0.03125, 2634.0837352888475, 4.443485148313442, 592.7967906652357),
+        ]
+        res = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5])
+        assert len(res.samples) == len(pinned)
+        for sample, values in zip(res.samples, pinned):
+            got = (sample.param, sample.lhs, sample.rhs, sample.ratio)
+            assert got == pytest.approx(values, rel=1e-9)
+
     def test_bounded_at_r_two_saturates(self):
         # alpha = beta = 1/3: the q = r = 2 case is bounded, so the ratio
         # saturates; per-octave slopes shrink towards zero and the last
