@@ -9,7 +9,6 @@ oscillatory-integral small-parameter law.
 
 from .analysis import (
     ExtremaTable,
-    OscIntSpec,
     bessel_j0,
     bessel_j0_deriv,
     cosine_weight_kernel,
@@ -45,7 +44,7 @@ from .exponents import (
     classify_separable,
     classify_unweighted,
     conjugate_exponent,
-    diagram_to_csv,
+    inv_conjugate,
     riesz_diagram,
 )
 from .feasibility import (
@@ -80,8 +79,8 @@ __all__ = [
     "classify_separable",
     "classify_unweighted",
     "conjugate_exponent",
+    "inv_conjugate",
     "riesz_diagram",
-    "diagram_to_csv",
     "CertificateOne",
     "CertificateTwo",
     "Infeasible",
@@ -90,7 +89,6 @@ __all__ = [
     "verify_one",
     "verify_two",
     "ExtremaTable",
-    "OscIntSpec",
     "bessel_j0",
     "bessel_j0_deriv",
     "j0_extrema",

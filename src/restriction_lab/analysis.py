@@ -39,7 +39,6 @@ __all__ = [
     "j0_extrema",
     "j0_zeros",
     "ExtremaTable",
-    "OscIntSpec",
     "CosineKernelTable",
     "cosine_weight_kernel",
     "cosine_weight_kernel_many",
@@ -221,11 +220,19 @@ def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray, iters: int = 64) -> np.ndar
     return 0.5 * (lo + hi)
 
 
-def _scan_sign_changes(f, start: float, stop: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.arange(start, stop, step)
+def _first_roots(f, n: int, what: str) -> np.ndarray:
+    """First n positive roots of f, located as sign changes on a pi/8-spaced
+    scan grid and refined by bisection."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    # the n-th root of J0 or J0' lies within pi/4 of n pi; scan a margin beyond it
+    stop = (n + 2) * math.pi
+    grid = np.arange(0.5, stop, math.pi / 8)
     vals = f(grid)
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    return grid[flips], grid[flips + 1]
+    if len(flips) < n:
+        raise NumericalError(f"found only {len(flips)} {what} below {stop:.1f}")
+    return _bisect_roots(f, grid[flips[:n]], grid[flips[:n] + 1])
 
 
 @dataclass(frozen=True)
@@ -271,14 +278,7 @@ def j0_extrema(n: int) -> ExtremaTable:
     pi/8-spaced scan grid and refined by bisection; no asymptotic initial
     guess is used without a bracketing interval.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    # z_n is close to (n + 1/4) pi; scan a margin beyond it
-    stop = (n + 2) * math.pi
-    lo, hi = _scan_sign_changes(_j1, 0.5, stop, math.pi / 8)
-    if len(lo) < n:
-        raise NumericalError(f"found only {len(lo)} extrema below {stop:.1f}")
-    z = _bisect_roots(_j1, lo[:n], hi[:n])
+    z = _first_roots(_j1, n, "extrema")
     table = ExtremaTable(z=z, values=_j0(z))
     table.validate()
     return table
@@ -286,13 +286,7 @@ def j0_extrema(n: int) -> ExtremaTable:
 
 def j0_zeros(n: int) -> np.ndarray:
     """First n positive zeros of J0, bracketed and bisected like the extrema."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    stop = (n + 2) * math.pi
-    lo, hi = _scan_sign_changes(_j0, 0.5, stop, math.pi / 8)
-    if len(lo) < n:
-        raise NumericalError(f"found only {len(lo)} zeros below {stop:.1f}")
-    return _bisect_roots(_j0, lo[:n], hi[:n])
+    return _first_roots(_j0, n, "zeros")
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +381,9 @@ def _head_panels(n_fold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _HEAD_CACHE[n_fold]
 
 
-_BATCH_CHUNK = 4096
+# quadrature nodes per batch chunk, head and tail together: bounds the
+# (rows, panels, nodes) temporaries whatever the head depth
+_CHUNK_NODES = 2**18
 
 
 def cosine_weight_kernel_many(kappa: float, lams: np.ndarray) -> np.ndarray:
@@ -419,8 +415,9 @@ def cosine_weight_kernel_many(kappa: float, lams: np.ndarray) -> np.ndarray:
     for n_fold in np.unique(folds):
         sel = np.nonzero(folds == n_fold)[0]
         rho, w, cos_rho = _head_panels(int(n_fold))
-        for start in range(0, sel.size, _BATCH_CHUNK):
-            idx = sel[start : start + _BATCH_CHUNK]
+        rows = max(1, _CHUNK_NODES // (rho.size + _TAIL_RHO.size))
+        for start in range(0, sel.size, rows):
+            idx = sel[start : start + rows]
             lam = flat[idx][:, None, None]
             env = (1.0 + rho[None, :, :] / lam) ** (-kappa)
             head = np.einsum("bjk,jk->b", env * cos_rho[None, :, :], w)
@@ -584,12 +581,11 @@ def _scaled_env(u: np.ndarray, ln_s: np.ndarray, delta_exp: float) -> np.ndarray
 
     ln(1 + w^2) = logaddexp(0, 2 ln w) avoids overflow of (u/s)^2 when s is
     exponentially small; dividing out s^delta keeps the result O(u^{1-delta}).
+    ln u sits inside the exponent: for u ~ s tiny, u^{-delta} alone overflows.
     """
-    ln_w = np.log(u)[None, :, :] - ln_s[:, None, None]
-    ln_one_plus_w2 = np.logaddexp(0.0, 2.0 * ln_w)
-    return u[None, :, :] * np.exp(
-        -0.5 * delta_exp * ln_one_plus_w2 - delta_exp * ln_s[:, None, None]
-    )
+    ln_u = np.log(u)[None, :, :]
+    ln_one_plus_w2 = np.logaddexp(0.0, 2.0 * (ln_u - ln_s[:, None, None]))
+    return np.exp(ln_u - 0.5 * delta_exp * ln_one_plus_w2 - delta_exp * ln_s[:, None, None])
 
 
 def hankel_decay_transform_many(delta_exp: float, s_vals: np.ndarray) -> np.ndarray:
@@ -625,8 +621,9 @@ def hankel_decay_transform_many(delta_exp: float, s_vals: np.ndarray) -> np.ndar
         head_b = edges[::-1]
         u_h, w_h = _panel_nodes(head_a, head_b, _GL_HEAD)
         j0_h = _j0(u_h)
-        for start in range(0, sel.size, _BATCH_CHUNK):
-            idx = sel[start : start + _BATCH_CHUNK]
+        rows = max(1, _CHUNK_NODES // (u_h.size + rho_t.size))
+        for start in range(0, sel.size, rows):
+            idx = sel[start : start + rows]
             ls = ln_s[idx]
             head = np.einsum(
                 "bjk,jk->b", _scaled_env(u_h, ls, delta_exp) * j0_h[None, :, :], w_h
@@ -648,31 +645,3 @@ def hankel_decay_transform_many(delta_exp: float, s_vals: np.ndarray) -> np.ndar
 def hankel_decay_transform(delta_exp: float, s: float) -> float:
     """H(delta, s) for scalar arguments; see hankel_decay_transform_many."""
     return float(hankel_decay_transform_many(delta_exp, np.array([s]))[0])
-
-
-# ---------------------------------------------------------------------------
-# oscillatory-integral hypotheses record
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OscIntSpec:
-    """Hypotheses of the small-lambda oscillatory-integral law.
-
-    ``chi_form`` tags the envelope chi; ``decay_sigma`` is its approach rate
-    to chi_infinity: |chi(r) - chi_inf| <= C (1+r)^{-sigma}.  Requires
-    0 < kappa < 1 < kappa + sigma.
-    """
-
-    kappa: float
-    lam: float
-    decay_sigma: float
-    chi_form: str = "one-plus-r-power"
-
-    def __post_init__(self):
-        if not 0 < self.kappa < 1:
-            raise ValueError("kappa must lie in (0,1)")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.kappa + self.decay_sigma <= 1:
-            raise ValueError("need kappa + sigma > 1")

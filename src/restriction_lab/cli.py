@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from fractions import Fraction
 
 from .errors import ConfigurationError, NumericalError
 from .exponents import (
@@ -30,7 +28,6 @@ from .exponents import (
     riesz_diagram,
 )
 from .experiments import (
-    PittResult,
     ScanResult,
     constant_density_sums,
     dual_scan,
@@ -79,31 +76,31 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _table(meta: dict[str, str], header: str, rows) -> str:
+    """CSV text: sorted `#key=value` lines, the header, then one line per row.
+
+    Float cells are written with 17 significant digits, other cells with str().
+    """
+    return _lines(
+        [f"#{k}={meta[k]}" for k in sorted(meta)]
+        + [header]
+        + [",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
+    )
+
+
 def scan_to_csv(result: ScanResult) -> str:
-    lines = [f"#{k}={result.metadata[k]}" for k in sorted(result.metadata)]
-    lines.append("param,lhs,rhs,ratio,log2_param,log2_ratio")
-    for s in result.samples:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(s.param),
-                    _fmt(s.lhs),
-                    _fmt(s.rhs),
-                    _fmt(s.ratio),
-                    _fmt(math.log2(s.param)),
-                    _fmt(math.log2(s.ratio)),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _pitt_to_csv(result: PittResult) -> str:
-    lines = [f"#{k}={result.metadata[k]}" for k in sorted(result.metadata)]
-    lines.append("scale,variant,ratio")
-    for scale, variant, ratio in result.ratios:
-        lines.append(f"{_fmt(scale)},{variant},{_fmt(ratio)}")
-    return "\n".join(lines) + "\n"
+    return _table(
+        result.metadata,
+        "param,lhs,rhs,ratio,log2_param,log2_ratio",
+        (
+            (s.param, s.lhs, s.rhs, s.ratio, math.log2(s.param), math.log2(s.ratio))
+            for s in result.samples
+        ),
+    )
 
 
 def write_csv(text: str, path: str | None) -> None:
@@ -115,116 +112,27 @@ def write_csv(text: str, path: str | None) -> None:
         handle.write(text)
 
 
-def _verdict_payload(verdict: Verdict, params: dict[str, ExtScalar]) -> dict:
-    payload = {"decision": verdict.decision}
-    if verdict.bounded:
-        payload["case"] = verdict.case_tag
+def _emit(args, text, payload=None, table=None) -> int:
+    """Write the output in ``args.format`` and return exit code 0.
+
+    ``text`` and ``table`` return the text and CSV output, ``payload`` the
+    JSON object; all three are zero-argument callables and only the one
+    asked for is called.  A format without its renderer falls back to text.
+    """
+    if args.format == "json" and payload is not None:
+        out = json.dumps(payload()) + "\n"
+    elif args.format == "csv" and table is not None:
+        out = table()
     else:
-        payload["violated"] = verdict.violated
-    payload.update({k: str(v) for k, v in params.items()})
-    return payload
+        out = text()
+    write_csv(out, args.out)
+    return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="restriction-lab",
-        description="Sharp weighted circle-extension estimates: classifiers, "
-        "certificates, and counterexample scans.",
-    )
-    parser.add_argument("--config", help="file of key=value defaults (flags override)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker hint; wall time only, never output bytes "
-        "(default: RESTRICTION_LAB_THREADS or machine parallelism)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", help="output path (default: stdout)")
-
-    p = sub.add_parser("classify", help="decide boundedness of a weighted estimate")
-    p.add_argument("--kind", choices=("separable", "radial"), required=True)
-    p.add_argument("--alpha", type=_rational, help="separable weight exponent (exact)")
-    p.add_argument("--beta", type=_rational, help="separable weight exponent (exact)")
-    p.add_argument("--gamma", type=_rational, help="radial weight exponent (exact)")
-    p.add_argument("--r", type=_rational, required=True, help="source exponent in [1,inf]")
-    p.add_argument("--q", type=_rational, required=True, help="target exponent in (0,inf]")
-    add_format(p)
-
-    p = sub.add_parser("diagram", help="classify a (1/r, 1/q) grid at fixed weights")
-    p.add_argument("--kind", choices=("separable", "radial"), required=True)
-    p.add_argument("--alpha", type=_rational)
-    p.add_argument("--beta", type=_rational)
-    p.add_argument("--gamma", type=_rational)
-    p.add_argument("--grid-n", type=int, required=True)
-    add_format(p)
-
-    p = sub.add_parser("feasibility", help="interpolation-exponent certificates")
-    p.add_argument("--prop", choices=("one", "two"), required=True)
-    p.add_argument("--alpha", type=_rational)
-    p.add_argument("--beta", type=_rational)
-    p.add_argument("--gamma", type=_rational)
-    p.add_argument("--r", type=_rational, required=True)
-    p.add_argument("--q", type=_rational, required=True)
-    add_format(p)
-
-    p = sub.add_parser("knapp", help="cap-density scaling scan")
-    p.add_argument("--kind", choices=("separable", "radial"), required=True)
-    p.add_argument("--alpha", type=_rational)
-    p.add_argument("--beta", type=_rational)
-    p.add_argument("--gamma", type=_rational)
-    p.add_argument("--r", type=_rational, required=True)
-    p.add_argument("--q", type=_rational, required=True)
-    p.add_argument("--delta-exps", type=_int_range, default=list(range(2, 6)),
-                   help="k values for delta = 2^-k, e.g. 2..5")
-    add_format(p)
-
-    p = sub.add_parser("constant", help="constant-density partial sums")
-    p.add_argument("--kind", choices=("separable", "radial"), required=True)
-    p.add_argument("--alpha", type=_rational)
-    p.add_argument("--beta", type=_rational)
-    p.add_argument("--gamma", type=_rational)
-    p.add_argument("--q", type=_rational, required=True)
-    p.add_argument("--n-list", type=_int_list, default=[10**4, 10**5])
-    p.add_argument("--rings", type=int, default=0,
-                   help="cross-check against the extrema-annulus masses (0 = off)")
-    add_format(p)
-
-    p = sub.add_parser("l2-endpoint", help="L2 endpoint blow-up scan")
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--beta", type=_rational, required=True)
-    p.add_argument("--r", type=_rational, required=True)
-    p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--eps-exps", type=_int_range, default=list(range(3, 8)))
-    add_format(p)
-
-    p = sub.add_parser("pitt", help="weighted weak-norm dilation sweep")
-    p.add_argument("--beta", type=_rational, required=True)
-    p.add_argument("--p", type=_rational, required=True)
-    p.add_argument("--q", type=_rational, required=True)
-    p.add_argument("--scale-exps", type=_int_range, default=list(range(-6, 7)),
-                   help="k values for s = 2^k")
-    add_format(p)
-
-    p = sub.add_parser("dual", help="dual restricted-norm blow-up scan")
-    p.add_argument("--kind", choices=("separable", "radial"), required=True)
-    p.add_argument("--alpha", type=_rational)
-    p.add_argument("--beta", type=_rational)
-    p.add_argument("--gamma", type=_rational)
-    p.add_argument("--r", type=_rational, required=True)
-    p.add_argument("--q", type=_rational, required=True)
-    p.add_argument("--eps-exps", type=_int_range, default=list(range(3, 8)))
-    add_format(p)
-
-    p = sub.add_parser("oscint", help="decaying-cosine kernel and its small-lambda law")
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--lam", type=float, required=True)
-    add_format(p)
-
-    return parser
+def _verdict_payload(verdict: Verdict, params: dict[str, ExtScalar]) -> dict:
+    label = "case" if verdict.bounded else "violated"
+    return {"decision": verdict.decision, label: verdict.label,
+            **{k: str(v) for k, v in params.items()}}
 
 
 def _require(args, names: list[str]) -> None:
@@ -249,13 +157,10 @@ def _cmd_classify(args) -> int:
         )
     else:
         verdict = classify_radial(RadialParams(args.gamma, args.r, args.q))
-    params = dict(weights)
-    params.update({"r": args.r, "q": args.q})
-    if args.format == "json":
-        write_csv(json.dumps(_verdict_payload(verdict, params)) + "\n", args.out)
-    else:
-        write_csv(str(verdict) + "\n", args.out)
-    return 0
+    params = {**weights, "r": args.r, "q": args.q}
+    return _emit(
+        args, lambda: str(verdict) + "\n", payload=lambda: _verdict_payload(verdict, params)
+    )
 
 
 def _cmd_diagram(args) -> int:
@@ -263,12 +168,11 @@ def _cmd_diagram(args) -> int:
     rows = riesz_diagram(args.kind, weights, args.grid_n)
     meta = {k: str(v) for k, v in weights.items()}
     meta.update({"kind": args.kind, "grid_n": str(args.grid_n)})
-    lines = [f"#{k}={meta[k]}" for k in sorted(meta)]
-    lines.append("inv_r,inv_q,decision,case")
-    for row in rows:
-        lines.append(f"{row.inv_r},{row.inv_q},{row.verdict.decision},{row.verdict.label}")
-    write_csv("\n".join(lines) + "\n", args.out)
-    return 0
+    return _emit(args, lambda: _table(
+        meta,
+        "inv_r,inv_q,decision,case",
+        ((row.inv_r, row.inv_q, row.verdict.decision, row.verdict.label) for row in rows),
+    ))
 
 
 def _cmd_feasibility(args) -> int:
@@ -279,55 +183,48 @@ def _cmd_feasibility(args) -> int:
         _require(args, ["gamma"])
         outcome = solve_two(args.gamma, args.r, args.q)
     if isinstance(outcome, Infeasible):
-        if args.format == "json":
-            write_csv(json.dumps({"feasible": False, "reason": outcome.reason}) + "\n",
-                      args.out)
-        else:
-            write_csv("INFEASIBLE\n", args.out)
-    else:
-        if args.format == "json":
-            payload = {"feasible": True}
-            payload.update(
-                dict(part.split("=") for part in outcome.record().split(" "))
-            )
-            write_csv(json.dumps(payload) + "\n", args.out)
-        else:
-            write_csv(f"FEASIBLE {outcome.record()}\n", args.out)
-    return 0
+        return _emit(
+            args,
+            lambda: "INFEASIBLE\n",
+            payload=lambda: {"feasible": False, "reason": outcome.reason},
+        )
+    record = outcome.record()
+    return _emit(
+        args,
+        lambda: f"FEASIBLE {record}\n",
+        payload=lambda: {
+            "feasible": True, **dict(part.split("=") for part in record.split(" "))
+        },
+    )
 
 
 def _scan_output(args, result: ScanResult) -> int:
-    if args.format in ("csv",):
-        write_csv(scan_to_csv(result), args.out)
-        return 0
-    if args.format == "json":
-        payload = {
+    fit = result.fitted
+    return _emit(
+        args,
+        lambda: _lines(
+            [f"fitted slope {fit.slope:+.4f} (stderr {fit.stderr:.4f}), "
+             f"predicted {result.predicted}"]
+            + [f"param={_fmt(s.param)} ratio={_fmt(s.ratio)}" for s in result.samples]
+        ),
+        payload=lambda: {
             "samples": [
                 {"param": s.param, "lhs": s.lhs, "rhs": s.rhs, "ratio": s.ratio}
                 for s in result.samples
             ],
-            "fitted_slope": result.fitted.slope,
-            "stderr": result.fitted.stderr,
-            "r_squared": result.fitted.r_squared,
+            "fitted_slope": fit.slope,
+            "stderr": fit.stderr,
+            "r_squared": fit.r_squared,
             "predicted_slope": str(result.predicted.slope),
             "log_flag": result.predicted.log_flag,
-        }
-        write_csv(json.dumps(payload) + "\n", args.out)
-        return 0
-    lines = [
-        f"fitted slope {result.fitted.slope:+.4f} (stderr {result.fitted.stderr:.4f}), "
-        f"predicted {result.predicted}"
-    ]
-    for s in result.samples:
-        lines.append(f"param={_fmt(s.param)} ratio={_fmt(s.ratio)}")
-    write_csv("\n".join(lines) + "\n", args.out)
-    return 0
+        },
+        table=lambda: scan_to_csv(result),
+    )
 
 
 def _cmd_knapp(args) -> int:
-    weights = {k: v for k, v in _weights(args).items()}
     result = knapp_scan(args.kind, r=args.r, q=args.q, delta_exps=args.delta_exps,
-                        **weights)
+                        **_weights(args))
     return _scan_output(args, result)
 
 
@@ -338,35 +235,34 @@ def _cmd_constant(args) -> int:
         **weights,
     )
     verdict = "DIVERGENT" if result.divergent else "CONVERGENT"
-    if args.format == "json":
-        payload = {
-            "exponent": str(ExtScalar(result.exponent)),
+    exponent = str(ExtScalar(result.exponent))
+
+    def payload():
+        out = {
+            "exponent": exponent,
             "verdict": verdict.lower(),
             "sums": [[n, v] for n, v in result.sums],
         }
         if result.ring_sums is not None:
-            payload["ring_sums"] = [[n, v] for n, v in result.ring_sums]
-        write_csv(json.dumps(payload) + "\n", args.out)
-        return 0
-    if args.format == "csv":
+            out["ring_sums"] = [[n, v] for n, v in result.ring_sums]
+        return out
+
+    def table():
         meta = {k: str(v) for k, v in weights.items()}
-        meta.update({"kind": args.kind, "q": str(args.q),
-                     "exponent": str(ExtScalar(result.exponent)),
+        meta.update({"kind": args.kind, "q": str(args.q), "exponent": exponent,
                      "verdict": verdict.lower()})
-        lines = [f"#{k}={meta[k]}" for k in sorted(meta)]
-        lines.append("n,partial_sum")
-        for n, v in result.sums:
-            lines.append(f"{n},{_fmt(v)}")
-        write_csv("\n".join(lines) + "\n", args.out)
-        return 0
-    lines = [f"{verdict} index-exponent={ExtScalar(result.exponent)}"]
-    for n, v in result.sums:
-        lines.append(f"S_{n} = {_fmt(v)}")
-    if result.ring_sums:
-        for n, v in result.ring_sums:
-            lines.append(f"ring mass B_{n} = {_fmt(v)}")
-    write_csv("\n".join(lines) + "\n", args.out)
-    return 0
+        return _table(meta, "n,partial_sum", result.sums)
+
+    return _emit(
+        args,
+        lambda: _lines(
+            [f"{verdict} index-exponent={exponent}"]
+            + [f"S_{n} = {_fmt(v)}" for n, v in result.sums]
+            + [f"ring mass B_{n} = {_fmt(v)}" for n, v in result.ring_sums or ()]
+        ),
+        payload,
+        table,
+    )
 
 
 def _cmd_l2_endpoint(args) -> int:
@@ -377,29 +273,22 @@ def _cmd_l2_endpoint(args) -> int:
 def _cmd_pitt(args) -> int:
     scales = [2.0**k for k in args.scale_exps]
     result = pitt_sweep(args.beta, args.p, args.q, scales)
-    if args.format == "csv":
-        write_csv(_pitt_to_csv(result), args.out)
-        return 0
-    if args.format == "json":
-        payload = {
+    return _emit(
+        args,
+        lambda: _lines([f"max ratio {_fmt(result.max_ratio)}"] + [
+            f"s={_fmt(s)} {variant}: {_fmt(ratio)}" for s, variant, ratio in result.ratios
+        ]),
+        payload=lambda: {
             "max_ratio": result.max_ratio,
             "ratios": [[s, v, r] for s, v, r in result.ratios],
-        }
-        write_csv(json.dumps(payload) + "\n", args.out)
-        return 0
-    lines = [f"max ratio {_fmt(result.max_ratio)}"]
-    for s, variant, ratio in result.ratios:
-        lines.append(f"s={_fmt(s)} {variant}: {_fmt(ratio)}")
-    write_csv("\n".join(lines) + "\n", args.out)
-    return 0
+        },
+        table=lambda: _table(result.metadata, "scale,variant,ratio", result.ratios),
+    )
 
 
 def _cmd_dual(args) -> int:
-    weights = _weights(args) if args.kind == "radial" else {}
-    if args.kind == "separable":
-        _require(args, ["alpha", "beta"])
-        weights = {"alpha": args.alpha, "beta": args.beta}
-    result = dual_scan(args.kind, r=args.r, q=args.q, eps_exps=args.eps_exps, **weights)
+    result = dual_scan(args.kind, r=args.r, q=args.q, eps_exps=args.eps_exps,
+                       **_weights(args))
     return _scan_output(args, result)
 
 
@@ -407,34 +296,81 @@ def _cmd_oscint(args) -> int:
     kernel = cosine_weight_kernel(args.kappa, args.lam)
     constant = fresnel_constant(args.kappa)
     normalized = args.lam ** (1 - args.kappa) * kernel / constant
-    if args.format == "json":
-        payload = {
+    return _emit(
+        args,
+        lambda: f"K={_fmt(kernel)} C={_fmt(constant)} lambda^(1-kappa)K/C={_fmt(normalized)}\n",
+        payload=lambda: {
             "kappa": args.kappa,
             "lambda": args.lam,
             "kernel": kernel,
             "fresnel_constant": constant,
             "normalized": normalized,
-        }
-        write_csv(json.dumps(payload) + "\n", args.out)
-        return 0
-    write_csv(
-        f"K={_fmt(kernel)} C={_fmt(constant)} lambda^(1-kappa)K/C={_fmt(normalized)}\n",
-        args.out,
+        },
     )
-    return 0
 
 
+# subcommand -> (help, handler, flags in usage order; "!" marks a required flag)
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "diagram": _cmd_diagram,
-    "feasibility": _cmd_feasibility,
-    "knapp": _cmd_knapp,
-    "constant": _cmd_constant,
-    "l2-endpoint": _cmd_l2_endpoint,
-    "pitt": _cmd_pitt,
-    "dual": _cmd_dual,
-    "oscint": _cmd_oscint,
+    "classify": ("decide boundedness of a weighted estimate", _cmd_classify,
+                 "kind! alpha beta gamma r! q!"),
+    "diagram": ("classify a (1/r, 1/q) grid at fixed weights", _cmd_diagram,
+                "kind! alpha beta gamma grid-n!"),
+    "feasibility": ("interpolation-exponent certificates", _cmd_feasibility,
+                    "prop! alpha beta gamma r! q!"),
+    "knapp": ("cap-density scaling scan", _cmd_knapp,
+              "kind! alpha beta gamma r! q! delta-exps"),
+    "constant": ("constant-density partial sums", _cmd_constant,
+                 "kind! alpha beta gamma q! n-list rings"),
+    "l2-endpoint": ("L2 endpoint blow-up scan", _cmd_l2_endpoint,
+                    "alpha! beta! r! delta eps-exps"),
+    "pitt": ("weighted weak-norm dilation sweep", _cmd_pitt,
+             "beta! p! q! scale-exps"),
+    "dual": ("dual restricted-norm blow-up scan", _cmd_dual,
+             "kind! alpha beta gamma r! q! eps-exps"),
+    "oscint": ("decaying-cosine kernel and its small-lambda law", _cmd_oscint,
+               "kappa! lam!"),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # every flag once: name -> add_argument keywords
+    flags = {
+        "kind": {"choices": ("separable", "radial")},
+        "prop": {"choices": ("one", "two")},
+        "alpha": {"type": _rational, "help": "separable weight exponent (exact)"},
+        "beta": {"type": _rational, "help": "separable weight exponent (exact)"},
+        "gamma": {"type": _rational, "help": "radial weight exponent (exact)"},
+        "r": {"type": _rational, "help": "source exponent in [1,inf]"},
+        "q": {"type": _rational, "help": "target exponent in (0,inf]"},
+        "p": {"type": _rational},
+        "grid-n": {"type": int},
+        "delta-exps": {"type": _int_range, "default": list(range(2, 6)),
+                       "help": "k values for delta = 2^-k, e.g. 2..5"},
+        "n-list": {"type": _int_list, "default": [10**4, 10**5]},
+        "rings": {"type": int, "default": 0,
+                  "help": "cross-check against the extrema-annulus masses (0 = off)"},
+        "delta": {"type": float, "default": 0.25},
+        "eps-exps": {"type": _int_range, "default": list(range(3, 8))},
+        "scale-exps": {"type": _int_range, "default": list(range(-6, 7)),
+                       "help": "k values for s = 2^k"},
+        "kappa": {"type": float},
+        "lam": {"type": float},
+        "format": {"choices": ("text", "json", "csv"), "default": "text"},
+        "out": {"help": "output path (default: stdout)"},
+    }
+    parser = argparse.ArgumentParser(
+        prog="restriction-lab",
+        description="Sharp weighted circle-extension estimates: classifiers, "
+        "certificates, and counterexample scans.",
+    )
+    parser.add_argument("--config", help="file of key=value defaults (flags override)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names.split() + ["format", "out"]:
+            flag = name.rstrip("!")
+            p.add_argument("--" + flag, required=name.endswith("!"), **flags[flag])
+    return parser
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
@@ -476,15 +412,8 @@ def run(argv: list[str]) -> int:
         # argparse exits 2 on argument errors and 0 on --help
         return 0 if exc.code in (0, None) else 1
 
-    if args.threads is None:
-        env = os.environ.get("RESTRICTION_LAB_THREADS")
-        args.threads = int(env) if env and env.isdigit() else (os.cpu_count() or 1)
-    if args.threads < 1:
-        sys.stderr.write("error: --threads must be >= 1\n")
-        return 1
-
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except NumericalError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2

@@ -32,7 +32,7 @@ from .analysis import (
     j0_extrema,
 )
 from .errors import ConfigurationError
-from .exponents import DomainError, ExtScalar, ScalarLike
+from .exponents import DomainError, ExtScalar, ScalarLike, inv_conjugate, to_fraction
 from .norms import Grid2, Sampled1, WeightSpec, weak_lq_1d, weighted_lq_2d
 from .operator import Density, circle_norm, constant_reference_radii, extend_on_grid
 
@@ -98,14 +98,6 @@ class ScanResult:
             raise ValueError("scan parameters must be strictly monotone")
 
 
-def _f(x: ScalarLike) -> Fraction:
-    return ExtScalar.coerce(x).as_fraction()
-
-
-def _inv_conjugate(r: ExtScalar) -> Fraction:
-    return Fraction(1) - r.recip().as_fraction()
-
-
 def predicted_exponent(
     kind: str,
     *,
@@ -125,17 +117,17 @@ def predicted_exponent(
     gamma >, =, in-between, =, < of 2/q and 1/q.  constant: the index
     exponent 1 - q(1/2 + weight_sum) of the constant-density partial sums.
     """
-    qf = _f(q)
+    qf = to_fraction(q)
     if qf <= 0:
         raise DomainError("q must be positive and finite")
     if kind == "constant":
-        return PredictedExponent(Fraction(1) - qf * (Fraction(1, 2) + _f(weight_sum)))
+        return PredictedExponent(Fraction(1) - qf * (Fraction(1, 2) + to_fraction(weight_sum)))
 
     inv_q = 1 / qf
-    inv_rc = _inv_conjugate(ExtScalar.coerce(r))
+    inv_rc = inv_conjugate(ExtScalar.coerce(r))
     logs = 0
     if kind == "separable":
-        a, b = _f(alpha), _f(beta)
+        a, b = to_fraction(alpha), to_fraction(beta)
         big, small = max(a, b), min(a, b)
         if big > inv_q:
             pa = Fraction(0)
@@ -153,7 +145,7 @@ def predicted_exponent(
             pb = -2 + 2 * small * qf
         slope = inv_rc + (pa + pb) * inv_q
     elif kind == "radial":
-        g = _f(gamma)
+        g = to_fraction(gamma)
         if g > 2 * inv_q:
             e = Fraction(0)
         elif g == 2 * inv_q:
@@ -228,14 +220,14 @@ def knapp_scan(
     """
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
-    qf = float(_f(q))
+    qf = float(to_fraction(q))
     if kind == "separable":
-        a, b = _f(alpha), _f(beta)
+        a, b = to_fraction(alpha), to_fraction(beta)
         weight = WeightSpec.separable(float(max(a, b)), float(min(a, b)))
         predicted = predicted_exponent("separable", alpha=a, beta=b, r=r, q=q)
         weight_meta = {"alpha": str(ExtScalar(a)), "beta": str(ExtScalar(b))}
     elif kind == "radial":
-        g = _f(gamma)
+        g = to_fraction(gamma)
         weight = WeightSpec.radial(float(g))
         predicted = predicted_exponent("radial", gamma=g, r=r, q=q)
         weight_meta = {"gamma": str(ExtScalar(g))}
@@ -314,14 +306,14 @@ def constant_density_sums(
     if list(n_list) != sorted(set(n_list)) or not n_list or n_list[0] < 1:
         raise DomainError("n_list must be strictly increasing positive integers")
     if kind == "separable":
-        wsum = _f(alpha) + _f(beta)
+        wsum = to_fraction(alpha) + to_fraction(beta)
     elif kind == "radial":
-        wsum = _f(gamma)
+        wsum = to_fraction(gamma)
     else:
         raise DomainError(f"unknown kind {kind!r}")
     pred = predicted_exponent("constant", weight_sum=wsum, q=q)
     s = pred.slope
-    qf = float(_f(q))
+    qf = float(to_fraction(q))
 
     n_max = n_list[-1]
     powers = np.arange(1, n_max + 1, dtype=float) ** float(s)
@@ -342,7 +334,7 @@ def constant_density_sums(
             if kind == "radial":
                 wfac = (1 + rho[:, None] * cos_plus_sin[None, :]) ** (-qf * float(wsum))
             else:
-                af, bf = float(_f(alpha)), float(_f(beta))
+                af, bf = float(to_fraction(alpha)), float(to_fraction(beta))
                 x = rho[:, None] * np.abs(np.sin(theta))[None, :]
                 y = rho[:, None] * np.abs(np.cos(theta))[None, :]
                 wfac = (1 + x) ** (-qf * af) * (1 + y) ** (-qf * bf)
@@ -441,13 +433,13 @@ def l2_endpoint_scan(
     K is read from a CosineKernelTable per distinct kappa, built for this
     call only.  The ratio against the exact circle norm is fitted versus eps.
     """
-    a = _f(alpha)
-    b = _f(beta)
+    a = to_fraction(alpha)
+    b = to_fraction(beta)
     r = ExtScalar.coerce(r)
     if r.is_infinite or r <= 1:
         raise DomainError("need 1 < r < inf")
     rf = r.as_fraction()
-    inv_rc = 1 - 1 / rf
+    inv_rc = inv_conjugate(r)
     if not (0 < 2 * b <= 2 * a < 1):
         raise DomainError("need 0 < 2 beta <= 2 alpha < 1")
     if not a + b > Fraction(1, 2):
@@ -527,9 +519,9 @@ def pitt_sweep(
     and sampled on a xi-grid covering the spread 1/s (plus the modulation
     shift).  Returns all ratios and their maximum.
     """
-    bf = float(_f(beta))
-    pf = float(_f(p))
-    qf = float(_f(q))
+    bf = float(to_fraction(beta))
+    pf = float(to_fraction(p))
+    qf = float(to_fraction(q))
     if not 1 <= pf <= 2:
         raise DomainError("need 1 <= p <= 2")
     if qf <= 0:
@@ -612,20 +604,20 @@ def dual_scan(
         raise DomainError("need 1 < r < inf")
     if q.is_infinite or q <= 1:
         raise DomainError("need 1 < q < inf")
-    rf, qf = r.as_fraction(), q.as_fraction()
-    inv_rc = 1 - 1 / rf
-    inv_qc = 1 - 1 / qf
+    qf = q.as_fraction()
+    inv_rc = inv_conjugate(r)
+    inv_qc = inv_conjugate(q)
     rc = float(1 / inv_rc)
 
     if kind == "separable":
-        a, b = _f(alpha), _f(beta)
+        a, b = to_fraction(alpha), to_fraction(beta)
         if b != 1 / qf - inv_rc / 2:
             raise DomainError("need beta = 1/q - 1/(2r') exactly")
         if not a > 1 / qf:
             raise DomainError("need alpha > 1/q")
         weight_meta = {"alpha": str(ExtScalar(a)), "beta": str(ExtScalar(b))}
     elif kind == "radial":
-        g = _f(gamma)
+        g = to_fraction(gamma)
         if g != 2 / qf - inv_rc:
             raise DomainError("need gamma = 2/q - 1/r' exactly")
         if 2 / qf - inv_rc < Fraction(3, 2) / qf - inv_rc / 2:  # max branch: r' >= q

@@ -11,16 +11,17 @@ boundaries are precisely what is being decided.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 __all__ = [
     "ExtScalar",
     "INF",
     "DomainError",
     "conjugate_exponent",
+    "inv_conjugate",
+    "to_fraction",
     "SeparableParams",
     "RadialParams",
     "Verdict",
@@ -29,7 +30,6 @@ __all__ = [
     "classify_radial",
     "riesz_diagram",
     "DiagramRow",
-    "diagram_to_csv",
 ]
 
 ScalarLike = Union["ExtScalar", Fraction, int, str]
@@ -212,9 +212,14 @@ def conjugate_exponent(r: ScalarLike) -> ExtScalar:
     return ExtScalar(rf / (rf - 1))
 
 
-def _inv_conjugate(r: ExtScalar) -> Fraction:
-    # 1/r' = 1 - 1/r in exact arithmetic; total since r >= 1.
+def inv_conjugate(r: ExtScalar) -> Fraction:
+    """1/r' = 1 - 1/r in exact arithmetic; total for r >= 1 (1/1' = 0, 1/inf' = 1)."""
     return _ONE - r.recip().as_fraction()
+
+
+def to_fraction(x: ScalarLike) -> Fraction:
+    """The exact Fraction value of a finite scalar; infinity raises DomainError."""
+    return ExtScalar.coerce(x).as_fraction()
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +336,7 @@ def classify_unweighted(r: ScalarLike, q: ScalarLike) -> Verdict:
     if q.is_infinite:
         return _bounded("q-infinite")
     qf = q.as_fraction()
-    inv_rc = _inv_conjugate(r)  # 1/r', zero when r = 1
+    inv_rc = inv_conjugate(r)  # 1/r', zero when r = 1
     # q >= 3r'  <=>  3/q <= 1/r' in total arithmetic (r = 1 forces q = inf).
     if 3 / qf > inv_rc:
         return _unbounded("q-below-3r-conjugate")
@@ -363,7 +368,7 @@ def classify_separable(p: SeparableParams) -> Verdict:
     b = p.beta.as_fraction()
     big, small = (a, b) if a >= b else (b, a)
     inv_q = 1 / qf
-    inv_rc = _inv_conjugate(p.r)
+    inv_rc = inv_conjugate(p.r)
 
     if a + b <= 2 * inv_q - Fraction(1, 2):
         return _unbounded("constant-density")
@@ -413,7 +418,7 @@ def classify_radial(p: RadialParams) -> Verdict:
     qf = p.q.as_fraction()
     g = p.gamma.as_fraction()
     inv_q = 1 / qf
-    inv_rc = _inv_conjugate(p.r)
+    inv_rc = inv_conjugate(p.r)
 
     if g <= 2 * inv_q - Fraction(1, 2):
         return _unbounded("constant-density")
@@ -479,14 +484,3 @@ def riesz_diagram(
                 raise DomainError(f"unknown diagram kind {kind!r}")
             rows.append(DiagramRow(inv_r, inv_q, verdict))
     return rows
-
-
-def diagram_to_csv(rows: Iterable[DiagramRow], metadata: dict[str, str]) -> str:
-    """Render diagram rows as CSV with '#'-prefixed metadata lines."""
-    buf = io.StringIO()
-    for key in sorted(metadata):
-        buf.write(f"#{key}={metadata[key]}\n")
-    buf.write("inv_r,inv_q,decision,case\n")
-    for row in rows:
-        buf.write(f"{row.inv_r},{row.inv_q},{row.verdict.decision},{row.verdict.label}\n")
-    return buf.getvalue()

@@ -18,10 +18,10 @@ its verifier indicates an implementation bug and aborts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .exponents import INF, DomainError, ExtScalar, ScalarLike
+from .exponents import INF, DomainError, ExtScalar, ScalarLike, inv_conjugate, to_fraction
 
 __all__ = [
     "CertificateOne",
@@ -56,8 +56,9 @@ class VerifyResult:
         return self.ok
 
 
-def _record(pairs: list[tuple[str, ExtScalar]]) -> str:
-    return " ".join(f"{k}={v}" for k, v in pairs)
+def _record(cert) -> str:
+    """The certificate's fields as space-separated name=value pairs, in field order."""
+    return " ".join(f"{f.name}={getattr(cert, f.name)}" for f in fields(cert))
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,7 @@ class CertificateOne:
     r0: ExtScalar
     r1: ExtScalar
 
-    def record(self) -> str:
-        return _record(
-            [("theta", self.theta), ("q0", self.q0), ("q1", self.q1),
-             ("r0", self.r0), ("r1", self.r1)]
-        )
+    record = _record
 
 
 @dataclass(frozen=True)
@@ -88,15 +85,7 @@ class CertificateTwo:
     r1: ExtScalar
     gamma1: ExtScalar
 
-    def record(self) -> str:
-        return _record(
-            [("theta", self.theta), ("q0", self.q0), ("q1", self.q1),
-             ("r0", self.r0), ("r1", self.r1), ("gamma1", self.gamma1)]
-        )
-
-
-def _frac(x: ScalarLike) -> Fraction:
-    return ExtScalar.coerce(x).as_fraction()
+    record = _record
 
 
 def _inv(x: ExtScalar) -> Fraction:
@@ -107,10 +96,6 @@ def _inv(x: ExtScalar) -> Fraction:
 def _from_inv(value: Fraction) -> ExtScalar:
     # exponent from its reciprocal; 0 maps to infinity
     return INF if value == 0 else ExtScalar(1 / value)
-
-
-def _inv_conj_from_r(r: ExtScalar) -> Fraction:
-    return Fraction(1) - _inv(r)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +112,8 @@ def solve_one(
     0 < q < inf, all exact rationals.  A certificate exists iff
     alpha + beta > 2/q - 1/2 and alpha + 2 beta >= 3/q - 1/r'.
     """
-    a = _frac(alpha)
-    b = _frac(beta)
+    a = to_fraction(alpha)
+    b = to_fraction(beta)
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
     if r.is_infinite or r < 1:
@@ -144,7 +129,7 @@ def solve_one(
     # Feasibility is decided before the alpha < 1/q domain check so that
     # infeasible inputs sitting on that boundary still report Infeasible.
     inv_q = 1 / qf
-    inv_rc = _inv_conj_from_r(r)
+    inv_rc = inv_conjugate(r)
     if a + b <= 2 * inv_q - Fraction(1, 2):
         return Infeasible("alpha+beta <= 2/q - 1/2")
     if a + 2 * b < 3 * inv_q - inv_rc:
@@ -188,16 +173,15 @@ def verify_one(
     Returns a pass/fail result; on failure the violated constraints are
     listed by name, one entry per failed constraint.
     """
-    a = _frac(alpha)
-    b = _frac(beta)
+    a = to_fraction(alpha)
+    b = to_fraction(beta)
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
     bad: list[str] = []
 
     theta = cert.theta
     if not (theta.is_finite and 0 < theta.as_fraction() < 1):
-        bad.append("theta-range")
-        return VerifyResult(False, tuple(bad))
+        return VerifyResult(False, ("theta-range",))
     th = theta.as_fraction()
 
     if cert.q0 < 1:
@@ -257,7 +241,7 @@ def solve_two(
     certificate exists iff gamma >= max(3/(2q) - 1/(2r'), 2/q - 1/r') and
     gamma > 2/q - 1/2.
     """
-    g = _frac(gamma)
+    g = to_fraction(gamma)
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
     if g <= 0:
@@ -267,7 +251,7 @@ def solve_two(
     if q.is_infinite or q <= 0:
         raise DomainError("solve_two needs 0 < q < inf")
     inv_q = _inv(q)
-    inv_rc = _inv_conj_from_r(r)
+    inv_rc = inv_conjugate(r)
 
     if g < max(Fraction(3, 2) * inv_q - inv_rc / 2, 2 * inv_q - inv_rc):
         return Infeasible("gamma < max(3/(2q) - 1/(2r'), 2/q - 1/r')")
@@ -307,15 +291,14 @@ def verify_two(
     cert: CertificateTwo, gamma: ScalarLike, r: ScalarLike, q: ScalarLike
 ) -> VerifyResult:
     """Check every constraint of the radial proposition exactly."""
-    g = _frac(gamma)
+    g = to_fraction(gamma)
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
     bad: list[str] = []
 
     theta = cert.theta
     if not (theta.is_finite and 0 < theta.as_fraction() < 1):
-        bad.append("theta-range")
-        return VerifyResult(False, tuple(bad))
+        return VerifyResult(False, ("theta-range",))
     th = theta.as_fraction()
 
     if cert.q0 < 1:

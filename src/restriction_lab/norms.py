@@ -55,7 +55,6 @@ class Grid2:
     y1: float
     nx: int
     ny: int
-    kind: str = "rectangle"
 
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
@@ -68,7 +67,7 @@ class Grid2:
         """Symmetric grid |x| <= half_x, |y| <= half_y at resolution step."""
         nx = max(2, int(round(2 * half_x / step)))
         ny = max(2, int(round(2 * half_y / step)))
-        return cls(-half_x, half_x, -half_y, half_y, nx, ny, kind="cartesian")
+        return cls(-half_x, half_x, -half_y, half_y, nx, ny)
 
     @property
     def dx(self) -> float:
@@ -184,11 +183,6 @@ class Sampled1:
             raise ValueError("need finite values >= 0 and measures > 0")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "measures", m)
-
-    @classmethod
-    def uniform(cls, values: np.ndarray, cell_measure: float) -> "Sampled1":
-        values = np.asarray(values, dtype=float)
-        return cls(values, np.full(values.shape, cell_measure))
 
 
 def weak_lq_1d(sample: Sampled1, q) -> float:

@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from scipy.integrate import quad
 from restriction_lab import analysis
 from restriction_lab.analysis import (
     CosineKernelTable,
-    OscIntSpec,
     bessel_j0,
     bessel_j0_deriv,
     cosine_weight_kernel,
@@ -163,6 +164,17 @@ class TestCosineKernel:
         batch = cosine_weight_kernel_many(0.45, lams)
         for lam, got in zip(lams, batch):
             assert got == cosine_weight_kernel(0.45, lam)
+
+    def test_deep_batch_temporaries_are_bounded(self):
+        # every lambda here takes the deepest head (67 e-foldings at kappa = 5/9)
+        lams = np.geomspace(1e-300, 1e-200, 4096)
+        tracemalloc.start()
+        try:
+            cosine_weight_kernel_many(5 / 9, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -317,18 +329,19 @@ class TestHankelTransform:
         for s, got in zip(svals, batch):
             assert got == hankel_decay_transform(1.4, s)
 
+    @pytest.mark.parametrize("delta", [1.2, 1.5, 1.9])
+    def test_finite_down_to_1e_300_and_on_the_small_s_law(self, delta):
+        s = np.geomspace(1e-300, 1.9, 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = hankel_decay_transform_many(delta, s)
+        assert np.all(np.isfinite(h))
+        # H s^{2-delta} -> 2 pi 2^{1-delta} Gamma(1-delta/2) / Gamma(delta/2); the
+        # correction scales like s^{2-delta}, still 3% at delta = 1.99, so delta <= 1.9
+        law = 2 * math.pi * 2 ** (1 - delta) * math.gamma(1 - delta / 2) / math.gamma(delta / 2)
+        small = s <= 1e-150
+        assert np.max(np.abs(h[small] * s[small] ** (2 - delta) / law - 1)) < 1e-9
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             hankel_decay_transform(2.5, 1.0)
-
-
-class TestOscIntSpec:
-    def test_valid(self):
-        spec = OscIntSpec(kappa=0.5, lam=1e-3, decay_sigma=1.0)
-        assert spec.kappa + spec.decay_sigma > 1
-
-    def test_invalid_hypotheses(self):
-        with pytest.raises(ValueError):
-            OscIntSpec(kappa=0.2, lam=1.0, decay_sigma=0.5)
-        with pytest.raises(ValueError):
-            OscIntSpec(kappa=1.2, lam=1.0, decay_sigma=2.0)

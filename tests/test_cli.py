@@ -1,9 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from restriction_lab.cli import run, scan_to_csv
+from restriction_lab.cli import _build_parser, run, scan_to_csv
 from restriction_lab.exponents import ExtScalar
 from restriction_lab.experiments import (
     PredictedExponent,
@@ -94,33 +95,6 @@ class TestArgumentHandling:
         )
         assert code == 1 and "budget" in err
 
-    def test_threads_validation(self, capsys):
-        code, _, err = invoke(
-            capsys, "--threads", "0", "classify", "--kind", "radial",
-            "--gamma", "0", "--r", "2", "--q", "6",
-        )
-        assert code == 1
-
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("RESTRICTION_LAB_THREADS", "3")
-        code, out, _ = invoke(
-            capsys, "classify", "--kind", "radial",
-            "--gamma", "0", "--r", "2", "--q", "6",
-        )
-        assert code == 0 and out.startswith("BOUNDED")
-
-    def test_threads_do_not_change_output(self, capsys):
-        outs = []
-        for n in ("1", "4"):
-            code, out, _ = invoke(
-                capsys, "--threads", n, "dual", "--kind", "separable",
-                "--alpha", "3/5", "--beta", "1/8", "--r", "4", "--q", "2",
-                "--eps-exps", "3..5", "--format", "csv",
-            )
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
-
 
 class TestJsonRoundTrip:
     def test_classify_rationals_reparse(self, capsys):
@@ -184,8 +158,10 @@ class TestCsvWriter:
         )
         assert code == 0
         lines = out_path.read_text().splitlines()
-        header = lines.index("inv_r,inv_q,decision,case")
-        assert len(lines) - header - 1 == 6  # (2+1) * 2 grid points
+        meta = {"alpha": "0", "beta": "0", "grid_n": "2", "kind": "separable"}
+        assert lines[: len(meta)] == sorted(f"#{k}={v}" for k, v in meta.items())
+        assert lines[len(meta)] == "inv_r,inv_q,decision,case"
+        assert len(lines) == len(meta) + 1 + 6  # (2+1) * 2 grid points
 
     def test_scan_csv_via_cli(self, capsys, tmp_path):
         out_path = tmp_path / "dual.csv"
@@ -228,3 +204,109 @@ class TestOscintCommand:
         )
         payload = json.loads(out)
         assert payload["fresnel_constant"] > 0
+
+
+# option string -> (required, default) per subcommand, as the flags stood
+# before the parser was built from one flag table; --format/--out are common
+_FORMAT_FLAGS = {"--format": (False, "text"), "--out": (False, None)}
+_WEIGHTS = {"--alpha": (False, None), "--beta": (False, None), "--gamma": (False, None)}
+_KIND = {"--kind": (True, None)}
+_RQ = {"--r": (True, None), "--q": (True, None)}
+FLAG_INVENTORY = {
+    "classify": {**_KIND, **_WEIGHTS, **_RQ},
+    "diagram": {**_KIND, **_WEIGHTS, "--grid-n": (True, None)},
+    "feasibility": {"--prop": (True, None), **_WEIGHTS, **_RQ},
+    "knapp": {**_KIND, **_WEIGHTS, **_RQ, "--delta-exps": (False, [2, 3, 4, 5])},
+    "constant": {**_KIND, **_WEIGHTS, "--q": (True, None),
+                 "--n-list": (False, [10000, 100000]), "--rings": (False, 0)},
+    "l2-endpoint": {"--alpha": (True, None), "--beta": (True, None), "--r": (True, None),
+                    "--delta": (False, 0.25), "--eps-exps": (False, [3, 4, 5, 6, 7])},
+    "pitt": {"--beta": (True, None), "--p": (True, None), "--q": (True, None),
+             "--scale-exps": (False, list(range(-6, 7)))},
+    "dual": {**_KIND, **_WEIGHTS, **_RQ, "--eps-exps": (False, [3, 4, 5, 6, 7])},
+    "oscint": {"--kappa": (True, None), "--lam": (True, None)},
+}
+
+
+class TestFlagInventory:
+    def _subparsers(self):
+        parser = _build_parser()
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return parser, action.choices
+
+    def test_subcommands_flags_required_and_defaults(self):
+        _, subparsers = self._subparsers()
+        assert list(subparsers) == SUBCOMMANDS == list(FLAG_INVENTORY)
+        for name, sub in subparsers.items():
+            got = {a.option_strings[-1]: (a.required, a.default)
+                   for a in sub._actions if "--help" not in a.option_strings}
+            assert list(got.items()) == list({**FLAG_INVENTORY[name], **_FORMAT_FLAGS}.items())
+
+    def test_top_level_flags(self):
+        parser, _ = self._subparsers()
+        options = [a.option_strings for a in parser._actions if a.option_strings]
+        assert options == [["-h", "--help"], ["--config"]]
+
+
+# small arguments for every subcommand; exact ones carry their recorded stdout
+# per format (None: a float-valued output checked for structure only)
+FORMAT_CASES = {
+    "classify": ("classify --kind radial --gamma 1/4 --r 4/3 --q 4", {
+        "text": "UNBOUNDED violated=endpoint-q-equals-r-conjugate\n",
+        "json": '{"decision": "unbounded", "violated": "endpoint-q-equals-r-conjugate", '
+                '"gamma": "1/4", "r": "4/3", "q": "4"}\n',
+    }),
+    "diagram": ("diagram --kind separable --alpha 0 --beta 0 --grid-n 2", {
+        "text": "#alpha=0\n#beta=0\n#grid_n=2\n#kind=separable\n"
+                "inv_r,inv_q,decision,case\n"
+                "0,1/2,unbounded,constant-density\n0,1,unbounded,constant-density\n"
+                "1/2,1/2,unbounded,constant-density\n1/2,1,unbounded,constant-density\n"
+                "1,1/2,unbounded,constant-density\n1,1,unbounded,constant-density\n",
+    }),
+    "feasibility": ("feasibility --prop two --gamma 1 --r 2 --q 2", {
+        "text": "FEASIBLE theta=1/2 q0=8 q1=8/7 r0=8/5 r1=8/3 gamma1=2\n",
+        "json": '{"feasible": true, "theta": "1/2", "q0": "8", "q1": "8/7", "r0": "8/5", '
+                '"r1": "8/3", "gamma1": "2"}\n',
+    }),
+    "knapp": ("knapp --kind separable --alpha 0 --beta 0 --r 2 --q 6 --delta-exps 1..3", None),
+    "constant": ("constant --kind radial --gamma 1/4 --q 4 --n-list 10,100", None),
+    "l2-endpoint": ("l2-endpoint --alpha 5/18 --beta 5/18 --r 3 --eps-exps 3..5", None),
+    "pitt": ("pitt --beta 1/2 --p 2 --q 2 --scale-exps 0..2", None),
+    "dual": ("dual --kind separable --alpha 3/5 --beta 1/8 --r 4 --q 2 --eps-exps 3..5", None),
+    "oscint": ("oscint --kappa 0.5 --lam 1e-2", None),
+}
+_TABLE_HEADERS = {
+    "knapp": "param,lhs,rhs,ratio,log2_param,log2_ratio",
+    "l2-endpoint": "param,lhs,rhs,ratio,log2_param,log2_ratio",
+    "dual": "param,lhs,rhs,ratio,log2_param,log2_ratio",
+    "constant": "n,partial_sum",
+    "pitt": "scale,variant,ratio",
+    "diagram": "inv_r,inv_q,decision,case",
+}
+
+
+class TestFormatMatrix:
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_every_format(self, capsys, sub):
+        argv, recorded = FORMAT_CASES[sub]
+        outs = {}
+        for fmt in ("text", "json", "csv"):
+            code, outs[fmt], err = invoke(capsys, *argv.split(), "--format", fmt)
+            assert code == 0 and err == ""
+            assert outs[fmt].endswith("\n")
+        code, default, _ = invoke(capsys, *argv.split())
+        assert code == 0 and default == outs["text"]
+        if sub == "diagram":  # the grid is CSV whatever the format
+            assert outs["text"] == outs["json"] == outs["csv"]
+        else:
+            assert isinstance(json.loads(outs["json"]), dict)
+        if sub in _TABLE_HEADERS:
+            lines = outs["csv"].splitlines()
+            meta = [ln for ln in lines if ln.startswith("#")]
+            assert meta and lines[: len(meta)] == sorted(meta)
+            assert lines[len(meta)] == _TABLE_HEADERS[sub]
+        else:  # no CSV renderer: csv prints the text output
+            assert outs["csv"] == outs["text"]
+        for fmt, want in (recorded or {}).items():
+            assert outs[fmt] == want

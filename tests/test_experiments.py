@@ -249,6 +249,15 @@ class TestPitt:
         with pytest.raises(DomainError):
             pitt_sweep(0, 2, 4, [1.0])  # 1/q - 1/p' < 0 fails the hypothesis
 
+    def test_small_s_slope_is_one_half(self):
+        # criterion 12's explanation: below s ~ 1 the family is not
+        # near-extremal and its ratios decay like sqrt(s), so the literal
+        # max/min over the sweep is large while the uniform bound holds
+        res = pitt_sweep("1/2", 2, 2, [2.0**k for k in range(-10, -5)])
+        for variant in ("plain", "modulated"):
+            fit = fit_loglog_slope([(s, r) for s, v, r in res.ratios if v == variant])
+            assert 0.45 <= fit.slope <= 0.55
+
     def test_small_s_ratios_decay_like_sqrt_s(self):
         # the family is not near-extremal at small scales: ratio ~ sqrt(s)
         res = pitt_sweep("1/2", 2, 2, [2.0**-6, 2.0**-4])

@@ -158,7 +158,6 @@ class TestGrid2:
     def test_centered_constructor(self):
         grid = Grid2.centered(16, 12.5, 0.25)
         assert grid.nx == 128 and grid.ny == 100
-        assert grid.kind == "cartesian"
 
     def test_validation(self):
         with pytest.raises(ValueError):
