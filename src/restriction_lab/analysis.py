@@ -24,6 +24,7 @@ Absolute error stays below 1e-12 through x = 1e4.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -356,15 +357,13 @@ _GL_TAIL = 12
 _GL_HEAD = 12
 
 
-def _tail_panels() -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _tail_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-period tail panels: nodes, weights, cos(nodes), each (_N_TAIL, _GL_TAIL);
+    built on first use, so importing the package loads no Gauss-Legendre code."""
     k = np.arange(1, _N_TAIL + 1)
-    a = (k - 0.5) * math.pi
-    b = (k + 0.5) * math.pi
-    return _panel_nodes(a, b, _GL_TAIL)
-
-
-_TAIL_RHO, _TAIL_W = _tail_panels()  # shape (_N_TAIL, _GL_TAIL)
-_TAIL_COS = np.cos(_TAIL_RHO)
+    rho, w = _panel_nodes((k - 0.5) * math.pi, (k + 0.5) * math.pi, _GL_TAIL)
+    return rho, w, np.cos(rho)
 
 
 _HEAD_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -412,17 +411,18 @@ def cosine_weight_kernel_many(kappa: float, lams: np.ndarray) -> np.ndarray:
     depth_cap = 8 + int(math.ceil(26.0 / (1.0 - kappa)))
     folds = np.clip(np.ceil(span).astype(int) + 1, 1, depth_cap)
 
+    tail_rho, tail_w, tail_cos = _tail_panels()
     for n_fold in np.unique(folds):
         sel = np.nonzero(folds == n_fold)[0]
         rho, w, cos_rho = _head_panels(int(n_fold))
-        rows = max(1, _CHUNK_NODES // (rho.size + _TAIL_RHO.size))
+        rows = max(1, _CHUNK_NODES // (rho.size + tail_rho.size))
         for start in range(0, sel.size, rows):
             idx = sel[start : start + rows]
             lam = flat[idx][:, None, None]
             env = (1.0 + rho[None, :, :] / lam) ** (-kappa)
             head = np.einsum("bjk,jk->b", env * cos_rho[None, :, :], w)
-            env_t = (1.0 + _TAIL_RHO[None, :, :] / lam) ** (-kappa)
-            tail_terms = np.einsum("bjk,jk->bj", env_t * _TAIL_COS[None, :, :], _TAIL_W)
+            env_t = (1.0 + tail_rho[None, :, :] / lam) ** (-kappa)
+            tail_terms = np.einsum("bjk,jk->bj", env_t * tail_cos[None, :, :], tail_w)
             tail = _accelerate_rows(
                 tail_terms,
                 1e-9,
@@ -457,7 +457,8 @@ def fresnel_constant(kappa: float) -> float:
         power = 2 * m + 1 - kappa
         term = a**power / (fact * power)
         head += term if m % 2 == 0 else -term
-    tail_terms = np.einsum("jk,jk->j", _TAIL_RHO ** (-kappa) * _TAIL_COS, _TAIL_W)[None, :]
+    tail_rho, tail_w, tail_cos = _tail_panels()
+    tail_terms = np.einsum("jk,jk->j", tail_rho ** (-kappa) * tail_cos, tail_w)[None, :]
     tail = float(
         _accelerate_rows(tail_terms, 1e-9, lambda i: f"fresnel_constant(kappa={kappa!r})")[0]
     )

@@ -55,7 +55,7 @@ __all__ = [
 KNAPP_CELL_BUDGET = 30_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictedExponent:
     """Exact predicted power-law slope with logarithmic-correction flag."""
 

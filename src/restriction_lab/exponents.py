@@ -11,6 +11,9 @@ boundaries are precisely what is being decided.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -20,8 +23,11 @@ __all__ = [
     "INF",
     "DomainError",
     "conjugate_exponent",
+    "inv_ratio",
     "inv_conjugate",
+    "inv_conjugate_ratio",
     "to_fraction",
+    "scaled",
     "SeparableParams",
     "RadialParams",
     "Verdict",
@@ -42,30 +48,31 @@ class DomainError(ValueError):
 class ExtScalar:
     """Exact nonnegative-capable rational extended with a unique +infinity.
 
-    Canonical form is a reduced :class:`fractions.Fraction`; infinity is the
-    single value ``INF``.  The reciprocal is total (recip(0) = inf,
+    Stored as a reduced numerator over a positive denominator; infinity, the
+    single value ``INF``, as 1/0.  The reciprocal is total (recip(0) = inf,
     recip(inf) = 0) and comparison is a total order with infinity maximal.
     Intermediate threshold arithmetic may produce negative values; the
     nonnegativity constraints of the domain types are enforced by the
     parameter classes, not here.
     """
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, value: ScalarLike = 0):
-        if isinstance(value, ExtScalar):
-            self._frac = value._frac
+        if isinstance(value, (int, Fraction)):
+            self._num, self._den = value.as_integer_ratio()
+        elif isinstance(value, ExtScalar):
+            self._num, self._den = value._num, value._den
         elif isinstance(value, str):
-            self._frac = _parse_fraction(value)
-        elif isinstance(value, (int, Fraction)):
-            self._frac = Fraction(value)
+            frac = _parse_fraction(value)
+            self._num, self._den = (1, 0) if frac is None else frac.as_integer_ratio()
         else:
             raise TypeError(f"cannot build ExtScalar from {type(value).__name__}")
 
     @classmethod
     def _wrap(cls, frac: Fraction | None) -> "ExtScalar":
         obj = object.__new__(cls)
-        obj._frac = frac
+        obj._num, obj._den = (1, 0) if frac is None else frac.as_integer_ratio()
         return obj
 
     @classmethod
@@ -78,29 +85,33 @@ class ExtScalar:
 
     @property
     def is_infinite(self) -> bool:
-        return self._frac is None
+        return self._den == 0
 
     @property
     def is_finite(self) -> bool:
-        return self._frac is not None
+        return self._den != 0
 
     def as_fraction(self) -> Fraction:
-        if self._frac is None:
+        return Fraction(*self.as_integer_ratio())
+
+    def as_integer_ratio(self) -> tuple[int, int]:
+        """(numerator, positive denominator) of a finite value."""
+        if self._den == 0:
             raise DomainError("infinity has no Fraction value")
-        return self._frac
+        return self._num, self._den
+
+    def _frac(self) -> Fraction | None:
+        # the value as a Fraction, None for infinity
+        return None if self._den == 0 else Fraction(self._num, self._den)
 
     def recip(self) -> "ExtScalar":
         """Total reciprocal: recip(inf) = 0, recip(0) = inf."""
-        if self._frac is None:
-            return ExtScalar._wrap(Fraction(0))
-        if self._frac == 0:
-            return ExtScalar._wrap(None)
-        return ExtScalar._wrap(1 / self._frac)
+        return INF if self._num == 0 else ExtScalar._wrap(Fraction(*inv_ratio(self)))
 
     # -- arithmetic (partial where genuinely ambiguous: inf-inf, 0*inf, ...) --
 
     def __add__(self, other: ScalarLike) -> "ExtScalar":
-        a, b = self._frac, ExtScalar.coerce(other)._frac
+        a, b = self._frac(), ExtScalar.coerce(other)._frac()
         if a is None or b is None:
             return ExtScalar._wrap(None)
         return ExtScalar._wrap(a + b)
@@ -108,7 +119,7 @@ class ExtScalar:
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "ExtScalar":
-        a, b = self._frac, ExtScalar.coerce(other)._frac
+        a, b = self._frac(), ExtScalar.coerce(other)._frac()
         if b is None:
             raise DomainError("subtraction of infinity is undefined")
         if a is None:
@@ -116,7 +127,7 @@ class ExtScalar:
         return ExtScalar._wrap(a - b)
 
     def __mul__(self, other: ScalarLike) -> "ExtScalar":
-        a, b = self._frac, ExtScalar.coerce(other)._frac
+        a, b = self._frac(), ExtScalar.coerce(other)._frac()
         if a is None or b is None:
             fin = b if a is None else a
             if fin is not None and fin == 0:
@@ -132,52 +143,43 @@ class ExtScalar:
         return self * ExtScalar.coerce(other).recip()
 
     def __neg__(self) -> "ExtScalar":
-        if self._frac is None:
+        if self._den == 0:
             raise DomainError("negation of infinity not supported")
-        return ExtScalar._wrap(-self._frac)
+        return ExtScalar._wrap(Fraction(-self._num, self._den))
 
     # -- total order with infinity maximal --
 
-    def _cmp(self, other: ScalarLike) -> int:
-        b = ExtScalar.coerce(other)._frac
-        a = self._frac
-        if a is None and b is None:
-            return 0
-        if a is None:
-            return 1
-        if b is None:
-            return -1
-        return (a > b) - (a < b)
+    def _compare(op):
+        # finite values by one cross-multiplication; infinity (True) beats finite
+        def compare(self, other: ScalarLike) -> bool:
+            o = other if type(other) is ExtScalar else ExtScalar(other)
+            if self._den == 0 or o._den == 0:
+                return op(self._den == 0, o._den == 0)
+            return op(self._num * o._den, o._num * self._den)
+        return compare
+
+    _equal = _compare(operator.eq)
+    __lt__ = _compare(operator.lt)
+    __le__ = _compare(operator.le)
+    __gt__ = _compare(operator.gt)
+    __ge__ = _compare(operator.ge)
+    del _compare
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (ExtScalar, Fraction, int, str)):
             return NotImplemented
-        return self._cmp(other) == 0
-
-    def __lt__(self, other: ScalarLike) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: ScalarLike) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: ScalarLike) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: ScalarLike) -> bool:
-        return self._cmp(other) >= 0
+        return self._equal(other)
 
     def __hash__(self) -> int:
-        return hash(self._frac)
+        return hash(self._frac())
 
     def __float__(self) -> float:
-        return float("inf") if self._frac is None else float(self._frac)
+        return float("inf") if self._den == 0 else self._num / self._den
 
     def __str__(self) -> str:
-        if self._frac is None:
+        if self._den == 0:
             return "inf"
-        if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        return str(self._num) if self._den == 1 else f"{self._num}/{self._den}"
 
     def __repr__(self) -> str:
         return f"ExtScalar({str(self)!r})"
@@ -195,31 +197,51 @@ def _parse_fraction(text: str) -> Fraction | None:
 
 INF = ExtScalar.infinity()
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def conjugate_exponent(r: ScalarLike) -> ExtScalar:
     """Holder conjugate r/(r-1), with conjugate(1) = inf and conjugate(inf) = 1."""
     r = ExtScalar.coerce(r)
     if r < 1:
         raise DomainError(f"conjugate exponent needs r >= 1, got {r}")
-    if r.is_infinite:
-        return ExtScalar(1)
-    rf = r.as_fraction()
-    if rf == 1:
-        return INF
-    return ExtScalar(rf / (rf - 1))
+    num, den = inv_conjugate_ratio(r)  # r' = den/num
+    return INF if num == 0 else ExtScalar(Fraction(den, num))
+
+
+def inv_ratio(x: ExtScalar) -> tuple[int, int]:
+    """1/x as an integer pair (numerator, positive denominator); 1/inf = 0/1.
+
+    x = 0 raises DomainError: its reciprocal, infinity, has no such pair.
+    """
+    if x.is_infinite:
+        return 0, 1
+    num, den = x.as_integer_ratio()
+    if num == 0:
+        raise DomainError("infinity has no Fraction value")  # 1/0
+    return (den, num) if num > 0 else (-den, -num)
+
+
+def inv_conjugate_ratio(r: ExtScalar) -> tuple[int, int]:
+    """1/r' = 1 - 1/r as an integer pair; 1/1' = 0 and 1/inf' = 1."""
+    num, den = inv_ratio(r)
+    return den - num, den
 
 
 def inv_conjugate(r: ExtScalar) -> Fraction:
     """1/r' = 1 - 1/r in exact arithmetic; total for r >= 1 (1/1' = 0, 1/inf' = 1)."""
-    return _ONE - r.recip().as_fraction()
+    return Fraction(*inv_conjugate_ratio(r))
 
 
 def to_fraction(x: ScalarLike) -> Fraction:
     """The exact Fraction value of a finite scalar; infinity raises DomainError."""
-    return ExtScalar.coerce(x).as_fraction()
+    return x if type(x) is Fraction else ExtScalar.coerce(x).as_fraction()
+
+
+def scaled(k: int, *ratios: tuple[int, int]) -> tuple[int, ...]:
+    """(L, x1 L, x2 L, ...) for xi = num/den given as integer pairs and L = k times
+    the lcm of the denominators: linear thresholds in the xs then compare as
+    integers, and k supplies the factors later halvings and thirds need."""
+    big_l = k * math.lcm(*[den for _, den in ratios])
+    return (big_l, *[num * (big_l // den) for num, den in ratios])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +249,7 @@ def to_fraction(x: ScalarLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparableParams:
     """Arguments of the separable-weight extension estimate: L^r -> L^q with
     weight exponents (alpha, beta)."""
@@ -254,7 +276,7 @@ class SeparableParams:
         object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RadialParams:
     """Arguments of the radial-weight extension estimate (exponent gamma)."""
 
@@ -282,7 +304,7 @@ class RadialParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of a region classifier.
 
@@ -314,10 +336,13 @@ class Verdict:
         return f"UNBOUNDED violated={self.violated}"
 
 
+# verdicts are immutable and few: each is built once and shared
+@functools.cache
 def _bounded(tag: str) -> Verdict:
     return Verdict(True, case_tag=tag)
 
 
+@functools.cache
 def _unbounded(name: str) -> Verdict:
     return Verdict(False, violated=name)
 
@@ -363,14 +388,13 @@ def classify_separable(p: SeparableParams) -> Verdict:
     """
     if p.q.is_infinite:
         return _bounded("q-infinite")
-    qf = p.q.as_fraction()
-    a = p.alpha.as_fraction()
-    b = p.beta.as_fraction()
+    # alpha, beta, 1/q, 1/r' and 1 as integers over one denominator
+    one, a, b, inv_q, inv_rc = scaled(
+        1, p.alpha.as_integer_ratio(), p.beta.as_integer_ratio(), inv_ratio(p.q),
+        inv_conjugate_ratio(p.r))
     big, small = (a, b) if a >= b else (b, a)
-    inv_q = 1 / qf
-    inv_rc = inv_conjugate(p.r)
 
-    if a + b <= 2 * inv_q - Fraction(1, 2):
+    if 2 * (a + b) <= 4 * inv_q - one:  # a + b <= 2/q - 1/2
         return _unbounded("constant-density")
 
     pair_thresh = 2 * inv_q - inv_rc  # threshold for 2*min
@@ -415,21 +439,17 @@ def classify_radial(p: RadialParams) -> Verdict:
     """
     if p.q.is_infinite:
         return _bounded("q-infinite")
-    qf = p.q.as_fraction()
-    g = p.gamma.as_fraction()
-    inv_q = 1 / qf
-    inv_rc = inv_conjugate(p.r)
+    # gamma, 1/q, 1/r' and 1 as integers over one denominator
+    one, g, inv_q, inv_rc = scaled(
+        1, p.gamma.as_integer_ratio(), inv_ratio(p.q), inv_conjugate_ratio(p.r))
 
-    if g <= 2 * inv_q - Fraction(1, 2):
+    if 2 * g <= 4 * inv_q - one:  # g <= 2/q - 1/2
         return _unbounded("constant-density")
 
-    threshold = max(
-        Fraction(3, 2) * inv_q - inv_rc / 2,
-        2 * inv_q - inv_rc,
-    )
-    if g > threshold:
+    threshold2 = max(3 * inv_q - inv_rc, 4 * inv_q - 2 * inv_rc)  # 2T
+    if 2 * g > threshold2:
         return _bounded("radial-strict")
-    if g < threshold:
+    if 2 * g < threshold2:
         return _unbounded("knapp-threshold")
     # gamma sits exactly on the threshold
     if p.r == 1:
@@ -446,7 +466,7 @@ def classify_radial(p: RadialParams) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagramRow:
     inv_r: Fraction
     inv_q: Fraction

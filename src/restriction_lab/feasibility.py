@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .exponents import INF, DomainError, ExtScalar, ScalarLike, inv_conjugate, to_fraction
+from .exponents import (
+    INF, DomainError, ExtScalar, ScalarLike, inv_conjugate_ratio, inv_ratio, scaled, to_fraction,
+)
 
 __all__ = [
     "CertificateOne",
@@ -40,14 +42,14 @@ class InternalSolverError(RuntimeError):
     """A constructed certificate failed its own verifier (implementation bug)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Infeasible:
     """Negative solver outcome with the inequality that rules a witness out."""
 
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyResult:
     ok: bool
     violations: tuple[str, ...]
@@ -56,12 +58,15 @@ class VerifyResult:
         return self.ok
 
 
+_VERIFIED = VerifyResult(True, ())  # the passing result, shared by every verified call
+
+
 def _record(cert) -> str:
     """The certificate's fields as space-separated name=value pairs, in field order."""
     return " ".join(f"{f.name}={getattr(cert, f.name)}" for f in fields(cert))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateOne:
     """Witness (theta, q0, q1, r0, r1) for the separable-weight proposition."""
 
@@ -74,7 +79,7 @@ class CertificateOne:
     record = _record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateTwo:
     """Witness (theta, q0, q1, r0, r1, gamma1) for the radial-weight proposition."""
 
@@ -88,14 +93,47 @@ class CertificateTwo:
     record = _record
 
 
-def _inv(x: ExtScalar) -> Fraction:
-    # 1/x with 1/inf = 0; exact.
-    return x.recip().as_fraction()
+def _ratio(num: int, den: int) -> ExtScalar:
+    # exponent num/den from scaled integers; den = 0 (a zero reciprocal) is infinity
+    return INF if den == 0 else ExtScalar._wrap(Fraction(num, den))
 
 
-def _from_inv(value: Fraction) -> ExtScalar:
-    # exponent from its reciprocal; 0 maps to infinity
-    return INF if value == 0 else ExtScalar(1 / value)
+def _shared_checks(cert: CertificateOne | CertificateTwo, r: ScalarLike, q: ScalarLike,
+                   r1_finite: bool, *extra: Fraction):
+    """The constraints both propositions put on (theta, q0, q1, r0, r1).
+
+    Returns None when theta lies outside (0, 1), else the violated names so
+    far and (1, theta, 1/q1, 1/r1', *extra) as integers over one denominator.
+    """
+    r = ExtScalar.coerce(r)
+    q = ExtScalar.coerce(q)
+    theta = cert.theta
+    if not (theta.is_finite and 0 < theta.as_fraction() < 1):
+        return None
+
+    bad: list[str] = []
+    if cert.q0 < 1:
+        bad.append("q0-range")
+    if not (cert.q1.is_finite and cert.q1 > 0):
+        bad.append("q1-range")
+    if cert.r0 < 1:
+        bad.append("r0-range")
+    if (r1_finite and cert.r1.is_infinite) or cert.r1 < 1:
+        bad.append("r1-range")
+
+    one, th, inv_q0, inv_q1, inv_r0, inv_r1, inv_q, inv_r, *extra = scaled(
+        1, theta.as_integer_ratio(),
+        *map(inv_ratio, (cert.q0, cert.q1, cert.r0, cert.r1, q, r)),
+        *[x.as_integer_ratio() for x in extra])
+    if (one - th) * inv_q0 + th * inv_q1 != inv_q * one:
+        bad.append("q-convexity")
+    if (one - th) * inv_r0 + th * inv_r1 != inv_r * one:
+        bad.append("r-convexity")
+    if 3 * inv_q0 > one - inv_r0:
+        bad.append("q0-fz-region")
+    if 4 * inv_q0 >= one:
+        bad.append("q0-above-4")
+    return bad, (one, th, inv_q1, one - inv_r1, *extra)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +158,6 @@ def solve_one(
         raise DomainError("solve_one needs 1 <= r < inf")
     if q.is_infinite or q <= 0:
         raise DomainError("solve_one needs 0 < q < inf")
-    qf = q.as_fraction()
     if not (0 <= b <= a):
         raise DomainError("solve_one needs 0 <= beta <= alpha")
     if a == 0:
@@ -128,9 +165,11 @@ def solve_one(
 
     # Feasibility is decided before the alpha < 1/q domain check so that
     # infeasible inputs sitting on that boundary still report Infeasible.
-    inv_q = 1 / qf
-    inv_rc = inv_conjugate(r)
-    if a + b <= 2 * inv_q - Fraction(1, 2):
+    # alpha, beta, 1/q, 1/r' and 1 as integers over one denominator; its
+    # factor 4 keeps the midpoint and the quarter point of the theta window integral
+    one, a, b, inv_q, inv_rc = scaled(
+        4, a.as_integer_ratio(), b.as_integer_ratio(), inv_ratio(q), inv_conjugate_ratio(r))
+    if 2 * (a + b) <= 4 * inv_q - one:
         return Infeasible("alpha+beta <= 2/q - 1/2")
     if a + 2 * b < 3 * inv_q - inv_rc:
         return Infeasible("alpha+2beta < 3/q - 1/r'")
@@ -138,27 +177,23 @@ def solve_one(
         raise DomainError("solve_one needs alpha < 1/q")
 
     # theta window (max(2a-2b, 0), 1 - 4/q + 4a), clipped by 1 - 3/q + 3a and 1
-    lo = max(2 * a - 2 * b, Fraction(0))
-    hi = min(1 - 4 * inv_q + 4 * a, 1 - 3 * inv_q + 3 * a, Fraction(1))
+    lo = max(2 * a - 2 * b, 0)
+    hi = min(one - 4 * inv_q + 4 * a, one - 3 * inv_q + 3 * a, one)
     if not lo < hi:
         raise InternalSolverError("empty theta window despite feasible inequalities")
-    theta = (lo + hi) / 2
-    if theta == a * qf:  # would force q0 = q1; move to the quarter point
-        theta = lo + (hi - lo) / 4
+    theta = (lo + hi) // 2
+    if theta * inv_q == a * one:  # theta = alpha q would force q0 = q1; take the quarter point
+        theta = lo + (hi - lo) // 4
 
-    inv_r = Fraction(1) - inv_rc
-    t1 = max(2 * a - 2 * b, theta - inv_r, Fraction(0))  # theta / r1'
-    inv_r1c = t1 / theta
-    inv_r0c = (inv_rc - t1) / (1 - theta)
-
+    t1 = max(2 * a - 2 * b, theta - (one - inv_rc), 0)  # theta / r1'
     cert = CertificateOne(
-        theta=ExtScalar(theta),
-        q0=_from_inv((inv_q - a) / (1 - theta)),
-        q1=ExtScalar(theta / a),
-        r0=_from_inv(1 - inv_r0c),
-        r1=_from_inv(1 - inv_r1c),
+        theta=_ratio(theta, one),
+        q0=_ratio(one - theta, inv_q - a),
+        q1=_ratio(theta, a),
+        r0=_ratio(one - theta, one - theta - inv_rc + t1),
+        r1=_ratio(theta, theta - t1),
     )
-    check = verify_one(cert, a, b, r, q)
+    check = verify_one(cert, alpha, beta, r, q)
     if not check.ok:
         raise InternalSolverError(f"constructed certificate fails: {check.violations}")
     return cert
@@ -173,45 +208,17 @@ def verify_one(
     Returns a pass/fail result; on failure the violated constraints are
     listed by name, one entry per failed constraint.
     """
-    a = to_fraction(alpha)
-    b = to_fraction(beta)
-    r = ExtScalar.coerce(r)
-    q = ExtScalar.coerce(q)
-    bad: list[str] = []
-
-    theta = cert.theta
-    if not (theta.is_finite and 0 < theta.as_fraction() < 1):
+    shared = _shared_checks(cert, r, q, True, to_fraction(alpha), to_fraction(beta))
+    if shared is None:
         return VerifyResult(False, ("theta-range",))
-    th = theta.as_fraction()
-
-    if cert.q0 < 1:
-        bad.append("q0-range")
-    if not (cert.q1.is_finite and cert.q1 > 0):
-        bad.append("q1-range")
-    if cert.r0 < 1:
-        bad.append("r0-range")
-    if cert.r1.is_infinite or cert.r1 < 1:
-        bad.append("r1-range")
-
-    inv_q0, inv_q1 = _inv(cert.q0), _inv(cert.q1)
-    inv_r0, inv_r1 = _inv(cert.r0), _inv(cert.r1)
-    inv_r0c, inv_r1c = 1 - inv_r0, 1 - inv_r1
-
-    if (1 - th) * inv_q0 + th * inv_q1 != _inv(q):
-        bad.append("q-convexity")
-    if (1 - th) * inv_r0 + th * inv_r1 != _inv(r):
-        bad.append("r-convexity")
-    if inv_q0 > inv_r0c / 3:
-        bad.append("q0-fz-region")
-    if inv_q0 >= Fraction(1, 4):
-        bad.append("q0-above-4")
-    if a / th != inv_q1:
+    bad, (one, th, inv_q1, inv_r1c, a, b) = shared
+    if a * one != inv_q1 * th:  # alpha / theta != 1/q1
         bad.append("alpha-split")
-    if b / th < inv_q1 - inv_r1c / 2:
+    if 2 * b * one < (2 * inv_q1 - inv_r1c) * th:  # beta / theta < 1/q1 - 1/(2 r1')
         bad.append("beta-split")
     if cert.q0 == cert.q1:
         bad.append("q0-ne-q1")
-    return VerifyResult(not bad, tuple(bad))
+    return VerifyResult(False, tuple(bad)) if bad else _VERIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +226,14 @@ def verify_one(
 # ---------------------------------------------------------------------------
 
 
-def _pick_theta_two(g: Fraction, inv_q: Fraction, inv_rc: Fraction) -> list[Fraction]:
-    lo = max(
-        4 * inv_q - 2 * g - Fraction(4, 3) * inv_rc,
-        12 * inv_q - 6 * g - 4 * inv_rc,
-        Fraction(0),
-    )
-    hi = min(1 - 4 * inv_q + 4 * g, Fraction(1))
+def _pick_theta_two(one: int, g: int, inv_q: int, inv_rc: int) -> list[int]:
+    lo = max(4 * inv_q - 2 * g - 4 * inv_rc // 3, 12 * inv_q - 6 * g - 4 * inv_rc, 0)
+    hi = min(one - 4 * inv_q + 4 * g, one)
     if not lo < hi:
         raise InternalSolverError("empty theta window despite feasible inequalities")
-    # candidates, all strictly interior; tried in order until a certificate verifies
-    return [lo + (hi - lo) * w for w in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))]
+    # candidates at 1/2, 1/4, 3/4 of the window, all strictly interior; tried in
+    # order until a certificate verifies
+    return [lo + (hi - lo) * k // 4 for k in (2, 1, 3)]
 
 
 def solve_two(
@@ -250,37 +254,38 @@ def solve_two(
         raise DomainError("solve_two needs 1 <= r <= inf")
     if q.is_infinite or q <= 0:
         raise DomainError("solve_two needs 0 < q < inf")
-    inv_q = _inv(q)
-    inv_rc = inv_conjugate(r)
+    # gamma, 1/q, 1/r' and 1 as integers over one denominator; its factor
+    # 192 = 3 * 4^3 keeps every third and quarter taken below integral
+    one, g, inv_q, inv_rc = scaled(192, g.as_integer_ratio(), inv_ratio(q), inv_conjugate_ratio(r))
 
-    if g < max(Fraction(3, 2) * inv_q - inv_rc / 2, 2 * inv_q - inv_rc):
+    if 2 * g < max(3 * inv_q - inv_rc, 4 * inv_q - 2 * inv_rc):
         return Infeasible("gamma < max(3/(2q) - 1/(2r'), 2/q - 1/r')")
-    if g <= 2 * inv_q - Fraction(1, 2):
+    if 2 * g <= 4 * inv_q - one:
         return Infeasible("gamma <= 2/q - 1/2")
 
     last_failure: tuple[str, ...] = ()
-    for theta in _pick_theta_two(g, inv_q, inv_rc):
+    for theta in _pick_theta_two(one, g, inv_q, inv_rc):
         # window for u = (1-theta)/q0 below the strict caps (1-theta)/4 and 1/q
-        low = max(inv_q - g, inv_q - g / 2 - theta / 4, Fraction(0))
-        high = min(inv_q, inv_rc / 3, g - 2 * inv_q + inv_rc)
-        strict_cap = min((1 - theta) / 4, inv_q)
+        low = max(inv_q - g, inv_q - g // 2 - theta // 4, 0)
+        high = min(inv_q, inv_rc // 3, g - 2 * inv_q + inv_rc)
+        strict_cap = min((one - theta) // 4, inv_q)
         if low > high:
             continue
-        for weight in (Fraction(1, 2), Fraction(1, 4)):
+        for parts in (2, 4):  # u at 1/2, then 1/4, of the way from low to the cap
             cap = min(high, strict_cap)
-            u = low + (cap - low) * weight if low < cap else low
+            u = low + (cap - low) // parts if low < cap else low
             if not (low <= u <= high and u < strict_cap):
                 continue
             v = max(3 * u, inv_rc - theta)  # (1-theta)/r0'
             cert = CertificateTwo(
-                theta=ExtScalar(theta),
-                q0=_from_inv(u / (1 - theta)),
-                q1=_from_inv((inv_q - u) / theta),
-                r0=_from_inv(1 - v / (1 - theta)),
-                r1=_from_inv(1 - (inv_rc - v) / theta),
-                gamma1=ExtScalar(g / theta),
+                theta=_ratio(theta, one),
+                q0=_ratio(one - theta, u),
+                q1=_ratio(theta, inv_q - u),
+                r0=_ratio(one - theta, one - theta - v),
+                r1=_ratio(theta, theta - inv_rc + v),
+                gamma1=_ratio(g, theta),
             )
-            check = verify_two(cert, g, r, q)
+            check = verify_two(cert, gamma, r, q)
             if check.ok:
                 return cert
             last_failure = check.violations
@@ -291,43 +296,18 @@ def verify_two(
     cert: CertificateTwo, gamma: ScalarLike, r: ScalarLike, q: ScalarLike
 ) -> VerifyResult:
     """Check every constraint of the radial proposition exactly."""
-    g = to_fraction(gamma)
-    r = ExtScalar.coerce(r)
-    q = ExtScalar.coerce(q)
-    bad: list[str] = []
-
-    theta = cert.theta
-    if not (theta.is_finite and 0 < theta.as_fraction() < 1):
+    shared = _shared_checks(cert, r, q, False, to_fraction(gamma))
+    if shared is None:
         return VerifyResult(False, ("theta-range",))
-    th = theta.as_fraction()
-
-    if cert.q0 < 1:
-        bad.append("q0-range")
-    if not (cert.q1.is_finite and cert.q1 > 0):
-        bad.append("q1-range")
-    if cert.r0 < 1:
-        bad.append("r0-range")
-    if cert.r1 < 1:
-        bad.append("r1-range")
-
-    inv_q0, inv_q1 = _inv(cert.q0), _inv(cert.q1)
-    inv_r0c = 1 - _inv(cert.r0)
-    inv_r1c = 1 - _inv(cert.r1)
-
-    if (1 - th) * inv_q0 + th * inv_q1 != _inv(q):
-        bad.append("q-convexity")
-    if (1 - th) * _inv(cert.r0) + th * _inv(cert.r1) != _inv(r):
-        bad.append("r-convexity")
-    if 3 * inv_q0 > inv_r0c:
-        bad.append("q0-fz-region")
-    if inv_q0 >= Fraction(1, 4):
-        bad.append("q0-above-4")
+    bad, (one, th, inv_q1, inv_r1c, g) = shared
     if cert.q0 == cert.q1:
         bad.append("q0-ne-q1")
-    if cert.gamma1.is_infinite or th * cert.gamma1.as_fraction() != g:
+    g1 = cert.gamma1.as_integer_ratio() if cert.gamma1.is_finite else None
+    if g1 is None or th * g1[0] != g * g1[1]:  # theta gamma1 != gamma
         bad.append("gamma-split")
         return VerifyResult(False, tuple(bad))
-    g1 = cert.gamma1.as_fraction()
-    if g1 < max(inv_q1, 2 * inv_q1 - inv_r1c, 2 * inv_q1 - Fraction(1, 2)):
+    # gamma1 < max(1/q1, 2/q1 - 1/r1', 2/q1 - 1/2), both sides times 2 one
+    floor2 = max(2 * inv_q1, 2 * (2 * inv_q1 - inv_r1c), 4 * inv_q1 - one)
+    if 2 * one * g1[0] < floor2 * g1[1]:
         bad.append("gamma1-floor")
-    return VerifyResult(not bad, tuple(bad))
+    return VerifyResult(False, tuple(bad)) if bad else _VERIFIED

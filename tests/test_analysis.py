@@ -199,7 +199,8 @@ class TestCosineKernel:
 
     def test_non_convergence_names_kappa_and_lambda(self, monkeypatch):
         # a tail without sign changes cannot be summed by averaging
-        monkeypatch.setattr(analysis, "_TAIL_COS", np.abs(analysis._TAIL_COS))
+        rho, w, cos_rho = analysis._tail_panels()
+        monkeypatch.setattr(analysis, "_tail_panels", lambda: (rho, w, np.abs(cos_rho)))
         with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=0\.01\b"):
             cosine_weight_kernel_many(0.4, np.array([0.01]))
 

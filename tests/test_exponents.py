@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from restriction_lab.exponents import (
     INF,
@@ -13,7 +15,11 @@ from restriction_lab.exponents import (
     classify_separable,
     classify_unweighted,
     conjugate_exponent,
+    inv_conjugate,
+    inv_conjugate_ratio,
+    inv_ratio,
     riesz_diagram,
+    scaled,
 )
 
 
@@ -231,3 +237,149 @@ class TestRieszDiagram:
     def test_grid_n_validation(self):
         with pytest.raises(DomainError):
             riesz_diagram("separable", {"alpha": 0, "beta": 0}, 1)
+
+
+# ---------------------------------------------------------------------------
+# Plain-Fraction oracle: the classifiers' inequalities written on Fractions
+# (None is infinity), independent of ExtScalar and of the integer scaling.
+# ---------------------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+
+
+def oracle_inv_rc(r):
+    return Fraction(1) if r is None else 1 - 1 / r
+
+
+def oracle_r_window(r, q):
+    # 1 < r <= q with None as infinity
+    return r is not None and r > 1 and (q is None or r <= q)
+
+
+def oracle_separable(a, b, r, q):
+    if q is None:
+        return True, "q-infinite"
+    big, small = max(a, b), min(a, b)
+    inv_q, inv_rc = 1 / q, oracle_inv_rc(r)
+    if a + b <= 2 * inv_q - HALF:
+        return False, "constant-density"
+    pair, triple = 2 * inv_q - inv_rc, 3 * inv_q - inv_rc
+    window = oracle_r_window(r, q)
+    for ok, tag in (
+        (big >= inv_q and 2 * small > pair, "i"),
+        (big < inv_q and a + b + small > triple, "ii"),
+        (window and big > inv_q and 2 * small == pair, "iii"),
+        (window and big < inv_q and a + b + small == triple, "iv"),
+    ):
+        if ok:
+            return True, tag
+    r_name = "endpoint-r-equals-one" if r == 1 else "endpoint-r-greater-q"
+    if big > inv_q:
+        return False, "knapp-min-weight" if 2 * small < pair else r_name
+    if big == inv_q:
+        return False, "knapp-min-weight" if 2 * small < pair else "endpoint-max-weight-at-inv-q"
+    return False, "knapp-sum-weight" if a + b + small < triple else r_name
+
+
+def oracle_radial(g, r, q):
+    if q is None:
+        return True, "q-infinite"
+    inv_q, inv_rc = 1 / q, oracle_inv_rc(r)
+    if g <= 2 * inv_q - HALF:
+        return False, "constant-density"
+    threshold = max(Fraction(3, 2) * inv_q - inv_rc / 2, 2 * inv_q - inv_rc)
+    if g != threshold:
+        return (True, "radial-strict") if g > threshold else (False, "knapp-threshold")
+    if r == 1:
+        return False, "endpoint-r-equals-one"
+    if r is not None and q is not None and r > q:
+        return False, "endpoint-r-greater-q"
+    if inv_q == inv_rc:
+        return False, "endpoint-q-equals-r-conjugate"
+    return True, "radial-endpoint"
+
+
+def ext(x):
+    return INF if x is None else ExtScalar(x)
+
+
+small_fractions = st.fractions(min_value=0, max_value=3, max_denominator=24)
+exponents_r = st.one_of(st.none(), st.just(Fraction(1)),
+                        st.fractions(min_value=1, max_value=12, max_denominator=24))
+exponents_q = st.one_of(st.none(), st.fractions(min_value=Fraction(1, 8), max_value=12,
+                                                max_denominator=24).filter(lambda x: x > 0))
+
+
+@st.composite
+def separable_args(draw):
+    r, q = draw(exponents_r), draw(exponents_q)
+    a, b = draw(small_fractions), draw(small_fractions)
+    if q is not None and draw(st.booleans()):
+        # sit on one of the region's boundaries
+        inv_q, inv_rc = 1 / q, oracle_inv_rc(r)
+        a = draw(st.sampled_from([a, inv_q, max(2 * inv_q - HALF - b, Fraction(0))]))
+        b = draw(st.sampled_from([b, max((2 * inv_q - inv_rc) / 2, Fraction(0)),
+                                  max((3 * inv_q - inv_rc - a) / 2, Fraction(0))]))
+    return a, b, r, q
+
+
+@st.composite
+def radial_args(draw):
+    r, q = draw(exponents_r), draw(exponents_q)
+    g = draw(small_fractions)
+    if q is not None and draw(st.booleans()):
+        inv_q, inv_rc = 1 / q, oracle_inv_rc(r)
+        threshold = max(Fraction(3, 2) * inv_q - inv_rc / 2, 2 * inv_q - inv_rc)
+        g = draw(st.sampled_from([max(threshold, Fraction(0)),
+                                  max(2 * inv_q - HALF, Fraction(0))]))
+    return g, r, q
+
+
+class TestFractionOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(separable_args())
+    @example((Fraction(1, 3), Fraction(1, 12), Fraction(2), Fraction(3)))  # max weight at 1/q
+    @example((Fraction(1, 3), Fraction(1, 3), Fraction(2), Fraction(2)))  # clause iv
+    def test_separable_matches_oracle(self, args):
+        a, b, r, q = args
+        v = classify_separable(SeparableParams(a, b, ext(r), ext(q)))
+        assert (v.bounded, v.label) == oracle_separable(a, b, r, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(radial_args())
+    @example((Fraction(1, 4), Fraction(2), Fraction(3)))  # radial endpoint
+    @example((Fraction(1, 3), Fraction(3, 2), Fraction(3)))  # endpoint with q = r'
+    def test_radial_matches_oracle(self, args):
+        g, r, q = args
+        v = classify_radial(RadialParams(g, ext(r), ext(q)))
+        assert (v.bounded, v.label) == oracle_radial(g, r, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.none(), st.fractions(max_denominator=50)),
+           st.one_of(st.none(), st.fractions(max_denominator=50), st.integers(-5, 5)))
+    def test_order_matches_fraction_order(self, x, y):
+        # infinity is maximal; finite values order as Fractions
+        def key(v):
+            return (1, 0) if v is None else (0, v)
+
+        lhs, rhs = ext(x), (ext(y) if y is None or isinstance(y, Fraction) else y)
+        assert (lhs < rhs) == (key(x) < key(y))
+        assert (lhs <= rhs) == (key(x) <= key(y))
+        assert (lhs > rhs) == (key(x) > key(y))
+        assert (lhs >= rhs) == (key(x) >= key(y))
+        assert (lhs == rhs) == (key(x) == key(y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200), st.lists(st.fractions(max_denominator=60), min_size=1,
+                                           max_size=6))
+    def test_scaled_is_exact(self, k, xs):
+        one, *ints = scaled(k, *(x.as_integer_ratio() for x in xs))
+        assert one % k == 0 and all(Fraction(n, one) == x for n, x in zip(ints, xs))
+
+    def test_reciprocal_ratios(self):
+        assert inv_ratio(INF) == (0, 1)
+        assert inv_ratio(ExtScalar("-2/3")) == (-3, 2)
+        assert inv_conjugate_ratio(ExtScalar(1)) == (0, 1)
+        assert inv_conjugate(INF) == 1 and inv_conjugate(ExtScalar("4/3")) == Fraction(1, 4)
+        with pytest.raises(DomainError):
+            inv_ratio(ExtScalar(0))
