@@ -7,8 +7,15 @@ kernel K(kappa, lambda) = int_0^inf (1+r)^{-kappa} cos(lambda r) dr and the
 Fresnel-type constant C(kappa) = int_0^inf rho^{-kappa} cos(rho) d(rho)
 drive the dual and L2-endpoint experiments; their small-lambda law
 K ~ C(kappa) * lambda^{kappa-1} is an acceptance target, so K is computed
-by direct half-period partition with alternating-series (iterated-averaging)
-acceleration and never through C(kappa).
+directly and never through C(kappa).
+
+K and the decaying Hankel transform H(delta, s) share one driver,
+``_transform_many``: Gauss-Legendre panels on a geometric head from the
+oscillator's first zero z1 down to the sample's scale x, depth
+clip(ceil(ln z1 - ln x) + 1, 1, 8 + ceil(26/decay)) with decay 1 - kappa
+for K and 2 - delta for H, then zero-to-zero tail panels summed by
+alternating-series (iterated-averaging) acceleration.  Every Gauss-Legendre
+rule in the package comes from the cached, read-only ``_gl``.
 
 CosineKernelTable serves one kappa from piecewise Chebyshev interpolation
 of lambda^{1-kappa} K in ln(lambda), built lazily from the direct kernel and
@@ -291,7 +298,7 @@ def j0_zeros(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# alternating-series acceleration
+# quadrature: Gauss-Legendre panels, head/tail driver, acceleration
 # ---------------------------------------------------------------------------
 
 
@@ -330,14 +337,16 @@ def _accelerate_rows(
     return result
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only (shared)."""
+    return _frozen(*np.polynomial.legendre.leggauss(n))
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _panel_nodes(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,36 +357,33 @@ def _panel_nodes(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     return mid + half * x, half * w
 
 
-# ---------------------------------------------------------------------------
-# decaying-cosine kernel and Fresnel-type constant
-# ---------------------------------------------------------------------------
-
-_N_TAIL = 48
-_GL_TAIL = 12
-_GL_HEAD = 12
+_GL_PANEL = 12
 
 
 @functools.cache
-def _tail_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half-period tail panels: nodes, weights, cos(nodes), each (_N_TAIL, _GL_TAIL);
-    built on first use, so importing the package loads no Gauss-Legendre code."""
-    k = np.arange(1, _N_TAIL + 1)
-    rho, w = _panel_nodes((k - 0.5) * math.pi, (k + 0.5) * math.pi, _GL_TAIL)
-    return rho, w, np.cos(rho)
+def _zeros(osc: str) -> np.ndarray:
+    """First zeros of the oscillator: 49 of cos, 41 of J0 (48 and 40 tail panels)."""
+    return _frozen((np.arange(49) + 0.5) * math.pi if osc == "cos" else j0_zeros(41))[0]
 
 
-_HEAD_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+def _panel_table(osc: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Nodes, weights and the oscillator at the nodes, each (panels, _GL_PANEL)."""
+    nodes, w = _panel_nodes(a, b, _GL_PANEL)
+    return _frozen(nodes, w, np.cos(nodes) if osc == "cos" else _j0(nodes))
 
 
-def _head_panels(n_fold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Geometric ratio-e panels covering [0, pi/2]: nodes, weights, cos(nodes)."""
-    if n_fold not in _HEAD_CACHE:
-        edges = (math.pi / 2) * np.exp(-np.arange(n_fold + 1.0))
-        a = np.concatenate(([0.0], edges[1:][::-1]))
-        b = edges[::-1]
-        rho, w = _panel_nodes(a, b, _GL_HEAD)
-        _HEAD_CACHE[n_fold] = (rho, w, np.cos(rho))
-    return _HEAD_CACHE[n_fold]
+@functools.cache
+def _tail_panels(osc: str) -> tuple[np.ndarray, ...]:
+    """Zero-to-zero tail panels of the oscillator, "cos" or "j0"."""
+    return _panel_table(osc, _zeros(osc)[:-1], _zeros(osc)[1:])
+
+
+@functools.cache
+def _head_panels(osc: str, depth: int) -> tuple[np.ndarray, ...]:
+    """Ratio-e panels from the oscillator's first zero z1 down to z1 e^{-depth},
+    plus the floor panel [0, z1 e^{-depth}]."""
+    edges = _zeros(osc)[0] * np.exp(-np.arange(depth + 1.0))
+    return _panel_table(osc, np.concatenate(([0.0], edges[1:][::-1])), edges[::-1])
 
 
 # quadrature nodes per batch chunk, head and tail together: bounds the
@@ -385,19 +391,49 @@ def _head_panels(n_fold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _CHUNK_NODES = 2**18
 
 
+def _transform_many(
+    osc: str, ln_x: np.ndarray, decay: float, env: Callable, rtol: float, context: Callable
+) -> np.ndarray:
+    """int_0^inf env(u) osc(u) du for each sample, x = exp(ln_x) its scale.
+
+    ``env(nodes, idx)`` is the envelope of samples ``idx`` at the nodes,
+    shape (len(idx),) + nodes.shape.  The head follows each sample down
+    clip(ceil(ln z1 - ln x) + 1, 1, 8 + ceil(26/decay)) e-foldings: the
+    envelope's mass vanishes at 0 like u^decay, so below the cap the floor
+    panel holds less than e^{-26} of it.  The tail is summed at ``rtol``; a
+    failure names ``context(i)`` of the worst sample i.  The panels depend
+    only on each sample's own scale, so results do not depend on batching.
+    """
+    out = np.empty_like(ln_x)
+    tail_u, tail_w, tail_osc = _tail_panels(osc)
+    cap = 8 + math.ceil(26.0 / decay)
+    depths = np.clip(np.ceil(math.log(_zeros(osc)[0]) - ln_x).astype(int) + 1, 1, cap)
+    for depth in np.unique(depths):
+        sel = np.nonzero(depths == depth)[0]
+        head_u, head_w, head_osc = _head_panels(osc, int(depth))
+        rows = max(1, _CHUNK_NODES // (head_u.size + tail_u.size))
+        for start in range(0, sel.size, rows):
+            idx = sel[start : start + rows]
+            head = np.einsum("bjk,jk->b", env(head_u, idx) * head_osc, head_w)
+            tail_terms = np.einsum("bjk,jk->bj", env(tail_u, idx) * tail_osc, tail_w)
+            tail = _accelerate_rows(tail_terms, rtol, lambda i: context(idx[i]))
+            out[idx] = head + tail
+    return out
+
+
+# ---------------------------------------------------------------------------
+# decaying-cosine kernel, Fresnel-type constant and Hankel transform
+# ---------------------------------------------------------------------------
+
+
 def cosine_weight_kernel_many(kappa: float, lams: np.ndarray) -> np.ndarray:
     """Vectorized K(kappa, lambda) = int_0^inf (1+r)^{-kappa} cos(lambda r) dr.
 
     Written in rho = lambda r: K = (1/lambda) int_0^inf (1+rho/lambda)^{-kappa}
-    cos(rho) d(rho), partitioned at the cosine half-periods (k+1/2) pi.  The
-    head [0, pi/2] is subdivided geometrically towards 0 (ratio e) so the
-    near-singular envelope is resolved at every scale down to lambda; the
-    depth is capped at 8 + 26/(1-kappa) e-foldings, below which the neglected
-    envelope mass is under e^{-26} relative.  The alternating tail is summed
-    by iterated averaging.  The panel structure is a function of each
-    lambda's own scale, so results do not depend on how calls are batched.
-    Relative error <= 1e-8 for lambda in [1e-4, 1e2]; the scheme remains
-    usable down to lambda ~ 1e-300.
+    cos(rho) d(rho), summed by ``_transform_many`` over the cosine's
+    half-period panels; the head [0, pi/2] follows lambda down at most
+    8 + ceil(26/(1-kappa)) e-foldings.  Relative error <= 1e-8 for lambda in
+    [1e-4, 1e2]; the scheme remains usable down to lambda ~ 1e-300.
     """
     if not 0 < kappa < 1:
         raise ValueError("kappa must lie in (0,1)")
@@ -405,32 +441,15 @@ def cosine_weight_kernel_many(kappa: float, lams: np.ndarray) -> np.ndarray:
     if np.any(lams <= 0):
         raise ValueError("lambda must be positive")
     flat = lams.reshape(-1)
-    out = np.empty_like(flat)
-
-    span = np.log(math.pi / 2 / np.maximum(flat, 1e-308))
-    depth_cap = 8 + int(math.ceil(26.0 / (1.0 - kappa)))
-    folds = np.clip(np.ceil(span).astype(int) + 1, 1, depth_cap)
-
-    tail_rho, tail_w, tail_cos = _tail_panels()
-    for n_fold in np.unique(folds):
-        sel = np.nonzero(folds == n_fold)[0]
-        rho, w, cos_rho = _head_panels(int(n_fold))
-        rows = max(1, _CHUNK_NODES // (rho.size + tail_rho.size))
-        for start in range(0, sel.size, rows):
-            idx = sel[start : start + rows]
-            lam = flat[idx][:, None, None]
-            env = (1.0 + rho[None, :, :] / lam) ** (-kappa)
-            head = np.einsum("bjk,jk->b", env * cos_rho[None, :, :], w)
-            env_t = (1.0 + tail_rho[None, :, :] / lam) ** (-kappa)
-            tail_terms = np.einsum("bjk,jk->bj", env_t * tail_cos[None, :, :], tail_w)
-            tail = _accelerate_rows(
-                tail_terms,
-                1e-9,
-                lambda i: f"cosine_weight_kernel(kappa={kappa!r}, lambda={float(flat[idx[i]])!r})",
-            )
-            out[idx] = (head + tail) / flat[idx]
-
-    return out.reshape(lams.shape)
+    integral = _transform_many(
+        "cos",
+        np.log(flat),
+        1.0 - kappa,
+        lambda rho, idx: (1.0 + rho / flat[idx][:, None, None]) ** (-kappa),
+        1e-9,
+        lambda i: f"cosine_weight_kernel(kappa={kappa!r}, lambda={float(flat[i])!r})",
+    )
+    return (integral / flat).reshape(lams.shape)
 
 
 def cosine_weight_kernel(kappa: float, lam: float) -> float:
@@ -457,12 +476,60 @@ def fresnel_constant(kappa: float) -> float:
         power = 2 * m + 1 - kappa
         term = a**power / (fact * power)
         head += term if m % 2 == 0 else -term
-    tail_rho, tail_w, tail_cos = _tail_panels()
+    tail_rho, tail_w, tail_cos = _tail_panels("cos")
     tail_terms = np.einsum("jk,jk->j", tail_rho ** (-kappa) * tail_cos, tail_w)[None, :]
     tail = float(
         _accelerate_rows(tail_terms, 1e-9, lambda i: f"fresnel_constant(kappa={kappa!r})")[0]
     )
     return head + tail
+
+
+def _scaled_env(u: np.ndarray, ln_s: np.ndarray, delta_exp: float) -> np.ndarray:
+    """u (1+(u/s)^2)^{-delta/2} / s^delta, computed stably for any s > 0.
+
+    ln(1 + w^2) = logaddexp(0, 2 ln w) avoids overflow of (u/s)^2 when s is
+    exponentially small; dividing out s^delta keeps the result O(u^{1-delta}).
+    ln u sits inside the exponent: for u ~ s tiny, u^{-delta} alone overflows.
+    """
+    ln_u = np.log(u)[None, :, :]
+    ln_one_plus_w2 = np.logaddexp(0.0, 2.0 * (ln_u - ln_s[:, None, None]))
+    return np.exp(ln_u - 0.5 * delta_exp * ln_one_plus_w2 - delta_exp * ln_s[:, None, None])
+
+
+def hankel_decay_transform_many(delta_exp: float, s_vals: np.ndarray) -> np.ndarray:
+    """Vectorized H(delta, s) = 2 pi int_0^inf r (1+r^2)^{-delta/2} J0(rs) dr.
+
+    In u = r s: H = (2 pi / s^2) int_0^inf u (1 + u^2/s^2)^{-delta/2} J0(u) du,
+    summed by ``_transform_many`` over the zero-to-zero panels of J0.  The
+    head [0, j_1] follows each s down at most 8 + ceil(26/(2-delta))
+    e-foldings (decay 2 - delta: the cap grows without bound as delta -> 2).
+    The s^{delta-2} growth factor is split off in log space, so
+    exponentially small s stay representable.  Relative error <= 1e-4 for s
+    in [1e-3, 1] and 1 < delta < 2 (the scheme remains usable for s <= 2 and
+    far below 1e-3).
+    """
+    if not 1 < delta_exp < 2:
+        raise ValueError("delta_exp must lie in (1,2)")
+    s_vals = np.asarray(s_vals, dtype=float)
+    if np.any(s_vals <= 0):
+        raise ValueError("s must be positive")
+    flat = s_vals.reshape(-1)
+    ln_s = np.log(flat)
+    integral = _transform_many(
+        "j0",
+        ln_s,
+        2.0 - delta_exp,
+        lambda u, idx: _scaled_env(u, ln_s[idx], delta_exp),
+        1e-7,
+        lambda i: f"hankel_decay_transform(delta={delta_exp!r}, s={float(flat[i])!r})",
+    )
+    # H = 2 pi s^{delta-2} * scaled integral
+    return (2 * math.pi * np.exp((delta_exp - 2) * ln_s) * integral).reshape(s_vals.shape)
+
+
+def hankel_decay_transform(delta_exp: float, s: float) -> float:
+    """H(delta, s) for scalar arguments; see hankel_decay_transform_many."""
+    return float(hankel_decay_transform_many(delta_exp, np.array([s]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -557,92 +624,3 @@ class CosineKernelTable:
         self._coef = np.concatenate((self._coef, coef), axis=1)
         for offset, j in enumerate(pieces.tolist()):
             self._column[j] = start + offset
-
-
-# ---------------------------------------------------------------------------
-# Hankel-type transform of the radial decay profile
-# ---------------------------------------------------------------------------
-
-_N_HTAIL = 40
-_HZEROS = None
-
-
-def _hankel_zero_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Zeros of J0, tail panel nodes and weights between them, J0 at the nodes."""
-    global _HZEROS
-    if _HZEROS is None:
-        zeros = j0_zeros(_N_HTAIL + 1)
-        rho, w = _panel_nodes(zeros[:-1], zeros[1:], _GL_TAIL)
-        _HZEROS = (zeros, rho, w, _j0(rho))
-    return _HZEROS
-
-
-def _scaled_env(u: np.ndarray, ln_s: np.ndarray, delta_exp: float) -> np.ndarray:
-    """u (1+(u/s)^2)^{-delta/2} / s^delta, computed stably for any s > 0.
-
-    ln(1 + w^2) = logaddexp(0, 2 ln w) avoids overflow of (u/s)^2 when s is
-    exponentially small; dividing out s^delta keeps the result O(u^{1-delta}).
-    ln u sits inside the exponent: for u ~ s tiny, u^{-delta} alone overflows.
-    """
-    ln_u = np.log(u)[None, :, :]
-    ln_one_plus_w2 = np.logaddexp(0.0, 2.0 * (ln_u - ln_s[:, None, None]))
-    return np.exp(ln_u - 0.5 * delta_exp * ln_one_plus_w2 - delta_exp * ln_s[:, None, None])
-
-
-def hankel_decay_transform_many(delta_exp: float, s_vals: np.ndarray) -> np.ndarray:
-    """Vectorized H(delta, s) = 2 pi int_0^inf r (1+r^2)^{-delta/2} J0(rs) dr.
-
-    In u = r s: H = (2 pi / s^2) int_0^inf u (1 + u^2/s^2)^{-delta/2} J0(u) du,
-    partitioned at the zeros of J0; the head [0, j_1] is subdivided
-    geometrically towards 0 so the transition scale u ~ s is resolved; the
-    alternating zero-to-zero tail is averaged.  The s^{delta-2} growth factor
-    is split off in log space, so exponentially small s stay representable.
-    Relative error <= 1e-4 for s in [1e-3, 1] and 1 < delta < 2 (the scheme
-    remains usable for s <= 2 and far below 1e-3).
-    """
-    if not 1 < delta_exp < 2:
-        raise ValueError("delta_exp must lie in (1,2)")
-    s_vals = np.asarray(s_vals, dtype=float)
-    if np.any(s_vals <= 0):
-        raise ValueError("s must be positive")
-    flat = s_vals.reshape(-1)
-    ln_s = np.log(flat)
-
-    zeros, rho_t, w_t, j0_t = _hankel_zero_panels()
-    j1_zero = zeros[0]
-
-    out = np.empty_like(flat)
-    # head panels [j1 e^{-(m+1)}, j1 e^{-m}] down to each s, plus [0, floor];
-    # depth is a function of the individual s so batching cannot change results
-    depths = np.clip(np.ceil(np.log(j1_zero) - ln_s).astype(int) + 1, 1, 760)
-    for depth in np.unique(depths):
-        sel = np.nonzero(depths == depth)[0]
-        edges = j1_zero * np.exp(-np.arange(depth + 1.0))
-        head_a = np.concatenate(([0.0], edges[1:][::-1]))
-        head_b = edges[::-1]
-        u_h, w_h = _panel_nodes(head_a, head_b, _GL_HEAD)
-        j0_h = _j0(u_h)
-        rows = max(1, _CHUNK_NODES // (u_h.size + rho_t.size))
-        for start in range(0, sel.size, rows):
-            idx = sel[start : start + rows]
-            ls = ln_s[idx]
-            head = np.einsum(
-                "bjk,jk->b", _scaled_env(u_h, ls, delta_exp) * j0_h[None, :, :], w_h
-            )
-            tail_terms = np.einsum(
-                "bjk,jk->bj", _scaled_env(rho_t, ls, delta_exp) * j0_t[None, :, :], w_t
-            )
-            tail = _accelerate_rows(
-                tail_terms,
-                1e-7,
-                lambda i: f"hankel_decay_transform(delta={delta_exp!r}, s={float(flat[idx[i]])!r})",
-            )
-            # H = 2 pi s^{delta-2} * scaled integral
-            out[idx] = 2 * math.pi * np.exp((delta_exp - 2) * ls) * (head + tail)
-
-    return out.reshape(s_vals.shape)
-
-
-def hankel_decay_transform(delta_exp: float, s: float) -> float:
-    """H(delta, s) for scalar arguments; see hankel_decay_transform_many."""
-    return float(hankel_decay_transform_many(delta_exp, np.array([s]))[0])

@@ -27,6 +27,8 @@ import numpy as np
 
 from .analysis import (
     CosineKernelTable,
+    _gl,
+    _panel_nodes,
     cosine_weight_kernel_many,
     hankel_decay_transform_many,
     j0_extrema,
@@ -325,7 +327,7 @@ def constant_density_sums(
         table = j0_extrema(cross_check_rings)
         theta = (np.arange(64) + 0.5) * (2 * math.pi / 64)
         cos_plus_sin = np.abs(np.cos(theta)) + np.abs(np.sin(theta))
-        t16, w16 = np.polynomial.legendre.leggauss(16)
+        t16, w16 = _gl(16)
         masses = []
         for zj in table.z:
             rho = zj + 0.5 * t16  # annulus half-width 0.5 (delta_env)
@@ -361,11 +363,7 @@ def _tau_panels(tau_max: float, fine_until: float = 12.0) -> tuple[np.ndarray, n
         edges.append(min(edges[-1] + step, tau_max))
     while edges[-1] < tau_max:
         edges.append(min(edges[-1] + 6.0, tau_max))
-    a = np.array(edges[:-1])
-    b = np.array(edges[1:])
-    t, w = np.polynomial.legendre.leggauss(10)
-    nodes = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * t
-    weights = 0.5 * (b - a)[:, None] * w
+    nodes, weights = _panel_nodes(np.array(edges[:-1]), np.array(edges[1:]), 10)
     return nodes.reshape(-1), weights.reshape(-1)
 
 
@@ -381,27 +379,10 @@ def _inner_s_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     v < 2^{-61} carries a fixed ~1% of the corner mass independently of the
     outer variable, so fitted slopes are unaffected.
     """
-    segs_a, segs_b = [], []
-    m = 8
-    for i in range(m):
-        segs_a.append(0.5 * (i / m) ** 3)
-        segs_b.append(0.5 * ((i + 1) / m) ** 3)
-    t6, w6 = np.polynomial.legendre.leggauss(6)
-    s_nodes = [0.5 * (a + b) + 0.5 * (b - a) * t6 for a, b in zip(segs_a, segs_b)]
-    s_weights = [0.5 * (b - a) * w6 for a, b in zip(segs_a, segs_b)]
-    t4, w4 = np.polynomial.legendre.leggauss(4)
-    v_nodes, v_weights = [], []
-    for j in range(1, 61):
-        a = 2.0 ** -(j + 1)
-        b = 2.0**-j
-        v_nodes.append(0.5 * (a + b) + 0.5 * (b - a) * t4)
-        v_weights.append(0.5 * (b - a) * w4)
-    return (
-        np.concatenate(s_nodes),
-        np.concatenate(s_weights),
-        np.concatenate(v_nodes),
-        np.concatenate(v_weights),
-    )
+    i, j = np.arange(8.0), np.arange(1.0, 61.0)
+    s_part = _panel_nodes(0.5 * (i / 8) ** 3, 0.5 * ((i + 1) / 8) ** 3, 6)
+    v_part = _panel_nodes(2.0 ** -(j + 1), 2.0**-j, 4)
+    return tuple(a.reshape(-1) for a in (*s_part, *v_part))
 
 
 _L2_TRUNC_LN = math.log(1e3)
@@ -593,10 +574,11 @@ def dual_scan(
     (r' >= q).  RHS = eps^{-1/q'}; the fitted growth exponent of LHS/RHS
     against 1/eps is compared with the predicted 1/r' - 1/q'.
 
-    The integrand behaves like t^{-1+c*eps} at t -> 0, so the t-integral is
-    taken in tau = -ln t out to ln(1e3)/(c*eps), capped at 340 (beyond which
-    1 - cos t underflows); the truncated share stays below a few percent at
-    the smallest eps and is logged in the metadata.
+    The integrand behaves like t^{-1+rate} at t -> 0, so the t-integral is
+    taken in tau = -ln t out to tau_max = min(ln(1e3)/rate, 340) (beyond 340,
+    1 - cos t underflows).  The truncated share e^{-rate tau_max} is 1e-3 where
+    the cap does not bind and ~2.9% for separable r = 4, q = 2 at eps = 2^-7,
+    where it does; the metadata records only tau_cap.
     """
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)

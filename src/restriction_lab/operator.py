@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _j0, bessel_j0
+from .analysis import _gl, _j0, bessel_j0
 from .exponents import DomainError, ExtScalar, ScalarLike
 
 __all__ = [
@@ -97,7 +97,7 @@ def _quad_rule(density: Density, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     if density.kind == "cap":
         a = math.asin(density.delta)
         n = effective_node_count(nodes, 2 * a)
-        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = _gl(n)
         return a * t, a * w
     if density.kind == "power-singular":
         # substitution phi = u^{1/(1-mu)} removes the endpoint singularity:
@@ -105,7 +105,7 @@ def _quad_rule(density: Density, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         mu = density.mu
         upper = density.delta ** (1 - mu)
         n = effective_node_count(nodes, density.delta)
-        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = _gl(n)
         u = upper / 2 * (t + 1)
         phi = u ** (1 / (1 - mu))
         return phi, (upper / 2) * w / (1 - mu)

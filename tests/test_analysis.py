@@ -1,7 +1,9 @@
+import ast
 import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,8 +201,8 @@ class TestCosineKernel:
 
     def test_non_convergence_names_kappa_and_lambda(self, monkeypatch):
         # a tail without sign changes cannot be summed by averaging
-        rho, w, cos_rho = analysis._tail_panels()
-        monkeypatch.setattr(analysis, "_tail_panels", lambda: (rho, w, np.abs(cos_rho)))
+        rho, w, cos_rho = analysis._tail_panels("cos")
+        monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (rho, w, np.abs(cos_rho)))
         with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=0\.01\b"):
             cosine_weight_kernel_many(0.4, np.array([0.01]))
 
@@ -346,3 +348,65 @@ class TestHankelTransform:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             hankel_decay_transform(2.5, 1.0)
+
+    def test_non_convergence_names_delta_and_s(self, monkeypatch):
+        # a tail without sign changes cannot be summed by averaging
+        u, w, j0_u = analysis._tail_panels("j0")
+        monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (u, w, np.abs(j0_u)))
+        with pytest.raises(NumericalError, match=r"delta=1\.5, s=0\.5\b"):
+            hankel_decay_transform_many(1.5, np.array([0.5]))
+
+    # recorded with the head laddered all the way down to s (no depth cap); the
+    # cap 8 + ceil(26/(2-delta)) leaves under e^{-26} of the mass to the floor panel
+    UNCAPPED = {
+        1.05: [6.695816875387609e285, 2.1174032121617033e143, 6.695816875387903e19,
+               7.60953133230156],
+        1.5: [1.3145047206597422e151, 1.3145047206597409e76, 131450472053.40195,
+              6.963464765400588],
+        1.9: [6.355813568863546e31, 6.355813568863957e16, 6292.98171579223,
+              6.044579040663807],
+    }
+
+    @pytest.mark.parametrize("delta", sorted(UNCAPPED))
+    def test_capped_head_matches_the_uncapped_head(self, delta):
+        got = hankel_decay_transform_many(delta, np.array([1e-300, 1e-150, 1e-20, 0.5]))
+        assert np.all(np.abs(got / np.array(self.UNCAPPED[delta]) - 1) <= 2e-12)
+
+
+class TestQuadratureTables:
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda: analysis._gl(12),
+            lambda: analysis._tail_panels("cos"),
+            lambda: analysis._tail_panels("j0"),
+            lambda: analysis._head_panels("cos", 5),
+            lambda: analysis._head_panels("j0", 5),
+        ],
+        ids=["gl", "tail-cos", "tail-j0", "head-cos", "head-j0"],
+    )
+    def test_cached_tables_are_read_only(self, table):
+        # every caller shares the cached arrays, so none may write into them
+        assert all(a is b for a, b in zip(table(), table()))
+        for array in table():
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_single_gauss_legendre_source_and_cache_idiom(self):
+        # one leggauss call (inside analysis._gl), no global statement and no
+        # module-level dict filled at run time: every table cache is functools.cache
+        src = Path(analysis.__file__).parent
+        sources = {p.name: p.read_text() for p in src.glob("*.py")}
+        assert sum(text.count("leggauss") for text in sources.values()) == 1
+        for name, text in sources.items():
+            tree = ast.parse(text)
+            assert not any(isinstance(n, ast.Global) for n in ast.walk(tree)), name
+            for node in tree.body:
+                value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+                empty_dict = isinstance(value, ast.Dict) and not value.keys
+                dict_call = (
+                    isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Name)
+                    and value.func.id == "dict"
+                )
+                assert not (empty_dict or dict_call), f"{name}:{node.lineno}"

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +312,24 @@ class TestFormatMatrix:
             assert outs["csv"] == outs["text"]
         for fmt, want in (recorded or {}).items():
             assert outs[fmt] == want
+
+
+def _readme_commands() -> list[str]:
+    """The restriction-lab lines of the README's usage block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [ln for ln in lines if ln.startswith("restriction-lab ")]
+
+
+class TestReadmeUsage:
+    def test_every_usage_line_parses(self):
+        commands = _readme_commands()
+        assert len(commands) == 9
+        parser = _build_parser()
+        for command in commands:
+            try:
+                args = parser.parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"README usage line does not parse: {command}")
+            assert args.command == command.split()[1]
