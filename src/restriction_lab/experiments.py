@@ -239,21 +239,20 @@ def knapp_scan(
     deltas = [2.0**-k for k in sorted(delta_exps)]
     if len(deltas) != len(set(delta_exps)):
         raise ConfigurationError("duplicate delta exponents")
-    for d in deltas:
-        cells = _knapp_grid(d, resolution).n_cells
-        if cells > KNAPP_CELL_BUDGET:
+    grids = [_knapp_grid(d, resolution) for d in deltas]
+    for d, grid in zip(deltas, grids):
+        if grid.n_cells > KNAPP_CELL_BUDGET:
             raise ConfigurationError(
-                f"delta={d:g} needs {cells} cells, over budget {KNAPP_CELL_BUDGET}"
+                f"delta={d:g} needs {grid.n_cells} cells, over budget {KNAPP_CELL_BUDGET}"
             )
 
     samples = []
-    for d in deltas:
-        grid = _knapp_grid(d, resolution)
+    for d, grid in zip(deltas, grids):
         p_max = math.hypot(grid.x1, grid.y1)
         node_budget = int(8 * (p_max + 10))
         xs, ys = grid.centers()
         field = extend_on_grid(Density.cap(d), xs, ys, node_budget)
-        lhs, _ = weighted_lq_2d(lambda X, Y: field, grid, weight, qf)
+        lhs, _ = weighted_lq_2d(field, grid, weight, qf)
         rhs = circle_norm(Density.cap(d), r)
         samples.append(ScanSample(d, lhs, rhs, lhs / rhs))
 
@@ -302,20 +301,23 @@ def constant_density_sums(
     verdict is the exact test s >= -1.  With ``cross_check_rings`` = J > 0
     the result also carries the weighted q-th-power mass of 2 pi J0(|.|)
     over the extrema annuli |rho - z_j| <= 0.5 for j <= J (polar quadrature,
-    64 angular times 16 radial nodes per ring), whose growth reproduces the
-    same index exponent.
+    16 radial times 64 angular nodes per ring, all J rings as one (J, 16, 64)
+    array of points), whose growth reproduces the same index exponent.
     """
     if list(n_list) != sorted(set(n_list)) or not n_list or n_list[0] < 1:
         raise DomainError("n_list must be strictly increasing positive integers")
+    qf = float(to_fraction(q))
     if kind == "separable":
-        wsum = to_fraction(alpha) + to_fraction(beta)
+        a, b = to_fraction(alpha), to_fraction(beta)
+        wsum = a + b
+        weight_q = WeightSpec.separable(qf * float(a), qf * float(b))
     elif kind == "radial":
         wsum = to_fraction(gamma)
+        weight_q = WeightSpec.radial(qf * float(wsum))
     else:
         raise DomainError(f"unknown kind {kind!r}")
     pred = predicted_exponent("constant", weight_sum=wsum, q=q)
     s = pred.slope
-    qf = float(to_fraction(q))
 
     n_max = n_list[-1]
     powers = np.arange(1, n_max + 1, dtype=float) ** float(s)
@@ -324,25 +326,15 @@ def constant_density_sums(
 
     ring_sums = None
     if cross_check_rings > 0:
-        table = j0_extrema(cross_check_rings)
         theta = (np.arange(64) + 0.5) * (2 * math.pi / 64)
-        cos_plus_sin = np.abs(np.cos(theta)) + np.abs(np.sin(theta))
+        sin, cos = np.abs(np.sin(theta)), np.abs(np.cos(theta))
         t16, w16 = _gl(16)
-        masses = []
-        for zj in table.z:
-            rho = zj + 0.5 * t16  # annulus half-width 0.5 (delta_env)
-            wrho = 0.5 * w16
-            vals = np.abs(constant_reference_radii(rho)) ** qf
-            if kind == "radial":
-                wfac = (1 + rho[:, None] * cos_plus_sin[None, :]) ** (-qf * float(wsum))
-            else:
-                af, bf = float(to_fraction(alpha)), float(to_fraction(beta))
-                x = rho[:, None] * np.abs(np.sin(theta))[None, :]
-                y = rho[:, None] * np.abs(np.cos(theta))[None, :]
-                wfac = (1 + x) ** (-qf * af) * (1 + y) ** (-qf * bf)
-            angular = np.sum(wfac, axis=1) * (2 * math.pi / 64)
-            masses.append(float(np.sum(wrho * rho * vals * angular)))
-        ring_cum = np.cumsum(masses)
+        # annulus half-width 0.5 (delta_env) around each extremum z_j
+        rho = j0_extrema(cross_check_rings).z[:, None] + 0.5 * t16
+        wfac = weight_q.inverse_factor(rho[:, :, None] * sin, rho[:, :, None] * cos)
+        angular = np.sum(wfac, axis=2) * (2 * math.pi / 64)
+        vals = np.abs(constant_reference_radii(rho)) ** qf
+        ring_cum = np.cumsum(np.sum(0.5 * w16 * rho * vals * angular, axis=1))
         marks = [n for n in n_list if n <= cross_check_rings]
         ring_sums = tuple((n, float(ring_cum[n - 1])) for n in marks)
 

@@ -4,8 +4,7 @@ one-dimensional weak-Lorentz quasinorm.
 Grids use the midpoint rule: one evaluation per cell at its center, so the
 weight factors never sit on cell corners.  Reductions are deterministic:
 fixed-size chunks are summed by numpy's pairwise scheme and the chunk
-partials are combined with Neumaier compensation, independent of any
-parallelism in the cell evaluation.
+partials are combined with Neumaier compensation.
 """
 
 from __future__ import annotations
@@ -93,16 +92,12 @@ class Grid2:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight family: separable (1+|x|)^a (1+|y|)^b, radial (1+|x|+|y|)^g, or none."""
+    """Weight family: separable (1+|x|)^a (1+|y|)^b or radial (1+|x|+|y|)^g."""
 
     kind: str
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 0.0
-
-    @classmethod
-    def none(cls) -> "WeightSpec":
-        return cls("none")
 
     @classmethod
     def separable(cls, alpha: float, beta: float) -> "WeightSpec":
@@ -116,12 +111,10 @@ class WeightSpec:
             raise ValueError("weight exponents must be >= 0")
         return cls("radial", gamma=gamma)
 
-    def inverse_factor(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """w^{-1} on the tensor grid, shape (len(xs), len(ys))."""
-        ax = np.abs(xs)[:, None]
-        ay = np.abs(ys)[None, :]
-        if self.kind == "none":
-            return np.ones((len(xs), len(ys)))
+    def inverse_factor(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """w^{-1} at the points (x, y), broadcast against each other; w^{-q} is
+        the inverse factor of the same family with every exponent times q."""
+        ax, ay = np.abs(x), np.abs(y)
         if self.kind == "separable":
             return (1 + ax) ** (-self.alpha) * (1 + ay) ** (-self.beta)
         if self.kind == "radial":
@@ -130,39 +123,36 @@ class WeightSpec:
 
 
 def weighted_lq_2d(
-    f, grid: Grid2, weight: WeightSpec, q: float
+    values: np.ndarray, grid: Grid2, weight: WeightSpec, q: float
 ) -> tuple[float, float]:
     """(sum_cells |f w^{-1}|^q cell_measure)^{1/q} and a truncation diagnostic.
 
-    ``f`` is called once with broadcasting center arrays (xs[:,None],
-    ys[None,:]) and must return the values on the grid; q > 0 may be below 1
-    (quasinorm, same formula).  tail_fraction is the share of the q-th-power
-    mass carried by the outermost 10% frame of the grid (the region outside
-    the central 90%-per-dimension box).  It is reported, never acted on.
+    ``values`` holds f at the cell centers, shape (nx, ny); q > 0 may be
+    below 1 (quasinorm, same formula).  tail_fraction is the share of the
+    q-th-power mass carried by the outermost 10% frame of the grid (centers
+    outside the closed central 90%-per-dimension box).  It is reported only.
     """
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("q must be positive and finite")
-    xs, ys = grid.centers()
-    vals = np.asarray(f(xs[:, None], ys[None, :]))
+    vals = np.asarray(values)
     if vals.shape != (grid.nx, grid.ny):
-        raise ValueError(f"f returned shape {vals.shape}, expected {(grid.nx, grid.ny)}")
-    if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        raise ValueError(f"values shape {vals.shape} != grid shape {(grid.nx, grid.ny)}")
+    if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite density values on the grid")
 
-    mass = np.abs(vals * weight.inverse_factor(xs, ys)) ** q * grid.cell_measure
+    xs, ys = grid.centers()
+    mass = np.abs(vals * weight.inverse_factor(xs[:, None], ys[None, :])) ** q
+    mass *= grid.cell_measure
     total = compensated_sum(mass)
     if total < 0 or not math.isfinite(total):
         raise NumericalError("q-th power mass is not finite")
 
-    lx = grid.x1 - grid.x0
-    ly = grid.y1 - grid.y0
-    inner = (
-        (xs[:, None] >= grid.x0 + 0.05 * lx)
-        & (xs[:, None] <= grid.x1 - 0.05 * lx)
-        & (ys[None, :] >= grid.y0 + 0.05 * ly)
-        & (ys[None, :] <= grid.y1 - 0.05 * ly)
-    )
-    inner_mass = compensated_sum(mass[inner])
+    # centers increase along each axis, so the central box is one slice
+    fx, fy = 0.05 * (grid.x1 - grid.x0), 0.05 * (grid.y1 - grid.y0)
+    i0, j0 = np.searchsorted(xs, grid.x0 + fx), np.searchsorted(ys, grid.y0 + fy)
+    i1 = np.searchsorted(xs, grid.x1 - fx, "right")
+    j1 = np.searchsorted(ys, grid.y1 - fy, "right")
+    inner_mass = compensated_sum(mass[i0:i1, j0:j1])
     tail_fraction = 0.0 if total == 0 else 1.0 - inner_mass / total
     return total ** (1 / q), tail_fraction
 
@@ -190,10 +180,8 @@ def weak_lq_1d(sample: Sampled1, q) -> float:
 
     The supremum over thresholds is attained approaching a sample value from
     below, so it equals max over distinct values u of
-    u * (measure of {value >= u})^{1/q}.  q = inf returns the max value.
+    u * (measure of {value >= u})^{1/q}, which at q = inf is the max value.
     """
-    if q == float("inf") or (isinstance(q, str) and q == "inf"):
-        return float(np.max(sample.values))
     q = float(q)
     if q <= 0:
         raise ValueError("q must be positive")

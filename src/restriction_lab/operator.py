@@ -133,7 +133,7 @@ def extend_on_grid(
     Uses the rank-one structure e^{i(x sin phi + y cos phi)} =
     e^{i x sin phi} e^{i y cos phi} per quadrature node, so the grid
     evaluation is a single complex matrix product.  Results are identical
-    to pointwise ``extend`` up to roundoff and independent of batching.
+    to pointwise ``extend`` up to roundoff.
     """
     phi, w = _quad_rule(density, nodes)
     ex = np.exp(1j * np.asarray(xs, dtype=float)[:, None] * np.sin(phi)[None, :])

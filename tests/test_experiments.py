@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from restriction_lab.analysis import j0_extrema
 from restriction_lab.errors import ConfigurationError
 from restriction_lab.experiments import (
     PredictedExponent,
@@ -22,6 +24,7 @@ from restriction_lab.exponents import (
     classify_radial,
     classify_separable,
 )
+from restriction_lab.operator import constant_reference_radii
 
 
 class TestPredictedExponent:
@@ -143,6 +146,39 @@ class TestKnappScan:
         assert res.predicted.log_flag == "single"
         assert res.fitted.slope <= 0.15
 
+    # (lhs, rhs, ratio) at delta = 2^-2, 2^-3, 2^-4, recorded before the grid
+    # norm took sampled arrays and the weight took broadcast points
+    KNAPP_PINNED = [
+        ("separable", dict(alpha=0, beta=0, q=6, r=2), [
+            (1.1902021648013394, 0.7108871290747619, 1.674249140437271),
+            (0.8353717868393785, 0.5006552330058388, 1.6685569864594547),
+            (0.5896247836525534, 0.353668663572252, 1.6671671662878247),
+        ]),
+        ("separable", dict(alpha="1/3", beta="1/3", q=2, r=2), [
+            (3.2814287495603547, 0.7108871290747619, 4.615963090837247),
+            (2.778861719473283, 0.5006552330058388, 5.5504497631823915),
+            (2.220909158953071, 0.353668663572252, 6.279632287804755),
+        ]),
+        ("separable", dict(alpha=1, beta=1, q=2, r=2), [
+            (0.8803037531738447, 0.7108871290747619, 1.2383171915344464),
+            (0.46689754942332906, 0.5006552330058388, 0.9325729936350909),
+            (0.24097908870604876, 0.353668663572252, 0.6813696364049466),
+        ]),
+        ("radial", dict(gamma="1/2", q=2, r=2), [
+            (2.94420745668408, 0.7108871290747619, 4.141596234153293),
+            (2.5192539052775387, 0.5006552330058388, 5.031913658731614),
+            (2.053916957590574, 0.353668663572252, 5.807460963164957),
+        ]),
+    ]
+
+    @pytest.mark.parametrize("kind, kw, pinned", KNAPP_PINNED)
+    def test_samples_pinned(self, kind, kw, pinned):
+        res = knapp_scan(kind, delta_exps=[2, 3, 4], **kw)
+        assert [s.param for s in res.samples] == [0.25, 0.125, 0.0625]
+        for sample, values in zip(res.samples, pinned):
+            got = (sample.lhs, sample.rhs, sample.ratio)
+            assert got == pytest.approx(values, rel=1e-12)
+
     def test_determinism(self):
         a = knapp_scan("separable", alpha=1, beta=1, r=2, q=2, delta_exps=[2, 3, 4])
         b = knapp_scan("separable", alpha=1, beta=1, r=2, q=2, delta_exps=[2, 3, 4])
@@ -181,6 +217,49 @@ class TestConstantSums:
         sum_slope = math.log2(sums[512] / sums[64]) / 3
         assert abs(ring_slope - sum_slope) < 0.1
         assert abs(sum_slope - 1.0) < 0.05  # s + 1 = 1
+
+    # ring sums at marks 10, 100, 1000, recorded from the per-ring loop with
+    # inline weight formulas that the (J, 16, 64) evaluation replaced
+    @pytest.mark.parametrize("kind, kw, pinned", [
+        ("separable", dict(alpha="1/3", beta="1/5", q=4),
+         (112.02781620087386, 113.59698313342525, 113.61388415401115)),
+        ("radial", dict(gamma="3/4", q=2),
+         (24.895706784247448, 32.36940836243974, 34.88316762805855)),
+    ])
+    def test_ring_sums_pinned(self, kind, kw, pinned):
+        res = constant_density_sums(
+            kind, n_list=[10, 100, 1000], cross_check_rings=1000, **kw
+        )
+        assert [n for n, _ in res.ring_sums] == [10, 100, 1000]
+        assert [v for _, v in res.ring_sums] == pytest.approx(pinned, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, kw", [
+        ("separable", dict(alpha="1/2", beta="1/4")), ("radial", dict(gamma="1/3")),
+    ])
+    def test_ring_sums_match_the_per_ring_loop(self, kind, kw):
+        # reference: one ring at a time, with the weight written out inline
+        q, rings = 3.0, 64
+        exps = [float(Fraction(v)) for v in kw.values()]
+        theta = (np.arange(64) + 0.5) * (2 * math.pi / 64)
+        sin, cos = np.abs(np.sin(theta)), np.abs(np.cos(theta))
+        t16, w16 = np.polynomial.legendre.leggauss(16)
+        masses = []
+        for zj in j0_extrema(rings).z:
+            rho = zj + 0.5 * t16
+            x, y = rho[:, None] * sin, rho[:, None] * cos
+            if kind == "radial":
+                wfac = (1 + x + y) ** (-q * exps[0])
+            else:
+                wfac = (1 + x) ** (-q * exps[0]) * (1 + y) ** (-q * exps[1])
+            angular = np.sum(wfac, axis=1) * (2 * math.pi / 64)
+            vals = np.abs(constant_reference_radii(rho)) ** q
+            masses.append(np.sum(0.5 * w16 * rho * vals * angular))
+        res = constant_density_sums(
+            kind, q=3, n_list=[1, 8, 64], cross_check_rings=rings, **kw
+        )
+        cum = np.cumsum(masses)
+        expected = [cum[0], cum[7], cum[63]]
+        assert [v for _, v in res.ring_sums] == pytest.approx(expected, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(DomainError):

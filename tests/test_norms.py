@@ -14,27 +14,39 @@ from restriction_lab.norms import (
 )
 
 
-def ones(x, y):
-    return np.ones(np.broadcast(x, y).shape)
+def on_grid(f, grid):
+    xs, ys = grid.centers()
+    return f(xs[:, None], ys[None, :])
+
+
+def ones(grid):
+    return np.ones((grid.nx, grid.ny))
 
 
 class TestWeightedLq2d:
     def test_unit_mass_and_frame_share(self):
         grid = Grid2(0, 1, 0, 1, 100, 100)
-        norm, tail = weighted_lq_2d(ones, grid, WeightSpec.none(), 2)
+        norm, tail = weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2)
         assert abs(norm - 1) < 1e-12
         assert abs(tail - 0.19) < 1e-12  # outer 10% frame of the unit square
 
+    def test_frame_share_counts_boundary_centers_as_inner(self):
+        # the frame bounds 0.5 and 9.5 fall exactly on cell centers
+        grid = Grid2(0, 10, 0, 10, 10, 10)
+        norm, tail = weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2)
+        assert abs(norm - 10) < 1e-12
+        assert tail == 0.0
+
     def test_quasinorm_below_one(self):
         grid = Grid2(0, 1, 0, 1, 64, 64)
-        norm, _ = weighted_lq_2d(ones, grid, WeightSpec.separable(0, 0), 0.5)
+        norm, _ = weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 0.5)
         assert abs(norm - 1) < 1e-12
 
     def test_homogeneity(self):
         grid = Grid2(-2, 2, -1, 3, 37, 41)
         f = lambda x, y: np.cos(x) * np.exp(-(y**2)) + 0.3
-        base, _ = weighted_lq_2d(f, grid, WeightSpec.radial(0.7), 1.5)
-        scaled, _ = weighted_lq_2d(lambda x, y: 5.0 * f(x, y), grid,
+        base, _ = weighted_lq_2d(on_grid(f, grid), grid, WeightSpec.radial(0.7), 1.5)
+        scaled, _ = weighted_lq_2d(5.0 * on_grid(f, grid), grid,
                                    WeightSpec.radial(0.7), 1.5)
         assert abs(scaled - 5.0 * base) < 1e-12 * scaled
 
@@ -42,19 +54,20 @@ class TestWeightedLq2d:
         grid = Grid2(-1, 1, -1, 1, 33, 29)
         small = lambda x, y: np.abs(np.sin(3 * x + y))
         big = lambda x, y: np.abs(np.sin(3 * x + y)) + 0.1
-        for w in (WeightSpec.none(), WeightSpec.separable(1, 2), WeightSpec.radial(1)):
-            ns, _ = weighted_lq_2d(small, grid, w, 2)
-            nb, _ = weighted_lq_2d(big, grid, w, 2)
+        for w in (WeightSpec.separable(0, 0), WeightSpec.separable(1, 2),
+                  WeightSpec.radial(1)):
+            ns, _ = weighted_lq_2d(on_grid(small, grid), grid, w, 2)
+            nb, _ = weighted_lq_2d(on_grid(big, grid), grid, w, 2)
             assert ns <= nb
 
     def test_refinement_is_second_order(self):
         f = lambda x, y: np.exp(x) * np.cos(2 * y)
-        exact_ref, _ = weighted_lq_2d(
-            f, Grid2(0, 1, 0, 1, 512, 512), WeightSpec.none(), 2
-        )
+        fine = Grid2(0, 1, 0, 1, 512, 512)
+        exact_ref, _ = weighted_lq_2d(on_grid(f, fine), fine, WeightSpec.separable(0, 0), 2)
         errs = []
         for n in (16, 32, 64):
-            val, _ = weighted_lq_2d(f, Grid2(0, 1, 0, 1, n, n), WeightSpec.none(), 2)
+            grid = Grid2(0, 1, 0, 1, n, n)
+            val, _ = weighted_lq_2d(on_grid(f, grid), grid, WeightSpec.separable(0, 0), 2)
             errs.append(abs(val - exact_ref))
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
@@ -62,16 +75,16 @@ class TestWeightedLq2d:
     def test_weight_factors(self):
         grid = Grid2(0, 2, 0, 2, 50, 50)
         xs, ys = grid.centers()
-        sep = WeightSpec.separable(1.0, 2.0).inverse_factor(xs, ys)
+        sep = WeightSpec.separable(1.0, 2.0).inverse_factor(xs[:, None], ys[None, :])
         assert np.allclose(sep, (1 + xs[:, None]) ** -1 * (1 + ys[None, :]) ** -2)
-        rad = WeightSpec.radial(0.5).inverse_factor(xs, ys)
+        rad = WeightSpec.radial(0.5).inverse_factor(xs[:, None], ys[None, :])
         assert np.allclose(rad, (1 + xs[:, None] + ys[None, :]) ** -0.5)
 
     def test_nan_raises(self):
         grid = Grid2(0, 1, 0, 1, 8, 8)
-        bad = lambda x, y: np.full(np.broadcast(x, y).shape, np.nan)
+        bad = np.full((grid.nx, grid.ny), np.nan)
         with pytest.raises(NumericalError):
-            weighted_lq_2d(bad, grid, WeightSpec.none(), 2)
+            weighted_lq_2d(bad, grid, WeightSpec.separable(0, 0), 2)
 
     def test_extension_norm_stable_under_refinement(self):
         # bounded weighted norm of the constant-density extension on a fixed box
@@ -82,9 +95,7 @@ class TestWeightedLq2d:
             grid = Grid2(-40, 40, -40, 40, n, n)
             xs, ys = grid.centers()
             field = extend_on_grid(Density.constant(), xs, ys, 8 * (57 + 10))
-            norm, _ = weighted_lq_2d(
-                lambda x, y: field, grid, WeightSpec.separable(1, 1), 2
-            )
+            norm, _ = weighted_lq_2d(field, grid, WeightSpec.separable(1, 1), 2)
             vals.append(norm)
         assert abs(vals[1] - vals[0]) < 0.01 * vals[1]
 
