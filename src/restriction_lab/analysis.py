@@ -118,8 +118,8 @@ def _hankel_pq(x: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated Hankel expansion sums P_nu, Q_nu for x >= _ASYMP_CUT.
 
     P = sum_m (-1)^m a_{2m}(nu)/x^{2m}, Q = sum_m (-1)^m a_{2m+1}(nu)/x^{2m+1}
-    with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2)/(8 j); accumulation stops
-    near the smallest term, which at x = 17 leaves an error below 2e-14.
+    with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2)/(8 j); each point stops at
+    its own first term below 1e-18, and at x = 17 the error is below 2e-14.
     """
     p = np.ones_like(x)
     q = np.zeros_like(x)
@@ -132,7 +132,8 @@ def _hankel_pq(x: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
             q += signed
         else:
             p += signed
-        if np.max(np.abs(term)) < 1e-18:
+        term[np.abs(term) < 1e-18] = 0.0  # per point: a zeroed term stays zero
+        if not term.any():
             break
     return p, q
 

@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 KNAPP_CELL_BUDGET = 30_000_000
+KNAPP_RESOLUTION = 0.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,39 +128,24 @@ def predicted_exponent(
 
     inv_q = 1 / qf
     inv_rc = inv_conjugate(ExtScalar.coerce(r))
-    logs = 0
     if kind == "separable":
         a, b = to_fraction(alpha), to_fraction(beta)
         big, small = max(a, b), min(a, b)
-        if big > inv_q:
-            pa = Fraction(0)
-        elif big == inv_q:
-            pa = Fraction(0)
-            logs += 1
-        else:
-            pa = -1 + big * qf
-        if small > inv_q:
-            pb = Fraction(0)
-        elif small == inv_q:
-            pb = Fraction(0)
-            logs += 1
-        else:
-            pb = -2 + 2 * small * qf
+        pa = Fraction(0) if big >= inv_q else -1 + big * qf
+        pb = Fraction(0) if small >= inv_q else -2 + 2 * small * qf
+        logs = (big == inv_q) + (small == inv_q)
         slope = inv_rc + (pa + pb) * inv_q
     elif kind == "radial":
         g = to_fraction(gamma)
-        if g > 2 * inv_q:
+        if g >= 2 * inv_q:
             e = Fraction(0)
-        elif g == 2 * inv_q:
-            e = Fraction(0)
-            logs = 1
         elif g > inv_q:
             e = -2 + g * qf
         elif g == inv_q:
             e = Fraction(-1)
-            logs = 1
         else:
             e = -3 + 2 * g * qf
+        logs = int(g == 2 * inv_q or g == inv_q)
         slope = inv_rc + e * inv_q
     else:
         raise DomainError(f"unknown prediction kind {kind!r}")
@@ -194,10 +180,12 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> SlopeFit:
 # ---------------------------------------------------------------------------
 
 
-def _knapp_grid(delta: float, resolution: float) -> Grid2:
-    half_x = 4.0 / delta
-    half_y = max(4.0, math.pi / 4 / delta**2)
-    return Grid2.centered(half_x, half_y, resolution)
+def _quadrant(grid: Grid2) -> Grid2:
+    """The closed quadrant x, y >= 0 of a centred grid, with the same cells:
+    an odd axis starts half a cell below 0 so that its centre line is kept."""
+    x0 = -grid.dx / 2 if grid.nx % 2 else 0.0
+    y0 = -grid.dy / 2 if grid.ny % 2 else 0.0
+    return Grid2(x0, grid.x1, y0, grid.y1, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
 
 
 def knapp_scan(
@@ -209,7 +197,6 @@ def knapp_scan(
     beta: ScalarLike | None = None,
     gamma: ScalarLike | None = None,
     delta_exps: list[int],
-    resolution: float = 0.25,
 ) -> ScanResult:
     """Weighted-norm over circle-norm ratio of the cap density as it shrinks.
 
@@ -218,7 +205,13 @@ def knapp_scan(
     divided by ||Cap(delta)||_{L^r}.  The separable weight puts the larger
     exponent on the short (x) axis and the smaller on the long (y) axis,
     matching the cap's concentration geometry.  Cost grows like delta^{-3};
-    the cell budget is enforced before any evaluation.
+    KNAPP_CELL_BUDGET counts full-grid cells, checked before any evaluation.
+
+    |extend(Cap)| and both weights are even in x and in y (the cap's nodes
+    are symmetric, phi <-> -phi), so only the grid's closed quadrant x, y >= 0
+    is evaluated and its q-th power mass, with an odd axis's centre line
+    halved, is quadrupled.  The quadrant's tail_fraction is not the full
+    grid's frame share and is discarded.
     """
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
@@ -239,7 +232,9 @@ def knapp_scan(
     deltas = [2.0**-k for k in sorted(delta_exps)]
     if len(deltas) != len(set(delta_exps)):
         raise ConfigurationError("duplicate delta exponents")
-    grids = [_knapp_grid(d, resolution) for d in deltas]
+    grids = [
+        Grid2.centered(4 / d, max(4.0, math.pi / 4 / d**2), KNAPP_RESOLUTION) for d in deltas
+    ]
     for d, grid in zip(deltas, grids):
         if grid.n_cells > KNAPP_CELL_BUDGET:
             raise ConfigurationError(
@@ -248,11 +243,13 @@ def knapp_scan(
 
     samples = []
     for d, grid in zip(deltas, grids):
-        p_max = math.hypot(grid.x1, grid.y1)
-        node_budget = int(8 * (p_max + 10))
-        xs, ys = grid.centers()
-        field = extend_on_grid(Density.cap(d), xs, ys, node_budget)
-        lhs, _ = weighted_lq_2d(field, grid, weight, qf)
+        node_budget = int(8 * (math.hypot(grid.x1, grid.y1) + 10))
+        quadrant = _quadrant(grid)
+        field = extend_on_grid(Density.cap(d), *quadrant.centers(), node_budget)
+        # an odd axis's centre line has one mirror image, not three
+        field[: grid.nx % 2] *= 2 ** (-1 / qf)
+        field[:, : grid.ny % 2] *= 2 ** (-1 / qf)
+        lhs = 4 ** (1 / qf) * weighted_lq_2d(field, quadrant, weight, qf)[0]
         rhs = circle_norm(Density.cap(d), r)
         samples.append(ScanSample(d, lhs, rhs, lhs / rhs))
 
@@ -263,7 +260,7 @@ def knapp_scan(
         "q": str(q),
         **weight_meta,
         "delta_exps": ",".join(str(k) for k in sorted(delta_exps)),
-        "resolution": repr(resolution),
+        "resolution": repr(KNAPP_RESOLUTION),
         "grid_policy": "|x|<=4/delta, |y|<=max(4,(pi/4)/delta^2)",
         "node_policy": "8*(|p_max|+10) scaled to the support arc",
         "predicted_slope": str(predicted.slope),

@@ -92,6 +92,13 @@ class TestBesselJ0:
             for x in (seam - 1e-9, seam, seam + 1e-9):
                 assert abs(bessel_j0(x) - sp.j0(x)) < 1e-12
 
+    def test_asymptotic_tier_is_batch_independent(self):
+        # the Hankel series stops per point, so a value never depends on its batch
+        xs = np.geomspace(17, 1e4, 200000)
+        whole = analysis._j0(xs)
+        sliced = np.concatenate([analysis._j0(xs[i : i + 16]) for i in range(0, xs.size, 16)])
+        assert np.array_equal(whole, sliced)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             bessel_j0(float("inf"))

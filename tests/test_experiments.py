@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -146,38 +147,64 @@ class TestKnappScan:
         assert res.predicted.log_flag == "single"
         assert res.fitted.slope <= 0.15
 
-    # (lhs, rhs, ratio) at delta = 2^-2, 2^-3, 2^-4, recorded before the grid
-    # norm took sampled arrays and the weight took broadcast points
+    # (lhs, rhs, ratio) at delta = 2^-2 .. 2^-5, recorded on the full centred
+    # grids, before the scan folded them onto one quadrant
     KNAPP_PINNED = [
         ("separable", dict(alpha=0, beta=0, q=6, r=2), [
             (1.1902021648013394, 0.7108871290747619, 1.674249140437271),
             (0.8353717868393785, 0.5006552330058388, 1.6685569864594547),
             (0.5896247836525534, 0.353668663572252, 1.6671671662878247),
+            (0.4167393538960328, 0.2500203531694776, 1.6668217151647002),
         ]),
         ("separable", dict(alpha="1/3", beta="1/3", q=2, r=2), [
             (3.2814287495603547, 0.7108871290747619, 4.615963090837247),
             (2.778861719473283, 0.5006552330058388, 5.5504497631823915),
             (2.220909158953071, 0.353668663572252, 6.279632287804755),
+            (1.7076158352158355, 0.2500203531694776, 6.829907299820183),
         ]),
         ("separable", dict(alpha=1, beta=1, q=2, r=2), [
             (0.8803037531738447, 0.7108871290747619, 1.2383171915344464),
             (0.46689754942332906, 0.5006552330058388, 0.9325729936350909),
             (0.24097908870604876, 0.353668663572252, 0.6813696364049466),
+            (0.12239318787275565, 0.2500203531694776, 0.48953289730692756),
         ]),
         ("radial", dict(gamma="1/2", q=2, r=2), [
             (2.94420745668408, 0.7108871290747619, 4.141596234153293),
             (2.5192539052775387, 0.5006552330058388, 5.031913658731614),
             (2.053916957590574, 0.353668663572252, 5.807460963164957),
+            (1.6217754125628643, 0.2500203531694776, 6.486573560927399),
         ]),
     ]
 
     @pytest.mark.parametrize("kind, kw, pinned", KNAPP_PINNED)
     def test_samples_pinned(self, kind, kw, pinned):
-        res = knapp_scan(kind, delta_exps=[2, 3, 4], **kw)
-        assert [s.param for s in res.samples] == [0.25, 0.125, 0.0625]
+        res = knapp_scan(kind, delta_exps=[2, 3, 4, 5], **kw)
+        assert [s.param for s in res.samples] == [0.25, 0.125, 0.0625, 0.03125]
         for sample, values in zip(res.samples, pinned):
             got = (sample.lhs, sample.rhs, sample.ratio)
             assert got == pytest.approx(values, rel=1e-12)
+
+    def test_memory_stays_bounded(self):
+        # the full delta = 2^-5 grid alone is 6.6 M complex cells (105 MB)
+        tracemalloc.start()
+        try:
+            knapp_scan("radial", gamma="1/2", q=2, r=2, delta_exps=[3, 4, 5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100e6
+
+    def test_bounded_boundary_ratio_saturates(self):
+        # criterion 8's two-sided miss: at (1/3, 1/3, q = 2, r = 2) the operator
+        # is bounded and the ratio climbs by geometrically shrinking increments
+        # (0.780 and 0.755 of the one before), so it tends to a finite limit
+        res = knapp_scan(
+            "separable", alpha="1/3", beta="1/3", q=2, r=2, delta_exps=[2, 3, 4, 5]
+        )
+        ratios = [s.ratio for s in res.samples]
+        steps = np.diff(ratios)
+        assert np.all(steps > 0) and np.all(np.diff(steps) < 0)
+        assert np.all((0.70 <= steps[1:] / steps[:-1]) & (steps[1:] / steps[:-1] <= 0.80))
 
     def test_determinism(self):
         a = knapp_scan("separable", alpha=1, beta=1, r=2, q=2, delta_exps=[2, 3, 4])
