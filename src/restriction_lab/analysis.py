@@ -13,9 +13,9 @@ K and the decaying Hankel transform H(delta, s) share one driver,
 ``_transform_many``: Gauss-Legendre panels on a geometric head from the
 oscillator's first zero z1 down to the sample's scale x, depth
 clip(ceil(ln z1 - ln x) + 1, 1, 8 + ceil(26/decay)) with decay 1 - kappa
-for K and 2 - delta for H, then zero-to-zero tail panels summed by
-alternating-series (iterated-averaging) acceleration.  Every Gauss-Legendre
-rule in the package comes from the cached, read-only ``_gl``.
+for K and 2 - delta for H; then shared zero-to-zero tail panels, summed by
+iterated averaging, applied as one fixed weight table on the partial sums.
+Every Gauss-Legendre rule in the package comes from the cached ``_gl``.
 
 CosineKernelTable serves one kappa from piecewise Chebyshev interpolation
 of lambda^{1-kappa} K in ln(lambda), built lazily from the direct kernel and
@@ -216,17 +216,20 @@ def bessel_j0_deriv(x: float) -> float:
 
 
 def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray, iters: int = 64) -> np.ndarray:
-    """Vectorized bisection; f(lo) and f(hi) must have opposite signs."""
-    flo = f(lo)
+    """Vectorized bisection; f(lo) and f(hi) must have opposite signs and f acts
+    point by point, so a bracket whose midpoint is one of its ends is final."""
+    out, live, flo = np.empty_like(lo), np.arange(lo.size), f(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        out[live[done]] = mid[done]
+        live, lo, hi, flo, mid = (a[~done] for a in (live, lo, hi, flo, mid))
         fmid = f(mid)
         take_left = (flo <= 0) != (fmid <= 0)
         hi = np.where(take_left, mid, hi)
-        keep = ~take_left
-        lo = np.where(keep, mid, lo)
-        flo = np.where(keep, fmid, flo)
-    return 0.5 * (lo + hi)
+        lo, flo = np.where(take_left, lo, mid), np.where(take_left, flo, fmid)
+    out[live] = 0.5 * (lo + hi)
+    return out
 
 
 def _first_roots(f, n: int, what: str) -> np.ndarray:
@@ -310,7 +313,9 @@ def _accelerate_rows(
 
     ``terms`` has shape (batch, n); each row is the signed tail of an
     alternating series with smoothly decaying envelope.  Repeated averaging
-    of the partial-sum sequence converges geometrically for such rows.
+    of the partial-sum sequence converges geometrically for such rows; it is
+    linear, so it is applied as the fixed ``_averaging_weights`` functionals,
+    by einsum: a BLAS matmul's summation order depends on the batch size.
     Raises :class:`NumericalError` when the last averaging step still moves
     the answer by more than ``rtol`` relative to the result scale; the
     message names the worst row's residual, the tolerance and
@@ -319,12 +324,7 @@ def _accelerate_rows(
     if terms.shape[1] < 2:
         return terms[:, 0]
     sums = np.cumsum(terms, axis=1)
-    prev = sums[:, -1].copy()
-    last = prev
-    while sums.shape[1] > 1:
-        sums = 0.5 * (sums[:, :-1] + sums[:, 1:])
-        prev, last = sums[:, -1].copy(), prev
-    result = sums[:, 0]
+    result, last = np.einsum("bj,jc->cb", sums, _averaging_weights(terms.shape[1]))
     move = np.abs(result - last)
     scale = np.maximum(np.abs(result), np.max(np.abs(terms), axis=1) * 1e-6)
     floor = np.maximum(scale, 1e-300)
@@ -336,6 +336,16 @@ def _accelerate_rows(
             f"relative residual {resid[worst]:.3e} > tolerance {rtol:.0e}"
         )
     return result
+
+
+@functools.cache
+def _averaging_weights(n: int) -> np.ndarray:
+    """(n, 2) weights on n partial sums S_j, read-only: n - 1 averagings leave
+    sum_j C(n-1, j) S_j / 2^{n-1}, and one averaging earlier the last value
+    was sum_{j>=1} C(n-2, j-1) S_j / 2^{n-2}."""
+    final = [math.comb(n - 1, j) for j in range(n)]
+    earlier = [0] + [2 * math.comb(n - 2, j) for j in range(n - 1)]
+    return _frozen(np.array([final, earlier], dtype=float).T / 2.0 ** (n - 1))[0]
 
 
 @functools.cache
@@ -387,9 +397,9 @@ def _head_panels(osc: str, depth: int) -> tuple[np.ndarray, ...]:
     return _panel_table(osc, np.concatenate(([0.0], edges[1:][::-1])), edges[::-1])
 
 
-# quadrature nodes per batch chunk, head and tail together: bounds the
-# (rows, panels, nodes) temporaries whatever the head depth
-_CHUNK_NODES = 2**18
+# quadrature nodes per batch chunk of the tail or of one head depth: keeps the
+# (rows, panels, nodes) temporaries at 256 KiB, cache-sized, whatever the depth
+_CHUNK_NODES = 2**15
 
 
 def _transform_many(
@@ -398,27 +408,30 @@ def _transform_many(
     """int_0^inf env(u) osc(u) du for each sample, x = exp(ln_x) its scale.
 
     ``env(nodes, idx)`` is the envelope of samples ``idx`` at the nodes,
-    shape (len(idx),) + nodes.shape.  The head follows each sample down
+    shape (len(idx),) + nodes.shape.  The shared tail panels are summed at
+    ``rtol`` for row chunks of all samples; a failure names ``context(i)`` of
+    the worst sample i.  The head, grouped by depth, follows each sample down
     clip(ceil(ln z1 - ln x) + 1, 1, 8 + ceil(26/decay)) e-foldings: the
     envelope's mass vanishes at 0 like u^decay, so below the cap the floor
-    panel holds less than e^{-26} of it.  The tail is summed at ``rtol``; a
-    failure names ``context(i)`` of the worst sample i.  The panels depend
-    only on each sample's own scale, so results do not depend on batching.
+    panel holds less than e^{-26} of it.  Every reduction runs row by row, so
+    results do not depend on batching.
     """
     out = np.empty_like(ln_x)
     tail_u, tail_w, tail_osc = _tail_panels(osc)
+    rows = _CHUNK_NODES // tail_u.size
+    for start in range(0, out.size, rows):
+        idx = slice(start, start + rows)
+        tail_terms = np.einsum("bjk,jk->bj", env(tail_u, idx) * tail_osc, tail_w)
+        out[idx] = _accelerate_rows(tail_terms, rtol, lambda i: context(start + i))
     cap = 8 + math.ceil(26.0 / decay)
     depths = np.clip(np.ceil(math.log(_zeros(osc)[0]) - ln_x).astype(int) + 1, 1, cap)
     for depth in np.unique(depths):
         sel = np.nonzero(depths == depth)[0]
         head_u, head_w, head_osc = _head_panels(osc, int(depth))
-        rows = max(1, _CHUNK_NODES // (head_u.size + tail_u.size))
+        rows = max(1, _CHUNK_NODES // head_u.size)
         for start in range(0, sel.size, rows):
             idx = sel[start : start + rows]
-            head = np.einsum("bjk,jk->b", env(head_u, idx) * head_osc, head_w)
-            tail_terms = np.einsum("bjk,jk->bj", env(tail_u, idx) * tail_osc, tail_w)
-            tail = _accelerate_rows(tail_terms, rtol, lambda i: context(idx[i]))
-            out[idx] = head + tail
+            out[idx] += np.einsum("bjk,jk->b", env(head_u, idx) * head_osc, head_w)
     return out
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 argument errors, 2 numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -332,6 +333,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # every flag once: name -> add_argument keywords
     flags = {

@@ -130,6 +130,26 @@ class TestExtrema:
         assert text.startswith("j,z_j,J0(z_j)\n")
         assert len(text.strip().splitlines()) == 4
 
+    def test_bisection_matches_the_full_64_steps(self, monkeypatch):
+        # brackets retire once their midpoint is an end; the roots must be the
+        # bits a plain 64-step bisection returns
+        def bisect_64(f, lo, hi, iters=64):
+            flo = f(lo)
+            for _ in range(iters):
+                mid = 0.5 * (lo + hi)
+                fmid = f(mid)
+                take_left = (flo <= 0) != (fmid <= 0)
+                hi = np.where(take_left, mid, hi)
+                keep = ~take_left
+                lo = np.where(keep, mid, lo)
+                flo = np.where(keep, fmid, flo)
+            return 0.5 * (lo + hi)
+
+        extrema, zeros = j0_extrema(1000).z, j0_zeros(41)
+        monkeypatch.setattr(analysis, "_bisect_roots", bisect_64)
+        assert np.array_equal(extrema, j0_extrema(1000).z)
+        assert np.array_equal(zeros, j0_zeros(41))
+
     def test_zeros_interlace(self):
         zeros = j0_zeros(10)
         table = j0_extrema(9)
@@ -173,6 +193,39 @@ class TestCosineKernel:
         batch = cosine_weight_kernel_many(0.45, lams)
         for lam, got in zip(lams, batch):
             assert got == cosine_weight_kernel(0.45, lam)
+
+    def test_batch_independent_across_chunks_and_depths(self):
+        # 3000 lambda span several tail chunks and every head depth up to the cap
+        lams = np.geomspace(1e-300, 30, 3000)
+        batch = cosine_weight_kernel_many(5 / 9, lams)
+        scalar = np.array([cosine_weight_kernel(5 / 9, lam) for lam in lams])
+        assert np.array_equal(batch, scalar)
+
+    # recorded with the tail summed by explicit repeated averaging of the
+    # partial sums, before the averaging became one weight table
+    LAMS = [1e-300, 1e-200, 1e-100, 1e-40, 1e-12, 1e-05, 0.01, 0.3, 1.0]
+    AVERAGED = {
+        0.05: [8.092689454742603e283, 8.09268945474261e188, 8.092689454742744e93,
+               8.092689454742564e36, 20327916834.994633, 4550.379321317477,
+               6.192090251055815, 0.16015526314203776, 0.030207108656416404],
+        0.5: [1.253314137315484e150, 1.2533141373154848e100, 1.2533141373154845e50,
+              1.2533141373154846e20, 1253312.1373167462, 394.3366930681331,
+              10.657897379188219, 0.9099718218780799, 0.2321993900552637],
+        5 / 9: [3.289056966399651e133, 1.1820257866878921e89, 4.2479804231683855e44,
+                9.15199638625032e17, 328903.4466402498, 252.41187277150362,
+                9.668912669382028, 0.9439477663313031, 0.2495597126600655],
+        0.9: [9.3963806321254e30, 9.39638063212545e20, 93963806311.37097,
+              93953.80632137124, 138.92259697649968, 19.71401162068981,
+              4.915534616953503, 1.0081641620414454, 0.3283632240633825],
+        0.99: [99320.31836788254, 9842.03183678824, 894.203183678822,
+               149.73254872464614, 31.061504637886227, 11.551449464587987,
+               4.121928176708105, 0.9977621151280099, 0.34201223577135387],
+    }
+
+    @pytest.mark.parametrize("kappa", sorted(AVERAGED))
+    def test_matches_the_explicitly_averaged_tail(self, kappa):
+        got = cosine_weight_kernel_many(kappa, np.array(self.LAMS))
+        assert np.all(np.abs(got / np.array(self.AVERAGED[kappa]) - 1) <= 1e-12)
 
     def test_deep_batch_temporaries_are_bounded(self):
         # every lambda here takes the deepest head (67 e-foldings at kappa = 5/9)
@@ -238,6 +291,45 @@ class TestAccelerateRows:
         found = float(re.search(r"residual ([-+.e0-9]+)", message).group(1))
         assert found == pytest.approx(expected, rel=1e-3)
         assert found > 1e-9
+
+    @staticmethod
+    def _rows(rng):
+        """Seeded alternating rows of length 2..60 with random envelopes and
+        scales, a few without sign changes, and real cos and J0 tails."""
+        rows = []
+        for n in range(2, 61):
+            j = np.arange(n)
+            for power in rng.uniform(0.05, 2.0, 4):
+                envelope = (j + rng.uniform(0.5, 3.0)) ** -power * rng.uniform(0.9, 1.1, n)
+                sign = (-1.0) ** j if rng.random() < 0.85 else 1.0
+                rows.append(sign * envelope * 10.0 ** rng.uniform(-200, 200))
+        rho, w, cos_rho = analysis._tail_panels("cos")
+        for kappa, lam in zip(rng.uniform(0.05, 0.99, 40), 10.0 ** rng.uniform(-300, 1, 40)):
+            rows.append(np.einsum("jk,jk->j", (1 + rho / lam) ** -kappa * cos_rho, w))
+        u, w, j0_u = analysis._tail_panels("j0")
+        for delta, ln_s in zip(rng.uniform(1.05, 1.95, 40), rng.uniform(-690, 0.6, 40)):
+            env = analysis._scaled_env(u, np.array([ln_s]), delta)[0]
+            rows.append(np.einsum("jk,jk->j", env * j0_u, w))
+        return rows
+
+    def test_matches_plain_averaging(self):
+        eps = np.finfo(float).eps
+        for row in self._rows(np.random.default_rng(9)):
+            result, last = _averaged(row.tolist())
+            scale = np.max(np.abs(np.cumsum(row)))
+            got = analysis._accelerate_rows(row[None, :], np.inf, lambda i: "")[0]
+            assert abs(got - result) <= 8 * eps * scale
+            # the residual the raise decision reads: "previous" value agrees too
+            floor = max(abs(result), np.max(np.abs(row)) * 1e-6, 1e-300)
+            resid = abs(result - last) / floor
+            for rtol in (1e-12, 1e-9, 1e-6, 1e-3):
+                if rtol / 2 < resid < 2 * rtol:
+                    continue  # too close to the threshold to pin
+                if resid > rtol:
+                    with pytest.raises(NumericalError):
+                        analysis._accelerate_rows(row[None, :], rtol, lambda i: "")
+                else:
+                    analysis._accelerate_rows(row[None, :], rtol, lambda i: "")
 
     def test_alternating_row_converges(self):
         row = [(-1.0) ** j / (j + 1) for j in range(24)]
@@ -339,6 +431,12 @@ class TestHankelTransform:
         for s, got in zip(svals, batch):
             assert got == hankel_decay_transform(1.4, s)
 
+    def test_batch_independent_across_chunks_and_depths(self):
+        svals = np.geomspace(1e-300, 1.9, 2000)
+        batch = hankel_decay_transform_many(1.5, svals)
+        scalar = np.array([hankel_decay_transform(1.5, s) for s in svals])
+        assert np.array_equal(batch, scalar)
+
     @pytest.mark.parametrize("delta", [1.2, 1.5, 1.9])
     def test_finite_down_to_1e_300_and_on_the_small_s_law(self, delta):
         s = np.geomspace(1e-300, 1.9, 500)
@@ -389,8 +487,9 @@ class TestQuadratureTables:
             lambda: analysis._tail_panels("j0"),
             lambda: analysis._head_panels("cos", 5),
             lambda: analysis._head_panels("j0", 5),
+            lambda: (analysis._averaging_weights(48),),
         ],
-        ids=["gl", "tail-cos", "tail-j0", "head-cos", "head-j0"],
+        ids=["gl", "tail-cos", "tail-j0", "head-cos", "head-j0", "averaging"],
     )
     def test_cached_tables_are_read_only(self, table):
         # every caller shares the cached arrays, so none may write into them

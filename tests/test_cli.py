@@ -194,6 +194,39 @@ class TestConfigFile:
         assert code == 0 and out.startswith("UNBOUNDED")
 
 
+class TestRepeatedRuns:
+    def test_back_to_back_runs_match_fresh_runs(self, capsys, tmp_path):
+        # one cached parser serves every run: neither a flag value nor a config
+        # default may carry over into the next run
+        cfg, knapp_cfg = tmp_path / "run.cfg", tmp_path / "knapp.cfg"
+        cfg.write_text("alpha=1/3\nbeta=1/3\nr=2\nq=2\n")
+        knapp_cfg.write_text("alpha=1/3\nbeta=1/3\nr=2\ndelta_exps=3..5\n")
+        knapp = "knapp --kind separable --alpha 0 --beta 0 --r 2 --q 6 --format csv"
+        runs = [
+            knapp + " --delta-exps 2..4",
+            knapp,
+            f"--config {cfg} classify --kind separable",
+            "classify --kind separable",
+            f"--config {knapp_cfg} knapp --kind separable --q 6 --format csv",
+            knapp,
+            "oscint --kappa 0.5 --lam 1e-3",
+            "classify --kind radial --gamma 1/4 --r 4/3 --q 4",
+        ]
+        parser = _build_parser()
+        in_one_process = [invoke(capsys, *argv.split()) for argv in runs]
+        assert _build_parser() is parser
+        fresh = []
+        for argv in runs:
+            _build_parser.cache_clear()
+            fresh.append(invoke(capsys, *argv.split()))
+        assert in_one_process == fresh
+        codes = [code for code, _, _ in in_one_process]
+        assert codes == [0, 0, 0, 1, 0, 0, 0, 0]  # run 3 lacks --r and --q without the config
+        assert "#delta_exps=2,3,4,5\n" in in_one_process[1][1]
+        assert "#delta_exps=3,4,5\n#" in in_one_process[4][1]
+        assert "#delta_exps=2,3,4,5\n" in in_one_process[5][1]
+
+
 class TestOscintCommand:
     def test_text_output(self, capsys):
         code, out, _ = invoke(capsys, "oscint", "--kappa", "0.5", "--lam", "1e-3")
