@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 
 from .errors import ConfigurationError, NumericalError
 from .exponents import (
@@ -27,6 +28,7 @@ from .exponents import (
     classify_radial,
     classify_separable,
     riesz_diagram,
+    weight_exponents,
 )
 from .experiments import (
     ScanResult,
@@ -81,10 +83,11 @@ def _lines(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table(meta: dict[str, str], header: str, rows) -> str:
+def _table(meta: dict[str, object], header: str, rows) -> str:
     """CSV text: sorted `#key=value` lines, the header, then one line per row.
 
-    Float cells are written with 17 significant digits, other cells with str().
+    Float cells are written with 17 significant digits; other cells and the
+    metadata values with str().
     """
     return _lines(
         [f"#{k}={meta[k]}" for k in sorted(meta)]
@@ -130,35 +133,22 @@ def _emit(args, text, payload=None, table=None) -> int:
     return 0
 
 
-def _verdict_payload(verdict: Verdict, params: dict[str, ExtScalar]) -> dict:
+def _verdict_payload(verdict: Verdict, params: dict[str, Fraction | ExtScalar]) -> dict:
     label = "case" if verdict.bounded else "violated"
     return {"decision": verdict.decision, label: verdict.label,
             **{k: str(v) for k, v in params.items()}}
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise DomainError(f"missing required exact parameters: {', '.join(missing)}")
-
-
-def _weights(args) -> dict[str, ExtScalar]:
-    if args.kind == "separable":
-        _require(args, ["alpha", "beta"])
-        return {"alpha": args.alpha, "beta": args.beta}
-    _require(args, ["gamma"])
-    return {"gamma": args.gamma}
+def _weights(args, kind: str | None = None) -> dict[str, Fraction]:
+    return weight_exponents(kind or args.kind, args.alpha, args.beta, args.gamma)
 
 
 def _cmd_classify(args) -> int:
-    weights = _weights(args)
+    params = {**_weights(args), "r": args.r, "q": args.q}
     if args.kind == "separable":
-        verdict = classify_separable(
-            SeparableParams(args.alpha, args.beta, args.r, args.q)
-        )
+        verdict = classify_separable(SeparableParams(**params))
     else:
-        verdict = classify_radial(RadialParams(args.gamma, args.r, args.q))
-    params = {**weights, "r": args.r, "q": args.q}
+        verdict = classify_radial(RadialParams(**params))
     return _emit(
         args, lambda: str(verdict) + "\n", payload=lambda: _verdict_payload(verdict, params)
     )
@@ -167,8 +157,7 @@ def _cmd_classify(args) -> int:
 def _cmd_diagram(args) -> int:
     weights = _weights(args)
     rows = riesz_diagram(args.kind, weights, args.grid_n)
-    meta = {k: str(v) for k, v in weights.items()}
-    meta.update({"kind": args.kind, "grid_n": str(args.grid_n)})
+    meta = {**weights, "kind": args.kind, "grid_n": args.grid_n}
     return _emit(args, lambda: _table(
         meta,
         "inv_r,inv_q,decision,case",
@@ -178,11 +167,9 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_feasibility(args) -> int:
     if args.prop == "one":
-        _require(args, ["alpha", "beta"])
-        outcome = solve_one(args.alpha, args.beta, args.r, args.q)
+        outcome = solve_one(**_weights(args, "separable"), r=args.r, q=args.q)
     else:
-        _require(args, ["gamma"])
-        outcome = solve_two(args.gamma, args.r, args.q)
+        outcome = solve_two(**_weights(args, "radial"), r=args.r, q=args.q)
     if isinstance(outcome, Infeasible):
         return _emit(
             args,
@@ -236,7 +223,7 @@ def _cmd_constant(args) -> int:
         **weights,
     )
     verdict = "DIVERGENT" if result.divergent else "CONVERGENT"
-    exponent = str(ExtScalar(result.exponent))
+    exponent = str(result.exponent)
 
     def payload():
         out = {
@@ -249,9 +236,8 @@ def _cmd_constant(args) -> int:
         return out
 
     def table():
-        meta = {k: str(v) for k, v in weights.items()}
-        meta.update({"kind": args.kind, "q": str(args.q), "exponent": exponent,
-                     "verdict": verdict.lower()})
+        meta = {**weights, "kind": args.kind, "q": args.q, "exponent": exponent,
+                "verdict": verdict.lower()}
         return _table(meta, "n,partial_sum", result.sums)
 
     return _emit(

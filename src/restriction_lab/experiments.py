@@ -34,7 +34,9 @@ from .analysis import (
     j0_extrema,
 )
 from .errors import ConfigurationError
-from .exponents import DomainError, ExtScalar, ScalarLike, inv_conjugate, to_fraction
+from .exponents import (
+    DomainError, ExtScalar, ScalarLike, inv_conjugate, to_fraction, weight_exponents,
+)
 from .norms import Grid2, Sampled1, WeightSpec, weak_lq_1d, weighted_lq_2d
 from .operator import Density, circle_norm, constant_reference_radii, extend_on_grid
 
@@ -126,17 +128,17 @@ def predicted_exponent(
     if kind == "constant":
         return PredictedExponent(Fraction(1) - qf * (Fraction(1, 2) + to_fraction(weight_sum)))
 
+    exps = weight_exponents(kind, alpha, beta, gamma)
     inv_q = 1 / qf
     inv_rc = inv_conjugate(ExtScalar.coerce(r))
     if kind == "separable":
-        a, b = to_fraction(alpha), to_fraction(beta)
-        big, small = max(a, b), min(a, b)
+        big, small = max(exps.values()), min(exps.values())
         pa = Fraction(0) if big >= inv_q else -1 + big * qf
         pb = Fraction(0) if small >= inv_q else -2 + 2 * small * qf
         logs = (big == inv_q) + (small == inv_q)
         slope = inv_rc + (pa + pb) * inv_q
-    elif kind == "radial":
-        g = to_fraction(gamma)
+    else:
+        (g,) = exps.values()
         if g >= 2 * inv_q:
             e = Fraction(0)
         elif g > inv_q:
@@ -147,8 +149,6 @@ def predicted_exponent(
             e = -3 + 2 * g * qf
         logs = int(g == 2 * inv_q or g == inv_q)
         slope = inv_rc + e * inv_q
-    else:
-        raise DomainError(f"unknown prediction kind {kind!r}")
     return PredictedExponent(slope, ("none", "single", "double")[logs])
 
 
@@ -173,6 +173,20 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> SlopeFit:
     stderr = math.sqrt(max(ss_res, 0.0) / (len(points) - 2) / sxx)
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return SlopeFit(slope, stderr, r_squared)
+
+
+def _scan_result(samples: list[ScanSample], predicted: PredictedExponent, meta: dict,
+                 fit_variable: str | None = None) -> ScanResult:
+    """The scan's result: the log-log slope of ratio against param, or against
+    1/param when ``fit_variable`` names it, and ``meta`` completed with the
+    prediction and rendered with str()."""
+    fitted = fit_loglog_slope(
+        [(1 / s.param if fit_variable else s.param, s.ratio) for s in samples]
+    )
+    meta = {**meta, "predicted_slope": predicted.slope, "log_flag": predicted.log_flag}
+    if fit_variable:
+        meta["fit_variable"] = fit_variable
+    return ScanResult(tuple(samples), fitted, predicted, {k: str(v) for k, v in meta.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +230,9 @@ def knapp_scan(
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
     qf = float(to_fraction(q))
-    if kind == "separable":
-        a, b = to_fraction(alpha), to_fraction(beta)
-        weight = WeightSpec.separable(float(max(a, b)), float(min(a, b)))
-        predicted = predicted_exponent("separable", alpha=a, beta=b, r=r, q=q)
-        weight_meta = {"alpha": str(ExtScalar(a)), "beta": str(ExtScalar(b))}
-    elif kind == "radial":
-        g = to_fraction(gamma)
-        weight = WeightSpec.radial(float(g))
-        predicted = predicted_exponent("radial", gamma=g, r=r, q=q)
-        weight_meta = {"gamma": str(ExtScalar(g))}
-    else:
-        raise DomainError(f"unknown knapp kind {kind!r}")
+    exps = weight_exponents(kind, alpha, beta, gamma)
+    weight = getattr(WeightSpec, kind)(*sorted(map(float, exps.values()), reverse=True))
+    predicted = predicted_exponent(kind, **exps, r=r, q=q)
 
     deltas = [2.0**-k for k in sorted(delta_exps)]
     if len(deltas) != len(set(delta_exps)):
@@ -253,20 +258,16 @@ def knapp_scan(
         rhs = circle_norm(Density.cap(d), r)
         samples.append(ScanSample(d, lhs, rhs, lhs / rhs))
 
-    fitted = fit_loglog_slope([(s.param, s.ratio) for s in samples])
-    meta = {
+    return _scan_result(samples, predicted, {
         "experiment": f"knapp-{kind}",
-        "r": str(r),
-        "q": str(q),
-        **weight_meta,
+        "r": r,
+        "q": q,
+        **exps,
         "delta_exps": ",".join(str(k) for k in sorted(delta_exps)),
-        "resolution": repr(KNAPP_RESOLUTION),
+        "resolution": KNAPP_RESOLUTION,
         "grid_policy": "|x|<=4/delta, |y|<=max(4,(pi/4)/delta^2)",
         "node_policy": "8*(|p_max|+10) scaled to the support arc",
-        "predicted_slope": str(predicted.slope),
-        "log_flag": predicted.log_flag,
-    }
-    return ScanResult(tuple(samples), fitted, predicted, meta)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +305,9 @@ def constant_density_sums(
     if list(n_list) != sorted(set(n_list)) or not n_list or n_list[0] < 1:
         raise DomainError("n_list must be strictly increasing positive integers")
     qf = float(to_fraction(q))
-    if kind == "separable":
-        a, b = to_fraction(alpha), to_fraction(beta)
-        wsum = a + b
-        weight_q = WeightSpec.separable(qf * float(a), qf * float(b))
-    elif kind == "radial":
-        wsum = to_fraction(gamma)
-        weight_q = WeightSpec.radial(qf * float(wsum))
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
-    pred = predicted_exponent("constant", weight_sum=wsum, q=q)
+    exps = weight_exponents(kind, alpha, beta, gamma)
+    weight_q = getattr(WeightSpec, kind)(*[qf * float(v) for v in exps.values()])
+    pred = predicted_exponent("constant", weight_sum=sum(exps.values()), q=q)
     s = pred.slope
 
     n_max = n_list[-1]
@@ -374,7 +368,7 @@ def _inner_s_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(a.reshape(-1) for a in (*s_part, *v_part))
 
 
-_L2_TRUNC_LN = math.log(1e3)
+_TRUNC_LN = math.log(1e3)  # ln of the inverse truncated share of both eps-scans
 _L2_TAU_CAP = 300.0
 
 
@@ -432,7 +426,7 @@ def l2_endpoint_scan(
     for k in sorted(eps_exps):
         eps = Fraction(1, 2**k)
         mu = float(1 / rf - eps)
-        tau_max = min(_L2_TRUNC_LN / (2 * float(eps)), _L2_TAU_CAP)
+        tau_max = min(_TRUNC_LN / (2 * float(eps)), _L2_TAU_CAP)
         tau, w_tau = _tau_panels(tau_max)
         phi = delta * np.exp(-tau)
 
@@ -449,21 +443,15 @@ def l2_endpoint_scan(
         rhs = circle_norm(Density.power_singular(delta, mu), r) ** 2
         samples.append(ScanSample(float(eps), lhs, rhs, lhs / rhs))
 
-    samples.sort(key=lambda s: -s.param)
-    fitted = fit_loglog_slope([(s.param, s.ratio) for s in samples])
-    predicted = PredictedExponent(2 / rf - 1)
-    meta = {
+    return _scan_result(samples, PredictedExponent(2 / rf - 1), {
         "experiment": "l2-endpoint",
-        "alpha": str(ExtScalar(a)),
-        "beta": str(ExtScalar(b)),
-        "r": str(r),
-        "delta": repr(delta),
+        "alpha": a,
+        "beta": b,
+        "r": r,
+        "delta": delta,
         "eps_exps": ",".join(str(k) for k in sorted(eps_exps)),
-        "tau_cap": repr(_L2_TAU_CAP),
-        "predicted_slope": str(predicted.slope),
-        "log_flag": predicted.log_flag,
-    }
-    return ScanResult(tuple(samples), fitted, predicted, meta)
+        "tau_cap": _L2_TAU_CAP,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +526,6 @@ def pitt_sweep(
 # dual blow-up scans
 # ---------------------------------------------------------------------------
 
-_DUAL_TRUNC_LN = math.log(1e3)
 _DUAL_TAU_CAP = 340.0
 
 
@@ -580,22 +567,19 @@ def dual_scan(
     inv_qc = inv_conjugate(q)
     rc = float(1 / inv_rc)
 
+    exps = weight_exponents(kind, alpha, beta, gamma)
     if kind == "separable":
-        a, b = to_fraction(alpha), to_fraction(beta)
+        a, b = exps.values()
         if b != 1 / qf - inv_rc / 2:
             raise DomainError("need beta = 1/q - 1/(2r') exactly")
         if not a > 1 / qf:
             raise DomainError("need alpha > 1/q")
-        weight_meta = {"alpha": str(ExtScalar(a)), "beta": str(ExtScalar(b))}
-    elif kind == "radial":
-        g = to_fraction(gamma)
+    else:
+        (g,) = exps.values()
         if g != 2 / qf - inv_rc:
             raise DomainError("need gamma = 2/q - 1/r' exactly")
         if 2 / qf - inv_rc < Fraction(3, 2) / qf - inv_rc / 2:  # max branch: r' >= q
             raise DomainError("need 2/q - 1/r' to be the max branch (r' >= q)")
-        weight_meta = {"gamma": str(ExtScalar(g))}
-    else:
-        raise DomainError(f"unknown dual kind {kind!r}")
 
     samples = []
     for k in sorted(eps_exps):
@@ -609,7 +593,7 @@ def dual_scan(
             if not 1 < delta_exp < 2:
                 raise DomainError("gamma + 2/q' + eps must lie in (1,2)")
             rate = rc * epsf
-        tau_max = min(_DUAL_TRUNC_LN / rate, _DUAL_TAU_CAP)
+        tau_max = min(_TRUNC_LN / rate, _DUAL_TAU_CAP)
         tau, w_tau = _tau_panels(tau_max, fine_until=10.0)
         t = math.pi * np.exp(-tau)
 
@@ -626,18 +610,11 @@ def dual_scan(
         rhs = epsf ** (-float(inv_qc))
         samples.append(ScanSample(epsf, lhs, rhs, lhs / rhs))
 
-    samples.sort(key=lambda s: -s.param)
-    fitted = fit_loglog_slope([(1 / s.param, s.ratio) for s in samples])
-    predicted = PredictedExponent(inv_rc - inv_qc)
-    meta = {
+    return _scan_result(samples, PredictedExponent(inv_rc - inv_qc), {
         "experiment": f"dual-{kind}",
-        "r": str(r),
-        "q": str(q),
-        **weight_meta,
+        "r": r,
+        "q": q,
+        **exps,
         "eps_exps": ",".join(str(k) for k in sorted(eps_exps)),
-        "tau_cap": repr(_DUAL_TAU_CAP),
-        "fit_variable": "1/eps",
-        "predicted_slope": str(predicted.slope),
-        "log_flag": predicted.log_flag,
-    }
-    return ScanResult(tuple(samples), fitted, predicted, meta)
+        "tau_cap": _DUAL_TAU_CAP,
+    }, fit_variable="1/eps")

@@ -7,6 +7,11 @@ weighted circle-extension operators with weights (1+|x|)^a (1+|y|)^b and
 (1+|x|+|y|)^g.  All comparisons are exact; no floating point enters any
 decision, because the strict-versus-nonstrict distinctions at the region
 boundaries are precisely what is being decided.
+
+The paper's two weight families are ``"separable"``, (1+|x|)^alpha
+(1+|y|)^beta, and ``"radial"``, (1+|x|+|y|)^gamma.  :func:`weight_exponents`
+is the one place that maps a family to its exponents; every entry point that
+takes a ``kind`` parses it there.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "inv_conjugate_ratio",
     "to_fraction",
     "scaled",
+    "weight_exponents",
     "SeparableParams",
     "RadialParams",
     "Verdict",
@@ -242,6 +248,25 @@ def scaled(k: int, *ratios: tuple[int, int]) -> tuple[int, ...]:
     integers, and k supplies the factors later halvings and thirds need."""
     big_l = k * math.lcm(*[den for _, den in ratios])
     return (big_l, *[num * (big_l // den) for num, den in ratios])
+
+
+_WEIGHT_FAMILIES = {"separable": ("alpha", "beta"), "radial": ("gamma",)}
+
+
+def weight_exponents(kind: str, alpha: ScalarLike | None = None, beta: ScalarLike | None = None,
+                     gamma: ScalarLike | None = None) -> dict[str, Fraction]:
+    """The exact exponents of weight family ``kind``, by name, in the order
+    (alpha, beta) for ``"separable"`` and (gamma,) for ``"radial"``; the other
+    family's exponents are ignored.  An unknown kind or a missing exponent
+    raises DomainError."""
+    names = _WEIGHT_FAMILIES.get(kind)
+    if names is None:
+        raise DomainError(f"unknown weight kind {kind!r}")
+    given = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    missing = [name for name in names if given[name] is None]
+    if missing:
+        raise DomainError(f"missing required exact parameters: {', '.join(missing)}")
+    return {name: to_fraction(given[name]) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +512,7 @@ def riesz_diagram(
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
+    exps = [ExtScalar(v) for v in weight_exponents(kind, **weights).values()]  # not per cell
     rows: list[DiagramRow] = []
     for i in range(grid_n + 1):
         inv_r = Fraction(i, grid_n)
@@ -495,12 +521,8 @@ def riesz_diagram(
             inv_q = Fraction(j, grid_n)
             q = ExtScalar(1 / inv_q)
             if kind == "separable":
-                verdict = classify_separable(
-                    SeparableParams(weights["alpha"], weights["beta"], r, q)
-                )
-            elif kind == "radial":
-                verdict = classify_radial(RadialParams(weights["gamma"], r, q))
+                verdict = classify_separable(SeparableParams(*exps, r, q))
             else:
-                raise DomainError(f"unknown diagram kind {kind!r}")
+                verdict = classify_radial(RadialParams(*exps, r, q))
             rows.append(DiagramRow(inv_r, inv_q, verdict))
     return rows

@@ -232,7 +232,7 @@ def _pick_theta_two(one: int, g: int, inv_q: int, inv_rc: int) -> list[int]:
     if not lo < hi:
         raise InternalSolverError("empty theta window despite feasible inequalities")
     # candidates at 1/2, 1/4, 3/4 of the window, all strictly interior; tried in
-    # order until a certificate verifies
+    # order until one admits a u with q0 != q1
     return [lo + (hi - lo) * k // 4 for k in (2, 1, 3)]
 
 
@@ -263,7 +263,6 @@ def solve_two(
     if 2 * g <= 4 * inv_q - one:
         return Infeasible("gamma <= 2/q - 1/2")
 
-    last_failure: tuple[str, ...] = ()
     for theta in _pick_theta_two(one, g, inv_q, inv_rc):
         # window for u = (1-theta)/q0 below the strict caps (1-theta)/4 and 1/q
         low = max(inv_q - g, inv_q - g // 2 - theta // 4, 0)
@@ -276,6 +275,9 @@ def solve_two(
             u = low + (cap - low) // parts if low < cap else low
             if not (low <= u <= high and u < strict_cap):
                 continue
+            # q0 = (1-theta)/u would equal q1 = theta/(1/q - u), failing q0-ne-q1
+            if theta * u == (one - theta) * (inv_q - u):
+                continue
             v = max(3 * u, inv_rc - theta)  # (1-theta)/r0'
             cert = CertificateTwo(
                 theta=_ratio(theta, one),
@@ -286,10 +288,10 @@ def solve_two(
                 gamma1=_ratio(g, theta),
             )
             check = verify_two(cert, gamma, r, q)
-            if check.ok:
-                return cert
-            last_failure = check.violations
-    raise InternalSolverError(f"no verified certificate found: {last_failure}")
+            if not check.ok:
+                raise InternalSolverError(f"constructed certificate fails: {check.violations}")
+            return cert
+    raise InternalSolverError("no theta candidate admits a u with q0 != q1")
 
 
 def verify_two(

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from restriction_lab.analysis import j0_extrema
 from restriction_lab.errors import ConfigurationError
@@ -18,12 +20,16 @@ from restriction_lab.experiments import (
     pitt_sweep,
     predicted_exponent,
 )
+from restriction_lab.cli import run
 from restriction_lab.exponents import (
+    INF,
     DomainError,
     RadialParams,
     SeparableParams,
     classify_radial,
     classify_separable,
+    riesz_diagram,
+    weight_exponents,
 )
 from restriction_lab.operator import constant_reference_radii
 
@@ -109,6 +115,121 @@ class TestPredictionClassifierConsistency:
         pred = predicted_exponent("radial", gamma="1/4", q=4, r="4/3")
         assert pred.slope == 0 and pred.log_flag == "single"
         assert not classify_radial(RadialParams("1/4", "4/3", 4)).bounded
+
+
+def oracle_predicted(kind, q, r, weights):
+    """The ladder of predicted_exponent's docstring on plain Fractions; r None is inf."""
+    inv_q, inv_rc = 1 / q, (1 if r is None else 1 - 1 / r)
+    if kind == "constant":
+        return 1 - q * (Fraction(1, 2) + weights[0]), "none"
+    logs = 0
+    if kind == "separable":
+        big, small = max(weights), min(weights)
+        # the max weight contributes 0 / log / -1 + alpha q against 1/q
+        if big > inv_q:
+            pa = 0
+        elif big == inv_q:
+            pa, logs = 0, logs + 1
+        else:
+            pa = -1 + big * q
+        # the min weight 0 / log / -2 + 2 beta q
+        if small > inv_q:
+            pb = 0
+        elif small == inv_q:
+            pb, logs = 0, logs + 1
+        else:
+            pb = -2 + 2 * small * q
+        e = pa + pb
+    else:
+        (g,) = weights
+        # gamma >, =, in-between, =, < of 2/q and 1/q
+        if g > 2 * inv_q:
+            e = 0
+        elif g == 2 * inv_q:
+            e, logs = 0, 1
+        elif g > inv_q:
+            e = -2 + g * q
+        elif g == inv_q:
+            e, logs = -1, 1
+        else:
+            e = -3 + 2 * g * q
+    return inv_rc + e * inv_q, ("none", "single", "double")[logs]
+
+
+PREDICTION_NAMES = {"separable": ("alpha", "beta"), "radial": ("gamma",),
+                    "constant": ("weight_sum",)}
+
+
+@st.composite
+def prediction_args(draw):
+    kind = draw(st.sampled_from(sorted(PREDICTION_NAMES)))
+    q = draw(st.fractions(min_value=Fraction(1, 8), max_value=12, max_denominator=24))
+    r = draw(st.one_of(st.none(), st.just(Fraction(1)),
+                       st.fractions(min_value=1, max_value=12, max_denominator=24)))
+    # weights snapped to the ladder's rungs 1/q and 2/q half of the time
+    weight = st.one_of(st.fractions(min_value=0, max_value=3, max_denominator=24),
+                       st.sampled_from([1 / q, 2 / q]))
+    return kind, q, r, [draw(weight) for _ in PREDICTION_NAMES[kind]]
+
+
+class TestPredictedExponentOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(prediction_args())
+    @example(("separable", Fraction(2), Fraction(2), [Fraction(1, 2), Fraction(1, 2)]))
+    @example(("separable", Fraction(3), None, [Fraction(1, 3), Fraction(1, 9)]))
+    @example(("radial", Fraction(5), Fraction(3), [Fraction(2, 5)]))
+    @example(("radial", Fraction(5), Fraction(1), [Fraction(1, 5)]))
+    def test_matches_docstring_ladder(self, args):
+        kind, q, r, weights = args
+        p = predicted_exponent(kind, q=q, r=INF if r is None else r,
+                               **dict(zip(PREDICTION_NAMES[kind], weights)))
+        assert (p.slope, p.log_flag) == oracle_predicted(kind, q, r, weights)
+
+
+class TestMissingWeightExponents:
+    """Every entry point that takes a weight kind names a missing exponent."""
+
+    @pytest.mark.parametrize("call, missing", [
+        (lambda: predicted_exponent("radial", r=2, q=2), "gamma"),
+        (lambda: predicted_exponent("separable", beta=0, r=2, q=2), "alpha"),
+        (lambda: knapp_scan("separable", alpha=1, r=2, q=2, delta_exps=[2, 3, 4]), "beta"),
+        (lambda: constant_density_sums("radial", alpha=1, q=4, n_list=[10]), "gamma"),
+        (lambda: constant_density_sums("separable", q=4, n_list=[10]), "alpha, beta"),
+        (lambda: dual_scan("separable", beta="1/8", r=4, q=2, eps_exps=[3, 4, 5]), "alpha"),
+        (lambda: dual_scan("radial", r=3, q="5/4", eps_exps=[3, 4, 5]), "gamma"),
+        (lambda: riesz_diagram("separable", {"alpha": 0}, 4), "beta"),
+        (lambda: riesz_diagram("radial", {}, 4), "gamma"),
+    ], ids=["pred-radial", "pred-separable", "knapp", "constant-radial",
+            "constant-separable", "dual-separable", "dual-radial", "diagram-separable",
+            "diagram-radial"])
+    def test_library_raises_domain_error(self, call, missing):
+        with pytest.raises(DomainError, match=f"^missing required exact parameters: {missing}$"):
+            call()
+
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError, match="unknown weight kind 'conic'"):
+            weight_exponents("conic", gamma=1)
+        with pytest.raises(DomainError, match="unknown weight kind 'conic'"):
+            knapp_scan("conic", gamma=1, r=2, q=2, delta_exps=[2, 3, 4])
+
+    def test_exponents_come_back_exact_in_family_order(self):
+        assert weight_exponents("separable", "1/3", 0, gamma=5) == {
+            "alpha": Fraction(1, 3), "beta": Fraction(0)}
+        assert list(weight_exponents("separable", beta=1, alpha=2)) == ["alpha", "beta"]
+        assert weight_exponents("radial", alpha=1, gamma="2/7") == {"gamma": Fraction(2, 7)}
+
+    @pytest.mark.parametrize("argv, missing", [
+        ("classify --kind separable --alpha 1/3 --r 2 --q 3", "beta"),
+        ("diagram --kind radial --grid-n 4", "gamma"),
+        ("feasibility --prop one --gamma 1 --r 2 --q 2", "alpha, beta"),
+        ("feasibility --prop two --alpha 1 --r 2 --q 2", "gamma"),
+        ("knapp --kind radial --r 2 --q 2", "gamma"),
+    ])
+    def test_cli_exits_one_with_the_message(self, capsys, argv, missing):
+        assert run(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: missing required exact parameters: {missing}\n"
 
 
 class TestFit:
