@@ -20,7 +20,7 @@ Scaling conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,8 +37,8 @@ from .errors import ConfigurationError
 from .exponents import (
     DomainError, ExtScalar, ScalarLike, inv_conjugate, to_fraction, weight_exponents,
 )
-from .norms import Grid2, Sampled1, WeightSpec, weak_lq_1d, weighted_lq_2d
-from .operator import Density, circle_norm, constant_reference_radii, extend_on_grid
+from .norms import Grid2, Sampled1, WeightSpec, compensated_sum, weak_lq_1d, weighted_lq_2d
+from .operator import Density, circle_norm, constant_reference_radii, extend_on_grid, grid_factors
 
 __all__ = [
     "PredictedExponent",
@@ -58,6 +58,7 @@ __all__ = [
 
 KNAPP_CELL_BUDGET = 30_000_000
 KNAPP_RESOLUTION = 0.25
+KNAPP_BLOCK_CELLS = 1 << 19  # cells per streamed column block: an 8 MB complex field
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,12 +195,51 @@ def _scan_result(samples: list[ScanSample], predicted: PredictedExponent, meta: 
 # ---------------------------------------------------------------------------
 
 
-def _quadrant(grid: Grid2) -> Grid2:
-    """The closed quadrant x, y >= 0 of a centred grid, with the same cells:
-    an odd axis starts half a cell below 0 so that its centre line is kept."""
+def _knapp_quadrant(delta: float) -> tuple[Grid2, int]:
+    """The closed quadrant x, y >= 0 of the centred Knapp grid, same cells, and its node
+    budget 8(|p_max| + 10); an odd axis starts half a cell below 0 to keep its centre line."""
+    grid = Grid2.centered(4 / delta, max(4.0, math.pi / 4 / delta**2), KNAPP_RESOLUTION)
     x0 = -grid.dx / 2 if grid.nx % 2 else 0.0
     y0 = -grid.dy / 2 if grid.ny % 2 else 0.0
-    return Grid2(x0, grid.x1, y0, grid.y1, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
+    quadrant = Grid2(x0, grid.x1, y0, grid.y1, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
+    return quadrant, int(8 * (math.hypot(grid.x1, grid.y1) + 10))
+
+
+def _column_blocks(grid: Grid2) -> list[tuple[int, int]]:
+    """[j0, j1) column ranges of KNAPP_BLOCK_CELLS cells; the last takes the rest."""
+    step = max(2, KNAPP_BLOCK_CELLS // grid.nx)
+    edges = [*range(0, max(grid.ny - step, 0) + 1, step), grid.ny]
+    return list(zip(edges, edges[1:]))
+
+
+def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
+    """A folded quadrant's sum of |f w^{-1}|^2 cell_measure for a separable weight
+    a(x) b(y) (q = 2 only), as sum_x a(x)^2 c(x) G c(x)^H over the ``grid_factors``
+    f = sum_k c_k(x) e_k(y), with G = sum_y b(y)^2 e(y)^T conj(e(y)) built by blocks."""
+    xs, ys = grid.centers()
+    a2, b2 = weight.inverse_factor(xs, 0.0) ** 2, weight.inverse_factor(0.0, ys) ** 2
+    a2[: int(grid.x0 < 0)] /= 2  # an odd axis's centre line has one mirror image
+    b2[: int(grid.y0 < 0)] /= 2
+    gram = 0
+    for j0, j1 in _column_blocks(grid):
+        ey = grid_factors(cap, xs[:0], ys[j0:j1], nodes)[1]
+        gram = gram + (ey.T * b2[j0:j1]) @ ey.conj()
+    cx = grid_factors(cap, xs, ys[:0], nodes)[0]
+    rows = np.einsum("xk,xk->x", cx @ gram, cx.conj()).real
+    return compensated_sum(a2 * rows) * grid.cell_measure
+
+
+def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
+    """The same sum for any q and weight: each column block goes through
+    ``extend_on_grid`` and ``weighted_lq_2d``; block masses add with compensation."""
+    masses = []
+    for j0, j1 in _column_blocks(grid):
+        block = replace(grid, y0=grid.y0 + j0 * grid.dy, y1=grid.y0 + j1 * grid.dy, ny=j1 - j0)
+        field = extend_on_grid(cap, *block.centers(), nodes)
+        field[: int(grid.x0 < 0)] *= 2 ** (-1 / q)  # the Gram form's halving, on |f|^q
+        field[:, : int(block.y0 < 0)] *= 2 ** (-1 / q)
+        masses.append(weighted_lq_2d(field, block, weight, q)[0] ** q)
+    return compensated_sum(np.array(masses))
 
 
 def knapp_scan(
@@ -218,43 +258,40 @@ def knapp_scan(
     over the rectangle |x| <= 4/delta, |y| <= max(4, (pi/4)/delta^2),
     divided by ||Cap(delta)||_{L^r}.  The separable weight puts the larger
     exponent on the short (x) axis and the smaller on the long (y) axis,
-    matching the cap's concentration geometry.  Cost grows like delta^{-3};
-    KNAPP_CELL_BUDGET counts full-grid cells, checked before any evaluation.
+    matching the cap's concentration geometry.
 
     |extend(Cap)| and both weights are even in x and in y (the cap's nodes
     are symmetric, phi <-> -phi), so only the grid's closed quadrant x, y >= 0
-    is evaluated and its q-th power mass, with an odd axis's centre line
-    halved, is quadrupled.  The quadrant's tail_fraction is not the full
-    grid's frame share and is discarded.
+    is summed, with an odd axis's centre line halved, and the sum quadrupled.
+    For q = 2 and a separable weight the Gram form (``_gram_mass``) sums it at
+    cost O((nx + ny) K^2) for K nodes; every other case streams the field in
+    column blocks (``_streamed_mass``) at cost O(nx ny K).  Memory is bounded
+    by one block of KNAPP_BLOCK_CELLS cells (the Gram form also holds K x K and
+    nx x K arrays), not by the grid.  KNAPP_CELL_BUDGET counts the quadrant
+    cells summed, about delta^{-3}, and is checked before any evaluation.
     """
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
+    if q.is_infinite:
+        raise DomainError("q must be finite")
     qf = float(to_fraction(q))
     exps = weight_exponents(kind, alpha, beta, gamma)
     weight = getattr(WeightSpec, kind)(*sorted(map(float, exps.values()), reverse=True))
     predicted = predicted_exponent(kind, **exps, r=r, q=q)
+    mass = _gram_mass if qf == 2 and kind == "separable" else _streamed_mass
 
     deltas = [2.0**-k for k in sorted(delta_exps)]
     if len(deltas) != len(set(delta_exps)):
         raise ConfigurationError("duplicate delta exponents")
-    grids = [
-        Grid2.centered(4 / d, max(4.0, math.pi / 4 / d**2), KNAPP_RESOLUTION) for d in deltas
-    ]
-    for d, grid in zip(deltas, grids):
-        if grid.n_cells > KNAPP_CELL_BUDGET:
-            raise ConfigurationError(
-                f"delta={d:g} needs {grid.n_cells} cells, over budget {KNAPP_CELL_BUDGET}"
-            )
+    quadrants = [_knapp_quadrant(d) for d in deltas]
+    for d, (quadrant, _) in zip(deltas, quadrants):
+        if quadrant.n_cells > KNAPP_CELL_BUDGET:
+            raise ConfigurationError(f"delta={d:g} needs {quadrant.n_cells} quadrant cells, "
+                                     f"over budget {KNAPP_CELL_BUDGET}")
 
     samples = []
-    for d, grid in zip(deltas, grids):
-        node_budget = int(8 * (math.hypot(grid.x1, grid.y1) + 10))
-        quadrant = _quadrant(grid)
-        field = extend_on_grid(Density.cap(d), *quadrant.centers(), node_budget)
-        # an odd axis's centre line has one mirror image, not three
-        field[: grid.nx % 2] *= 2 ** (-1 / qf)
-        field[:, : grid.ny % 2] *= 2 ** (-1 / qf)
-        lhs = 4 ** (1 / qf) * weighted_lq_2d(field, quadrant, weight, qf)[0]
+    for d, (quadrant, nodes) in zip(deltas, quadrants):
+        lhs = (4 * mass(Density.cap(d), quadrant, weight, qf, nodes)) ** (1 / qf)
         rhs = circle_norm(Density.cap(d), r)
         samples.append(ScanSample(d, lhs, rhs, lhs / rhs))
 

@@ -257,8 +257,8 @@ def weight_exponents(kind: str, alpha: ScalarLike | None = None, beta: ScalarLik
                      gamma: ScalarLike | None = None) -> dict[str, Fraction]:
     """The exact exponents of weight family ``kind``, by name, in the order
     (alpha, beta) for ``"separable"`` and (gamma,) for ``"radial"``; the other
-    family's exponents are ignored.  An unknown kind or a missing exponent
-    raises DomainError."""
+    family's exponents are ignored.  An unknown kind or a missing or infinite
+    exponent raises DomainError."""
     names = _WEIGHT_FAMILIES.get(kind)
     if names is None:
         raise DomainError(f"unknown weight kind {kind!r}")
@@ -266,6 +266,9 @@ def weight_exponents(kind: str, alpha: ScalarLike | None = None, beta: ScalarLik
     missing = [name for name in names if given[name] is None]
     if missing:
         raise DomainError(f"missing required exact parameters: {', '.join(missing)}")
+    for name in names:  # only a string or an ExtScalar can be infinite
+        if isinstance(given[name], (str, ExtScalar)) and ExtScalar(given[name]).is_infinite:
+            raise DomainError(f"{name} must be finite")
     return {name: to_fraction(given[name]) for name in names}
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "Point2",
     "extend",
     "extend_on_grid",
+    "grid_factors",
     "circle_norm",
     "constant_reference",
     "effective_node_count",
@@ -125,20 +126,24 @@ def extend(density: Density, p: Point2, nodes: int) -> complex:
     return complex(np.sum(w * np.exp(1j * phase)))
 
 
+def grid_factors(density: Density, xs: np.ndarray, ys: np.ndarray,
+                 nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-K factors of extend(density) on the tensor grid xs x ys, one per node:
+    extend(density, (x, y)) = sum_k c[x, k] e[y, k] with c = w e^{i x sin phi} of shape
+    (nx, K) and e = e^{i y cos phi} of shape (ny, K).  Either axis may be empty."""
+    phi, w = _quad_rule(density, nodes)
+    c = np.exp(1j * np.asarray(xs, dtype=float)[:, None] * np.sin(phi)[None, :]) * w[None, :]
+    e = np.exp(1j * np.asarray(ys, dtype=float)[:, None] * np.cos(phi)[None, :])
+    return c, e
+
+
 def extend_on_grid(
     density: Density, xs: np.ndarray, ys: np.ndarray, nodes: int
 ) -> np.ndarray:
-    """extend(density, (x, y)) on the tensor grid xs x ys, shape (nx, ny).
-
-    Uses the rank-one structure e^{i(x sin phi + y cos phi)} =
-    e^{i x sin phi} e^{i y cos phi} per quadrature node, so the grid
-    evaluation is a single complex matrix product.  Results are identical
-    to pointwise ``extend`` up to roundoff.
-    """
-    phi, w = _quad_rule(density, nodes)
-    ex = np.exp(1j * np.asarray(xs, dtype=float)[:, None] * np.sin(phi)[None, :])
-    ey = np.exp(1j * np.asarray(ys, dtype=float)[:, None] * np.cos(phi)[None, :])
-    return (ex * w[None, :]) @ ey.T
+    """extend(density, (x, y)) on the tensor grid xs x ys, shape (nx, ny): the product
+    of the ``grid_factors``, identical to pointwise ``extend`` up to roundoff."""
+    c, e = grid_factors(density, xs, ys, nodes)
+    return c @ e.T
 
 
 def circle_norm(density: Density, r: ScalarLike) -> float:

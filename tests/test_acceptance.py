@@ -1,15 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Every criterion is implemented verbatim at its stated tolerance.  Three
-checks are expected to fail for quantified mathematical reasons analysed in
-the project notes: the small-lambda law tolerance at lambda = 1e-3
-(criterion 6, the exact finite-lambda correction exceeds 2% for kappa >=
-0.5), the two-sided Knapp tolerance for the (1/3,1/3,2,2) boundary case
-(criterion 8, the rectangle-policy transient is ~0.19 over the pinned
-delta window while the operator itself is bounded), and the literal
-max/min reading of the dilation-sweep uniformity (criterion 12, the family
-ratios genuinely decay like sqrt(s) at small scales).  The prints report
-the measured numbers either way.
+checks are expected to fail for quantified mathematical reasons, each
+explained by an executable check: the small-lambda law tolerance at
+lambda = 1e-3 (criterion 6, the exact finite-lambda correction exceeds 2%
+for kappa >= 0.5; tests/test_analysis.py::TestCosineKernel::
+test_law_deviation_is_the_finite_lambda_correction), the two-sided Knapp
+tolerance for the (1/3,1/3,2,2) boundary case (criterion 8, the
+rectangle-policy transient is ~0.19 over the pinned delta window while the
+operator itself is bounded and the ratio saturates;
+tests/test_experiments.py::TestKnappScan::
+test_bounded_boundary_ratio_saturates), and the literal max/min reading of
+the dilation-sweep uniformity (criterion 12, the family ratios genuinely
+decay like sqrt(s) at small scales; tests/test_experiments.py::TestPitt::
+test_small_s_slope_is_one_half).  The prints report the measured numbers
+either way.
 """
 
 import json
@@ -247,7 +252,8 @@ def test_criterion_06_appendix1_law():
     detail = (
         "C(k) matches Gamma-oracle to 1e-6; law deviations at lambda=1e-3: "
         + ", ".join(f"k={k}: {d:.3f}" for k, d in law_devs.items())
-        + " (exact correction ~ lambda^{1-k}/((1-k)C), see decisions ledger)"
+        + " (exact correction ~ lambda^{1-k}/((1-k)C), checked by test_analysis.py::"
+        "TestCosineKernel::test_law_deviation_is_the_finite_lambda_correction)"
     )
     ok = oracle_ok and law_ok and elapsed < 5.0
     assert report(6, "appendix-1 law", ok, detail, elapsed)
@@ -289,7 +295,8 @@ def test_criterion_08_knapp_scaling():
         8, "knapp scaling", ok,
         "; ".join(details)
         + ("" if two_sided_ok else " [two-sided miss is the bounded (1/3,1/3) "
-           "transient on the pinned rectangle, see decisions ledger]"),
+           "transient on the pinned rectangle, checked by test_experiments.py::"
+           "TestKnappScan::test_bounded_boundary_ratio_saturates]"),
         elapsed,
     )
 
@@ -356,7 +363,8 @@ def test_criterion_12_pitt_uniformity():
         f"max ratio {res.max_ratio:.3f} (<4: {res.max_ratio < 4}), "
         f"ratio(64)/ratio(1) = {plateau_quotient:.3f} (<4: {plateau_quotient < 4}), "
         f"literal sweep max/min = {sweep_quotient:.3f} "
-        "[small-s ratios decay like sqrt(s), see decisions ledger]",
+        "[small-s ratios decay like sqrt(s), checked by test_experiments.py::"
+        "TestPitt::test_small_s_slope_is_one_half]",
         elapsed,
     )
 

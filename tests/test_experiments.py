@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from restriction_lab import experiments
 from restriction_lab.analysis import j0_extrema
 from restriction_lab.errors import ConfigurationError
 from restriction_lab.experiments import (
@@ -31,7 +32,8 @@ from restriction_lab.exponents import (
     riesz_diagram,
     weight_exponents,
 )
-from restriction_lab.operator import constant_reference_radii
+from restriction_lab.norms import WeightSpec
+from restriction_lab.operator import Density, constant_reference_radii
 
 
 class TestPredictedExponent:
@@ -187,7 +189,7 @@ class TestPredictedExponentOracle:
 
 
 class TestMissingWeightExponents:
-    """Every entry point that takes a weight kind names a missing exponent."""
+    """Every entry point that takes a weight kind names a missing or infinite exponent."""
 
     @pytest.mark.parametrize("call, missing", [
         (lambda: predicted_exponent("radial", r=2, q=2), "gamma"),
@@ -230,6 +232,20 @@ class TestMissingWeightExponents:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: missing required exact parameters: {missing}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        ("classify --kind separable --alpha inf --beta 0 --r 2 --q 3", "alpha must be finite"),
+        ("diagram --kind separable --alpha 0 --beta inf --grid-n 4", "beta must be finite"),
+        ("feasibility --prop two --gamma inf --r 2 --q 3", "gamma must be finite"),
+        ("knapp --kind radial --gamma inf --r 2 --q 2", "gamma must be finite"),
+        ("constant --kind separable --alpha inf --beta 0 --q 4", "alpha must be finite"),
+        ("dual --kind separable --alpha 0 --beta inf --r 2 --q 3", "beta must be finite"),
+        ("knapp --kind separable --alpha 0 --beta 0 --r 2 --q inf", "q must be finite"),
+    ])
+    def test_cli_names_an_infinite_exponent(self, capsys, argv, message):
+        assert run(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestFit:
@@ -305,15 +321,38 @@ class TestKnappScan:
             got = (sample.lhs, sample.rhs, sample.ratio)
             assert got == pytest.approx(values, rel=1e-12)
 
+    @pytest.mark.parametrize("kind, kw, pinned", KNAPP_PINNED)
+    def test_samples_pinned_across_many_column_blocks(self, monkeypatch, kind, kw, pinned):
+        # blocks of 2^10 cells: 3, 25 and 201 per delta, and the odd y axis of
+        # delta = 2^-2 keeps its centre line in the first of three
+        monkeypatch.setattr(experiments, "KNAPP_BLOCK_CELLS", 1 << 10)
+        res = knapp_scan(kind, delta_exps=[2, 3, 4], **kw)
+        for sample, values in zip(res.samples, pinned):
+            assert (sample.lhs, sample.rhs, sample.ratio) == pytest.approx(values, rel=1e-12)
+
     def test_memory_stays_bounded(self):
-        # the full delta = 2^-5 grid alone is 6.6 M complex cells (105 MB)
-        tracemalloc.start()
-        try:
-            knapp_scan("radial", gamma="1/2", q=2, r=2, delta_exps=[3, 4, 5])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 100e6
+        # the full delta = 2^-6 grid alone is 52.7 M complex cells (843 MB) and
+        # its quadrant 13.2 M (211 MB); both evaluations hold one column block
+        for kind, kw, _ in self.KNAPP_PINNED:
+            tracemalloc.start()
+            try:
+                knapp_scan(kind, delta_exps=[2, 3, 6], **kw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 100e6, (kind, kw, peak)
+
+    @pytest.mark.parametrize("exps", [(1 / 3, 1 / 3), (1.0, 1.0)])
+    def test_gram_form_matches_the_streamed_grid(self, exps):
+        # the two evaluations of one midpoint sum, each the other's oracle, at
+        # the scan's own quadrants and node budgets
+        weight = WeightSpec.separable(*exps)
+        for k in range(2, 7):
+            delta = 2.0**-k
+            grid, nodes = experiments._knapp_quadrant(delta)
+            args = (Density.cap(delta), grid, weight, 2.0, nodes)
+            gram, streamed = experiments._gram_mass(*args), experiments._streamed_mass(*args)
+            assert gram == pytest.approx(streamed, rel=1e-13), k
 
     def test_bounded_boundary_ratio_saturates(self):
         # criterion 8's two-sided miss: at (1/3, 1/3, q = 2, r = 2) the operator
@@ -326,6 +365,16 @@ class TestKnappScan:
         steps = np.diff(ratios)
         assert np.all(steps > 0) and np.all(np.diff(steps) < 0)
         assert np.all((0.70 <= steps[1:] / steps[:-1]) & (steps[1:] / steps[:-1] <= 0.80))
+
+    def test_ratio_increments_keep_shrinking_to_delta_2e_6(self):
+        # criterion 8's saturation one delta beyond its window: the quotients of
+        # successive increments are 0.780, 0.755 and 0.747
+        res = knapp_scan(
+            "separable", alpha="1/3", beta="1/3", q=2, r=2, delta_exps=[2, 3, 4, 5, 6]
+        )
+        steps = np.diff([s.ratio for s in res.samples])
+        quotients = steps[1:] / steps[:-1]
+        assert np.all(steps > 0) and np.all((0.70 <= quotients) & (quotients <= 0.80))
 
     def test_determinism(self):
         a = knapp_scan("separable", alpha=1, beta=1, r=2, q=2, delta_exps=[2, 3, 4])
