@@ -10,7 +10,7 @@ partials are combined with Neumaier compensation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,22 +137,26 @@ def weighted_lq_2d(
     vals = np.asarray(values)
     if vals.shape != (grid.nx, grid.ny):
         raise ValueError(f"values shape {vals.shape} != grid shape {(grid.nx, grid.ny)}")
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("non-finite density values on the grid")
-
-    xs, ys = grid.centers()
-    mass = np.abs(vals * weight.inverse_factor(xs[:, None], ys[None, :])) ** q
-    mass *= grid.cell_measure
-    total = compensated_sum(mass)
-    if total < 0 or not math.isfinite(total):
-        raise NumericalError("q-th power mass is not finite")
 
     # centers increase along each axis, so the central box is one slice
+    xs, ys = grid.centers()
     fx, fy = 0.05 * (grid.x1 - grid.x0), 0.05 * (grid.y1 - grid.y0)
     i0, j0 = np.searchsorted(xs, grid.x0 + fx), np.searchsorted(ys, grid.y0 + fy)
     i1 = np.searchsorted(xs, grid.x1 - fx, "right")
     j1 = np.searchsorted(ys, grid.y1 - fy, "right")
-    inner_mass = compensated_sum(mass[i0:i1, j0:j1])
+    # |f|^q w^{-q} by row chunks of ~_CHUNK cells; w^{-q} is the family with exponents times q
+    weight_q = replace(weight, alpha=q * weight.alpha, beta=q * weight.beta, gamma=q * weight.gamma)
+    rows, parts = max(1, _CHUNK // grid.ny), []
+    for r in range(0, grid.nx, rows):
+        mass = np.square(vals.real[r : r + rows], dtype=float) + np.square(vals.imag[r : r + rows])
+        mass **= q / 2
+        mass *= weight_q.inverse_factor(xs[r : r + rows, None], ys[None, :])
+        parts.append((np.sum(mass), np.sum(mass[max(i0 - r, 0) : max(i1 - r, 0), j0:j1])))
+    total, inner_mass = (compensated_sum(np.array(p)) * grid.cell_measure for p in zip(*parts))
+    if not math.isfinite(total):  # as it always is where a value is not finite
+        if not np.all(np.isfinite(vals)):
+            raise NumericalError("non-finite density values on the grid")
+        raise NumericalError("q-th power mass is not finite")
     tail_fraction = 0.0 if total == 0 else 1.0 - inner_mass / total
     return total ** (1 / q), tail_fraction
 

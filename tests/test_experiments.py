@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restriction_lab import experiments
-from restriction_lab.analysis import j0_extrema
+from restriction_lab.analysis import cosine_weight_kernel_many, j0_extrema
 from restriction_lab.errors import ConfigurationError
 from restriction_lab.experiments import (
     PredictedExponent,
@@ -504,6 +504,21 @@ class TestL2Endpoint:
         ]
         assert all(x < y for x, y in zip(octaves, octaves[1:]))
         assert octaves[-1] >= -0.05
+
+    @pytest.mark.parametrize("a, b", [(5 / 18, 5 / 18), (0.3, 0.21)])
+    @pytest.mark.parametrize("phi", [0.2, 1e-3, 1e-20])
+    def test_corner_integrand_slope_sets_the_sliver_share(self, a, b, phi):
+        # the scan's inner integrand at v = 1 - s, less its s^{-mu} factor (1 to
+        # within v), behaves like v^{2(a+b)-2}; so the sliver v < 2^-61 that the
+        # mesh drops holds about 2^{-60(2(a+b)-1)} of the corner mass: 0.98 % at
+        # a + b = 5/9, 44 % at 0.51
+        v = np.array([2.0**-40, 2.0**-60])
+        half_diff, half_sum = 0.5 * phi * v, 0.5 * phi * (2.0 - v)
+        lam1 = 2.0 * np.sin(half_diff) * np.cos(half_sum)
+        lam2 = 2.0 * np.sin(half_sum) * np.sin(half_diff)
+        g = cosine_weight_kernel_many(2 * a, lam1) * cosine_weight_kernel_many(2 * b, lam2)
+        slope = math.log(g[0] / g[1]) / math.log(v[0] / v[1])
+        assert slope == pytest.approx(2 * (a + b) - 2, abs=1e-5)
 
 
 class TestPitt:

@@ -175,3 +175,45 @@ class TestGrid2:
             Grid2(0, 1, 0, 1, 1, 8)
         with pytest.raises(ValueError):
             Grid2(1, 0, 0, 1, 4, 4)
+
+
+class TestWeightedLq2dOracle:
+    # the direct formula (sum |f w^{-1}|^q cell)^{1/q}, weights written out, on a
+    # grid of several row chunks whose central box cuts through all of them
+    GRID = Grid2(-3.0, 5.0, -2.0, 7.0, 301, 257)
+    WEIGHTS = [
+        (WeightSpec.separable(0.3, 0.7),
+         lambda x, y: (1 + np.abs(x)) ** -0.3 * (1 + np.abs(y)) ** -0.7),
+        (WeightSpec.radial(0.5), lambda x, y: (1 + np.abs(x) + np.abs(y)) ** -0.5),
+    ]
+
+    def field(self):
+        rng = np.random.default_rng(20)
+        shape = (self.GRID.nx, self.GRID.ny)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("weight, inverse", WEIGHTS)
+    @pytest.mark.parametrize("q", [0.5, 2, 6])
+    def test_matches_the_direct_formula(self, weight, inverse, q):
+        grid, vals = self.GRID, self.field()
+        xs, ys = grid.centers()
+        mass = np.abs(vals * inverse(xs[:, None], ys[None, :])) ** q * grid.cell_measure
+        fx, fy = 0.05 * (grid.x1 - grid.x0), 0.05 * (grid.y1 - grid.y0)
+        in_x = (xs >= grid.x0 + fx) & (xs <= grid.x1 - fx)
+        in_y = (ys >= grid.y0 + fy) & (ys <= grid.y1 - fy)
+        total = math.fsum(mass.ravel())
+        inner = math.fsum(mass[np.ix_(in_x, in_y)].ravel())
+        norm, tail = weighted_lq_2d(vals, grid, weight, q)
+        assert norm == pytest.approx(total ** (1 / q), rel=1e-13)
+        assert tail == pytest.approx(1 - inner / total, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_one_non_finite_cell_raises(self, bad):
+        vals = self.field()
+        vals[150, 3] = bad
+        with pytest.raises(NumericalError, match="non-finite density values"):
+            weighted_lq_2d(vals, self.GRID, WeightSpec.radial(0.5), 2)
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            weighted_lq_2d(self.field().T, self.GRID, WeightSpec.radial(0.5), 2)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from restriction_lab.analysis import j0_extrema
+from restriction_lab.analysis import _gl, j0_extrema
+from restriction_lab.experiments import _knapp_quadrant
 from restriction_lab.exponents import DomainError
 from restriction_lab.operator import (
     Density,
@@ -13,6 +14,7 @@ from restriction_lab.operator import (
     effective_node_count,
     extend,
     extend_on_grid,
+    grid_factors,
 )
 
 
@@ -114,6 +116,42 @@ class TestGridEvaluation:
     def test_first_extremum_is_negative(self):
         z1 = j0_extrema(1).z[0]
         assert constant_reference(Point2(z1, 0.0)) < 0
+
+
+class TestFoldedCapFactors:
+    # the cap's rule is symmetric under phi <-> -phi, so extend_on_grid sums each
+    # pair as one real cosine column; pointwise extend sums all K nodes apart
+
+    @pytest.mark.parametrize("k, n_nodes", [(2, 20), (3, 23)])
+    def test_folded_grid_matches_pointwise_extend(self, k, n_nodes):
+        delta = 2.0**-k
+        grid, nodes = _knapp_quadrant(delta)
+        cap, arc = Density.cap(delta), 2 * math.asin(delta)
+        assert effective_node_count(nodes, arc) == n_nodes
+        xs, ys = grid.centers()
+        c, e = grid_factors(cap, xs, ys, nodes)
+        assert np.isrealobj(c) and c.shape == (grid.nx, (n_nodes + 1) // 2)
+        assert not c.flags.writeable  # cached for the next call on the same xs
+        field = extend_on_grid(cap, xs, ys, nodes)
+        rng = np.random.default_rng(k)
+        rows = [0, grid.nx - 1, *rng.integers(grid.nx, size=60)]
+        cols = [0, grid.ny - 1, *rng.integers(grid.ny, size=60)]
+        for i, j in zip(rows, cols):
+            direct = extend(cap, Point2(xs[i], ys[j]), nodes)
+            assert abs(field[i, j] - direct) <= 1e-13 * arc, (i, j)
+
+    def test_gauss_legendre_rules_are_symmetric_bit_for_bit(self):
+        for k in range(1, 8):
+            delta = 2.0**-k
+            n = effective_node_count(_knapp_quadrant(delta)[1], 2 * math.asin(delta))
+            t, w = _gl(n)
+            assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1]), n
+
+    def test_other_densities_keep_the_complex_product(self):
+        xs, ys = np.linspace(-3, 7, 11), np.linspace(-2, 2, 9)
+        for density in (Density.constant(), Density.power_singular(0.3, 0.5)):
+            c, e = grid_factors(density, xs, ys, 300)
+            assert np.iscomplexobj(c) and c.shape[1] == e.shape[0]
 
 
 class TestCircleNorm:
