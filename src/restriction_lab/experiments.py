@@ -407,6 +407,15 @@ def _inner_s_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(a.reshape(-1) for a in (*s_part, *v_part))
 
 
+def _eps_window(eps_exps: list[int]) -> list[Fraction]:
+    """eps = 2^{-k} over the sorted exponents, which must be distinct and non-negative."""
+    if len(set(eps_exps)) != len(eps_exps):
+        raise DomainError("duplicate eps exponents")
+    if min(eps_exps, default=0) < 0:
+        raise DomainError("eps exponents must be non-negative")
+    return [Fraction(1, 2**k) for k in sorted(eps_exps)]
+
+
 _TRUNC_LN = math.log(1e3)  # ln of the inverse truncated share of both eps-scans
 _L2_TAU_CAP = 300.0
 
@@ -435,6 +444,15 @@ def l2_endpoint_scan(
     300 does not bind, and e^{-600/128} ~ 0.92% at eps = 2^-7, where it does.
     K is read from a CosineKernelTable per distinct kappa, built for this
     call only.  The ratio against the exact circle norm is fitted versus eps.
+
+    Nothing in K(2 alpha, .) K(2 beta, .) depends on eps, so phi and both
+    kernels are evaluated once, over the distinct tau nodes of the union of
+    all eps rules, and each eps gathers its rows.  That is exact: the panel
+    edges of ``_tau_panels`` are the same float sums whatever tau_max is, so
+    a smaller eps's rule is bit for bit a prefix of a larger one's except for
+    its clipped last panel, and a table value does not depend on its batch.
+    The eps window (distinct, non-negative exponents, mu in (0,1)) is checked
+    before any kernel work.
     """
     a = to_fraction(alpha)
     b = to_fraction(beta)
@@ -452,6 +470,10 @@ def l2_endpoint_scan(
     if not 0 < delta < 1:
         raise DomainError("need 0 < delta < 1")
 
+    epss = _eps_window(eps_exps)
+    if not all(0 < 1 / rf - eps < 1 for eps in epss):
+        raise DomainError("need mu = 1/r - eps in (0,1) for every eps")
+
     s_nodes, s_weights, v_nodes, v_weights = _inner_s_mesh()
     diff_half = np.concatenate([1.0 - s_nodes, v_nodes])  # 1 - s, exact near s = 1
     sum_half = np.concatenate([1.0 + s_nodes, 2.0 - v_nodes])  # 1 + s
@@ -461,22 +483,20 @@ def l2_endpoint_scan(
     kernel1 = CosineKernelTable(kap1)
     kernel2 = kernel1 if kap2 == kap1 else CosineKernelTable(kap2)
 
-    samples = []
-    for k in sorted(eps_exps):
-        eps = Fraction(1, 2**k)
-        mu = float(1 / rf - eps)
-        tau_max = min(_TRUNC_LN / (2 * float(eps)), _L2_TAU_CAP)
-        tau, w_tau = _tau_panels(tau_max)
-        phi = delta * np.exp(-tau)
+    rules = [_tau_panels(min(_TRUNC_LN / (2 * float(eps)), _L2_TAU_CAP)) for eps in epss]
+    tau, rows = np.unique(np.concatenate([nodes for nodes, _ in rules]), return_inverse=True)
+    phi = delta * np.exp(-tau)
+    half_diff = 0.5 * phi[:, None] * diff_half[None, :]
+    half_sum = 0.5 * phi[:, None] * sum_half[None, :]
+    k1 = kernel1(2.0 * np.sin(half_diff) * np.cos(half_sum))
+    k2 = kernel2(2.0 * np.sin(half_sum) * np.sin(half_diff))
 
-        half_diff = 0.5 * phi[:, None] * diff_half[None, :]
-        half_sum = 0.5 * phi[:, None] * sum_half[None, :]
-        lam1 = 2.0 * np.sin(half_diff) * np.cos(half_sum)
-        lam2 = 2.0 * np.sin(half_sum) * np.sin(half_diff)
-        k1 = kernel1(lam1)
-        k2 = kernel2(lam2)
-        inner = (sing ** (-mu) * all_weights)[None, :] * k1 * k2
-        profile = phi ** (2.0 - 2.0 * mu) * np.sum(inner, axis=1)
+    samples = []
+    bounds = np.cumsum([len(w_tau) for _, w_tau in rules])[:-1]
+    for eps, (_, w_tau), at in zip(epss, rules, np.split(rows, bounds)):
+        mu = float(1 / rf - eps)
+        inner = (sing ** (-mu) * all_weights)[None, :] * k1[at] * k2[at]
+        profile = phi[at] ** (2.0 - 2.0 * mu) * np.sum(inner, axis=1)
         lhs = 8.0 * float(np.sum(w_tau * profile))
 
         rhs = circle_norm(Density.power_singular(delta, mu), r) ** 2
@@ -621,8 +641,7 @@ def dual_scan(
             raise DomainError("need 2/q - 1/r' to be the max branch (r' >= q)")
 
     samples = []
-    for k in sorted(eps_exps):
-        eps = Fraction(1, 2**k)
+    for eps in _eps_window(eps_exps):
         epsf = float(eps)
         if kind == "separable":
             kappa = float(b + (1 + eps) * inv_qc)

@@ -90,6 +90,15 @@ class TestArgumentHandling:
         assert code == 0
         assert "--format" in out or "--lam" in out
 
+    @pytest.mark.parametrize("argv", [
+        "l2-endpoint --alpha 5/18 --beta 5/18 --r 3 --eps-exps=-2..3",
+        "dual --kind radial --gamma 14/15 --r 3 --q 5/4 --eps-exps=-1..2",
+    ])
+    def test_negative_eps_exponent_is_one_error_line(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err == "error: eps exponents must be non-negative\n"
+
     def test_budget_error_is_argument_error(self, capsys):
         code, _, err = invoke(
             capsys, "knapp", "--kind", "separable", "--alpha", "0", "--beta", "0",

@@ -492,6 +492,61 @@ class TestL2Endpoint:
             got = (sample.param, sample.lhs, sample.rhs, sample.ratio)
             assert got == pytest.approx(values, rel=1e-9)
 
+    # criterion 10's (param, lhs, rhs), recorded before the scan shared its kernel
+    # evaluations between eps values
+    CRITERION_10 = [
+        (0.125, 468.34965943261665, 1.3597659351036704),
+        (0.0625, 1169.7176343064189, 2.566896274807914),
+        (0.03125, 2634.083735288847, 4.443485148313442),
+        (0.015625, 5604.7888950030765, 7.3658822405999045),
+        (0.0078125, 11475.444452649801, 11.948644019590118),
+    ]
+
+    def test_criterion_10_samples_are_bit_identical(self):
+        res = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
+        assert [(s.param, s.lhs, s.rhs) for s in res.samples] == self.CRITERION_10
+
+    def test_sharing_changes_no_sample(self):
+        full = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7]).samples
+        for window, part in (([3, 4, 5], full[:3]), ([5, 6, 7], full[2:])):
+            assert l2_endpoint_scan("5/18", "5/18", 3, 0.25, window).samples == part
+
+    def test_tau_rules_nest(self):
+        # what the sharing rests on: the panel edges are the same float sums
+        # for every tau_max, so only a rule's clipped last panel is its own
+        tau_maxes = [min(experiments._TRUNC_LN / 2.0 ** (1 - k), experiments._L2_TAU_CAP)
+                     for k in range(3, 8)]
+        assert tau_maxes[0] == pytest.approx(27.63, abs=0.01) and tau_maxes[-1] == 300.0
+        rules = [experiments._tau_panels(t) for t in tau_maxes]
+        for i, (small_nodes, small_weights) in enumerate(rules):
+            for large_nodes, large_weights in rules[i + 1:]:
+                n = len(small_nodes) - 10
+                assert small_nodes[:n].tobytes() == large_nodes[:n].tobytes()
+                assert small_weights[:n].tobytes() == large_weights[:n].tobytes()
+
+    def test_kernels_see_each_distinct_node_once(self, monkeypatch):
+        # five rules of 2,010 tau nodes in all, 700 distinct, times 288 inner
+        # nodes, once per kernel factor; evaluated per eps it was 1,157,760
+        seen = []
+        table_call = experiments.CosineKernelTable.__call__
+
+        def counting(self, lams):
+            seen.append(np.size(lams))
+            return table_call(self, lams)
+
+        monkeypatch.setattr(experiments.CosineKernelTable, "__call__", counting)
+        l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
+        assert seen == [700 * 288] * 2  # 403,200 in all
+
+    def test_criterion_10_peak_memory(self):
+        tracemalloc.start()
+        try:
+            l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6, peak
+
     def test_bounded_at_r_two_saturates(self):
         # alpha = beta = 1/3: the q = r = 2 case is bounded, so the ratio
         # saturates; per-octave slopes shrink towards zero and the last
@@ -597,3 +652,30 @@ class TestDualScans:
         b = dual_scan("separable", alpha="3/5", beta="1/8", r=4, q=2,
                       eps_exps=[3, 4, 5])
         assert a.samples == b.samples
+
+
+class TestEpsWindow:
+    SCANS = {
+        "l2": lambda window: l2_endpoint_scan("5/18", "5/18", 3, 0.25, window),
+        "dual-separable": lambda window: dual_scan(
+            "separable", alpha="3/5", beta="1/8", r=4, q=2, eps_exps=window),
+        "dual-radial": lambda window: dual_scan(
+            "radial", gamma="14/15", r=3, q="5/4", eps_exps=window),
+    }
+
+    @pytest.mark.parametrize("scan, window, message", [
+        ("l2", [3, 4, 4, 5], "duplicate eps exponents"),
+        ("l2", [-2, -1, 0, 1, 2, 3], "eps exponents must be non-negative"),
+        ("l2", [1, 2, 3], r"need mu = 1/r - eps in \(0,1\)"),  # eps = 1/2 > 1/r = 1/3
+        ("dual-separable", [3, 3, 4], "duplicate eps exponents"),
+        ("dual-radial", [-1, 0, 1, 2], "eps exponents must be non-negative"),
+    ])
+    def test_bad_window_fails_before_any_kernel_work(self, monkeypatch, scan, window, message):
+        def kernel_work(*args, **kwargs):
+            raise AssertionError("kernel work before the eps window was checked")
+
+        for name in ("CosineKernelTable", "cosine_weight_kernel_many",
+                     "hankel_decay_transform_many"):
+            monkeypatch.setattr(experiments, name, kernel_work)
+        with pytest.raises(DomainError, match=message):
+            self.SCANS[scan](window)
