@@ -337,9 +337,12 @@ def constant_density_sums(
     verdict is the exact test s >= -1.  With ``cross_check_rings`` = J > 0
     the result also carries the weighted q-th-power mass of 2 pi J0(|.|)
     over the extrema annuli |rho - z_j| <= 0.5 for j <= J (polar quadrature,
-    16 radial times 64 angular nodes per ring, all J rings as one (J, 16, 64)
+    16 radial times 64 angular nodes per ring, folded onto the 16 of the first
+    quadrant since both weight families see only |x| and |y|: one (J, 16, 16)
     array of points), whose growth reproduces the same index exponent.
     """
+    if cross_check_rings < 0:
+        raise DomainError("cross_check_rings must be non-negative")
     if list(n_list) != sorted(set(n_list)) or not n_list or n_list[0] < 1:
         raise DomainError("n_list must be strictly increasing positive integers")
     qf = float(to_fraction(q))
@@ -355,13 +358,13 @@ def constant_density_sums(
 
     ring_sums = None
     if cross_check_rings > 0:
-        theta = (np.arange(64) + 0.5) * (2 * math.pi / 64)
-        sin, cos = np.abs(np.sin(theta)), np.abs(np.cos(theta))
+        theta = (np.arange(16) + 0.5) * (2 * math.pi / 64)
+        sin, cos = np.sin(theta), np.cos(theta)
         t16, w16 = _gl(16)
         # annulus half-width 0.5 (delta_env) around each extremum z_j
         rho = j0_extrema(cross_check_rings).z[:, None] + 0.5 * t16
         wfac = weight_q.inverse_factor(rho[:, :, None] * sin, rho[:, :, None] * cos)
-        angular = np.sum(wfac, axis=2) * (2 * math.pi / 64)
+        angular = np.sum(wfac, axis=2) * (2 * math.pi / 16)
         vals = np.abs(constant_reference_radii(rho)) ** qf
         ring_cum = np.cumsum(np.sum(0.5 * w16 * rho * vals * angular, axis=1))
         marks = [n for n in n_list if n <= cross_check_rings]

@@ -150,6 +150,40 @@ class TestExtrema:
         assert np.array_equal(extrema, j0_extrema(1000).z)
         assert np.array_equal(zeros, j0_zeros(41))
 
+    @staticmethod
+    def scan_and_bisect_64(f, n):
+        # the roots by definition: sign changes on the pi/8 scan grid, each
+        # bracket halved 64 times
+        grid = np.arange(0.5, (n + 2) * math.pi, math.pi / 8)
+        vals = f(grid)
+        flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][:n]
+        lo, hi = grid[flips], grid[flips + 1]
+        flo = f(lo)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            take_left = (flo <= 0) != (fmid <= 0)
+            hi = np.where(take_left, mid, hi)
+            lo, flo = np.where(take_left, lo, mid), np.where(take_left, flo, fmid)
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 5000])
+    def test_roots_are_the_bits_of_plain_bisection(self, n):
+        assert np.array_equal(j0_extrema(n).z, self.scan_and_bisect_64(analysis._j1, n))
+        assert np.array_equal(j0_zeros(n), self.scan_and_bisect_64(analysis._j0, n))
+
+    @pytest.mark.parametrize("wrong", [
+        lambda d: lambda x, fx: np.ones_like(x),
+        lambda d: lambda x, fx: -d(x, fx),
+    ], ids=["constant", "negated"])
+    def test_a_wrong_derivative_leaves_the_roots_alone(self, monkeypatch, wrong):
+        # Newton only proposes points; the sign-change bracket decides the bits
+        extrema, zeros = j0_extrema(1000).z, j0_zeros(41)
+        monkeypatch.setattr(analysis, "_dj1", wrong(analysis._dj1))
+        monkeypatch.setattr(analysis, "_dj0", wrong(analysis._dj0))
+        assert np.array_equal(extrema, j0_extrema(1000).z)
+        assert np.array_equal(zeros, j0_zeros(41))
+
     def test_zeros_interlace(self):
         zeros = j0_zeros(10)
         table = j0_extrema(9)

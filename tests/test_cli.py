@@ -99,6 +99,14 @@ class TestArgumentHandling:
         assert code == 1 and out == ""
         assert err == "error: eps exponents must be non-negative\n"
 
+    def test_negative_ring_count_is_one_error_line(self, capsys):
+        code, out, err = invoke(
+            capsys, "constant", "--kind", "separable", "--alpha", "0", "--beta", "0",
+            "--q", "4", "--rings", "-5", "--n-list", "10,100",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: cross_check_rings must be non-negative\n"
+
     def test_budget_error_is_argument_error(self, capsys):
         code, _, err = invoke(
             capsys, "knapp", "--kind", "separable", "--alpha", "0", "--beta", "0",

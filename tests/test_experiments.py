@@ -458,9 +458,49 @@ class TestConstantSums:
         expected = [cum[0], cum[7], cum[63]]
         assert [v for _, v in res.ring_sums] == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("kind, kw", [
+        ("separable", dict(alpha="1/3", beta="1/5", q=4)), ("radial", dict(gamma="3/4", q=2)),
+    ])
+    def test_folded_ring_sums_match_all_64_angular_nodes(self, kind, kw):
+        # the pinned configurations, against the 64-node per-ring loop above
+        q, exps = float(Fraction(kw["q"])), [float(Fraction(kw[k])) for k in kw if k != "q"]
+        theta = (np.arange(64) + 0.5) * (2 * math.pi / 64)
+        sin, cos = np.abs(np.sin(theta)), np.abs(np.cos(theta))
+        t16, w16 = np.polynomial.legendre.leggauss(16)
+        masses = []
+        for zj in j0_extrema(1000).z:
+            rho = zj + 0.5 * t16
+            x, y = rho[:, None] * sin, rho[:, None] * cos
+            if kind == "radial":
+                wfac = (1 + x + y) ** (-q * exps[0])
+            else:
+                wfac = (1 + x) ** (-q * exps[0]) * (1 + y) ** (-q * exps[1])
+            angular = np.sum(wfac, axis=1) * (2 * math.pi / 64)
+            vals = np.abs(constant_reference_radii(rho)) ** q
+            masses.append(np.sum(0.5 * w16 * rho * vals * angular))
+        res = constant_density_sums(kind, n_list=[10, 100, 1000], cross_check_rings=1000, **kw)
+        cum = np.cumsum(masses)
+        expected = [cum[9], cum[99], cum[999]]
+        assert [v for _, v in res.ring_sums] == pytest.approx(expected, rel=1e-13)
+
+    def test_ring_cross_check_peak_memory(self):
+        tracemalloc.start()
+        try:
+            constant_density_sums(
+                "separable", alpha="4/3", beta="4/5", q=1, n_list=[10], cross_check_rings=1000
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6, peak
+
     def test_validation(self):
         with pytest.raises(DomainError):
             constant_density_sums("separable", alpha=0, beta=0, q=4, n_list=[5, 5])
+        with pytest.raises(DomainError, match="cross_check_rings must be non-negative"):
+            constant_density_sums(
+                "separable", alpha=0, beta=0, q=4, n_list=[10, 100], cross_check_rings=-5
+            )
 
 
 class TestL2Endpoint:

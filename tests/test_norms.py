@@ -80,6 +80,17 @@ class TestWeightedLq2d:
         rad = WeightSpec.radial(0.5).inverse_factor(xs[:, None], ys[None, :])
         assert np.allclose(rad, (1 + xs[:, None] + ys[None, :]) ** -0.5)
 
+    @pytest.mark.parametrize("weight", [
+        WeightSpec.separable(4 / 3, 4 / 5), WeightSpec.radial(1.5),
+    ])
+    def test_weight_factors_are_even_in_each_axis(self, weight):
+        # the constant-density ring mass folds its angular nodes onto one
+        # quadrant, which is exact only if w(+-x, +-y) has the same bits
+        x, y = np.random.default_rng(5).normal(scale=40.0, size=(2, 10_000))
+        ref = weight.inverse_factor(x, y)
+        for sx, sy in ((-1, 1), (1, -1), (-1, -1)):
+            assert np.array_equal(weight.inverse_factor(sx * x, sy * y), ref)
+
     def test_nan_raises(self):
         grid = Grid2(0, 1, 0, 1, 8, 8)
         bad = np.full((grid.nx, grid.ny), np.nan)
