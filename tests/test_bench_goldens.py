@@ -1,16 +1,20 @@
-"""The benchmark's ``cli-suite`` goldens as a test: each of
-``bench/workloads.py`` CLI_COMMANDS must reproduce ``bench/reference.json``,
-byte for byte where the command is marked exact and within the benchmark's
-own numeric tolerance otherwise, so a change that would fail the benchmark's
-output check fails here first."""
+"""The benchmark's goldens as tests, so a change that would fail the
+benchmark's output check fails here first: each of ``bench/workloads.py``
+CLI_COMMANDS must reproduce ``bench/reference.json``, byte for byte where the
+command is marked exact and within the benchmark's own numeric tolerance
+otherwise; and the ``exact-mix`` queries must pass the benchmark's oracle
+check and reproduce a committed digest of their outcomes."""
 
+import hashlib
 import importlib.util
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from restriction_lab import experiments, exponents, feasibility
 from restriction_lab.cli import run
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -44,3 +48,57 @@ def test_cli_command_matches_reference(capsys, label, argv, exact):
     else:
         ok, dev = WORKLOADS._compare_numeric(out, REFERENCE[label])
         assert ok, f"{label}: largest relative deviation {dev}"
+
+
+def _snapped_predictions() -> list[tuple[str, dict]]:
+    """predicted_exponent inputs with the weights on the slope's kinks 1/q and 2/q,
+    beside them and at 0, for both families, over a grid of q and r (r = inf too)."""
+    calls = []
+    for q in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(12, 5),
+              Fraction(3), Fraction(4), Fraction(6)):
+        weights = sorted({Fraction(0), 1 / (2 * q), 1 / q, 3 / (2 * q), 2 / q, Fraction(1)})
+        for r in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4), "inf"):
+            calls += [("separable", {"alpha": a, "beta": b, "r": r, "q": q})
+                      for a in weights for b in weights]
+            calls += [("radial", {"gamma": g, "r": r, "q": q}) for g in weights]
+    return calls
+
+
+def _outcome(kind: str, out) -> str:
+    """One canonical line: verdict and tag, certificate record or Infeasible,
+    slope and log flag, or the error's type and text."""
+    if isinstance(out, Exception):
+        return f"error {type(out).__name__}: {out}"
+    if kind in ("sep", "rad"):
+        return str(out)
+    if kind == "pred":
+        return f"{out.slope} {out.log_flag}"
+    cert, verified = out
+    return "Infeasible" if verified is None else f"{cert.record()} ok={verified.ok}"
+
+
+# sha256 of the canonical outcome lines of the exact layers on the exact-mix
+# queries (seed 41) and the snapped predictions; a deliberate change to a
+# verdict, certificate or prediction updates it and says so
+EXACT_DIGEST = "b374a2923e50d845a00949b39fc3df322e460b0fbb0f90f5748cfa8d4f3a8381"
+
+
+def test_exact_layers_reproduce_their_digest():
+    """The exact-mix queries pass the benchmark's independent oracle check, and
+    every outcome, with the snapped predictions, hashes to EXACT_DIGEST."""
+    mods = {"exponents": exponents, "feasibility": feasibility, "experiments": experiments}
+    mix = WORKLOADS.ExactMix()
+    inputs = mix.prepare(41)
+    results = mix.run_pass(mods, inputs)
+    check = mix.check(inputs, results)
+    assert check.failed == 0, check.failures
+    lines = [f"{q.kind} {q.exact} -> {_outcome(q.kind, out)}"
+             for (q, _, _), (_, out) in zip(inputs, results)]
+    for kind, kw in _snapped_predictions():
+        try:
+            out = experiments.predicted_exponent(kind, **kw)
+        except Exception as exc:
+            out = exc
+        lines.append(f"pred {kind} {kw} -> {_outcome('pred', out)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == EXACT_DIGEST
