@@ -9,13 +9,13 @@ drive the dual and L2-endpoint experiments; their small-lambda law
 K ~ C(kappa) * lambda^{kappa-1} is an acceptance target, so K is computed
 directly and never through C(kappa).
 
-K and the decaying Hankel transform H(delta, s) share one driver,
+K, the decaying Hankel transform H(delta, s) and C(kappa) share one driver,
 ``_transform_many``: Gauss-Legendre panels on a geometric head from the
 oscillator's first zero z1 down to the sample's scale x, depth
 clip(ceil(ln z1 - ln x) + 1, 1, 8 + ceil(26/decay)) with decay 1 - kappa
-for K and 2 - delta for H; then shared zero-to-zero tail panels, summed by
-iterated averaging, applied as one fixed weight table on the partial sums.
-Every Gauss-Legendre rule in the package comes from the cached ``_gl``.
+for K and 2 - delta for H (16 for C); then shared zero-to-zero tail panels,
+summed by iterated averaging, applied as one fixed weight table on the
+partial sums.  Every Gauss-Legendre rule in the package comes from ``_gl``.
 
 CosineKernelTable serves one kappa from piecewise Chebyshev interpolation
 of lambda^{1-kappa} K in ln(lambda), built lazily from the direct kernel and
@@ -297,12 +297,6 @@ class ExtremaTable:
         if self.envelope_margin() < 0.4:
             raise NumericalError("extrema envelope fell below 0.4")
 
-    def to_csv(self) -> str:
-        lines = ["j,z_j,J0(z_j)"]
-        for j, (zj, vj) in enumerate(zip(self.z, self.values), start=1):
-            lines.append(f"{j},{zj:.17g},{vj:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def j0_extrema(n: int) -> ExtremaTable:
     """First n positive local extrema of J0 (the positive roots of J0').
@@ -495,28 +489,22 @@ def cosine_weight_kernel(kappa: float, lam: float) -> float:
 def fresnel_constant(kappa: float) -> float:
     """C(kappa) = int_0^inf rho^{-kappa} cos(rho) d(rho) > 0 for 0 < kappa < 1.
 
-    Head [0, pi/2] by the exact alternating series
-    sum_m (-1)^m a^{2m+1-kappa} / ((2m)! (2m+1-kappa)), a = pi/2; tail by the
-    same half-period panels and averaging acceleration as the cosine kernel.
-    Relative error <= 1e-8.
+    The cosine transform of rho^{-kappa} by ``_transform_many``, 16 e-foldings
+    deep.  On the floor panel [0, e], where Gauss-Legendre misses the singular
+    envelope and cos = 1 + O(e^2), the envelope is its mean e^{-kappa}/(1-kappa).
+    Relative error <= 1e-11 for kappa >= 1e-3, <= 1e-8 below.
     """
     if not 0 < kappa < 1:
         raise ValueError("kappa must lie in (0,1)")
-    a = math.pi / 2
-    head = 0.0
-    fact = 1.0  # (2m)!
-    for m in range(24):
-        if m > 0:
-            fact *= (2 * m - 1) * (2 * m)
-        power = 2 * m + 1 - kappa
-        term = a**power / (fact * power)
-        head += term if m % 2 == 0 else -term
-    tail_rho, tail_w, tail_cos = _tail_panels("cos")
-    tail_terms = np.einsum("jk,jk->j", tail_rho ** (-kappa) * tail_cos, tail_w)[None, :]
-    tail = float(
-        _accelerate_rows(tail_terms, 1e-9, lambda i: f"fresnel_constant(kappa={kappa!r})")[0]
-    )
-    return head + tail
+    floor = _zeros("cos")[0] * math.exp(-16)  # the floor panel is [0, floor]
+    return float(_transform_many(
+        "cos",
+        np.array([math.log(floor) + 1.5]),  # the scale x: depth ceil(ln z1 - ln x) + 1 = 16
+        1.0 - kappa,
+        lambda rho, idx: np.where(rho < floor, floor**-kappa / (1 - kappa), rho**-kappa)[None],
+        1e-9,
+        lambda i: f"fresnel_constant(kappa={kappa!r})",
+    )[0])
 
 
 def _scaled_env(u: np.ndarray, ln_s: np.ndarray, delta_exp: float) -> np.ndarray:

@@ -68,13 +68,6 @@ def _int_range(text: str) -> list[int]:
         ) from exc
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers") from exc
-
-
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
@@ -334,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "grid-n": {"type": int},
         "delta-exps": {"type": _int_range, "default": list(range(2, 6)),
                        "help": "k values for delta = 2^-k, e.g. 2..5"},
-        "n-list": {"type": _int_list, "default": [10**4, 10**5]},
+        "n-list": {"type": _int_range, "default": [10**4, 10**5]},
         "rings": {"type": int, "default": 0,
                   "help": "cross-check against the extrema-annulus masses (0 = off)"},
         "delta": {"type": float, "default": 0.25},

@@ -35,7 +35,8 @@ from .analysis import (
 )
 from .errors import ConfigurationError
 from .exponents import (
-    DomainError, ExtScalar, ScalarLike, inv_conjugate, to_fraction, weight_exponents,
+    DomainError, ExtScalar, ScalarLike, inv_conjugate, inv_conjugate_ratio, scaled, to_fraction,
+    weight_exponents,
 )
 from .norms import Grid2, Sampled1, WeightSpec, compensated_sum, weak_lq_1d, weighted_lq_2d
 from .operator import Density, circle_norm, constant_reference_radii, extend_on_grid, grid_factors
@@ -59,6 +60,7 @@ __all__ = [
 KNAPP_CELL_BUDGET = 30_000_000
 KNAPP_RESOLUTION = 0.25
 KNAPP_BLOCK_CELLS = 1 << 16  # cells per streamed column block: a 1 MB complex field, cache-sized
+RING_BLOCK = 1024  # rings per block of the constant-density cross-check: about 15 MB
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,12 +118,12 @@ def predicted_exponent(
 ) -> PredictedExponent:
     """Exact Knapp-ratio slope (separable/radial) or partial-sum exponent.
 
-    separable: slope = 1/r' + (a+b)/q where the max weight contributes
-    a = 0 / log / -1 + alpha q and the min weight b = 0 / log / -2 + 2 beta q
-    according to its position against 1/q.  radial: slope = 1/r' + E/q with
-    E = 0 / log / -2 + gamma q / -1 with log / -3 + 2 gamma q on the ladder
-    gamma >, =, in-between, =, < of 2/q and 1/q.  constant: the index
-    exponent 1 - q(1/2 + weight_sum) of the constant-density partial sums.
+    Clipped linear, on integers over one denominator (``exponents.scaled``):
+    separable slope = 1/r' + min(M - 1/q, 0) + 2 min(m - 1/q, 0) for M, m the max
+    and min weight, a log factor for each of M = 1/q, m = 1/q; radial slope =
+    1/r' + min(gamma - 2/q, 0) + min(gamma - 1/q, 0), a log at gamma = 2/q or 1/q.
+    constant: the index exponent 1 - q(1/2 + weight_sum) of the constant-density
+    partial sums.
     """
     qf = to_fraction(q)
     if qf <= 0:
@@ -130,27 +132,19 @@ def predicted_exponent(
         return PredictedExponent(Fraction(1) - qf * (Fraction(1, 2) + to_fraction(weight_sum)))
 
     exps = weight_exponents(kind, alpha, beta, gamma)
-    inv_q = 1 / qf
-    inv_rc = inv_conjugate(ExtScalar.coerce(r))
+    # 1, 1/q, 1/r' and the weights as integers over one denominator
+    one, inv_q, inv_rc, *ws = scaled(
+        1, qf.as_integer_ratio()[::-1], inv_conjugate_ratio(ExtScalar.coerce(r)),
+        *(w.as_integer_ratio() for w in exps.values()))
     if kind == "separable":
-        big, small = max(exps.values()), min(exps.values())
-        pa = Fraction(0) if big >= inv_q else -1 + big * qf
-        pb = Fraction(0) if small >= inv_q else -2 + 2 * small * qf
+        big, small = max(ws), min(ws)
+        slope = inv_rc + min(big - inv_q, 0) + 2 * min(small - inv_q, 0)
         logs = (big == inv_q) + (small == inv_q)
-        slope = inv_rc + (pa + pb) * inv_q
     else:
-        (g,) = exps.values()
-        if g >= 2 * inv_q:
-            e = Fraction(0)
-        elif g > inv_q:
-            e = -2 + g * qf
-        elif g == inv_q:
-            e = Fraction(-1)
-        else:
-            e = -3 + 2 * g * qf
+        (g,) = ws
+        slope = inv_rc + min(g - 2 * inv_q, 0) + min(g - inv_q, 0)
         logs = int(g == 2 * inv_q or g == inv_q)
-        slope = inv_rc + e * inv_q
-    return PredictedExponent(slope, ("none", "single", "double")[logs])
+    return PredictedExponent(Fraction(slope, one), ("none", "single", "double")[logs])
 
 
 def fit_loglog_slope(points: list[tuple[float, float]]) -> SlopeFit:
@@ -283,7 +277,7 @@ def knapp_scan(
 
     deltas = [2.0**-k for k in sorted(delta_exps)]
     if len(deltas) != len(set(delta_exps)):
-        raise ConfigurationError("duplicate delta exponents")
+        raise DomainError("duplicate delta exponents")
     quadrants = [_knapp_quadrant(d) for d in deltas]
     for d, (quadrant, _) in zip(deltas, quadrants):
         if quadrant.n_cells > KNAPP_CELL_BUDGET:
@@ -338,8 +332,9 @@ def constant_density_sums(
     the result also carries the weighted q-th-power mass of 2 pi J0(|.|)
     over the extrema annuli |rho - z_j| <= 0.5 for j <= J (polar quadrature,
     16 radial times 64 angular nodes per ring, folded onto the 16 of the first
-    quadrant since both weight families see only |x| and |y|: one (J, 16, 16)
-    array of points), whose growth reproduces the same index exponent.
+    quadrant since both weight families see only |x| and |y|: (J, 16, 16) points,
+    RING_BLOCK rings at a time, each ring reduced within itself, so blocks change
+    no sum), whose growth reproduces the same index exponent.
     """
     if cross_check_rings < 0:
         raise DomainError("cross_check_rings must be non-negative")
@@ -361,12 +356,15 @@ def constant_density_sums(
         theta = (np.arange(16) + 0.5) * (2 * math.pi / 64)
         sin, cos = np.sin(theta), np.cos(theta)
         t16, w16 = _gl(16)
-        # annulus half-width 0.5 (delta_env) around each extremum z_j
-        rho = j0_extrema(cross_check_rings).z[:, None] + 0.5 * t16
-        wfac = weight_q.inverse_factor(rho[:, :, None] * sin, rho[:, :, None] * cos)
-        angular = np.sum(wfac, axis=2) * (2 * math.pi / 16)
-        vals = np.abs(constant_reference_radii(rho)) ** qf
-        ring_cum = np.cumsum(np.sum(0.5 * w16 * rho * vals * angular, axis=1))
+        z, masses = j0_extrema(cross_check_rings).z, []
+        for start in range(0, z.size, RING_BLOCK):
+            # annulus half-width 0.5 (delta_env) around each extremum z_j
+            rho = z[start : start + RING_BLOCK, None] + 0.5 * t16
+            wfac = weight_q.inverse_factor(rho[:, :, None] * sin, rho[:, :, None] * cos)
+            angular = np.sum(wfac, axis=2) * (2 * math.pi / 16)
+            vals = np.abs(constant_reference_radii(rho)) ** qf
+            masses.append(np.sum(0.5 * w16 * rho * vals * angular, axis=1))
+        ring_cum = np.cumsum(np.concatenate(masses))
         marks = [n for n in n_list if n <= cross_check_rings]
         ring_sums = tuple((n, float(ring_cum[n - 1])) for n in marks)
 

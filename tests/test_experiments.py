@@ -181,6 +181,12 @@ class TestPredictedExponentOracle:
     @example(("separable", Fraction(3), None, [Fraction(1, 3), Fraction(1, 9)]))
     @example(("radial", Fraction(5), Fraction(3), [Fraction(2, 5)]))
     @example(("radial", Fraction(5), Fraction(1), [Fraction(1, 5)]))
+    # each kink of the clipped-linear slope alone: m = 1/q < M, M = 1/q > m,
+    # gamma = 1/q and gamma = 2/q
+    @example(("separable", Fraction(4), Fraction(2), [Fraction(1), Fraction(1, 4)]))
+    @example(("separable", Fraction(3, 2), Fraction(1), [Fraction(0), Fraction(2, 3)]))
+    @example(("radial", Fraction(7, 3), Fraction(4), [Fraction(3, 7)]))
+    @example(("radial", Fraction(3), None, [Fraction(2, 3)]))
     def test_matches_docstring_ladder(self, args):
         kind, q, r, weights = args
         p = predicted_exponent(kind, q=q, r=INF if r is None else r,
@@ -270,6 +276,10 @@ class TestKnappScan:
     def test_budget_guard_fires_before_work(self):
         with pytest.raises(ConfigurationError):
             knapp_scan("separable", alpha=0, beta=0, r=2, q=6, delta_exps=[2, 8])
+
+    def test_duplicate_delta_exponents_are_a_domain_error(self):
+        with pytest.raises(DomainError, match="^duplicate delta exponents$"):
+            knapp_scan("separable", alpha=0, beta=0, r=2, q=6, delta_exps=[2, 3, 3])
 
     def test_fz_endpoint_flat(self):
         res = knapp_scan("separable", alpha=0, beta=0, r=2, q=6, delta_exps=[2, 3, 4])
@@ -484,15 +494,24 @@ class TestConstantSums:
         assert [v for _, v in res.ring_sums] == pytest.approx(expected, rel=1e-13)
 
     def test_ring_cross_check_peak_memory(self):
-        tracemalloc.start()
-        try:
-            constant_density_sums(
-                "separable", alpha="4/3", beta="4/5", q=1, n_list=[10], cross_check_rings=1000
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20e6, peak
+        # 4000 rings take four blocks; all at once they would peak near 58 MB
+        for rings in (1000, 4000):
+            tracemalloc.start()
+            try:
+                constant_density_sums("separable", alpha="4/3", beta="4/5", q=1, n_list=[10],
+                                      cross_check_rings=rings)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 20e6, (rings, peak)
+
+    def test_ring_blocks_leave_the_sums_as_one_block(self, monkeypatch):
+        # 3000 rings make blocks of 1024, 1024 and 952; marks on both sides of a seam
+        args = dict(alpha="1/3", beta="1/5", q=4, n_list=[1, 1024, 1025, 2048, 2049, 3000],
+                    cross_check_rings=3000)
+        blocked = constant_density_sums("separable", **args).ring_sums
+        monkeypatch.setattr(experiments, "RING_BLOCK", 3000)
+        assert blocked == constant_density_sums("separable", **args).ring_sums
 
     def test_validation(self):
         with pytest.raises(DomainError):
