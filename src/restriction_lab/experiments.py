@@ -61,6 +61,8 @@ KNAPP_CELL_BUDGET = 30_000_000
 KNAPP_RESOLUTION = 0.25
 KNAPP_BLOCK_CELLS = 1 << 16  # cells per streamed column block: a 1 MB complex field, cache-sized
 RING_BLOCK = 1024  # rings per block of the constant-density cross-check: about 15 MB
+PITT_CELL_BUDGET = 30_000_000  # sum of n_xi n_x over a Pitt sweep; scales 2^-10..2^-6 take 20.5 M
+PITT_SPLIT = 64  # fine phases per coarse phase of the Pitt transform
 
 
 @dataclass(frozen=True, slots=True)
@@ -409,11 +411,13 @@ def _inner_s_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _eps_window(eps_exps: list[int]) -> list[Fraction]:
-    """eps = 2^{-k} over the sorted exponents, which must be distinct and non-negative."""
+    """eps = 2^{-k} over the sorted exponents: distinct, non-negative, and enough to fit."""
     if len(set(eps_exps)) != len(eps_exps):
         raise DomainError("duplicate eps exponents")
     if min(eps_exps, default=0) < 0:
         raise DomainError("eps exponents must be non-negative")
+    if len(eps_exps) < 3:
+        raise DomainError("need at least 3 points")
     return [Fraction(1, 2**k) for k in sorted(eps_exps)]
 
 
@@ -526,6 +530,27 @@ class PittResult:
     metadata: dict[str, str]
 
 
+def _pitt_axes(s: float) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """(start, stop, step) of the x grid and of the xi grid at scale s."""
+    xi_max = 1.0 + 10.0 / s
+    # spacing must keep the alias images at 2 pi / dx outside the
+    # sampled band [0, xi_max] plus the transform's spread of ~10/s
+    dx = min(s / 8, math.pi / (xi_max + 10.0 / s))
+    dxi = min(1 / 8, 1 / (8 * s))
+    return (-8 * s, 8 * s + dx / 2, dx), (dxi / 2, xi_max, dxi)
+
+
+def _split_phase_cosine(xis: np.ndarray, dxi: float, xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """sum_j cos(xi_i x_j) f(x_j) for each row f of fs, xis in steps of dxi: with
+    xi_{aM+m} = xi_{aM} + m dxi (M = PITT_SPLIT), two real matmuls of coarse and
+    fine cosines and sines, 2 (n_xi/M + M) n_x phases in place of n_xi n_x."""
+    coarse = np.outer(xis[::PITT_SPLIT], xs)
+    fine = np.outer(dxi * np.arange(PITT_SPLIT), xs).T
+    out = (np.cos(coarse) * fs[:, None]) @ np.cos(fine)
+    out -= (np.sin(coarse) * fs[:, None]) @ np.sin(fine)
+    return out.reshape(len(fs), -1)[:, : xis.size]
+
+
 def pitt_sweep(
     beta: ScalarLike, p: ScalarLike, q: ScalarLike, scales: list[float]
 ) -> PittResult:
@@ -535,7 +560,10 @@ def pitt_sweep(
     ratio(s) = weak-L^q of (1+|xi|)^{-beta} |f_s^(xi)| over ||f_s||_p, with
     the transform computed by trapezoid quadrature on an x-grid adapted to s
     and sampled on a xi-grid covering the spread 1/s (plus the modulation
-    shift).  Returns all ratios and their maximum.
+    shift).  Returns all ratios and their maximum.  The transform splits
+    phases (``_split_phase_cosine``), in memory O((n_xi/64 + 64) n_x + n_xi).
+    Every scale must be positive and finite and the sweep's sum of n_xi n_x at
+    most PITT_CELL_BUDGET, both checked before any transform.
     """
     bf = float(to_fraction(beta))
     pf = float(to_fraction(p))
@@ -547,22 +575,26 @@ def pitt_sweep(
     inv_pc = 1 - 1 / pf  # 1/p'
     if not 0 <= 1 / qf - inv_pc <= bf:
         raise DomainError("need 0 <= 1/q - 1/p' <= beta")
+    if not scales:
+        raise DomainError("need at least one scale")
+    if not all(0 < s < math.inf for s in scales):  # NaN fails too
+        raise DomainError("scales must be positive and finite")
+    # (scale, x or xi, start/stop/step)
+    ax = np.array([_pitt_axes(s) for s in scales]).reshape(-1, 2, 3)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # s ~ 1e-320 or 1e300
+        cells = np.sum(np.prod(np.ceil((ax[..., 1] - ax[..., 0]) / ax[..., 2]), axis=1))
+    if not cells <= PITT_CELL_BUDGET:
+        raise ConfigurationError(f"scales need {cells:.0f} transform cells (n_xi n_x), "
+                                 f"over budget {PITT_CELL_BUDGET}")
 
     entries = []
-    for s in scales:
-        if s <= 0:
-            raise DomainError("scales must be positive")
-        xi_max = 1.0 + 10.0 / s
-        # spacing must keep the alias images at 2 pi / dx outside the
-        # sampled band [0, xi_max] plus the transform's spread of ~10/s
-        dx = min(s / 8, math.pi / (xi_max + 10.0 / s))
-        xs = np.arange(-8 * s, 8 * s + dx / 2, dx)
-        dxi = min(1 / 8, 1 / (8 * s))
-        xis = np.arange(dxi / 2, xi_max, dxi)
+    for s, ((x0, x1, dx), (xi0, xi1, dxi)) in zip(scales, ax):
+        xs = np.arange(x0, x1, dx)
+        xis = np.arange(xi0, xi1, dxi)
         base = np.exp(-((xs / s) ** 2))
-        cos_table = np.cos(np.outer(xis, xs))
-        for variant, fx in (("plain", base), ("modulated", base * np.cos(xs))):
-            fhat = np.abs(cos_table @ fx) * dx  # even f: real cosine transform
+        fs = np.array([base, base * np.cos(xs)])
+        fhats = np.abs(_split_phase_cosine(xis, dxi, xs, fs)) * dx  # even f: real cosine transform
+        for variant, fx, fhat in zip(("plain", "modulated"), fs, fhats):
             weighted = (1 + xis) ** (-bf) * fhat
             weak = weak_lq_1d(Sampled1(weighted, np.full(xis.shape, 2 * dxi)), qf)
             denom = (dx * np.sum(np.abs(fx) ** pf)) ** (1 / pf)
@@ -614,7 +646,9 @@ def dual_scan(
     taken in tau = -ln t out to tau_max = min(ln(1e3)/rate, 340) (beyond 340,
     1 - cos t underflows).  The truncated share e^{-rate tau_max} is 1e-3 where
     the cap does not bind and ~2.9% for separable r = 4, q = 2 at eps = 2^-7,
-    where it does; the metadata records only tau_cap.
+    where it does; the metadata records only tau_cap.  All eps rules are built
+    (and checked) first; one kernel call takes all their nodes, each with its
+    eps's kappa (or delta), and each eps sums its slice.
     """
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
@@ -641,31 +675,33 @@ def dual_scan(
         if 2 / qf - inv_rc < Fraction(3, 2) / qf - inv_rc / 2:  # max branch: r' >= q
             raise DomainError("need 2/q - 1/r' to be the max branch (r' >= q)")
 
-    samples = []
+    rules = []  # (eps, tau weights, t nodes, kernel exponents): every check before any transform
     for eps in _eps_window(eps_exps):
         epsf = float(eps)
         if kind == "separable":
-            kappa = float(b + (1 + eps) * inv_qc)
+            exponent = float(b + (1 + eps) * inv_qc)  # kappa
             rate = 2 * rc * epsf * float(inv_qc)
         else:
-            delta_exp = float(g + 2 * inv_qc + eps)
-            if not 1 < delta_exp < 2:
+            exponent = float(g + 2 * inv_qc + eps)  # delta
+            if not 1 < exponent < 2:
                 raise DomainError("gamma + 2/q' + eps must lie in (1,2)")
             rate = rc * epsf
-        tau_max = min(_TRUNC_LN / rate, _DUAL_TAU_CAP)
-        tau, w_tau = _tau_panels(tau_max, fine_until=10.0)
-        t = math.pi * np.exp(-tau)
+        tau, w_tau = _tau_panels(min(_TRUNC_LN / rate, _DUAL_TAU_CAP), fine_until=10.0)
+        rules.append((epsf, w_tau, math.pi * np.exp(-tau), np.full(tau.size, exponent)))
 
-        if kind == "separable":
-            lam = 2.0 * np.sin(t / 2) ** 2  # 1 - cos t, stable for tiny t
-            kernel = np.abs(cosine_weight_kernel_many(kappa, lam)) ** rc
-            chihat = (math.sqrt(math.pi) * np.exp(-np.sin(t) ** 2 / 4)) ** rc
-            integrand = chihat * kernel
-        else:
-            svals = 2.0 * np.abs(np.sin(t / 2))  # |omega(t) - (0,1)|
-            kernel = np.abs(hankel_decay_transform_many(delta_exp, svals)) ** rc
-            integrand = kernel
-        lhs = (2.0 * float(np.sum(w_tau * integrand * t))) ** (1 / rc)
+    t, exponents = (np.concatenate([rule[i] for rule in rules]) for i in (2, 3))
+    if kind == "separable":
+        lam = 2.0 * np.sin(t / 2) ** 2  # 1 - cos t, stable for tiny t
+        kernel = np.abs(cosine_weight_kernel_many(exponents, lam)) ** rc
+        integrand = (math.sqrt(math.pi) * np.exp(-np.sin(t) ** 2 / 4)) ** rc * kernel
+    else:
+        svals = 2.0 * np.abs(np.sin(t / 2))  # |omega(t) - (0,1)|
+        integrand = np.abs(hankel_decay_transform_many(exponents, svals)) ** rc
+
+    samples = []
+    bounds = np.cumsum([w_tau.size for _, w_tau, _, _ in rules])[:-1]
+    for (epsf, w_tau, t_eps, _), part in zip(rules, np.split(integrand, bounds)):
+        lhs = (2.0 * float(np.sum(w_tau * part * t_eps))) ** (1 / rc)
         rhs = epsf ** (-float(inv_qc))
         samples.append(ScanSample(epsf, lhs, rhs, lhs / rhs))
 

@@ -3,13 +3,16 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma, kv
 
 from restriction_lab import analysis
 from restriction_lab.analysis import (
@@ -46,6 +49,32 @@ def series_j0_deriv(x: float) -> float:
         total += term if m % 2 == 0 else -term
         term *= u / ((m + 1) * (m + 2))
     return -x / 2 * total
+
+
+def fraction_j0_j1(a: Fraction) -> tuple[float, float]:
+    """J0(a), J1(a) rounded from their 80-term series summed in Fractions."""
+    u = a * a / 4
+    s0 = s1 = Fraction(0)
+    term = Fraction(1)  # u^m / (m!)^2
+    for m in range(80):
+        s0 += term if m % 2 == 0 else -term
+        t1 = term / (m + 1)  # u^m / (m! (m+1)!)
+        s1 += t1 if m % 2 == 0 else -t1
+        term = term * u / ((m + 1) * (m + 1))
+    return float(s0), float(a / 2 * s1)
+
+
+def incomplete_gamma_kernel(kappa: float, lam: float) -> float:
+    """K(kappa, lambda) = Re e^{-i lambda} (-i lambda)^{kappa-1} Gamma(1-kappa, -i lambda)."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(0, -lam)
+        return float(mpmath.re(mpmath.exp(z) * z ** (kappa - 1) * mpmath.gammainc(1 - kappa, z)))
+
+
+def hankel_nicholson(delta: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """H(delta, s) = 2 pi s^nu K_nu(s) / (2^nu Gamma(nu+1)), nu = delta/2 - 1."""
+    nu = delta / 2 - 1
+    return 2 * np.pi * s**nu * kv(nu, s) / (2**nu * gamma(nu + 1))
 
 
 def bisect(f, lo, hi, iters=80):
@@ -102,6 +131,17 @@ class TestBesselJ0:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             bessel_j0(float("inf"))
+
+    def test_anchor_table_is_the_fraction_build(self, monkeypatch):
+        # one int / int division rounds the exact sum as float(Fraction) does
+        monkeypatch.setattr(analysis, "_exact_j0_j1", fraction_j0_j1)
+        anchors, coeffs = analysis._build_anchor_table()
+        assert anchors.tobytes() == analysis._ANCHORS.tobytes()
+        assert coeffs.tobytes() == analysis._ANCHOR_COEFFS.tobytes()
+
+    @pytest.mark.parametrize("a", [Fraction(3, 7), Fraction(22, 3), Fraction(1), Fraction(-5, 2)])
+    def test_integer_series_rounds_like_fractions_off_the_anchors(self, a):
+        assert analysis._exact_j0_j1(a) == fraction_j0_j1(a)
 
 
 class TestExtrema:
@@ -251,6 +291,29 @@ class TestCosineKernel:
             cosine_weight_kernel(1.5, 1.0)
         with pytest.raises(ValueError):
             cosine_weight_kernel(0.5, 0.0)
+        for kappas in ([0.5, 1.0], [0.5, np.nan], [0.0, 0.5]):
+            with pytest.raises(ValueError, match="kappa"):
+                cosine_weight_kernel_many(np.array(kappas), np.array([1.0, 2.0]))
+
+    # the bounds the docstring states; measured 6.7e-14, 2.5e-12 and 4.9e-11 at worst
+    @pytest.mark.parametrize("kappas, lams, bound", [
+        ([0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.99999], [1e-20, 1e-6, 1e-3, 0.1, 1.0, 10.0], 1e-13),
+        ([0.3, 0.7, 0.87, 0.93, 0.95, 0.99999], [1e-300, 1e-200, 1e-100], 1e-11),
+        ([1e-3, 0.01, 0.1], [1e-300, 1e-20, 1e-6, 1e-3, 0.1, 1.0, 10.0], 1e-10),
+    ])
+    def test_incomplete_gamma_closed_form(self, kappas, lams, bound):
+        # one call, a kappa per row: the per-sample exponents meet the oracle too
+        got = cosine_weight_kernel_many(np.array(kappas)[:, None], np.array(lams))
+        want = np.array([[incomplete_gamma_kernel(k, lam) for lam in lams] for k in kappas])
+        assert np.max(np.abs(got / want - 1)) <= bound
+
+    def test_per_sample_kappa_matches_one_call_per_kappa(self):
+        kappas = np.array([0.05, 0.3, 5 / 9, 0.99])
+        lams = np.geomspace(1e-300, 30, 300)
+        got = cosine_weight_kernel_many(kappas[:, None], lams)
+        for kappa, row in zip(kappas, got):
+            want = cosine_weight_kernel_many(float(kappa), lams)
+            assert np.max(np.abs(row / want - 1)) <= 1e-14
 
     @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.7])
     def test_law_deviation_is_the_finite_lambda_correction(self, kappa):
@@ -463,6 +526,32 @@ class TestHankelTransform:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             hankel_decay_transform(2.5, 1.0)
+        for deltas in ([1.5, 2.0], [1.5, np.nan], [1.0, 1.5]):
+            with pytest.raises(ValueError, match="delta"):
+                hankel_decay_transform_many(np.array(deltas), np.array([1.0, 2.0]))
+
+    ORACLE_DELTAS = [1.001, 1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99, 1.999]
+
+    # the bounds the docstring states; measured 1.5e-13, 1.5e-12, 1.9e-11 and 3.7e-7
+    @pytest.mark.parametrize("svals, bound", [
+        ([1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0], 5e-13),
+        ([1e-300, 1e-100, 1e-20], 1e-11),
+        ([10.0], 1e-10),
+        ([20.0], 1e-6),
+    ])
+    def test_hankel_nicholson_closed_form(self, svals, bound):
+        # one call, a delta per row: the per-sample exponents meet the oracle too
+        deltas, s = np.array(self.ORACLE_DELTAS)[:, None], np.array(svals)
+        got = hankel_decay_transform_many(deltas, s)
+        assert np.max(np.abs(got / hankel_nicholson(deltas, s) - 1)) <= bound
+
+    def test_per_sample_delta_matches_one_call_per_delta(self):
+        deltas = np.array([1.05, 1.5, 1.999])
+        svals = np.geomspace(1e-300, 1.9, 300)
+        got = hankel_decay_transform_many(deltas[:, None], svals)
+        for delta, row in zip(deltas, got):
+            want = hankel_decay_transform_many(float(delta), svals)
+            assert np.max(np.abs(row / want - 1)) <= 1e-14
 
     def test_non_convergence_names_delta_and_s(self, monkeypatch):
         # a tail without sign changes cannot be summed by averaging

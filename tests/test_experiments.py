@@ -32,7 +32,7 @@ from restriction_lab.exponents import (
     riesz_diagram,
     weight_exponents,
 )
-from restriction_lab.norms import WeightSpec
+from restriction_lab.norms import Sampled1, WeightSpec, weak_lq_1d
 from restriction_lab.operator import Density, constant_reference_radii
 
 
@@ -635,6 +635,25 @@ class TestL2Endpoint:
         assert slope == pytest.approx(2 * (a + b) - 2, abs=1e-5)
 
 
+def table_pitt_ratios(beta: float, p: float, q: float, s: float) -> list[float]:
+    """The sweep's plain and modulated ratios at scale s from a cosine table,
+    built 2^18 entries at a time."""
+    xi_max = 1.0 + 10.0 / s
+    dx = min(s / 8, math.pi / (xi_max + 10.0 / s))
+    xs = np.arange(-8 * s, 8 * s + dx / 2, dx)
+    dxi = min(1 / 8, 1 / (8 * s))
+    xis = np.arange(dxi / 2, xi_max, dxi)
+    base = np.exp(-((xs / s) ** 2))
+    rows = 2**18 // xs.size
+    ratios = []
+    for fx in (base, base * np.cos(xs)):
+        fhat = np.concatenate([np.abs(np.cos(np.outer(xis[i : i + rows], xs)) @ fx) * dx
+                               for i in range(0, xis.size, rows)])
+        weak = weak_lq_1d(Sampled1((1 + xis) ** -beta * fhat, np.full(xis.shape, 2 * dxi)), q)
+        ratios.append(weak / (dx * np.sum(np.abs(fx) ** p)) ** (1 / p))
+    return ratios
+
+
 class TestPitt:
     def test_uniform_over_plateau(self):
         res = pitt_sweep("1/2", 2, 2, [2.0**k for k in (-2, 0, 2, 4, 6)])
@@ -668,6 +687,54 @@ class TestPitt:
         res = pitt_sweep("1/2", 2, 2, [2.0**-6, 2.0**-4])
         r = {s: v for s, var, v in res.ratios if var == "plain"}
         assert 1.5 < r[2.0**-4] / r[2.0**-6] < 2.7  # sqrt(16/4) = 2
+
+    def test_split_phases_match_the_cosine_table(self):
+        # measured 5.2e-16 at worst over these scales
+        for s in [2.0**k for k in [*range(-10, 7), 9]]:
+            got = [r for _, _, r in pitt_sweep("1/2", 2, 2, [s]).ratios]
+            want = table_pitt_ratios(0.5, 2.0, 2.0, s)
+            assert max(abs(g / w - 1) for g, w in zip(got, want)) <= 1e-13, s
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_scale_fails_before_any_transform(self, monkeypatch, bad):
+        def transform(*args):
+            raise AssertionError("transform before the scales were checked")
+
+        monkeypatch.setattr(experiments, "_split_phase_cosine", transform)
+        with pytest.raises(DomainError, match="scales must be positive and finite"):
+            pitt_sweep("1/2", 2, 2, [1.0, bad])
+
+    def test_empty_sweep_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="need at least one scale"):
+            pitt_sweep("1/2", 2, 2, [])
+
+    def test_budget_guard_fires_before_any_transform(self, monkeypatch):
+        def transform(*args):
+            raise AssertionError("transform before the budget was checked")
+
+        monkeypatch.setattr(experiments, "_split_phase_cosine", transform)
+        # 2^11 alone asks for 16,464 x 10,533 cells, a 1.4 GB cosine table
+        with pytest.raises(ConfigurationError, match="173415312 transform cells"):
+            pitt_sweep("1/2", 2, 2, [2.0**11])
+        with pytest.raises(ConfigurationError, match="over budget"):
+            pitt_sweep("1/2", 2, 2, [2.0**k for k in range(-10, -4)] + [2.0**9])
+        for extreme in (1e-320, 1e300):  # a zero x step; more cells than a double holds
+            with pytest.raises(ConfigurationError, match="inf transform cells"):
+                pitt_sweep("1/2", 2, 2, [extreme])
+
+    def test_cli_budget_is_an_argument_error(self, capsys):
+        assert run("pitt --beta 1/2 --p 2 --q 2 --scale-exps 11..11".split()) == 1
+        assert "over budget" in capsys.readouterr().err
+
+    def test_peak_memory_at_s_2e9(self):
+        # the cosine table at 4,176 x 2,710 cells took about 181 MB; measured 7.4 MB
+        tracemalloc.start()
+        try:
+            pitt_sweep("1/2", 2, 2, [2.0**9])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, peak
 
 
 class TestDualScans:
@@ -712,6 +779,49 @@ class TestDualScans:
                       eps_exps=[3, 4, 5])
         assert a.samples == b.samples
 
+    # the two cli-suite configurations and r = q
+    CONFIGS = {
+        "separable": ("cosine_weight_kernel_many", dict(
+            kind="separable", alpha="3/5", beta="1/8", r=4, q=2, eps_exps=[3, 4, 5, 6, 7])),
+        "radial": ("hankel_decay_transform_many", dict(
+            kind="radial", gamma="14/15", r=3, q="5/4", eps_exps=[3, 4, 5, 6])),
+        "r-equals-q": ("cosine_weight_kernel_many", dict(
+            kind="separable", alpha="9/10", beta="1/4", r=2, q=2, eps_exps=[3, 4, 5, 6])),
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_one_call_matches_per_eps_calls(self, monkeypatch, config):
+        name, kwargs = self.CONFIGS[config]
+        one_call = dual_scan(**kwargs).samples
+        transform = getattr(experiments, name)
+
+        def per_eps(exponents, xs):
+            out = np.empty_like(xs)
+            for e in np.unique(exponents):
+                at = exponents == e
+                out[at] = transform(float(e), xs[at])
+            return out
+
+        monkeypatch.setattr(experiments, name, per_eps)
+        assert len(one_call) == len(kwargs["eps_exps"])
+        for got, want in zip(one_call, dual_scan(**kwargs).samples):
+            assert got.param == want.param and got.rhs == want.rhs
+            assert got.lhs == pytest.approx(want.lhs, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_each_scan_calls_its_transform_once(self, monkeypatch, config):
+        name, kwargs = self.CONFIGS[config]
+        transform = getattr(experiments, name)
+        sizes = []
+
+        def counting(exponents, xs):
+            sizes.append(np.size(xs))
+            return transform(exponents, xs)
+
+        monkeypatch.setattr(experiments, name, counting)
+        dual_scan(**kwargs)
+        assert len(sizes) == 1 and sizes[0] >= 200 * len(kwargs["eps_exps"])
+
 
 class TestEpsWindow:
     SCANS = {
@@ -728,6 +838,9 @@ class TestEpsWindow:
         ("l2", [1, 2, 3], r"need mu = 1/r - eps in \(0,1\)"),  # eps = 1/2 > 1/r = 1/3
         ("dual-separable", [3, 3, 4], "duplicate eps exponents"),
         ("dual-radial", [-1, 0, 1, 2], "eps exponents must be non-negative"),
+        ("dual-radial", [0, 3, 4], r"gamma \+ 2/q' \+ eps must lie in \(1,2\)"),  # eps = 1 > 1/r'
+        ("l2", [3, 4], "need at least 3 points"),
+        ("dual-separable", [], "need at least 3 points"),
     ])
     def test_bad_window_fails_before_any_kernel_work(self, monkeypatch, scan, window, message):
         def kernel_work(*args, **kwargs):
