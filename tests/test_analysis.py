@@ -132,6 +132,22 @@ class TestBesselJ0:
         with pytest.raises(ValueError):
             bessel_j0(float("inf"))
 
+    def test_scipy_oracle_to_1e7(self):
+        # measured 6.9e-15 (J0) and 7.6e-15 (J1), both near the series cut at 7
+        import scipy.special as sp
+
+        xs = np.concatenate([np.linspace(0.0, 1e7, 200001), np.geomspace(1e-3, 1e7, 100001),
+                             np.linspace(0.0, 40.0, 40001)])
+        assert np.max(np.abs(analysis._j0(xs) - sp.j0(xs))) <= 1e-14
+        assert np.max(np.abs(analysis._j1(xs) - sp.j1(xs))) <= 1e-14
+
+    def test_reduced_argument_error_near_1e7(self):
+        # x - pi/4 rounds to ulp(x)/2 ~ 1e-9 near 1e7, times the amplitude 2.5e-4;
+        # measured 1.6e-13 against 40-digit J0 (scipy's error is the same)
+        xs = np.random.default_rng(5).uniform(1e5, 1e7, 60)
+        exact = np.array([float(mpmath.besselj(0, mpmath.mpf(x))) for x in xs])
+        assert np.max(np.abs(analysis._j0(xs) - exact)) <= 3e-13
+
     def test_anchor_table_is_the_fraction_build(self, monkeypatch):
         # one int / int division rounds the exact sum as float(Fraction) does
         monkeypatch.setattr(analysis, "_exact_j0_j1", fraction_j0_j1)
@@ -197,6 +213,24 @@ class TestExtrema:
         monkeypatch.setattr(analysis, "_dj0", wrong(analysis._dj0))
         assert np.array_equal(extrema, j0_extrema(1000).z)
         assert np.array_equal(zeros, j0_zeros(41))
+
+    @pytest.fixture(scope="class")
+    def extrema_25000(self):
+        return j0_extrema(25_000)  # validates, or raises
+
+    def test_validates_to_25000(self, extrema_25000):
+        # at z ~ 7.9e4 a double holds z to 1.5e-11, so a 1e-11 |J0| residual
+        # bound failed from j = 20,861 on: the residual is now read in ulp(z) |J0(z)|
+        z, values = extrema_25000.z, extrema_25000.values
+        assert np.max(np.abs(analysis._j1(z)) / (np.spacing(z) * np.abs(values))) <= 1.0
+
+    @pytest.mark.parametrize("j", [0, 9_999, 24_999])
+    @pytest.mark.parametrize("ulps", [8, -8])
+    def test_a_root_moved_by_8_ulp_fails(self, extrema_25000, j, ulps):
+        z = extrema_25000.z.copy()
+        z[j] += ulps * np.spacing(z[j])
+        with pytest.raises(NumericalError, match=r"ulp\(z\) \|J0\(z\)\| > 2"):
+            analysis.ExtremaTable(z=z, values=analysis._j0(z)).validate()
 
     def test_zeros_interlace(self):
         zeros = j0_zeros(10)
@@ -336,6 +370,131 @@ class TestCosineKernel:
         monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (rho, w, np.abs(cos_rho)))
         with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=0\.01\b"):
             cosine_weight_kernel_many(0.4, np.array([0.01]))
+
+
+def _direct_kernel(kappa: float, lams: np.ndarray) -> np.ndarray:
+    """K with the envelope (1 + rho/lambda)^-kappa at every sample, none scale-free."""
+    def env(rho, idx):
+        return (1.0 + rho / lams[idx][:, None, None]) ** -kappa
+
+    return analysis._transform_many("cos", lams, 1.0 - kappa, env, 1e-9, str) / lams
+
+
+def _direct_hankel(delta: float, svals: np.ndarray) -> np.ndarray:
+    """H with the log-space envelope of _scaled_env at every sample, none scale-free."""
+    ln_s = np.log(svals)
+    integral = analysis._transform_many(
+        "j0", svals, 2.0 - delta, lambda u, idx: analysis._scaled_env(u, ln_s[idx], delta),
+        1e-7, str,
+    )
+    return 2 * math.pi * np.exp((delta - 2) * ln_s) * integral
+
+
+def _bound(osc: str, exponent: float) -> float:
+    """The scale-free bound of kappa ("cos") or delta ("j0")."""
+    decay, bits = (1.0 - exponent, 54) if osc == "cos" else (2.0 - exponent, 27)
+    return analysis._scale_free_bound(osc, int(analysis._cap(decay)), bits)
+
+
+class TestScaleFree:
+    KAPPAS = [0.3, 5 / 9, 0.9]
+    DELTAS = [1.1, 4 / 3, 1.9]
+
+    @staticmethod
+    def _straddle(bound: float) -> np.ndarray:
+        return np.concatenate([np.geomspace(bound * 1e-40, bound * 1e6, 300),
+                               [bound, np.nextafter(bound, np.inf)]])
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_kernel_matches_the_per_sample_envelope(self, kappa):
+        lams = self._straddle(_bound("cos", kappa))
+        got = cosine_weight_kernel_many(kappa, lams)
+        assert np.max(np.abs(got / _direct_kernel(kappa, lams) - 1)) <= 1e-14
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_hankel_matches_the_per_sample_envelope(self, delta):
+        # the per-sample envelope cancels delta ln s in its exponent, about
+        # |delta ln s| ulp: measured 1.4e-13 at delta = 1.9, s ~ 1e-166
+        svals = self._straddle(_bound("j0", delta))
+        got = hankel_decay_transform_many(delta, svals)
+        assert np.max(np.abs(got / _direct_hankel(delta, svals) - 1)) <= 3e-13
+
+    @pytest.mark.parametrize("delta", DELTAS[:2])
+    def test_scale_free_hankel_meets_its_limit(self, delta):
+        # below the bound H s^{2-delta} / (2 pi) is the quadrature of u^{1-delta},
+        # int_0^inf u^{1-delta} J0(u) du = 2^{1-delta} Gamma(1-delta/2) / Gamma(delta/2);
+        # measured 1.1e-15 (the per-sample envelope: 2.3e-14 and 5.8e-14)
+        s = np.array([_bound("j0", delta) * 1e-100])
+        # every sample is scale-free, so the per-sample envelope is never called
+        integral = analysis._transform_many(
+            "j0", s, 2.0 - delta, None, 1e-7, str, free=(1.0 - delta, 27, 0.0))
+        limit = 2 ** (1 - delta) * math.gamma(1 - delta / 2) / math.gamma(delta / 2)
+        assert abs(integral[0] / limit - 1) <= 1e-14
+
+    @pytest.mark.parametrize("osc, exponent", [("cos", k) for k in KAPPAS]
+                             + [("j0", d) for d in DELTAS])
+    def test_at_the_bound_the_envelope_is_its_limit_at_every_node(self, osc, exponent):
+        x = _bound(osc, exponent)
+        cap = int(analysis._cap(1.0 - exponent if osc == "cos" else 2.0 - exponent))
+        nodes = np.concatenate([analysis._head_panels(osc, cap)[0].ravel(),
+                                analysis._tail_panels(osc)[0].ravel()])
+        w = nodes / x if osc == "cos" else (nodes / x) ** 2
+        assert np.all(1.0 + w == w)
+
+    def test_bound_is_zero_where_it_would_not_be_normal(self):
+        # cap 8 + ceil(26/0.01) = 2608: no head table is built for it
+        assert _bound("cos", 0.99) == 0.0 and _bound("j0", 1.99) == 0.0
+
+    @staticmethod
+    def _count_rows(monkeypatch) -> list[int]:
+        rows, accelerate = [], analysis._accelerate_rows
+
+        def counting(terms, rtol, context):
+            rows.append(terms.shape[0])
+            return accelerate(terms, rtol, context)
+
+        monkeypatch.setattr(analysis, "_accelerate_rows", counting)
+        return rows
+
+    def test_one_kernel_row_per_distinct_kappa(self, monkeypatch):
+        rows = self._count_rows(monkeypatch)
+        deep = np.geomspace(1e-300, 1e-140, 90)  # below every bound of KAPPAS
+        cosine_weight_kernel_many(np.repeat(self.KAPPAS, 30), deep)
+        assert sum(rows) == 3
+        rows.clear()
+        cosine_weight_kernel_many(0.3, np.append(deep, [1e-3, 0.5]))
+        assert sum(rows) == 1 + 2  # one row, and two direct samples
+
+    def test_one_hankel_row_per_distinct_delta(self, monkeypatch):
+        rows = self._count_rows(monkeypatch)
+        deep = np.geomspace(1e-300, 1e-130, 90)
+        hankel_decay_transform_many(np.repeat(self.DELTAS, 30), deep)
+        assert sum(rows) == 3
+        rows.clear()
+        hankel_decay_transform_many(1.5, np.append(deep, [1e-3, 0.5]))
+        assert sum(rows) == 1 + 2
+
+    @pytest.mark.parametrize("osc, exponent", [("cos", k) for k in KAPPAS]
+                             + [("j0", d) for d in DELTAS])
+    def test_the_kernels_split_at_the_bound(self, monkeypatch, osc, exponent):
+        # the bound itself takes the scale-free row, the next float up its own
+        rows = self._count_rows(monkeypatch)
+        x = _bound(osc, exponent)
+        kernel = cosine_weight_kernel_many if osc == "cos" else hankel_decay_transform_many
+        kernel(exponent, np.array([x, x, np.nextafter(x, np.inf)]))
+        assert sum(rows) == 2
+
+    def test_non_converging_row_names_kappa_and_lambda(self, monkeypatch):
+        rho, w, cos_rho = analysis._tail_panels("cos")
+        monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (rho, w, np.abs(cos_rho)))
+        with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=1e-200\b"):
+            cosine_weight_kernel_many(0.4, np.array([1e-200]))
+
+    def test_non_converging_row_names_delta_and_s(self, monkeypatch):
+        u, w, j0_u = analysis._tail_panels("j0")
+        monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (u, w, np.abs(j0_u)))
+        with pytest.raises(NumericalError, match=r"delta=1\.5, s=1e-200\b"):
+            hankel_decay_transform_many(1.5, np.array([1e-200]))
 
 
 def _averaged(row: list[float]) -> tuple[float, float]:

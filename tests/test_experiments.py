@@ -551,9 +551,17 @@ class TestL2Endpoint:
             got = (sample.param, sample.lhs, sample.rhs, sample.ratio)
             assert got == pytest.approx(values, rel=1e-9)
 
-    # criterion 10's (param, lhs, rhs), recorded before the scan shared its kernel
-    # evaluations between eps values
+    # criterion 10's (param, lhs, rhs), recorded once the tables passed
+    # scale-free lambda to the kernel's one quadrature row per kappa
     CRITERION_10 = [
+        (0.125, 468.34965943261665, 1.3597659351036704),
+        (0.0625, 1169.7176343064189, 2.566896274807914),
+        (0.03125, 2634.083735288847, 4.443485148313442),
+        (0.015625, 5604.7888950030765, 7.3658822405999045),
+        (0.0078125, 11475.444452649803, 11.948644019590118),
+    ]
+    # the same, recorded when every lambda was interpolated from its own piece
+    CRITERION_10_PER_PIECE = [
         (0.125, 468.34965943261665, 1.3597659351036704),
         (0.0625, 1169.7176343064189, 2.566896274807914),
         (0.03125, 2634.083735288847, 4.443485148313442),
@@ -564,6 +572,22 @@ class TestL2Endpoint:
     def test_criterion_10_samples_are_bit_identical(self):
         res = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
         assert [(s.param, s.lhs, s.rhs) for s in res.samples] == self.CRITERION_10
+        for got, old in zip(self.CRITERION_10, self.CRITERION_10_PER_PIECE):
+            assert got == pytest.approx(old, rel=1e-14)
+
+    def test_criterion_10_tables_build_at_most_60_pieces(self, monkeypatch):
+        # kappa = 5/9: lambda <= 6.4e-48 (t <= -108.7) is scale-free, so the
+        # pieces span t in [-110, 0), 55 of them, where about 323 were built
+        tables = []
+
+        class Recorded(experiments.CosineKernelTable):
+            def __init__(self, kappa):
+                super().__init__(kappa)
+                tables.append(self)
+
+        monkeypatch.setattr(experiments, "CosineKernelTable", Recorded)
+        l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
+        assert len(tables) == 1 and tables[0].n_pieces <= 60
 
     def test_sharing_changes_no_sample(self):
         full = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7]).samples
