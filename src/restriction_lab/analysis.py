@@ -625,7 +625,7 @@ def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
         free=(1.0 - delta, 27, 0.0),  # u (u/s)^-delta / s^delta = u^(1-delta)
     )
     # H = 2 pi s^{delta-2} * scaled integral
-    return (2 * math.pi * np.exp((delta - 2) * ln_s) * integral).reshape(shape)
+    return (2 * math.pi * flat ** (delta - 2) * integral).reshape(shape)
 
 
 def hankel_decay_transform(delta_exp: float, s: float) -> float:

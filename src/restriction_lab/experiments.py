@@ -39,7 +39,8 @@ from .exponents import (
     weight_exponents,
 )
 from .norms import Grid2, Sampled1, WeightSpec, compensated_sum, weak_lq_1d, weighted_lq_2d
-from .operator import Density, circle_norm, constant_reference_radii, extend_on_grid, grid_factors
+from .operator import (SPLIT_PHASES, Density, circle_norm, constant_reference_radii,
+                       extend_on_grid, grid_factors)
 
 __all__ = [
     "PredictedExponent",
@@ -62,7 +63,6 @@ KNAPP_RESOLUTION = 0.25
 KNAPP_BLOCK_CELLS = 1 << 16  # cells per streamed column block: a 1 MB complex field, cache-sized
 RING_BLOCK = 1024  # rings per block of the constant-density cross-check: about 15 MB
 PITT_CELL_BUDGET = 30_000_000  # sum of n_xi n_x over a Pitt sweep; scales 2^-10..2^-6 take 20.5 M
-PITT_SPLIT = 64  # fine phases per coarse phase of the Pitt transform
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,37 +201,38 @@ def _knapp_quadrant(delta: float) -> tuple[Grid2, int]:
     return quadrant, int(8 * (math.hypot(grid.x1, grid.y1) + 10))
 
 
-def _column_blocks(grid: Grid2) -> list[tuple[int, int]]:
-    """[j0, j1) column ranges of KNAPP_BLOCK_CELLS cells; the last takes the rest."""
+def _column_blocks(grid: Grid2) -> list[Grid2]:
+    """The grid's column blocks of KNAPP_BLOCK_CELLS cells; the last takes the rest."""
     step = max(2, KNAPP_BLOCK_CELLS // grid.nx)
     edges = [*range(0, max(grid.ny - step, 0) + 1, step), grid.ny]
-    return list(zip(edges, edges[1:]))
+    return [replace(grid, y0=grid.y0 + j0 * grid.dy, y1=grid.y0 + j1 * grid.dy, ny=j1 - j0)
+            for j0, j1 in zip(edges, edges[1:])]
 
 
 def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
     """A folded quadrant's sum of |f w^{-1}|^2 cell_measure for a separable weight a(x) b(y)
     (q = 2 only), as sum_x a(x)^2 c(x)^T G c(x) over the cap's real, folded ``grid_factors``:
     G = sum_y b(y)^2 Re(e(y) e(y)^H), built by blocks from e's interleaved (cos, sin) rows."""
-    xs, ys = grid.centers()
-    a2, b2 = weight.inverse_factor(xs, 0.0) ** 2, weight.inverse_factor(0.0, ys) ** 2
+    a2 = weight.inverse_factor(grid.centers()[0], 0.0) ** 2
     a2[: int(grid.x0 < 0)] /= 2  # an odd axis's centre line has one mirror image
-    b2[: int(grid.y0 < 0)] /= 2
     gram = 0
-    for j0, j1 in _column_blocks(grid):
-        ey = grid_factors(cap, xs[:0], ys[j0:j1], nodes)[1].view(np.float64)
-        gram = gram + (ey * np.repeat(b2[j0:j1], 2)) @ ey.T
-    cx = grid_factors(cap, xs, ys[:0], nodes)[0]
+    for block in _column_blocks(grid):
+        cx, ey = grid_factors(cap, block, nodes)
+        b2 = weight.inverse_factor(0.0, block.centers()[1]) ** 2
+        b2[: int(block.y0 < 0)] /= 2
+        ey = ey.view(np.float64)
+        gram = gram + (ey * np.repeat(b2, 2)) @ ey.T
     rows = np.einsum("xk,xk->x", cx @ gram, cx)
     return compensated_sum(a2 * rows) * grid.cell_measure
 
 
 def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
     """The same sum for any q and weight: each column block goes through
-    ``extend_on_grid`` and ``weighted_lq_2d``; block masses add with compensation."""
+    ``extend_on_grid`` (split-phase y factor) and ``weighted_lq_2d`` (one matrix-vector
+    reduction per row chunk for a separable weight); block masses add with compensation."""
     masses = []
-    for j0, j1 in _column_blocks(grid):
-        block = replace(grid, y0=grid.y0 + j0 * grid.dy, y1=grid.y0 + j1 * grid.dy, ny=j1 - j0)
-        field = extend_on_grid(cap, *block.centers(), nodes)
+    for block in _column_blocks(grid):
+        field = extend_on_grid(cap, block, nodes)
         field[: int(grid.x0 < 0)] *= 2 ** (-1 / q)  # the Gram form's halving, on |f|^q
         field[:, : int(block.y0 < 0)] *= 2 ** (-1 / q)
         masses.append(weighted_lq_2d(field, block, weight, q)[0] ** q)
@@ -260,9 +261,11 @@ def knapp_scan(
     are symmetric, phi <-> -phi), so only the grid's closed quadrant x, y >= 0
     is summed, with an odd axis's centre line halved, and the sum quadrupled.
     The same symmetry folds the cap's K nodes into ceil(K/2) real ``grid_factors``
-    columns.  For q = 2 and a separable weight the real Gram form (``_gram_mass``)
-    sums it at cost O((nx + ny) K^2); every other case streams the field in column
-    blocks (``_streamed_mass``), each one real product of O(nx ny K/2) multiply-adds.
+    columns, whose y factor is built by split phases with no per-cell trig call.  For
+    q = 2 and a separable weight the real Gram form (``_gram_mass``) sums it at cost
+    O((nx + ny) K^2); every other case streams the field in column blocks
+    (``_streamed_mass``), each one real product of O(nx ny K/2) multiply-adds, reduced
+    with no per-cell pow where q/2 is 1 to 4 and no weight array for a separable weight.
     Memory is bounded by one block of KNAPP_BLOCK_CELLS cells (the Gram form also
     holds ceil(K/2)-wide arrays), not by the grid.  KNAPP_CELL_BUDGET counts the quadrant
     cells summed, about delta^{-3}, and is checked before any evaluation.
@@ -542,10 +545,10 @@ def _pitt_axes(s: float) -> tuple[tuple[float, float, float], tuple[float, float
 
 def _split_phase_cosine(xis: np.ndarray, dxi: float, xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """sum_j cos(xi_i x_j) f(x_j) for each row f of fs, xis in steps of dxi: with
-    xi_{aM+m} = xi_{aM} + m dxi (M = PITT_SPLIT), two real matmuls of coarse and
+    xi_{aM+m} = xi_{aM} + m dxi (M = SPLIT_PHASES), two real matmuls of coarse and
     fine cosines and sines, 2 (n_xi/M + M) n_x phases in place of n_xi n_x."""
-    coarse = np.outer(xis[::PITT_SPLIT], xs)
-    fine = np.outer(dxi * np.arange(PITT_SPLIT), xs).T
+    coarse = np.outer(xis[::SPLIT_PHASES], xs)
+    fine = np.outer(dxi * np.arange(SPLIT_PHASES), xs).T
     out = (np.cos(coarse) * fs[:, None]) @ np.cos(fine)
     out -= (np.sin(coarse) * fs[:, None]) @ np.sin(fine)
     return out.reshape(len(fs), -1)[:, : xis.size]

@@ -3,8 +3,9 @@ one-dimensional weak-Lorentz quasinorm.
 
 Grids use the midpoint rule: one evaluation per cell at its center, so the
 weight factors never sit on cell corners.  Reductions are deterministic:
-fixed-size chunks are summed by numpy's pairwise scheme and the chunk
-partials are combined with Neumaier compensation.
+fixed-size row chunks are summed by numpy's pairwise scheme, or for a
+separable weight a(x) b(y) by the matrix-vector products a @ (mass @ b), and
+the chunk partials are combined with Neumaier compensation.
 """
 
 from __future__ import annotations
@@ -146,12 +147,26 @@ def weighted_lq_2d(
     j1 = np.searchsorted(ys, grid.y1 - fy, "right")
     # |f|^q w^{-q} by row chunks of ~_CHUNK cells; w^{-q} is the family with exponents times q
     weight_q = replace(weight, alpha=q * weight.alpha, beta=q * weight.beta, gamma=q * weight.gamma)
+    separable, half = weight.kind == "separable", q / 2
+    if separable:  # w^{-q} = a(x) b(y), so a chunk's mass is a @ (|f|^q @ b)
+        a, b = weight_q.inverse_factor(xs, 0.0), weight_q.inverse_factor(0.0, ys)
     rows, parts = max(1, _CHUNK // grid.ny), []
     for r in range(0, grid.nx, rows):
-        mass = np.square(vals.real[r : r + rows], dtype=float) + np.square(vals.imag[r : r + rows])
-        mass **= q / 2
-        mass *= weight_q.inverse_factor(xs[r : r + rows, None], ys[None, :])
-        parts.append((np.sum(mass), np.sum(mass[max(i0 - r, 0) : max(i1 - r, 0), j0:j1])))
+        mass = np.square(vals.real[r : r + rows], dtype=float)
+        mass += np.square(vals.imag[r : r + rows])
+        if half in (2, 3, 4):  # repeated products in place of a per-cell pow
+            base = mass.copy()
+            for _ in range(int(half) - 1):
+                mass *= base
+        elif half != 1:
+            mass **= half
+        lo, hi = max(i0 - r, 0), max(i1 - r, 0)
+        if separable:
+            ar = a[r : r + rows]
+            parts.append((ar @ (mass @ b), ar[lo:hi] @ (mass[lo:hi, j0:j1] @ b[j0:j1])))
+        else:
+            mass *= weight_q.inverse_factor(xs[r : r + rows, None], ys[None, :])
+            parts.append((np.sum(mass), np.sum(mass[lo:hi, j0:j1])))
     total, inner_mass = (compensated_sum(np.array(p)) * grid.cell_measure for p in zip(*parts))
     if not math.isfinite(total):  # as it always is where a value is not finite
         if not np.all(np.isfinite(vals)):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .analysis import _gl, _j0, bessel_j0
 from .exponents import DomainError, ExtScalar, ScalarLike
+from .norms import Grid2
 
 __all__ = [
     "Density",
@@ -127,38 +128,55 @@ def extend(density: Density, p: Point2, nodes: int) -> complex:
     return complex(np.sum(w * np.exp(1j * phase)))
 
 
-@functools.lru_cache(maxsize=1)  # the x axis every column block of a streamed grid shares
-def _x_factor(density: Density, nodes: int, xs: bytes) -> tuple[np.ndarray, np.ndarray]:
+SPLIT_PHASES = 64  # fine phases per coarse phase of a split-phase table (Knapp y, Pitt)
+
+
+@functools.lru_cache(maxsize=1)  # (phi, w, folded) of the rule, folded if symmetric bit for bit
+def _folded_rule(density: Density, nodes: int) -> tuple[np.ndarray, np.ndarray, bool]:
     phi, w = _quad_rule(density, nodes)
-    x = np.frombuffer(xs)[:, None]
     if np.array_equal(phi, -phi[::-1]) and np.array_equal(w, w[::-1]):
-        phi, w = phi[phi >= 0], np.where(phi == 0, w, 2 * w)[phi >= 0]
-        c = np.cos(x * np.sin(phi)) * w
-    else:
-        c = np.exp(1j * x * np.sin(phi)) * w
+        return phi[phi >= 0], np.where(phi == 0, w, 2 * w)[phi >= 0], True
+    return phi, w, False
+
+
+@functools.lru_cache(maxsize=1)  # the x axis every column block of a streamed grid shares
+def _x_factor(density: Density, nodes: int, xs: bytes) -> np.ndarray:
+    phi, w, folded = _folded_rule(density, nodes)
+    x = np.frombuffer(xs)[:, None]
+    c = np.cos(x * np.sin(phi)) * w if folded else np.exp(1j * x * np.sin(phi)) * w
     c.flags.writeable = False
-    return phi, c
+    return c
 
 
-def grid_factors(density: Density, xs: np.ndarray, ys: np.ndarray,
-                 nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Low-rank factors of extend(density) on the grid xs x ys (either may be empty):
-    extend = sum_k c[x, k] e[k, y], e = e^{i y cos phi_k} of shape (K', ny).  A rule
-    symmetric in phi <-> -phi bit for bit (the cap's) folds each pair into the real
-    c = 2 w cos(x sin phi), K' = ceil(K/2), an unpaired phi = 0 keeping w; any other
-    keeps c = w e^{i x sin phi}, K' = K.  c is read-only, cached for the same xs."""
-    phi, c = _x_factor(density, nodes, np.asarray(xs, dtype=float).tobytes())
-    arg = np.cos(phi)[:, None] * np.asarray(ys, dtype=float)[None, :]
-    return c, np.cos(arg) + 1j * np.sin(arg)  # cheaper than the complex exp
+@functools.lru_cache(maxsize=16)  # blocks' dy differ by ulps: 7 values at delta = 2^-5, 11 at 2^-6
+def _y_fine(density: Density, nodes: int, dy: float) -> np.ndarray:
+    phi = _folded_rule(density, nodes)[0]
+    fine = np.exp(1j * np.outer(np.cos(phi), dy * np.arange(SPLIT_PHASES)))
+    fine.flags.writeable = False
+    return fine
 
 
-def extend_on_grid(
-    density: Density, xs: np.ndarray, ys: np.ndarray, nodes: int
-) -> np.ndarray:
-    """extend(density, (x, y)) on the tensor grid xs x ys, shape (nx, ny), identical to
+def grid_factors(density: Density, grid: Grid2, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low-rank factors of extend(density) on the grid's cell centres: extend = sum_k
+    c[x, k] e[k, y], e = e^{i y cos phi_k} of shape (K', ny).  A rule symmetric in
+    phi <-> -phi bit for bit (the cap's) folds each pair into the real c = 2 w cos(x sin phi),
+    K' = ceil(K/2), an unpaired phi = 0 keeping w; any other keeps c = w e^{i x sin phi},
+    K' = K.  e splits phases as y_{aM+m} = y_{aM} + m dy (M = SPLIT_PHASES): a coarse table
+    at every M-th y times the fine table e^{i m dy cos phi}, one complex product per cell
+    and no trig call, within a few ulp of max |y| of the direct phases.  c and the fine
+    table are read-only, cached for the next block with the same x axis and dy."""
+    xs, ys = grid.centers()
+    cos_phi = np.cos(_folded_rule(density, nodes)[0])
+    coarse = np.exp(1j * np.outer(cos_phi, ys[::SPLIT_PHASES]))
+    e = coarse[:, :, None] * _y_fine(density, nodes, grid.dy)[:, None, :]
+    return _x_factor(density, nodes, xs.tobytes()), e.reshape(cos_phi.size, -1)[:, : grid.ny]
+
+
+def extend_on_grid(density: Density, grid: Grid2, nodes: int) -> np.ndarray:
+    """extend(density, (x, y)) on the grid's cell centres, shape (nx, ny), identical to
     pointwise ``extend`` up to roundoff: a real c of the ``grid_factors`` meets e's interleaved
     (cos, sin) rows in one real product of O(nx ny K/2) multiply-adds; a complex c costs 4x."""
-    c, e = grid_factors(density, xs, ys, nodes)
+    c, e = grid_factors(density, grid, nodes)
     if np.isrealobj(c):
         return (c @ e.view(np.float64)).view(np.complex128)
     return c @ e

@@ -682,6 +682,19 @@ class TestHankelTransform:
         small = s <= 1e-150
         assert np.max(np.abs(h[small] * s[small] ** (2 - delta) / law - 1)) < 1e-9
 
+    @pytest.mark.parametrize("delta", [1.1, 1.5, 1.9])
+    def test_growth_factor_is_one_power(self, monkeypatch, delta):
+        # H = 2 pi s^{delta-2} I; with I = 1 the factor stands alone.  Against 40-digit
+        # mpmath at delta = 1.5, s ** (delta - 2) reads 2.2e-16 and exp((delta - 2) ln s),
+        # which carries about |(delta - 2) ln s| ulp, 2.8e-14
+        monkeypatch.setattr(analysis, "_transform_many", lambda osc, x, *a, **kw: np.ones_like(x))
+        s = np.geomspace(1e-300, 1e-250, 200)
+        got = hankel_decay_transform_many(delta, s)
+        with mpmath.workdps(40):
+            exact = [2 * mpmath.mpf(math.pi) * mpmath.mpf(x) ** (mpmath.mpf(delta) - 2) for x in s]
+            err = max(abs(mpmath.mpf(g) / e - 1) for g, e in zip(got, exact))
+        assert err <= 1e-15, float(err)
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             hankel_decay_transform(2.5, 1.0)

@@ -13,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restriction_lab import experiments, exponents, feasibility
 from restriction_lab.cli import run
@@ -102,3 +104,40 @@ def test_exact_layers_reproduce_their_digest():
         lines.append(f"pred {kind} {kw} -> {_outcome('pred', out)}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == EXACT_DIGEST
+
+
+ORACLE = WORKLOADS.oracle
+
+
+@st.composite
+def _snapped_two(draw):
+    """(gamma, r, q) with gamma on a threshold kink, max(3/(2q) - 1/(2r'), 2/q - 1/r')
+    or 2/q - 1/2, over wider ranges and denominators than the exact-mix queries;
+    r is None for infinity."""
+    q_den, r_den = draw(st.integers(1, 400)), draw(st.integers(1, 400))
+    q = Fraction(draw(st.integers(max(1, q_den // 8), 10 * q_den)), q_den)  # q in [1/8, 10]
+    r = draw(st.one_of(st.none(), st.integers(r_den, 12 * r_den)))  # r in [1, 12]
+    r = None if r is None else Fraction(r, r_den)
+    iq, irc = 1 / q, ORACLE.inv_conj(r)
+    kinks = (max(Fraction(3, 2) * iq - irc / 2, 2 * iq - irc), 2 * iq - ORACLE.HALF)
+    return draw(st.sampled_from(kinks)), r, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_snapped_two())
+def test_solve_two_on_its_threshold_kinks(args):
+    """solve_two at gamma on a kink of its iff: the outcome is the closed form's, and
+    every certificate passes verify_two and the benchmark's oracle."""
+    gamma, r, q = args
+    if gamma <= 0:  # outside solve_two's domain
+        return
+    r_arg = "inf" if r is None else r
+    iq, irc = 1 / q, ORACLE.inv_conj(r)
+    feasible = (gamma >= max(Fraction(3, 2) * iq - irc / 2, 2 * iq - irc)
+                and gamma > 2 * iq - Fraction(1, 2))
+    assert ORACLE.two_feasible(gamma, r, q) == feasible
+    cert = feasibility.solve_two(gamma, r_arg, q)
+    assert isinstance(cert, feasibility.CertificateTwo) == feasible
+    if feasible:
+        assert feasibility.verify_two(cert, gamma, r_arg, q).ok
+        assert ORACLE.verify_two(cert.record(), gamma, r, q) == []

@@ -352,6 +352,19 @@ class TestKnappScan:
                 tracemalloc.stop()
             assert peak <= 100e6, (kind, kw, peak)
 
+    @pytest.mark.parametrize("kind, kw", [("separable", dict(alpha=0, beta=0, q=6, r=2)),
+                                          ("radial", dict(gamma="1/2", q=2, r=2))])
+    def test_streamed_memory_stays_under_8_mb(self, kind, kw):
+        # one column block (a 1 MB field), the cached x factor and fine y tables: about
+        # 4.4 and 2.9 MB; the whole y axis's factor alone would be 13 MB at delta = 2^-6
+        tracemalloc.start()
+        try:
+            knapp_scan(kind, delta_exps=[2, 3, 6], **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
+
     @pytest.mark.parametrize("exps", [(1 / 3, 1 / 3), (1.0, 1.0)])
     def test_gram_form_matches_the_streamed_grid(self, exps):
         # the two evaluations of one midpoint sum, each the other's oracle, at

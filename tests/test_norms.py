@@ -104,8 +104,7 @@ class TestWeightedLq2d:
         vals = []
         for n in (320, 640):  # resolution 0.25 resolves the J0 period
             grid = Grid2(-40, 40, -40, 40, n, n)
-            xs, ys = grid.centers()
-            field = extend_on_grid(Density.constant(), xs, ys, 8 * (57 + 10))
+            field = extend_on_grid(Density.constant(), grid, 8 * (57 + 10))
             norm, _ = weighted_lq_2d(field, grid, WeightSpec.separable(1, 1), 2)
             vals.append(norm)
         assert abs(vals[1] - vals[0]) < 0.01 * vals[1]
@@ -190,11 +189,13 @@ class TestGrid2:
 
 class TestWeightedLq2dOracle:
     # the direct formula (sum |f w^{-1}|^q cell)^{1/q}, weights written out, on a
-    # grid of several row chunks whose central box cuts through all of them
+    # grid of several row chunks whose central box cuts through all of them; q/2
+    # below one, one, integer (repeated products) and not an integer
     GRID = Grid2(-3.0, 5.0, -2.0, 7.0, 301, 257)
     WEIGHTS = [
         (WeightSpec.separable(0.3, 0.7),
          lambda x, y: (1 + np.abs(x)) ** -0.3 * (1 + np.abs(y)) ** -0.7),
+        (WeightSpec.separable(0.0, 0.7), lambda x, y: (1 + np.abs(y)) ** -0.7 + 0 * x),
         (WeightSpec.radial(0.5), lambda x, y: (1 + np.abs(x) + np.abs(y)) ** -0.5),
     ]
 
@@ -204,7 +205,7 @@ class TestWeightedLq2dOracle:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     @pytest.mark.parametrize("weight, inverse", WEIGHTS)
-    @pytest.mark.parametrize("q", [0.5, 2, 6])
+    @pytest.mark.parametrize("q", [0.5, 2, 3, 4, 6])
     def test_matches_the_direct_formula(self, weight, inverse, q):
         grid, vals = self.GRID, self.field()
         xs, ys = grid.centers()
@@ -224,6 +225,13 @@ class TestWeightedLq2dOracle:
         vals[150, 3] = bad
         with pytest.raises(NumericalError, match="non-finite density values"):
             weighted_lq_2d(vals, self.GRID, WeightSpec.radial(0.5), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_one_non_finite_cell_raises_through_the_separable_products(self, bad):
+        vals = self.field()
+        vals[150, 3] = bad
+        with pytest.raises(NumericalError, match="non-finite density values"):
+            weighted_lq_2d(vals, self.GRID, WeightSpec.separable(0.3, 0.7), 3)
 
     def test_wrong_shape_raises(self):
         with pytest.raises(ValueError, match="shape"):
