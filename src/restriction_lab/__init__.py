@@ -63,7 +63,6 @@ from .operator import (
     circle_norm,
     constant_reference,
     extend,
-    extend_on_grid,
 )
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "Density",
     "Point2",
     "extend",
-    "extend_on_grid",
     "circle_norm",
     "constant_reference",
     "Grid2",

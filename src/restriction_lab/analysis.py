@@ -426,11 +426,16 @@ def _cap(decay) -> np.ndarray:
     return 8 + np.ceil(26.0 / np.asarray(decay)).astype(int)
 
 
+# log2 of the u/x beyond which 1 + (u/x)^p rounds to (u/x)^p: p = 1 for "cos", 2 for "j0"
+_SCALE_FREE_BITS = {"cos": 54, "j0": 27}
+
+
 @functools.cache
-def _scale_free_bound(osc: str, cap: int, bits: int) -> float:
-    """2^-bits times the smallest node of the head at depth ``cap``: an x at or
-    below it has u/x >= 2^bits at every node (its head is capped, ~40 short of
-    its depth); 0.0 where that is not a normal float, as for every cap > 700."""
+def _scale_free_bound(osc: str, cap: int) -> float:
+    """2^-bits (bits = _SCALE_FREE_BITS[osc]) times the smallest node of the head at depth
+    ``cap``: an x at or below it has u/x >= 2^bits at every node (its head is capped, ~40
+    short of its depth); 0.0 where that is not a normal float, as for every cap > 700."""
+    bits = _SCALE_FREE_BITS[osc]
     bound = float(_head_panels(osc, cap)[0].min()) * 2.0**-bits if cap <= 700 else 0.0
     return bound if bound >= np.finfo(float).tiny else 0.0
 
@@ -453,8 +458,8 @@ def _transform_many(
     panel holds less than e^{-26} of it.  ``decay`` is one float or one per
     sample, so samples of different exponents share one call; each sample's
     cap is its own.  Every reduction runs row by row, so results do not
-    depend on batching.  With ``free = (power, bits, degree)``, a sample at or
-    below ``_scale_free_bound(osc, cap, bits)`` has the envelope
+    depend on batching.  With ``free = (power, degree)``, a sample at or
+    below ``_scale_free_bound(osc, cap)`` has the envelope
     x^degree u^power at every node, exactly in floating point: it is x^degree
     times one quadrature of u^power, made by this driver once per distinct
     power and named in a failure by the first such sample.
@@ -463,9 +468,9 @@ def _transform_many(
     cap = _cap(decay)
     direct = np.arange(x.size)
     if free is not None:
-        power, bits, degree = free
+        power, degree = free
         caps = np.unique(cap)
-        bound = np.array([_scale_free_bound(osc, int(c), bits) for c in caps])
+        bound = np.array([_scale_free_bound(osc, int(c)) for c in caps])
         is_free = x <= bound[np.searchsorted(caps, cap)]
         at, direct = np.nonzero(is_free)[0], np.nonzero(~is_free)[0]
         if at.size:
@@ -541,7 +546,7 @@ def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
         1e-9,
         lambda i: f"cosine_weight_kernel(kappa={float(np.take(kap, i))!r}, "
         f"lambda={float(flat[i])!r})",
-        free=(-kap, 54, kap),  # (rho/lambda)^-kappa = lambda^kappa rho^-kappa
+        free=(-kap, kap),  # (rho/lambda)^-kappa = lambda^kappa rho^-kappa
     )
     return (integral / flat).reshape(shape)
 
@@ -622,7 +627,7 @@ def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
         1e-7,
         lambda i: f"hankel_decay_transform(delta={float(np.take(delta, i))!r}, "
         f"s={float(flat[i])!r})",
-        free=(1.0 - delta, 27, 0.0),  # u (u/s)^-delta / s^delta = u^(1-delta)
+        free=(1.0 - delta, 0.0),  # u (u/s)^-delta / s^delta = u^(1-delta)
     )
     # H = 2 pi s^{delta-2} * scaled integral
     return (2 * math.pi * flat ** (delta - 2) * integral).reshape(shape)
@@ -682,7 +687,7 @@ class CosineKernelTable:
         # values at the nodes -> Chebyshev coefficients (discrete cosine transform)
         self._fit = (2.0 / n) * np.cos(np.outer(theta, np.arange(n)))
         self._fit[:, 0] *= 0.5
-        self._free = _scale_free_bound("cos", int(_cap(1.0 - kappa)), 54)
+        self._free = _scale_free_bound("cos", int(_cap(1.0 - kappa)))
         self._coef = np.zeros((n, _PIECE_COUNT))  # piece j in column j - _PIECE_FIRST
         self._built = np.zeros(_PIECE_COUNT, dtype=bool)
 

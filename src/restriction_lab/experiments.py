@@ -40,7 +40,7 @@ from .exponents import (
 )
 from .norms import Grid2, Sampled1, WeightSpec, compensated_sum, weak_lq_1d, weighted_lq_2d
 from .operator import (SPLIT_PHASES, Density, circle_norm, constant_reference_radii,
-                       extend_on_grid, grid_factors)
+                       extend_on_grid, grid_factors, y_factor)
 
 __all__ = [
     "PredictedExponent",
@@ -201,28 +201,27 @@ def _knapp_quadrant(delta: float) -> tuple[Grid2, int]:
     return quadrant, int(8 * (math.hypot(grid.x1, grid.y1) + 10))
 
 
-def _column_blocks(grid: Grid2) -> list[Grid2]:
-    """The grid's column blocks of KNAPP_BLOCK_CELLS cells; the last takes the rest."""
+def _column_blocks(grid: Grid2) -> list[tuple[int, int]]:
+    """The grid's column blocks [j0, j1) of KNAPP_BLOCK_CELLS cells; the last takes the rest."""
     step = max(2, KNAPP_BLOCK_CELLS // grid.nx)
     edges = [*range(0, max(grid.ny - step, 0) + 1, step), grid.ny]
-    return [replace(grid, y0=grid.y0 + j0 * grid.dy, y1=grid.y0 + j1 * grid.dy, ny=j1 - j0)
-            for j0, j1 in zip(edges, edges[1:])]
+    return list(zip(edges, edges[1:]))
 
 
 def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
     """A folded quadrant's sum of |f w^{-1}|^2 cell_measure for a separable weight a(x) b(y)
     (q = 2 only), as sum_x a(x)^2 c(x)^T G c(x) over the cap's real, folded ``grid_factors``:
     G = sum_y b(y)^2 Re(e(y) e(y)^H), built by blocks from e's interleaved (cos, sin) rows."""
-    a2 = weight.inverse_factor(grid.centers()[0], 0.0) ** 2
+    xs, ys = grid.centers()
+    a2, b2 = weight.inverse_factor(xs, 0.0) ** 2, weight.inverse_factor(0.0, ys) ** 2
     a2[: int(grid.x0 < 0)] /= 2  # an odd axis's centre line has one mirror image
+    b2[: int(grid.y0 < 0)] /= 2
+    c, cos_phi, fine = grid_factors(cap, grid, nodes)
     gram = 0
-    for block in _column_blocks(grid):
-        cx, ey = grid_factors(cap, block, nodes)
-        b2 = weight.inverse_factor(0.0, block.centers()[1]) ** 2
-        b2[: int(block.y0 < 0)] /= 2
-        ey = ey.view(np.float64)
-        gram = gram + (ey * np.repeat(b2, 2)) @ ey.T
-    rows = np.einsum("xk,xk->x", cx @ gram, cx)
+    for j0, j1 in _column_blocks(grid):
+        ey = y_factor(cos_phi, fine, ys[j0:j1]).view(np.float64)
+        gram = gram + (ey * np.repeat(b2[j0:j1], 2)) @ ey.T
+    rows = np.einsum("xk,xk->x", c @ gram, c)
     return compensated_sum(a2 * rows) * grid.cell_measure
 
 
@@ -230,11 +229,14 @@ def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, node
     """The same sum for any q and weight: each column block goes through
     ``extend_on_grid`` (split-phase y factor) and ``weighted_lq_2d`` (one matrix-vector
     reduction per row chunk for a separable weight); block masses add with compensation."""
+    ys = grid.centers()[1]
+    c, cos_phi, fine = grid_factors(cap, grid, nodes)
     masses = []
-    for block in _column_blocks(grid):
-        field = extend_on_grid(cap, block, nodes)
+    for j0, j1 in _column_blocks(grid):
+        field = extend_on_grid(c, y_factor(cos_phi, fine, ys[j0:j1]))
         field[: int(grid.x0 < 0)] *= 2 ** (-1 / q)  # the Gram form's halving, on |f|^q
-        field[:, : int(block.y0 < 0)] *= 2 ** (-1 / q)
+        field[:, : int(j0 == 0 and grid.y0 < 0)] *= 2 ** (-1 / q)
+        block = replace(grid, y0=grid.y0 + j0 * grid.dy, y1=grid.y0 + j1 * grid.dy, ny=j1 - j0)
         masses.append(weighted_lq_2d(field, block, weight, q)[0] ** q)
     return compensated_sum(np.array(masses))
 
@@ -405,7 +407,8 @@ def _inner_s_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     cancellation of forming 1 - v in floats.  As v -> 0 the integrand behaves like
     v^{2(alpha+beta)-2} at every outer phi, so the neglected sliver v < 2^{-61} holds
     about 2^{-60(2(alpha+beta)-1)} of the corner mass (0.98% at criterion 10's alpha + beta
-    = 5/9, 44% at 0.51), a share set by alpha + beta alone: fitted slopes are unaffected.
+    = 5/9, 2^-6 at the scan's bound 11/20), a share set by alpha + beta alone: fitted
+    slopes are unaffected.
     """
     i, j = np.arange(8.0), np.arange(1.0, 61.0)
     s_part = _panel_nodes(0.5 * (i / 8) ** 3, 0.5 * ((i + 1) / 8) ** 3, 6)
@@ -437,8 +440,10 @@ def l2_endpoint_scan(
 ) -> ScanResult:
     """Blow-up of ||extend(F_delta)||_2^2 / ||F_delta||_r^2 as mu -> 1/r.
 
-    Exact preconditions: 0 < 2 beta <= 2 alpha < 1, alpha + beta > 1/2 and
-    alpha + 2 beta = 3/2 - 1/r' with 1 < r < inf.  For eps = 2^{-k} the
+    Exact preconditions: 0 < 2 beta <= 2 alpha < 1, alpha + beta >= 11/20 and
+    alpha + 2 beta = 3/2 - 1/r' with 1 < r < inf.  The theorem needs alpha + beta > 1/2;
+    the stricter 11/20 bounds the corner mass the inner mesh drops, about
+    2^{-60(2(alpha+beta)-1)} (``_inner_s_mesh``), by 2^-6.  For eps = 2^{-k} the
     profile exponent is mu = 1/r - eps and
 
       LHS = 8 int_0^delta phi^{-mu} int_0^phi varphi^{-mu}
@@ -471,8 +476,11 @@ def l2_endpoint_scan(
     inv_rc = inv_conjugate(r)
     if not (0 < 2 * b <= 2 * a < 1):
         raise DomainError("need 0 < 2 beta <= 2 alpha < 1")
-    if not a + b > Fraction(1, 2):
-        raise DomainError("need alpha + beta > 1/2")
+    if a + b < Fraction(11, 20):
+        share = min(2.0 ** (-60 * (2 * float(a + b) - 1)), 1.0)
+        raise DomainError(f"need alpha + beta >= 11/20, where the sliver v < 2^-61 the inner "
+                          f"mesh drops holds at most 2^-6 of the corner mass; at alpha + beta "
+                          f"= {a + b} it holds {share:.1%}")
     if a + 2 * b != Fraction(3, 2) - inv_rc:
         raise DomainError("need alpha + 2 beta = 3/2 - 1/r' exactly")
     if not 0 < delta < 1:
@@ -565,19 +573,18 @@ def pitt_sweep(
     and sampled on a xi-grid covering the spread 1/s (plus the modulation
     shift).  Returns all ratios and their maximum.  The transform splits
     phases (``_split_phase_cosine``), in memory O((n_xi/64 + 64) n_x + n_xi).
-    Every scale must be positive and finite and the sweep's sum of n_xi n_x at
-    most PITT_CELL_BUDGET, both checked before any transform.
+    The hypothesis 0 <= 1/q - 1/p' <= beta is decided exactly; every scale must be
+    positive and finite and the sweep's sum of n_xi n_x at most PITT_CELL_BUDGET, all
+    checked before any transform.
     """
-    bf = float(to_fraction(beta))
-    pf = float(to_fraction(p))
-    qf = float(to_fraction(q))
-    if not 1 <= pf <= 2:
+    b_x, p_x, q_x = (to_fraction(v) for v in (beta, p, q))
+    if not 1 <= p_x <= 2:
         raise DomainError("need 1 <= p <= 2")
-    if qf <= 0:
+    if q_x <= 0:
         raise DomainError("need q > 0")
-    inv_pc = 1 - 1 / pf  # 1/p'
-    if not 0 <= 1 / qf - inv_pc <= bf:
+    if not 0 <= 1 / q_x - (1 - 1 / p_x) <= b_x:  # 1/p' = 1 - 1/p
         raise DomainError("need 0 <= 1/q - 1/p' <= beta")
+    bf, pf, qf = float(b_x), float(p_x), float(q_x)
     if not scales:
         raise DomainError("need at least one scale")
     if not all(0 < s < math.inf for s in scales):  # NaN fails too

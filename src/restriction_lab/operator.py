@@ -16,7 +16,6 @@ changes constants only, not the delta-scaling that the experiments measure.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ __all__ = [
     "extend",
     "extend_on_grid",
     "grid_factors",
+    "y_factor",
     "circle_norm",
     "constant_reference",
     "effective_node_count",
@@ -131,52 +131,37 @@ def extend(density: Density, p: Point2, nodes: int) -> complex:
 SPLIT_PHASES = 64  # fine phases per coarse phase of a split-phase table (Knapp y, Pitt)
 
 
-@functools.lru_cache(maxsize=1)  # (phi, w, folded) of the rule, folded if symmetric bit for bit
-def _folded_rule(density: Density, nodes: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    phi, w = _quad_rule(density, nodes)
-    if np.array_equal(phi, -phi[::-1]) and np.array_equal(w, w[::-1]):
-        return phi[phi >= 0], np.where(phi == 0, w, 2 * w)[phi >= 0], True
-    return phi, w, False
-
-
-@functools.lru_cache(maxsize=1)  # the x axis every column block of a streamed grid shares
-def _x_factor(density: Density, nodes: int, xs: bytes) -> np.ndarray:
-    phi, w, folded = _folded_rule(density, nodes)
-    x = np.frombuffer(xs)[:, None]
-    c = np.cos(x * np.sin(phi)) * w if folded else np.exp(1j * x * np.sin(phi)) * w
-    c.flags.writeable = False
-    return c
-
-
-@functools.lru_cache(maxsize=16)  # blocks' dy differ by ulps: 7 values at delta = 2^-5, 11 at 2^-6
-def _y_fine(density: Density, nodes: int, dy: float) -> np.ndarray:
-    phi = _folded_rule(density, nodes)[0]
-    fine = np.exp(1j * np.outer(np.cos(phi), dy * np.arange(SPLIT_PHASES)))
-    fine.flags.writeable = False
-    return fine
-
-
-def grid_factors(density: Density, grid: Grid2, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def grid_factors(density: Density, grid: Grid2, nodes: int) -> tuple[np.ndarray, ...]:
     """Low-rank factors of extend(density) on the grid's cell centres: extend = sum_k
     c[x, k] e[k, y], e = e^{i y cos phi_k} of shape (K', ny).  A rule symmetric in
     phi <-> -phi bit for bit (the cap's) folds each pair into the real c = 2 w cos(x sin phi),
     K' = ceil(K/2), an unpaired phi = 0 keeping w; any other keeps c = w e^{i x sin phi},
-    K' = K.  e splits phases as y_{aM+m} = y_{aM} + m dy (M = SPLIT_PHASES): a coarse table
-    at every M-th y times the fine table e^{i m dy cos phi}, one complex product per cell
-    and no trig call, within a few ulp of max |y| of the direct phases.  c and the fine
-    table are read-only, cached for the next block with the same x axis and dy."""
-    xs, ys = grid.centers()
-    cos_phi = np.cos(_folded_rule(density, nodes)[0])
+    K' = K.  e comes in split form, (cos phi, the fine table e^{i m dy cos phi} for
+    m < SPLIT_PHASES), from which ``y_factor`` builds it for any run of the grid's centres."""
+    phi, w = _quad_rule(density, nodes)
+    x = grid.centers()[0][:, None]
+    if np.array_equal(phi, -phi[::-1]) and np.array_equal(w, w[::-1]):
+        phi, w = phi[phi >= 0], np.where(phi == 0, w, 2 * w)[phi >= 0]
+        c = np.cos(x * np.sin(phi)) * w
+    else:
+        c = np.exp(1j * x * np.sin(phi)) * w
+    cos_phi = np.cos(phi)
+    return c, cos_phi, np.exp(1j * np.outer(cos_phi, grid.dy * np.arange(SPLIT_PHASES)))
+
+
+def y_factor(cos_phi: np.ndarray, fine: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """e = e^{i y cos phi} of shape (K', len(ys)) for consecutive centres ys of the grid whose
+    fine table this is, by split phases y_{aM+m} = y_{aM} + m dy (M = SPLIT_PHASES): a
+    coarse table at every M-th y times the fine table, one complex product per cell and
+    no trig call, within a few ulp of max |y| of the direct phases."""
     coarse = np.exp(1j * np.outer(cos_phi, ys[::SPLIT_PHASES]))
-    e = coarse[:, :, None] * _y_fine(density, nodes, grid.dy)[:, None, :]
-    return _x_factor(density, nodes, xs.tobytes()), e.reshape(cos_phi.size, -1)[:, : grid.ny]
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(cos_phi.size, -1)[:, : ys.size]
 
 
-def extend_on_grid(density: Density, grid: Grid2, nodes: int) -> np.ndarray:
-    """extend(density, (x, y)) on the grid's cell centres, shape (nx, ny), identical to
-    pointwise ``extend`` up to roundoff: a real c of the ``grid_factors`` meets e's interleaved
+def extend_on_grid(c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The field sum_k c[x, k] e[k, y] of ``grid_factors`` and ``y_factor``, shape (nx, ny),
+    identical to pointwise ``extend`` up to roundoff: a real c meets e's interleaved
     (cos, sin) rows in one real product of O(nx ny K/2) multiply-adds; a complex c costs 4x."""
-    c, e = grid_factors(density, grid, nodes)
     if np.isrealobj(c):
         return (c @ e.view(np.float64)).view(np.complex128)
     return c @ e

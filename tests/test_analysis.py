@@ -392,8 +392,8 @@ def _direct_hankel(delta: float, svals: np.ndarray) -> np.ndarray:
 
 def _bound(osc: str, exponent: float) -> float:
     """The scale-free bound of kappa ("cos") or delta ("j0")."""
-    decay, bits = (1.0 - exponent, 54) if osc == "cos" else (2.0 - exponent, 27)
-    return analysis._scale_free_bound(osc, int(analysis._cap(decay)), bits)
+    decay = 1.0 - exponent if osc == "cos" else 2.0 - exponent
+    return analysis._scale_free_bound(osc, int(analysis._cap(decay)))
 
 
 class TestScaleFree:
@@ -427,7 +427,7 @@ class TestScaleFree:
         s = np.array([_bound("j0", delta) * 1e-100])
         # every sample is scale-free, so the per-sample envelope is never called
         integral = analysis._transform_many(
-            "j0", s, 2.0 - delta, None, 1e-7, str, free=(1.0 - delta, 27, 0.0))
+            "j0", s, 2.0 - delta, None, 1e-7, str, free=(1.0 - delta, 0.0))
         limit = 2 ** (1 - delta) * math.gamma(1 - delta / 2) / math.gamma(delta / 2)
         assert abs(integral[0] / limit - 1) <= 1e-14
 
@@ -771,10 +771,13 @@ class TestQuadratureTables:
 
     def test_single_gauss_legendre_source_and_cache_idiom(self):
         # one leggauss call (inside analysis._gl), no global statement and no
-        # module-level dict filled at run time: every table cache is functools.cache
+        # module-level dict filled at run time: every table cache is functools.cache,
+        # and the grid and scan layers hold none, their factors passed down as values
         src = Path(analysis.__file__).parent
         sources = {p.name: p.read_text() for p in src.glob("*.py")}
         assert sum(text.count("leggauss") for text in sources.values()) == 1
+        for name in ("operator.py", "norms.py", "experiments.py"):
+            assert "functools" not in sources[name], name
         for name, text in sources.items():
             tree = ast.parse(text)
             assert not any(isinstance(n, ast.Global) for n in ast.walk(tree)), name

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from restriction_lab import experiments
@@ -333,10 +333,19 @@ class TestKnappScan:
 
     @pytest.mark.parametrize("kind, kw, pinned", KNAPP_PINNED)
     def test_samples_pinned_across_many_column_blocks(self, monkeypatch, kind, kw, pinned):
-        # blocks of 2^10 cells: 3, 25 and 201 per delta, and the odd y axis of
-        # delta = 2^-2 keeps its centre line in the first of three
+        # blocks of 2^10 cells: 3, 25 and 201 per delta, most of them starting between
+        # the coarse rows of the split phases, and the odd y axis of delta = 2^-2 keeps
+        # its centre line in the first of three
         monkeypatch.setattr(experiments, "KNAPP_BLOCK_CELLS", 1 << 10)
+        seen, column_blocks = [], experiments._column_blocks
+
+        def counted(grid):
+            seen.append((grid.y0 < 0, column_blocks(grid)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(experiments, "_column_blocks", counted)
         res = knapp_scan(kind, delta_exps=[2, 3, 4], **kw)
+        assert [len(blocks) for _, blocks in seen] == [3, 25, 201] and seen[0][0]
         for sample, values in zip(res.samples, pinned):
             assert (sample.lhs, sample.rhs, sample.ratio) == pytest.approx(values, rel=1e-12)
 
@@ -355,8 +364,8 @@ class TestKnappScan:
     @pytest.mark.parametrize("kind, kw", [("separable", dict(alpha=0, beta=0, q=6, r=2)),
                                           ("radial", dict(gamma="1/2", q=2, r=2))])
     def test_streamed_memory_stays_under_8_mb(self, kind, kw):
-        # one column block (a 1 MB field), the cached x factor and fine y tables: about
-        # 4.4 and 2.9 MB; the whole y axis's factor alone would be 13 MB at delta = 2^-6
+        # one column block (a 1 MB field) and the quadrant's x factor and fine y table:
+        # about 3.8 and 3.0 MB; the whole y axis's factor alone would be 13 MB at 2^-6
         tracemalloc.start()
         try:
             knapp_scan(kind, delta_exps=[2, 3, 6], **kw)
@@ -544,6 +553,21 @@ class TestL2Endpoint:
         with pytest.raises(DomainError):
             l2_endpoint_scan("5/18", "5/18", 3, 1.5, [3, 4, 5])  # delta range
 
+    def test_alpha_plus_beta_below_11_20_is_refused_before_any_kernel_work(self, monkeypatch):
+        def no_kernel(kappa):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(experiments, "CosineKernelTable", no_kernel)
+        # alpha + beta = 51/100 would drop 2^-1.2 = 43.5 % of the corner mass
+        with pytest.raises(DomainError, match=r">= 11/20.* = 51/100 it holds 43\.5%"):
+            l2_endpoint_scan("49/100", "1/50", "100/3", 0.25, [6, 7, 8])
+        tiny = Fraction(1, 10**12)  # decided exactly, just below the bound
+        with pytest.raises(DomainError, match="11/20"):
+            l2_endpoint_scan(Fraction(9, 20) - tiny, "1/10", 1 / (Fraction(3, 20) - tiny), 0.25,
+                             [3, 4, 5])
+        with pytest.raises(AssertionError, match="kernel built"):  # the bound itself runs
+            l2_endpoint_scan("9/20", "1/10", "20/3", 0.25, [3, 4, 5])
+
     def test_blowup_slope_short(self):
         res = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5])
         assert res.predicted.slope == Fraction(-1, 3)
@@ -709,6 +733,21 @@ class TestPitt:
     def test_hypothesis_validation(self):
         with pytest.raises(DomainError):
             pitt_sweep(0, 2, 4, [1.0])  # 1/q - 1/p' < 0 fails the hypothesis
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.fractions(1, 2, max_denominator=12), gap=st.fractions(0, 1, max_denominator=12),
+           lower=st.booleans())
+    @example(p=Fraction(1), gap=Fraction(3, 11), lower=False)  # 1/float(11/3) > float(3/11)
+    @example(p=Fraction(1), gap=Fraction(3, 19), lower=False)
+    @example(p=Fraction(1), gap=Fraction(6, 11), lower=False)
+    def test_exact_edges_of_the_hypothesis_are_accepted(self, p, gap, lower):
+        # beta = gap on the upper edge beta = 1/q - 1/p', or 1/q = 1/p' on the lower edge;
+        # an exact beta below 1/q - 1/p' is refused
+        inv_q = 1 - 1 / p + (0 if lower else gap)
+        assume(inv_q > 0)
+        assert pitt_sweep(gap, p, 1 / inv_q, [1.0]).max_ratio > 0
+        with pytest.raises(DomainError, match="beta"):
+            pitt_sweep(inv_q - (1 - 1 / p) - Fraction(1, 10**12), p, 1 / inv_q, [1.0])
 
     def test_small_s_slope_is_one_half(self):
         # criterion 12's explanation: below s ~ 1 the family is not

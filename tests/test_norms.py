@@ -99,12 +99,13 @@ class TestWeightedLq2d:
 
     def test_extension_norm_stable_under_refinement(self):
         # bounded weighted norm of the constant-density extension on a fixed box
-        from restriction_lab.operator import Density, extend_on_grid
+        from restriction_lab.operator import Density, extend_on_grid, grid_factors, y_factor
 
         vals = []
         for n in (320, 640):  # resolution 0.25 resolves the J0 period
             grid = Grid2(-40, 40, -40, 40, n, n)
-            field = extend_on_grid(Density.constant(), grid, 8 * (57 + 10))
+            c, cos_phi, fine = grid_factors(Density.constant(), grid, 8 * (57 + 10))
+            field = extend_on_grid(c, y_factor(cos_phi, fine, grid.centers()[1]))
             norm, _ = weighted_lq_2d(field, grid, WeightSpec.separable(1, 1), 2)
             vals.append(norm)
         assert abs(vals[1] - vals[0]) < 0.01 * vals[1]

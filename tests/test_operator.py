@@ -1,10 +1,8 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from restriction_lab import operator
 from restriction_lab.analysis import _gl, j0_extrema
 from restriction_lab.experiments import _column_blocks, _knapp_quadrant
 from restriction_lab.exponents import DomainError
@@ -18,10 +16,16 @@ from restriction_lab.operator import (
     extend,
     extend_on_grid,
     grid_factors,
+    y_factor,
 )
 
 # centres x = -3..7 and y = -2..2 in unit and half-unit steps
 GRID = Grid2(-3.5, 7.5, -2.25, 2.25, 11, 9)
+
+
+def field_on(density, grid, nodes):
+    c, cos_phi, fine = grid_factors(density, grid, nodes)
+    return extend_on_grid(c, y_factor(cos_phi, fine, grid.centers()[1]))
 
 
 class TestExtend:
@@ -108,7 +112,7 @@ class TestGridEvaluation:
         xs, ys = GRID.centers()
         for density in (Density.constant(), Density.cap(0.25),
                         Density.power_singular(0.3, 0.5)):
-            grid = extend_on_grid(density, GRID, 300)
+            grid = field_on(density, GRID, 300)
             for i in (0, 5, 10):
                 for j in (0, 4, 8):
                     direct = extend(density, Point2(xs[i], ys[j]), 300)
@@ -134,10 +138,9 @@ class TestFoldedCapFactors:
         cap, arc = Density.cap(delta), 2 * math.asin(delta)
         assert effective_node_count(nodes, arc) == n_nodes
         xs, ys = grid.centers()
-        c, e = grid_factors(cap, grid, nodes)
+        c = grid_factors(cap, grid, nodes)[0]
         assert np.isrealobj(c) and c.shape == (grid.nx, (n_nodes + 1) // 2)
-        assert not c.flags.writeable  # cached for the next call on the same xs
-        field = extend_on_grid(cap, grid, nodes)
+        field = field_on(cap, grid, nodes)
         rng = np.random.default_rng(k)
         rows = [0, grid.nx - 1, *rng.integers(grid.nx, size=60)]
         cols = [0, grid.ny - 1, *rng.integers(grid.ny, size=60)]
@@ -154,42 +157,39 @@ class TestFoldedCapFactors:
 
     def test_other_densities_keep_the_complex_product(self):
         for density in (Density.constant(), Density.power_singular(0.3, 0.5)):
-            c, e = grid_factors(density, GRID, 300)
-            assert np.iscomplexobj(c) and c.shape[1] == e.shape[0]
+            c, cos_phi, fine = grid_factors(density, GRID, 300)
+            assert np.iscomplexobj(c) and c.shape[1] == cos_phi.size == fine.shape[0]
 
 
 class TestSplitPhaseFactor:
-    # e = e^{i y cos phi} as a coarse table at every 64th y times a cached fine table
+    # e = e^{i y cos phi} as a coarse table at every 64th y times the grid's fine table
     # e^{i m dy cos phi}, against cos and sin of the direct phases at the same centres
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_matches_direct_phases_on_every_knapp_quadrant(self, k):
         delta = 2.0**-k
         grid, nodes = _knapp_quadrant(delta)
-        grid = dataclasses.replace(grid, x1=grid.x0 + 2 * grid.dx, nx=2)  # e ignores x
-        cap = Density.cap(delta)
-        e = grid_factors(cap, grid, nodes)[1]
+        _, cos_phi, fine = grid_factors(Density.cap(delta), grid, nodes)
         _, ys = grid.centers()
-        cos_phi = np.cos(operator._folded_rule(cap, nodes)[0])
-        assert e.shape == (cos_phi.size, grid.ny)
+        e = y_factor(cos_phi, fine, ys)
+        assert e.shape == (cos_phi.size, grid.ny) and fine.shape == (cos_phi.size, 64)
         for j in range(0, grid.ny, 4096):  # the direct phases in pieces: 26 MB of e at 2^-6
             arg = np.outer(cos_phi, ys[j : j + 4096])
             err = np.max(np.abs(e[:, j : j + 4096] - (np.cos(arg) + 1j * np.sin(arg))))
             assert err <= 3 * np.spacing(ys[-1]), (j, err)
 
-    def test_fine_table_is_read_only_and_shared_by_the_blocks(self):
-        grid, nodes = _knapp_quadrant(2.0**-4)
-        cap = Density.cap(2.0**-4)
-        blocks = _column_blocks(grid)  # three, with the same dy bit for bit
-        fines = []
-        for block in blocks:
-            grid_factors(cap, block, nodes)
-            fines.append(operator._y_fine(cap, nodes, block.dy))
-        assert len(blocks) == 3 and all(fine is fines[0] for fine in fines)
-        assert fines[0].shape == (grid_factors(cap, grid, nodes)[0].shape[1], 64)
-        assert not fines[0].flags.writeable
-        with pytest.raises(ValueError):
-            fines[0][0, 0] = 0
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_each_column_block_is_the_quadrant_factor_bit_for_bit(self, k):
+        # blocks of 256, 128 and 64 columns start on the coarse rows of the quadrant's
+        # own centres, so a block's e is the same columns of the whole quadrant's e
+        grid, nodes = _knapp_quadrant(2.0**-k)
+        _, cos_phi, fine = grid_factors(Density.cap(2.0**-k), grid, nodes)
+        ys = grid.centers()[1]
+        whole = y_factor(cos_phi, fine, ys)
+        blocks = _column_blocks(grid)
+        assert len(blocks) >= 3 and blocks[0][0] == 0 and blocks[-1][1] == grid.ny
+        for j0, j1 in blocks:
+            assert np.array_equal(y_factor(cos_phi, fine, ys[j0:j1]), whole[:, j0:j1]), j0
 
 
 class TestCircleNorm:
