@@ -17,8 +17,9 @@ for K and 2 - delta for H (16 for C); then shared zero-to-zero tail panels,
 summed by iterated averaging, applied as one fixed weight table on the
 partial sums.  A sample so small that its envelope equals its argument-free
 limit at every node, exactly in floating point, is scale-free: it is one
-quadrature row per distinct exponent, scaled.  Every Gauss-Legendre rule in
-the package comes from ``_gl``.
+quadrature row per distinct exponent, scaled.  K, H, their scalar forms and
+the kernel table check their arguments in one front end, ``_batch``.  Every
+Gauss-Legendre rule in the package comes from ``_gl``.
 
 CosineKernelTable serves one kappa from piecewise Chebyshev interpolation
 of lambda^{1-kappa} K in ln(lambda), built lazily from the direct kernel and
@@ -426,7 +427,7 @@ def _cap(decay) -> np.ndarray:
     return 8 + np.ceil(26.0 / np.asarray(decay)).astype(int)
 
 
-# log2 of the u/x beyond which 1 + (u/x)^p rounds to (u/x)^p: p = 1 for "cos", 2 for "j0"
+# log2 of the u/x beyond which 1 + u/x rounds to u/x ("cos") and hypot(u, x) to u ("j0")
 _SCALE_FREE_BITS = {"cos": 54, "j0": 27}
 
 
@@ -513,6 +514,22 @@ def _rows(a: np.ndarray, idx) -> np.ndarray:
     return a[idx][:, None, None] if np.ndim(a) else a
 
 
+def _batch(exponent, name: str, lo: float, hi: float, x, x_name: str):
+    """(exponent, flat x, shape) of a batched transform, or ValueError naming the argument
+    unless the exponent lies in (lo, hi) and every x is positive and finite.  A scalar
+    exponent stays 0-d, so that the envelope's arithmetic does not become per sample."""
+    exponent = np.asarray(exponent, dtype=float)
+    if not np.all((lo < exponent) & (exponent < hi)):
+        raise ValueError(f"{name} must lie in ({lo:g},{hi:g})")
+    x = np.asarray(x, dtype=float)
+    if not np.all((0 < x) & (x < np.inf)):
+        raise ValueError(f"{x_name} must be positive and finite")
+    shape = np.broadcast_shapes(exponent.shape, x.shape)
+    if exponent.ndim:
+        exponent = np.broadcast_to(exponent, shape).reshape(-1)
+    return exponent, np.broadcast_to(x, shape).reshape(-1), shape
+
+
 def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
     """Vectorized K(kappa, lambda) = int_0^inf (1+r)^{-kappa} cos(lambda r) dr.
 
@@ -523,21 +540,13 @@ def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
     smallest node, 1 + rho/lambda rounds to rho/lambda at every node: such a
     lambda is scale-free, K = lambda^{kappa-1} P(kappa), P the quadrature of
     rho^{-kappa}, one row per distinct kappa.  ``kappa`` broadcasts against
-    ``lams``, each in (0, 1).  Relative error against
-    Re e^{-i lambda} (-i lambda)^{kappa-1} Gamma(1-kappa, -i lambda):
+    ``lams``; kappa in (0, 1), lambda positive and finite.  Relative error
+    against Re e^{-i lambda} (-i lambda)^{kappa-1} Gamma(1-kappa, -i lambda):
     <= 1e-13 for kappa in [0.3, 0.99999] and lambda
     in [1e-20, 10], <= 1e-11 below (the floor panel's e^{-26} share), and
     <= 1e-10 for kappa down to 1e-3.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    if not np.all((0 < kappa) & (kappa < 1)):
-        raise ValueError("kappa must lie in (0,1)")
-    lams = np.asarray(lams, dtype=float)
-    if np.any(lams <= 0):
-        raise ValueError("lambda must be positive")
-    shape = np.broadcast_shapes(kappa.shape, lams.shape)
-    flat = np.broadcast_to(lams, shape).reshape(-1)
-    kap = np.broadcast_to(kappa, shape).reshape(-1) if kappa.ndim else kappa
+    kap, flat, shape = _batch(kappa, "kappa", 0, 1, lams, "lambda")
     integral = _transform_many(
         "cos",
         flat,
@@ -553,7 +562,7 @@ def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
 
 def cosine_weight_kernel(kappa: float, lam: float) -> float:
     """K(kappa, lambda) for scalar arguments; see cosine_weight_kernel_many."""
-    return float(cosine_weight_kernel_many(kappa, np.array([lam]))[0])
+    return float(cosine_weight_kernel_many(kappa, lam))
 
 
 def fresnel_constant(kappa: float) -> float:
@@ -577,65 +586,46 @@ def fresnel_constant(kappa: float) -> float:
     )[0])
 
 
-def _scaled_env(u: np.ndarray, ln_s: np.ndarray, delta_exp) -> np.ndarray:
-    """u (1+(u/s)^2)^{-delta/2} / s^delta, computed stably for any s > 0.
-
-    ln(1 + w^2) = logaddexp(0, 2 ln w) avoids overflow of (u/s)^2 when s is
-    exponentially small; dividing out s^delta keeps the result O(u^{1-delta}).
-    ln u sits inside the exponent: for u ~ s tiny, u^{-delta} alone overflows.
-    ``delta_exp`` is a scalar or one value per row, shaped (rows, 1, 1).
-    Cancelling delta ln s costs ~|delta ln s| ulp (1e-13 at s = 1e-300), so
-    scale-free s, whose limit u^{1-delta} needs no s, never come here.
-    """
-    ln_u = np.log(u)[None, :, :]
-    ln_one_plus_w2 = np.logaddexp(0.0, 2.0 * (ln_u - ln_s[:, None, None]))
-    return np.exp(ln_u - 0.5 * delta_exp * ln_one_plus_w2 - delta_exp * ln_s[:, None, None])
-
-
 def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
     """Vectorized H(delta, s) = 2 pi int_0^inf r (1+r^2)^{-delta/2} J0(rs) dr.
 
-    In u = r s: H = (2 pi / s^2) int_0^inf u (1 + u^2/s^2)^{-delta/2} J0(u) du,
+    In u = r s: H = 2 pi s^{delta-2} int_0^inf u (s^2 + u^2)^{-delta/2} J0(u) du,
     summed by ``_transform_many`` over the zero-to-zero panels of J0.  The
-    head [0, j_1] follows each s down at most 8 + ceil(26/(2-delta))
-    e-foldings (decay 2 - delta: the cap grows without bound as delta -> 2).
-    For s <= 2^-27 times that head's smallest node, 1 + (u/s)^2 rounds to
-    (u/s)^2 at every node: such an s is scale-free, its scaled integral the
-    quadrature of u^{1-delta}, one row per distinct delta.  The s^{delta-2}
-    growth factor is split off in log space, so exponentially small s stay
-    representable.  ``delta_exp`` broadcasts
-    against ``s_vals``, each in (1, 2).  Relative error against
+    envelope is (u/h) h^{1-delta}, h = hypot(u, s), which cannot overflow for
+    a normal s.  The head [0, j_1] follows each s down at most
+    8 + ceil(26/(2-delta)) e-foldings (the cap grows without bound as
+    delta -> 2).  For s <= 2^-27 times that head's smallest node, hypot(u, s)
+    equals u at every node: such an s is scale-free, its integral the
+    quadrature of u^{1-delta}, one row per distinct delta, equal bit for bit
+    to its per-sample row.  ``delta_exp`` broadcasts against ``s_vals``;
+    delta in (1, 2), s positive and finite.  Relative error against
     2 pi s^nu K_nu(s) / (2^nu Gamma(nu+1)), nu = delta/2 - 1: <= 5e-13 for
     delta in [1.001, 1.999] and s in [1e-12, 5], <= 1e-11 down to s = 1e-300,
     and where H is exponentially small <= 1e-10 at s = 10, 1e-6 at s = 20.
     """
-    delta_exp = np.asarray(delta_exp, dtype=float)
-    if not np.all((1 < delta_exp) & (delta_exp < 2)):
-        raise ValueError("delta_exp must lie in (1,2)")
-    s_vals = np.asarray(s_vals, dtype=float)
-    if np.any(s_vals <= 0):
-        raise ValueError("s must be positive")
-    shape = np.broadcast_shapes(delta_exp.shape, s_vals.shape)
-    flat = np.broadcast_to(s_vals, shape).reshape(-1)
-    delta = np.broadcast_to(delta_exp, shape).reshape(-1) if delta_exp.ndim else delta_exp
-    ln_s = np.log(flat)
+    delta, flat, shape = _batch(delta_exp, "delta_exp", 1, 2, s_vals, "s")
+    power = 1.0 - delta
+
+    def env(u, idx):
+        h = np.hypot(u, flat[idx][:, None, None])
+        return (u / h) * h ** _rows(power, idx)
+
     integral = _transform_many(
         "j0",
         flat,
         2.0 - delta,
-        lambda u, idx: _scaled_env(u, ln_s[idx], _rows(delta, idx)),
+        env,
         1e-7,
         lambda i: f"hankel_decay_transform(delta={float(np.take(delta, i))!r}, "
         f"s={float(flat[i])!r})",
-        free=(1.0 - delta, 0.0),  # u (u/s)^-delta / s^delta = u^(1-delta)
+        free=(power, 0.0),  # where hypot(u, s) = u the envelope is u^(1-delta)
     )
-    # H = 2 pi s^{delta-2} * scaled integral
     return (2 * math.pi * flat ** (delta - 2) * integral).reshape(shape)
 
 
 def hankel_decay_transform(delta_exp: float, s: float) -> float:
     """H(delta, s) for scalar arguments; see hankel_decay_transform_many."""
-    return float(hankel_decay_transform_many(delta_exp, np.array([s]))[0])
+    return float(hankel_decay_transform_many(delta_exp, s))
 
 
 # ---------------------------------------------------------------------------
@@ -696,16 +686,13 @@ class CosineKernelTable:
         return int(np.count_nonzero(self._built))
 
     def __call__(self, lams) -> np.ndarray:
-        lams = np.asarray(lams, dtype=float)
-        flat = lams.reshape(-1)
-        if not np.all((flat > 0) & (flat < np.inf)):
-            raise ValueError("lambda must be positive and finite")
+        _, flat, shape = _batch(self.kappa, "kappa", 0, 1, lams, "lambda")
         free = flat <= self._free
         g = self._interpolate(flat[~free])
         direct = cosine_weight_kernel_many(self.kappa, flat[free])
         out = np.empty_like(flat)
         out[~free], out[free] = g, direct
-        return out.reshape(lams.shape)
+        return out.reshape(shape)
 
     def _interpolate(self, lam: np.ndarray) -> np.ndarray:
         t = np.log(lam)

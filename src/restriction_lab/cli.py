@@ -364,15 +364,18 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     path = argv[idx + 1]
     try:
         with open(path) as handle:
-            pairs = [
-                line.strip().split("=", 1)
-                for line in handle
+            lines = [
+                (number, line.strip())
+                for number, line in enumerate(handle, 1)
                 if line.strip() and not line.startswith("#")
             ]
     except OSError as exc:
         parser.error(f"cannot read config {path}: {exc}")
     extra: list[str] = []
-    for key, value in pairs:
+    for number, line in lines:
+        key, eq, value = line.partition("=")
+        if not eq:
+            parser.error(f"config {path} line {number}: {line!r} is not key=value")
         flag = "--" + key.strip().replace("_", "-")
         if flag not in argv:  # explicit flags override the file
             extra.extend([flag, value.strip()])

@@ -12,6 +12,8 @@ reference is 2 pi J0(|p|).
 
 The cap used here is the single arc around (0,1); the two-arc antipodal cap
 changes constants only, not the delta-scaling that the experiments measure.
+The grid form (``grid_factors``, ``y_factor``, ``extend_on_grid``) serves the
+cap alone: its rule is symmetric in phi, so the x factor folds to a real one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _gl, _j0, bessel_j0
+from .errors import NumericalError
 from .exponents import DomainError, ExtScalar, ScalarLike
 from .norms import Grid2
 
@@ -131,20 +134,21 @@ def extend(density: Density, p: Point2, nodes: int) -> complex:
 SPLIT_PHASES = 64  # fine phases per coarse phase of a split-phase table (Knapp y, Pitt)
 
 
-def grid_factors(density: Density, grid: Grid2, nodes: int) -> tuple[np.ndarray, ...]:
-    """Low-rank factors of extend(density) on the grid's cell centres: extend = sum_k
-    c[x, k] e[k, y], e = e^{i y cos phi_k} of shape (K', ny).  A rule symmetric in
-    phi <-> -phi bit for bit (the cap's) folds each pair into the real c = 2 w cos(x sin phi),
-    K' = ceil(K/2), an unpaired phi = 0 keeping w; any other keeps c = w e^{i x sin phi},
-    K' = K.  e comes in split form, (cos phi, the fine table e^{i m dy cos phi} for
+def grid_factors(cap: Density, grid: Grid2, nodes: int) -> tuple[np.ndarray, ...]:
+    """Low-rank factors of extend(cap) on the grid's cell centres: extend = sum_k
+    c[x, k] e[k, y], e = e^{i y cos phi_k} of shape (K', ny).  The cap's Gauss-Legendre
+    rule is symmetric in phi <-> -phi bit for bit, so each pair folds into the real
+    c = 2 w cos(x sin phi), K' = ceil(K/2), an unpaired phi = 0 keeping w.  Any density
+    but the cap raises DomainError, and a rule that is not symmetric NumericalError.
+    e comes in split form, (cos phi, the fine table e^{i m dy cos phi} for
     m < SPLIT_PHASES), from which ``y_factor`` builds it for any run of the grid's centres."""
-    phi, w = _quad_rule(density, nodes)
-    x = grid.centers()[0][:, None]
-    if np.array_equal(phi, -phi[::-1]) and np.array_equal(w, w[::-1]):
-        phi, w = phi[phi >= 0], np.where(phi == 0, w, 2 * w)[phi >= 0]
-        c = np.cos(x * np.sin(phi)) * w
-    else:
-        c = np.exp(1j * x * np.sin(phi)) * w
+    if cap.kind != "cap":
+        raise DomainError(f"grid factors need the cap density, not {cap.kind!r}")
+    phi, w = _quad_rule(cap, nodes)
+    if not (np.array_equal(phi, -phi[::-1]) and np.array_equal(w, w[::-1])):
+        raise NumericalError(f"the cap's {phi.size}-node rule is not symmetric in phi")
+    phi, w = phi[phi >= 0], np.where(phi == 0, w, 2 * w)[phi >= 0]
+    c = np.cos(grid.centers()[0][:, None] * np.sin(phi)) * w
     cos_phi = np.cos(phi)
     return c, cos_phi, np.exp(1j * np.outer(cos_phi, grid.dy * np.arange(SPLIT_PHASES)))
 
@@ -160,11 +164,9 @@ def y_factor(cos_phi: np.ndarray, fine: np.ndarray, ys: np.ndarray) -> np.ndarra
 
 def extend_on_grid(c: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The field sum_k c[x, k] e[k, y] of ``grid_factors`` and ``y_factor``, shape (nx, ny),
-    identical to pointwise ``extend`` up to roundoff: a real c meets e's interleaved
-    (cos, sin) rows in one real product of O(nx ny K/2) multiply-adds; a complex c costs 4x."""
-    if np.isrealobj(c):
-        return (c @ e.view(np.float64)).view(np.complex128)
-    return c @ e
+    identical to pointwise ``extend`` up to roundoff: the real c meets e's interleaved
+    (cos, sin) rows in one real product of O(nx ny K/2) multiply-adds."""
+    return (c @ e.view(np.float64)).view(np.complex128)
 
 
 def circle_norm(density: Density, r: ScalarLike) -> float:

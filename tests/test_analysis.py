@@ -325,9 +325,14 @@ class TestCosineKernel:
             cosine_weight_kernel(1.5, 1.0)
         with pytest.raises(ValueError):
             cosine_weight_kernel(0.5, 0.0)
-        for kappas in ([0.5, 1.0], [0.5, np.nan], [0.0, 0.5]):
+        for kappas in ([0.5, 1.0], [0.5, np.nan], [0.0, 0.5], [0.5, np.inf], [-np.inf, 0.5]):
             with pytest.raises(ValueError, match="kappa"):
                 cosine_weight_kernel_many(np.array(kappas), np.array([1.0, 2.0]))
+        for lam in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="lambda must be positive and finite"):
+                cosine_weight_kernel(0.5, lam)
+            with pytest.raises(ValueError, match="lambda must be positive and finite"):
+                cosine_weight_kernel_many(np.array([0.3, 0.5]), np.array([1.0, lam]))
 
     # the bounds the docstring states; measured 6.7e-14, 2.5e-12 and 4.9e-11 at worst
     @pytest.mark.parametrize("kappas, lams, bound", [
@@ -380,14 +385,18 @@ def _direct_kernel(kappa: float, lams: np.ndarray) -> np.ndarray:
     return analysis._transform_many("cos", lams, 1.0 - kappa, env, 1e-9, str) / lams
 
 
+def _hankel_env(u: np.ndarray, svals: np.ndarray, delta: float) -> np.ndarray:
+    """u (s^2 + u^2)^{-delta/2} as (u/h) h^{1-delta}, h = hypot(u, s), one row per s."""
+    h = np.hypot(u, svals[:, None, None])
+    return (u / h) * h ** (1.0 - delta)
+
+
 def _direct_hankel(delta: float, svals: np.ndarray) -> np.ndarray:
-    """H with the log-space envelope of _scaled_env at every sample, none scale-free."""
-    ln_s = np.log(svals)
+    """H with the envelope (u/h) h^{1-delta} at every sample, none scale-free."""
     integral = analysis._transform_many(
-        "j0", svals, 2.0 - delta, lambda u, idx: analysis._scaled_env(u, ln_s[idx], delta),
-        1e-7, str,
+        "j0", svals, 2.0 - delta, lambda u, idx: _hankel_env(u, svals[idx], delta), 1e-7, str,
     )
-    return 2 * math.pi * np.exp((delta - 2) * ln_s) * integral
+    return 2 * math.pi * svals ** (delta - 2) * integral
 
 
 def _bound(osc: str, exponent: float) -> float:
@@ -413,11 +422,11 @@ class TestScaleFree:
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_hankel_matches_the_per_sample_envelope(self, delta):
-        # the per-sample envelope cancels delta ln s in its exponent, about
-        # |delta ln s| ulp: measured 1.4e-13 at delta = 1.9, s ~ 1e-166
+        # at a scale-free s, hypot(u, s) is u, so the per-sample envelope is
+        # 1.0 * u^{1-delta}: the scale-free row is the per-sample one bit for bit
         svals = self._straddle(_bound("j0", delta))
         got = hankel_decay_transform_many(delta, svals)
-        assert np.max(np.abs(got / _direct_hankel(delta, svals) - 1)) <= 3e-13
+        assert np.array_equal(got, _direct_hankel(delta, svals))
 
     @pytest.mark.parametrize("delta", DELTAS[:2])
     def test_scale_free_hankel_meets_its_limit(self, delta):
@@ -438,8 +447,10 @@ class TestScaleFree:
         cap = int(analysis._cap(1.0 - exponent if osc == "cos" else 2.0 - exponent))
         nodes = np.concatenate([analysis._head_panels(osc, cap)[0].ravel(),
                                 analysis._tail_panels(osc)[0].ravel()])
-        w = nodes / x if osc == "cos" else (nodes / x) ** 2
-        assert np.all(1.0 + w == w)
+        if osc == "cos":
+            assert np.all(1.0 + nodes / x == nodes / x)
+        else:
+            assert np.all(np.hypot(nodes, x) == nodes)
 
     def test_bound_is_zero_where_it_would_not_be_normal(self):
         # cap 8 + ceil(26/0.01) = 2608: no head table is built for it
@@ -538,7 +549,7 @@ class TestAccelerateRows:
             rows.append(np.einsum("jk,jk->j", (1 + rho / lam) ** -kappa * cos_rho, w))
         u, w, j0_u = analysis._tail_panels("j0")
         for delta, ln_s in zip(rng.uniform(1.05, 1.95, 40), rng.uniform(-690, 0.6, 40)):
-            env = analysis._scaled_env(u, np.array([ln_s]), delta)[0]
+            env = _hankel_env(u, np.exp([ln_s]), delta)[0]
             rows.append(np.einsum("jk,jk->j", env * j0_u, w))
         return rows
 
@@ -698,9 +709,14 @@ class TestHankelTransform:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             hankel_decay_transform(2.5, 1.0)
-        for deltas in ([1.5, 2.0], [1.5, np.nan], [1.0, 1.5]):
+        for deltas in ([1.5, 2.0], [1.5, np.nan], [1.0, 1.5], [1.5, np.inf], [-np.inf, 1.5]):
             with pytest.raises(ValueError, match="delta"):
                 hankel_decay_transform_many(np.array(deltas), np.array([1.0, 2.0]))
+        for s in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="s must be positive and finite"):
+                hankel_decay_transform(1.5, s)
+            with pytest.raises(ValueError, match="s must be positive and finite"):
+                hankel_decay_transform_many(np.array([1.2, 1.5]), np.array([1.0, s]))
 
     ORACLE_DELTAS = [1.001, 1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99, 1.999]
 

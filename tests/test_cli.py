@@ -210,6 +210,17 @@ class TestConfigFile:
         )
         assert code == 0 and out.startswith("UNBOUNDED")
 
+    def test_line_without_equals_is_an_argument_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r=2\nq\n")
+        code, out, err = invoke(
+            capsys, "--config", str(cfg), "classify", "--kind", "separable"
+        )
+        assert code == 1 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"restriction-lab: error: config {cfg} line 2: 'q' is not key=value"]
+        assert "Traceback" not in err
+
 
 class TestRepeatedRuns:
     def test_back_to_back_runs_match_fresh_runs(self, capsys, tmp_path):
@@ -256,6 +267,12 @@ class TestOscintCommand:
         )
         payload = json.loads(out)
         assert payload["fresnel_constant"] > 0
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_one_error_line(self, capsys, lam):
+        code, out, err = invoke(capsys, "oscint", "--kappa", "0.5", "--lam", lam)
+        assert (code, out) == (1, "")
+        assert err == "error: lambda must be positive and finite\n"
 
 
 # option string -> (required, default) per subcommand, as the flags stood

@@ -98,14 +98,14 @@ class TestWeightedLq2d:
             weighted_lq_2d(bad, grid, WeightSpec.separable(0, 0), 2)
 
     def test_extension_norm_stable_under_refinement(self):
-        # bounded weighted norm of the constant-density extension on a fixed box
-        from restriction_lab.operator import Density, extend_on_grid, grid_factors, y_factor
+        # bounded weighted norm of the constant-density extension 2 pi J0(|p|) on a fixed box
+        from restriction_lab.operator import constant_reference_radii
 
         vals = []
         for n in (320, 640):  # resolution 0.25 resolves the J0 period
             grid = Grid2(-40, 40, -40, 40, n, n)
-            c, cos_phi, fine = grid_factors(Density.constant(), grid, 8 * (57 + 10))
-            field = extend_on_grid(c, y_factor(cos_phi, fine, grid.centers()[1]))
+            xs, ys = grid.centers()
+            field = constant_reference_radii(np.hypot(xs[:, None], ys[None, :]))
             norm, _ = weighted_lq_2d(field, grid, WeightSpec.separable(1, 1), 2)
             vals.append(norm)
         assert abs(vals[1] - vals[0]) < 0.01 * vals[1]
