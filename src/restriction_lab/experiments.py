@@ -39,8 +39,8 @@ from .exponents import (
     weight_exponents,
 )
 from .norms import Grid2, Sampled1, WeightSpec, compensated_sum, weak_lq_1d, weighted_lq_2d
-from .operator import (SPLIT_PHASES, Density, circle_norm, constant_reference_radii,
-                       extend_on_grid, grid_factors, y_factor)
+from .operator import (Density, circle_norm, constant_reference_radii, extend_on_grid,
+                       grid_factors, y_factor)
 
 __all__ = [
     "PredictedExponent",
@@ -60,9 +60,10 @@ __all__ = [
 
 KNAPP_CELL_BUDGET = 30_000_000
 KNAPP_RESOLUTION = 0.25
-KNAPP_BLOCK_CELLS = 1 << 16  # cells per streamed column block: a 1 MB complex field, cache-sized
+KNAPP_BLOCK_CELLS = 1 << 16  # cells per streamed column block: 1 MB of planes, cache-sized
 RING_BLOCK = 1024  # rings per block of the constant-density cross-check: about 15 MB
 PITT_CELL_BUDGET = 30_000_000  # sum of n_xi n_x over a Pitt sweep; scales 2^-10..2^-6 take 20.5 M
+SPLIT_PHASES = 64  # fine phases per coarse phase of Pitt's split-phase transform
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,34 +211,34 @@ def _column_blocks(grid: Grid2) -> list[tuple[int, int]]:
 
 def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
     """A folded quadrant's sum of |f w^{-1}|^2 cell_measure for a separable weight a(x) b(y)
-    (q = 2 only), as sum_x a(x)^2 c(x)^T G c(x) over the cap's real, folded ``grid_factors``:
-    G = sum_y b(y)^2 Re(e(y) e(y)^H), built by blocks from e's interleaved (cos, sin) rows."""
+    (q = 2 only), as sum_x a(x)^2 sum_s a_s(x)^T G a_s(x) over the ``grid_factors`` planes
+    a_s, G = sum_y b(y)^2 p(y) p(y)^T the R x R Gram of the ``y_factor`` basis, by blocks."""
     xs, ys = grid.centers()
     a2, b2 = weight.inverse_factor(xs, 0.0) ** 2, weight.inverse_factor(0.0, ys) ** 2
     a2[: int(grid.x0 < 0)] /= 2  # an odd axis's centre line has one mirror image
     b2[: int(grid.y0 < 0)] /= 2
-    c, cos_phi, fine = grid_factors(cap, grid, nodes)
+    planes = grid_factors(cap, grid, nodes)
     gram = 0
     for j0, j1 in _column_blocks(grid):
-        ey = y_factor(cos_phi, fine, ys[j0:j1]).view(np.float64)
-        gram = gram + (ey * np.repeat(b2[j0:j1], 2)) @ ey.T
-    rows = np.einsum("xk,xk->x", c @ gram, c)
+        p = y_factor(grid, ys[j0:j1], planes.shape[-1])
+        gram = gram + (p * b2[j0:j1]) @ p.T
+    rows = np.einsum("sxn,sxn->x", planes @ gram, planes)
     return compensated_sum(a2 * rows) * grid.cell_measure
 
 
 def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
-    """The same sum for any q and weight: each column block goes through
-    ``extend_on_grid`` (split-phase y factor) and ``weighted_lq_2d`` (one matrix-vector
-    reduction per row chunk for a separable weight); block masses add with compensation."""
+    """The same sum for any q and weight: each column block's planes come from
+    ``extend_on_grid`` and go through ``weighted_lq_2d`` (one matrix-vector reduction per
+    row chunk for a separable weight); block masses add with compensation."""
     ys = grid.centers()[1]
-    c, cos_phi, fine = grid_factors(cap, grid, nodes)
+    planes = grid_factors(cap, grid, nodes)
     masses = []
     for j0, j1 in _column_blocks(grid):
-        field = extend_on_grid(c, y_factor(cos_phi, fine, ys[j0:j1]))
-        field[: int(grid.x0 < 0)] *= 2 ** (-1 / q)  # the Gram form's halving, on |f|^q
-        field[:, : int(j0 == 0 and grid.y0 < 0)] *= 2 ** (-1 / q)
+        field = extend_on_grid(planes, y_factor(grid, ys[j0:j1], planes.shape[-1]))
+        field[:, : int(grid.x0 < 0)] *= 2 ** (-1 / q)  # the Gram form's halving, on |f|^q
+        field[:, :, : int(j0 == 0 and grid.y0 < 0)] *= 2 ** (-1 / q)
         block = replace(grid, y0=grid.y0 + j0 * grid.dy, y1=grid.y0 + j1 * grid.dy, ny=j1 - j0)
-        masses.append(weighted_lq_2d(field, block, weight, q)[0] ** q)
+        masses.append(weighted_lq_2d(field, block, weight, q) ** q)
     return compensated_sum(np.array(masses))
 
 
@@ -262,14 +263,15 @@ def knapp_scan(
     |extend(Cap)| and both weights are even in x and in y (the cap's nodes
     are symmetric, phi <-> -phi), so only the grid's closed quadrant x, y >= 0
     is summed, with an odd axis's centre line halved, and the sum quadrupled.
-    The same symmetry folds the cap's K nodes into ceil(K/2) real ``grid_factors``
-    columns, whose y factor is built by split phases with no per-cell trig call.  For
-    q = 2 and a separable weight the real Gram form (``_gram_mass``) sums it at cost
-    O((nx + ny) K^2); every other case streams the field in column blocks
-    (``_streamed_mass``), each one real product of O(nx ny K/2) multiply-adds, reduced
-    with no per-cell pow where q/2 is 1 to 4 and no weight array for a separable weight.
-    Memory is bounded by one block of KNAPP_BLOCK_CELLS cells (the Gram form also
-    holds ceil(K/2)-wide arrays), not by the grid.  KNAPP_CELL_BUDGET counts the quadrant
+    The same symmetry folds the cap's K nodes into ceil(K/2) real columns, and e^{-iy} f
+    is a polynomial of degree R - 1 <= 15 in the rescaled y (R = 12 at delta = 2^-2..2^-8):
+    ``grid_factors`` returns its coefficients as two real planes.  For q = 2 and a
+    separable weight the real R x R Gram form (``_gram_mass``) sums it at cost
+    O((nx + ny) R^2); every other case streams the planes in column blocks
+    (``_streamed_mass``), each one real product of 2 nx ny R multiply-adds, reduced with
+    no per-cell pow where q/2 is 1 to 4, no weight array for a separable weight and one
+    divide per cell for gamma q = 1.  Memory is bounded by one block of KNAPP_BLOCK_CELLS
+    cells, not by the grid.  KNAPP_CELL_BUDGET counts the quadrant
     cells summed, about delta^{-3}, and is checked before any evaluation.
     """
     r = ExtScalar.coerce(r)

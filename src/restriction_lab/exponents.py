@@ -451,10 +451,10 @@ def classify_separable(p: SeparableParams) -> Verdict:
         if 2 * small < pair_thresh:
             return _unbounded("knapp-min-weight")
         return _unbounded("endpoint-max-weight-at-inv-q")
+    # here big < 1/q; at r = 1 (1/r' = 0) that forces a + b + min < 3/q, so the
+    # equality endpoint below always has r > 1
     if a + b + small < triple_thresh:
         return _unbounded("knapp-sum-weight")
-    if p.r == 1:
-        return _unbounded("endpoint-r-equals-one")
     return _unbounded("endpoint-r-greater-q")
 
 

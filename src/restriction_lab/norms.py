@@ -123,57 +123,51 @@ class WeightSpec:
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
 
-def weighted_lq_2d(
-    values: np.ndarray, grid: Grid2, weight: WeightSpec, q: float
-) -> tuple[float, float]:
-    """(sum_cells |f w^{-1}|^q cell_measure)^{1/q} and a truncation diagnostic.
+def weighted_lq_2d(values: np.ndarray, grid: Grid2, weight: WeightSpec, q: float) -> float:
+    """(sum_cells |f w^{-1}|^q cell_measure)^{1/q}.
 
-    ``values`` holds f at the cell centers, shape (nx, ny); q > 0 may be
-    below 1 (quasinorm, same formula).  tail_fraction is the share of the
-    q-th-power mass carried by the outermost 10% frame of the grid (centers
-    outside the closed central 90%-per-dimension box).  It is reported only.
+    ``values`` holds f at the cell centers, shape (nx, ny), or its real and
+    imaginary planes, shape (2, nx, ny); q > 0 may be below 1 (quasinorm, same formula).
     """
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("q must be positive and finite")
     vals = np.asarray(values)
-    if vals.shape != (grid.nx, grid.ny):
+    planes = vals if vals.ndim == 3 else (vals.real, vals.imag)
+    if len(planes) != 2 or planes[0].shape != (grid.nx, grid.ny) or np.iscomplexobj(planes[0]):
         raise ValueError(f"values shape {vals.shape} != grid shape {(grid.nx, grid.ny)}")
 
-    # centers increase along each axis, so the central box is one slice
     xs, ys = grid.centers()
-    fx, fy = 0.05 * (grid.x1 - grid.x0), 0.05 * (grid.y1 - grid.y0)
-    i0, j0 = np.searchsorted(xs, grid.x0 + fx), np.searchsorted(ys, grid.y0 + fy)
-    i1 = np.searchsorted(xs, grid.x1 - fx, "right")
-    j1 = np.searchsorted(ys, grid.y1 - fy, "right")
     # |f|^q w^{-q} by row chunks of ~_CHUNK cells; w^{-q} is the family with exponents times q
     weight_q = replace(weight, alpha=q * weight.alpha, beta=q * weight.beta, gamma=q * weight.gamma)
     separable, half = weight.kind == "separable", q / 2
+    reciprocal = weight_q.kind == "radial" and weight_q.gamma == 1
     if separable:  # w^{-q} = a(x) b(y), so a chunk's mass is a @ (|f|^q @ b)
         a, b = weight_q.inverse_factor(xs, 0.0), weight_q.inverse_factor(0.0, ys)
+    elif reciprocal:  # w^{-q} = 1/(1 + |x| + |y|): one add and one divide per cell
+        ax, ay = 1 + np.abs(xs[:, None]), np.abs(ys)
     rows, parts = max(1, _CHUNK // grid.ny), []
     for r in range(0, grid.nx, rows):
-        mass = np.square(vals.real[r : r + rows], dtype=float)
-        mass += np.square(vals.imag[r : r + rows])
-        if half in (2, 3, 4):  # repeated products in place of a per-cell pow
-            base = mass.copy()
-            for _ in range(int(half) - 1):
-                mass *= base
+        mass = np.square(planes[0][r : r + rows], dtype=float)
+        mass += np.square(planes[1][r : r + rows])
+        if half in (2, 4):  # products in place of a per-cell pow
+            for _ in range(int(half) // 2):
+                mass *= mass
+        elif half == 3:
+            mass *= mass * mass
         elif half != 1:
             mass **= half
-        lo, hi = max(i0 - r, 0), max(i1 - r, 0)
         if separable:
-            ar = a[r : r + rows]
-            parts.append((ar @ (mass @ b), ar[lo:hi] @ (mass[lo:hi, j0:j1] @ b[j0:j1])))
+            parts.append(a[r : r + rows] @ (mass @ b))
+        elif reciprocal:
+            parts.append(np.sum(np.divide(mass, ax[r : r + rows] + ay, out=mass)))
         else:
-            mass *= weight_q.inverse_factor(xs[r : r + rows, None], ys[None, :])
-            parts.append((np.sum(mass), np.sum(mass[lo:hi, j0:j1])))
-    total, inner_mass = (compensated_sum(np.array(p)) * grid.cell_measure for p in zip(*parts))
+            parts.append(np.sum(mass * weight_q.inverse_factor(xs[r : r + rows, None], ys)))
+    total = compensated_sum(np.array(parts)) * grid.cell_measure
     if not math.isfinite(total):  # as it always is where a value is not finite
         if not np.all(np.isfinite(vals)):
             raise NumericalError("non-finite density values on the grid")
         raise NumericalError("q-th power mass is not finite")
-    tail_fraction = 0.0 if total == 0 else 1.0 - inner_mass / total
-    return total ** (1 / q), tail_fraction
+    return total ** (1 / q)
 
 
 @dataclass(frozen=True)

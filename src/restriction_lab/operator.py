@@ -14,6 +14,8 @@ The cap used here is the single arc around (0,1); the two-arc antipodal cap
 changes constants only, not the delta-scaling that the experiments measure.
 The grid form (``grid_factors``, ``y_factor``, ``extend_on_grid``) serves the
 cap alone: its rule is symmetric in phi, so the x factor folds to a real one.
+It returns e^{-iy} extend, of the same modulus, as a fixed-rank expansion in
+powers of the rescaled y, held in two real planes (real and imaginary parts).
 """
 
 from __future__ import annotations
@@ -97,13 +99,10 @@ def _quad_rule(density: Density, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     if nodes < 16:
         raise DomainError("need nodes >= 16")
     if density.kind == "constant":
-        phi = 2 * math.pi * np.arange(nodes) / nodes
-        w = np.full(nodes, 2 * math.pi / nodes)
-        return phi, w
+        return 2 * math.pi * np.arange(nodes) / nodes, np.full(nodes, 2 * math.pi / nodes)
     if density.kind == "cap":
         a = math.asin(density.delta)
-        n = effective_node_count(nodes, 2 * a)
-        t, w = _gl(n)
+        t, w = _gl(effective_node_count(nodes, 2 * a))
         return a * t, a * w
     if density.kind == "power-singular":
         # substitution phi = u^{1/(1-mu)} removes the endpoint singularity:
@@ -131,17 +130,18 @@ def extend(density: Density, p: Point2, nodes: int) -> complex:
     return complex(np.sum(w * np.exp(1j * phase)))
 
 
-SPLIT_PHASES = 64  # fine phases per coarse phase of a split-phase table (Knapp y, Pitt)
+def grid_factors(cap: Density, grid: Grid2, nodes: int) -> np.ndarray:
+    """Planes (2, nx, R), real and imaginary parts, of the coefficients A of e^{-iy}
+    extend(cap) = sum_n A[x, n] v^n at the grid's centres, y = mid + half v, |v| < 1.
 
-
-def grid_factors(cap: Density, grid: Grid2, nodes: int) -> tuple[np.ndarray, ...]:
-    """Low-rank factors of extend(cap) on the grid's cell centres: extend = sum_k
-    c[x, k] e[k, y], e = e^{i y cos phi_k} of shape (K', ny).  The cap's Gauss-Legendre
-    rule is symmetric in phi <-> -phi bit for bit, so each pair folds into the real
-    c = 2 w cos(x sin phi), K' = ceil(K/2), an unpaired phi = 0 keeping w.  Any density
-    but the cap raises DomainError, and a rule that is not symmetric NumericalError.
-    e comes in split form, (cos phi, the fine table e^{i m dy cos phi} for
-    m < SPLIT_PHASES), from which ``y_factor`` builds it for any run of the grid's centres."""
+    The cap's rule is symmetric in phi <-> -phi bit for bit, so each pair folds into the
+    real c = 2 w cos(x sin phi) (an unpaired phi = 0 keeps w).  With eps = 2 sin^2(phi/2),
+    e^{i y cos phi} = e^{iy} e^{-i mid eps} e^{-i half eps v}, and the Taylor series in v
+    gives A[x, n] = sum_k c[x, k] e^{-i mid eps_k} (-i half eps_k)^n / n!.  The terms
+    n >= R add at most theta^R/R! e^theta sum_k |c[x, k]|, theta = half max eps, and R is
+    the smallest with that factor <= 2^-56 (R = 12, theta ~ pi/16, on every Knapp quadrant
+    of delta = 2^-2..2^-8).  R above 16 raises NumericalError naming theta, any density
+    but the cap DomainError, and a rule that is not symmetric NumericalError."""
     if cap.kind != "cap":
         raise DomainError(f"grid factors need the cap density, not {cap.kind!r}")
     phi, w = _quad_rule(cap, nodes)
@@ -149,24 +149,30 @@ def grid_factors(cap: Density, grid: Grid2, nodes: int) -> tuple[np.ndarray, ...
         raise NumericalError(f"the cap's {phi.size}-node rule is not symmetric in phi")
     phi, w = phi[phi >= 0], np.where(phi == 0, w, 2 * w)[phi >= 0]
     c = np.cos(grid.centers()[0][:, None] * np.sin(phi)) * w
-    cos_phi = np.cos(phi)
-    return c, cos_phi, np.exp(1j * np.outer(cos_phi, grid.dy * np.arange(SPLIT_PHASES)))
+    eps, mid, half = 2 * np.sin(phi / 2) ** 2, (grid.y0 + grid.y1) / 2, (grid.y1 - grid.y0) / 2
+    theta = half * float(np.max(eps))
+    rank = next((n for n in range(1, 17)  # ln(theta^n/n! e^theta) <= ln 2^-56
+                 if theta + n * math.log(theta) - math.lgamma(n + 1) <= -56 * math.log(2)), 0)
+    if not rank:
+        raise NumericalError(f"the y expansion at theta = {theta:g} needs over 16 terms")
+    steps = (-1j * half * eps)[:, None] / np.arange(1, rank)
+    t = np.cumprod(np.column_stack((np.exp(-1j * mid * eps), steps)), axis=1)
+    return np.stack((c @ t.real, c @ t.imag))
 
 
-def y_factor(cos_phi: np.ndarray, fine: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """e = e^{i y cos phi} of shape (K', len(ys)) for consecutive centres ys of the grid whose
-    fine table this is, by split phases y_{aM+m} = y_{aM} + m dy (M = SPLIT_PHASES): a
-    coarse table at every M-th y times the fine table, one complex product per cell and
-    no trig call, within a few ulp of max |y| of the direct phases."""
-    coarse = np.exp(1j * np.outer(cos_phi, ys[::SPLIT_PHASES]))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(cos_phi.size, -1)[:, : ys.size]
+def y_factor(grid: Grid2, ys: np.ndarray, rank: int) -> np.ndarray:
+    """The basis v^n, n < rank, shape (rank, len(ys)), at centres ys = mid + half v
+    of the grid, by repeated products: no pow and no trig call."""
+    p = np.empty((rank, ys.size))
+    p[0], p[1:] = 1.0, (ys - (grid.y0 + grid.y1) / 2) / ((grid.y1 - grid.y0) / 2)
+    return np.cumprod(p, axis=0, out=p)
 
 
-def extend_on_grid(c: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The field sum_k c[x, k] e[k, y] of ``grid_factors`` and ``y_factor``, shape (nx, ny),
-    identical to pointwise ``extend`` up to roundoff: the real c meets e's interleaved
-    (cos, sin) rows in one real product of O(nx ny K/2) multiply-adds."""
-    return (c @ e.view(np.float64)).view(np.complex128)
+def extend_on_grid(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Planes (2, nx, ny) of e^{-iy} extend = sum_n a[:, x, n] p[n, y] from the planes
+    of ``grid_factors`` and the basis of ``y_factor``: one real product of 2 nx ny R
+    multiply-adds, |e^{-iy} extend| = |extend|."""
+    return (a.reshape(-1, a.shape[-1]) @ p).reshape(2, a.shape[1], -1)
 
 
 def circle_norm(density: Density, r: ScalarLike) -> float:
@@ -178,14 +184,9 @@ def circle_norm(density: Density, r: ScalarLike) -> float:
     r = ExtScalar.coerce(r)
     if r < 1:
         raise DomainError("r must lie in [1, inf]")
-    if density.kind == "constant":
-        if r.is_infinite:
-            return 1.0
-        return (2 * math.pi) ** (1 / float(r))
-    if density.kind == "cap":
-        if r.is_infinite:
-            return 1.0
-        return (2 * math.asin(density.delta)) ** (1 / float(r))
+    if density.kind in ("constant", "cap"):
+        arc = 2 * math.pi if density.kind == "constant" else 2 * math.asin(density.delta)
+        return 1.0 if r.is_infinite else arc ** (1 / float(r))
     if density.kind == "power-singular":
         if r.is_infinite:
             raise DomainError("power-singular density is unbounded (mu r < 1 fails)")

@@ -334,11 +334,15 @@ class TestCosineKernel:
             with pytest.raises(ValueError, match="lambda must be positive and finite"):
                 cosine_weight_kernel_many(np.array([0.3, 0.5]), np.array([1.0, lam]))
 
-    # the bounds the docstring states; measured 6.7e-14, 2.5e-12 and 4.9e-11 at worst
+    # the bounds the docstring states; measured 6.7e-14, 2.5e-12 and 4.9e-11 at worst,
+    # and above lambda = 10, up to the edge lambda = 100, 1.3e-12 and 4.8e-10
     @pytest.mark.parametrize("kappas, lams, bound", [
         ([0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.99999], [1e-20, 1e-6, 1e-3, 0.1, 1.0, 10.0], 1e-13),
         ([0.3, 0.7, 0.87, 0.93, 0.95, 0.99999], [1e-300, 1e-200, 1e-100], 1e-11),
         ([1e-3, 0.01, 0.1], [1e-300, 1e-20, 1e-6, 1e-3, 0.1, 1.0, 10.0], 1e-10),
+        ([0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.99999], [12.5, 31.4, 64.0, 77.7, 90.0, 100.0],
+         3e-12),
+        ([1e-3, 0.01, 0.1], [12.5, 31.4, 64.0, 90.0, 100.0], 1e-9),
     ])
     def test_incomplete_gamma_closed_form(self, kappas, lams, bound):
         # one call, a kappa per row: the per-sample exponents meet the oracle too
@@ -717,6 +721,15 @@ class TestHankelTransform:
                 hankel_decay_transform(1.5, s)
             with pytest.raises(ValueError, match="s must be positive and finite"):
                 hankel_decay_transform_many(np.array([1.2, 1.5]), np.array([1.0, s]))
+
+    @pytest.mark.parametrize("s", [1e-310, 5e-324])
+    def test_a_subnormal_s_raises(self, s):
+        # (u/h) h^{1-delta} overflows at h = s near delta = 2: these gave inf and NaN
+        with pytest.raises(ValueError, match=rf"^s = {s!r} is below the smallest normal float$"):
+            hankel_decay_transform(1.999, s)
+        with pytest.raises(ValueError, match="is below the smallest normal float"):
+            hankel_decay_transform_many(np.array([1.2, 1.999]), np.array([1.0, s]))
+        assert math.isfinite(hankel_decay_transform(1.999, np.finfo(float).tiny))
 
     ORACLE_DELTAS = [1.001, 1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99, 1.999]
 

@@ -331,11 +331,27 @@ class TestKnappScan:
             got = (sample.lhs, sample.rhs, sample.ratio)
             assert got == pytest.approx(values, rel=1e-12)
 
+    # (lhs, rhs, ratio) at delta = 2^-6, recorded when the y factor was e^{i y cos phi}
+    # itself, built by split phases, before the fixed-rank expansion in y
+    KNAPP_PINNED_2E_6 = [
+        (0.2946459845410991, 0.17678029218630084, 1.6667354765461349),
+        (1.280011509379764, 0.17678029218630084, 7.240691219306376),
+        (0.06168189516648867, 0.17678029218630084, 0.34891839131867075),
+        (1.253852574985312, 0.17678029218630084, 7.092716950959289),
+    ]
+
+    @pytest.mark.parametrize("kind, kw, pinned", [
+        (kind, kw, pinned) for (kind, kw, _), pinned in zip(KNAPP_PINNED, KNAPP_PINNED_2E_6)
+    ])
+    def test_samples_pinned_at_delta_2e_6(self, kind, kw, pinned):
+        sample = knapp_scan(kind, delta_exps=[2, 3, 6], **kw).samples[-1]
+        assert sample.param == 2.0**-6
+        assert (sample.lhs, sample.rhs, sample.ratio) == pytest.approx(pinned, rel=1e-13)
+
     @pytest.mark.parametrize("kind, kw, pinned", KNAPP_PINNED)
     def test_samples_pinned_across_many_column_blocks(self, monkeypatch, kind, kw, pinned):
-        # blocks of 2^10 cells: 3, 25 and 201 per delta, most of them starting between
-        # the coarse rows of the split phases, and the odd y axis of delta = 2^-2 keeps
-        # its centre line in the first of three
+        # blocks of 2^10 cells: 3, 25 and 201 per delta, and the odd y axis of
+        # delta = 2^-2 keeps its centre line in the first of three
         monkeypatch.setattr(experiments, "KNAPP_BLOCK_CELLS", 1 << 10)
         seen, column_blocks = [], experiments._column_blocks
 
@@ -364,8 +380,8 @@ class TestKnappScan:
     @pytest.mark.parametrize("kind, kw", [("separable", dict(alpha=0, beta=0, q=6, r=2)),
                                           ("radial", dict(gamma="1/2", q=2, r=2))])
     def test_streamed_memory_stays_under_8_mb(self, kind, kw):
-        # one column block (a 1 MB field) and the quadrant's x factor and fine y table:
-        # about 3.8 and 3.0 MB; the whole y axis's factor alone would be 13 MB at 2^-6
+        # one column block (1 MB of planes) and the x factor that the quadrant's planes
+        # are built from: about 3.2 and 2.5 MB; the whole quadrant's planes would be 211 MB
         tracemalloc.start()
         try:
             knapp_scan(kind, delta_exps=[2, 3, 6], **kw)

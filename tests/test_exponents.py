@@ -123,6 +123,18 @@ class TestSeparable:
         v2 = sep(2, "1/2", 1, 2)  # max > 1/q, pair equality, r = 1
         assert not v2.bounded and v2.violated == "endpoint-r-equals-one"
 
+    def test_r_equals_one_below_inv_q_is_never_the_endpoint_tag(self):
+        # at r = 1, 1/r' = 0, so max(alpha, beta) < 1/q gives alpha + beta + min < 3/q:
+        # the sum-weight condition fails first and the r = 1 endpoint is never reached
+        for q in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 4, 6, 10):
+            inv_q = 1 / Fraction(q)
+            lattice = [inv_q * Fraction(k, 24) for k in range(24)]  # [0, 1/q)
+            for a in lattice:
+                for b in lattice:
+                    v = sep(a, b, 1, q)
+                    assert v.violated != "endpoint-r-equals-one", (a, b, q)
+                    assert not v.bounded and v.violated in ("constant-density", "knapp-sum-weight")
+
     def test_fz_consistency_clause(self):
         v = sep(0, 0, 2, 6)
         assert v.bounded and v.case_tag == "iv"

@@ -24,29 +24,22 @@ def ones(grid):
 
 
 class TestWeightedLq2d:
-    def test_unit_mass_and_frame_share(self):
+    def test_unit_mass(self):
         grid = Grid2(0, 1, 0, 1, 100, 100)
-        norm, tail = weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2)
-        assert abs(norm - 1) < 1e-12
-        assert abs(tail - 0.19) < 1e-12  # outer 10% frame of the unit square
-
-    def test_frame_share_counts_boundary_centers_as_inner(self):
-        # the frame bounds 0.5 and 9.5 fall exactly on cell centers
+        assert abs(weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2) - 1) < 1e-12
         grid = Grid2(0, 10, 0, 10, 10, 10)
-        norm, tail = weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2)
-        assert abs(norm - 10) < 1e-12
-        assert tail == 0.0
+        assert abs(weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2) - 10) < 1e-12
 
     def test_quasinorm_below_one(self):
         grid = Grid2(0, 1, 0, 1, 64, 64)
-        norm, _ = weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 0.5)
+        norm = weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 0.5)
         assert abs(norm - 1) < 1e-12
 
     def test_homogeneity(self):
         grid = Grid2(-2, 2, -1, 3, 37, 41)
         f = lambda x, y: np.cos(x) * np.exp(-(y**2)) + 0.3
-        base, _ = weighted_lq_2d(on_grid(f, grid), grid, WeightSpec.radial(0.7), 1.5)
-        scaled, _ = weighted_lq_2d(5.0 * on_grid(f, grid), grid,
+        base = weighted_lq_2d(on_grid(f, grid), grid, WeightSpec.radial(0.7), 1.5)
+        scaled = weighted_lq_2d(5.0 * on_grid(f, grid), grid,
                                    WeightSpec.radial(0.7), 1.5)
         assert abs(scaled - 5.0 * base) < 1e-12 * scaled
 
@@ -56,18 +49,18 @@ class TestWeightedLq2d:
         big = lambda x, y: np.abs(np.sin(3 * x + y)) + 0.1
         for w in (WeightSpec.separable(0, 0), WeightSpec.separable(1, 2),
                   WeightSpec.radial(1)):
-            ns, _ = weighted_lq_2d(on_grid(small, grid), grid, w, 2)
-            nb, _ = weighted_lq_2d(on_grid(big, grid), grid, w, 2)
+            ns = weighted_lq_2d(on_grid(small, grid), grid, w, 2)
+            nb = weighted_lq_2d(on_grid(big, grid), grid, w, 2)
             assert ns <= nb
 
     def test_refinement_is_second_order(self):
         f = lambda x, y: np.exp(x) * np.cos(2 * y)
         fine = Grid2(0, 1, 0, 1, 512, 512)
-        exact_ref, _ = weighted_lq_2d(on_grid(f, fine), fine, WeightSpec.separable(0, 0), 2)
+        exact_ref = weighted_lq_2d(on_grid(f, fine), fine, WeightSpec.separable(0, 0), 2)
         errs = []
         for n in (16, 32, 64):
             grid = Grid2(0, 1, 0, 1, n, n)
-            val, _ = weighted_lq_2d(on_grid(f, grid), grid, WeightSpec.separable(0, 0), 2)
+            val = weighted_lq_2d(on_grid(f, grid), grid, WeightSpec.separable(0, 0), 2)
             errs.append(abs(val - exact_ref))
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
@@ -106,7 +99,7 @@ class TestWeightedLq2d:
             grid = Grid2(-40, 40, -40, 40, n, n)
             xs, ys = grid.centers()
             field = constant_reference_radii(np.hypot(xs[:, None], ys[None, :]))
-            norm, _ = weighted_lq_2d(field, grid, WeightSpec.separable(1, 1), 2)
+            norm = weighted_lq_2d(field, grid, WeightSpec.separable(1, 1), 2)
             vals.append(norm)
         assert abs(vals[1] - vals[0]) < 0.01 * vals[1]
 
@@ -190,8 +183,8 @@ class TestGrid2:
 
 class TestWeightedLq2dOracle:
     # the direct formula (sum |f w^{-1}|^q cell)^{1/q}, weights written out, on a
-    # grid of several row chunks whose central box cuts through all of them; q/2
-    # below one, one, integer (repeated products) and not an integer
+    # grid of several row chunks; q/2 below one, one, integer (repeated products)
+    # and not an integer, and the radial weight at gamma q = 1 (one divide per cell)
     GRID = Grid2(-3.0, 5.0, -2.0, 7.0, 301, 257)
     WEIGHTS = [
         (WeightSpec.separable(0.3, 0.7),
@@ -211,14 +204,16 @@ class TestWeightedLq2dOracle:
         grid, vals = self.GRID, self.field()
         xs, ys = grid.centers()
         mass = np.abs(vals * inverse(xs[:, None], ys[None, :])) ** q * grid.cell_measure
-        fx, fy = 0.05 * (grid.x1 - grid.x0), 0.05 * (grid.y1 - grid.y0)
-        in_x = (xs >= grid.x0 + fx) & (xs <= grid.x1 - fx)
-        in_y = (ys >= grid.y0 + fy) & (ys <= grid.y1 - fy)
-        total = math.fsum(mass.ravel())
-        inner = math.fsum(mass[np.ix_(in_x, in_y)].ravel())
-        norm, tail = weighted_lq_2d(vals, grid, weight, q)
-        assert norm == pytest.approx(total ** (1 / q), rel=1e-13)
-        assert tail == pytest.approx(1 - inner / total, rel=1e-13)
+        norm = weighted_lq_2d(vals, grid, weight, q)
+        assert norm == pytest.approx(math.fsum(mass.ravel()) ** (1 / q), rel=1e-13)
+
+    @pytest.mark.parametrize("weight, inverse", WEIGHTS)
+    @pytest.mark.parametrize("q", [0.5, 2, 6])
+    def test_planes_are_the_complex_field(self, weight, inverse, q):
+        vals = self.field()
+        planes = np.stack((vals.real, vals.imag))
+        got = weighted_lq_2d(planes, self.GRID, weight, q)
+        assert got == pytest.approx(weighted_lq_2d(vals, self.GRID, weight, q), rel=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_one_non_finite_cell_raises(self, bad):
@@ -234,6 +229,14 @@ class TestWeightedLq2dOracle:
         with pytest.raises(NumericalError, match="non-finite density values"):
             weighted_lq_2d(vals, self.GRID, WeightSpec.separable(0.3, 0.7), 3)
 
+    def test_non_finite_plane_raises(self):
+        planes = np.stack((self.field().real, self.field().imag))
+        planes[1, 150, 3] = np.nan
+        with pytest.raises(NumericalError, match="non-finite density values"):
+            weighted_lq_2d(planes, self.GRID, WeightSpec.separable(0.3, 0.7), 6)
+
     def test_wrong_shape_raises(self):
-        with pytest.raises(ValueError, match="shape"):
-            weighted_lq_2d(self.field().T, self.GRID, WeightSpec.radial(0.5), 2)
+        vals = self.field()
+        for bad in (vals.T, np.stack((vals.real,) * 3), np.stack((vals, vals))):
+            with pytest.raises(ValueError, match="shape"):
+                weighted_lq_2d(bad, self.GRID, WeightSpec.radial(0.5), 2)

@@ -7,6 +7,7 @@ from restriction_lab.analysis import _gl, j0_extrema
 from restriction_lab.errors import NumericalError
 from restriction_lab.experiments import _column_blocks, _knapp_quadrant
 from restriction_lab.exponents import DomainError
+from restriction_lab import operator
 from restriction_lab.norms import Grid2
 from restriction_lab.operator import (
     Density,
@@ -25,8 +26,10 @@ GRID = Grid2(-3.5, 7.5, -2.25, 2.25, 11, 9)
 
 
 def field_on(density, grid, nodes):
-    c, cos_phi, fine = grid_factors(density, grid, nodes)
-    return extend_on_grid(c, y_factor(cos_phi, fine, grid.centers()[1]))
+    # the planes of e^{-iy} extend, put back together and turned by e^{iy}
+    planes, ys = grid_factors(density, grid, nodes), grid.centers()[1]
+    field = extend_on_grid(planes, y_factor(grid, ys, planes.shape[-1]))
+    return (field[0] + 1j * field[1]) * np.exp(1j * ys)
 
 
 class TestExtend:
@@ -138,8 +141,8 @@ class TestFoldedCapFactors:
         cap, arc = Density.cap(delta), 2 * math.asin(delta)
         assert effective_node_count(nodes, arc) == n_nodes
         xs, ys = grid.centers()
-        c = grid_factors(cap, grid, nodes)[0]
-        assert np.isrealobj(c) and c.shape == (grid.nx, (n_nodes + 1) // 2)
+        planes = grid_factors(cap, grid, nodes)
+        assert planes.dtype == np.float64 and planes.shape == (2, grid.nx, 12)
         field = field_on(cap, grid, nodes)
         rng = np.random.default_rng(k)
         rows = [0, grid.nx - 1, *rng.integers(grid.nx, size=60)]
@@ -156,8 +159,6 @@ class TestFoldedCapFactors:
             assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1]), n
 
     def test_an_asymmetric_rule_is_refused(self, monkeypatch):
-        import restriction_lab.operator as operator
-
         phi, w = np.array([-0.5, 0.0, 0.5]), np.array([0.3, 0.4, 0.3 + 1e-16])
         monkeypatch.setattr(operator, "_quad_rule", lambda density, nodes: (phi, w))
         with pytest.raises(NumericalError, match="not symmetric"):
@@ -169,35 +170,63 @@ class TestFoldedCapFactors:
                 grid_factors(density, GRID, 300)
 
 
-class TestSplitPhaseFactor:
-    # e = e^{i y cos phi} as a coarse table at every 64th y times the grid's fine table
-    # e^{i m dy cos phi}, against cos and sin of the direct phases at the same centres
+class TestYExpansion:
+    # e^{-iy} extend = sum_n A[x, n] v^n over the grid's y range, y = mid + half v, its
+    # truncation at R terms bounded by theta^R/R! e^theta of the folded weights' sum
+
+    @staticmethod
+    def direct(cap, nodes, x, y):
+        # the whole rule, with phases taken relative to e^{iy}: x sin phi - y (1 - cos phi)
+        # spans a few radians at most, so its roundoff stays far below that of y cos phi
+        phi, w = operator._quad_rule(cap, nodes)
+        eps = 2 * np.sin(phi / 2) ** 2
+        return np.exp(1j * (np.outer(x, np.sin(phi)) - np.outer(y, eps))) @ w
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_matches_direct_phases_on_every_knapp_quadrant(self, k):
         delta = 2.0**-k
         grid, nodes = _knapp_quadrant(delta)
-        _, cos_phi, fine = grid_factors(Density.cap(delta), grid, nodes)
-        _, ys = grid.centers()
-        e = y_factor(cos_phi, fine, ys)
-        assert e.shape == (cos_phi.size, grid.ny) and fine.shape == (cos_phi.size, 64)
-        for j in range(0, grid.ny, 4096):  # the direct phases in pieces: 26 MB of e at 2^-6
-            arg = np.outer(cos_phi, ys[j : j + 4096])
-            err = np.max(np.abs(e[:, j : j + 4096] - (np.cos(arg) + 1j * np.sin(arg))))
-            assert err <= 3 * np.spacing(ys[-1]), (j, err)
+        cap, arc = Density.cap(delta), 2 * math.asin(delta)
+        planes = grid_factors(cap, grid, nodes)
+        xs, ys = grid.centers()
+        rng = np.random.default_rng(k)
+        rows = np.array([0, grid.nx - 1, *rng.integers(grid.nx, size=60)])
+        cols = np.array([0, grid.ny - 1, *rng.integers(grid.ny, size=60)])
+        p = y_factor(grid, ys[cols], planes.shape[-1])
+        got = np.einsum("sin,ni->si", planes[:, rows], p)
+        err = np.abs(got[0] + 1j * got[1] - self.direct(cap, nodes, xs[rows], ys[cols]))
+        assert np.max(err) <= 1e-13 * arc, (k, np.max(err))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_rank_is_the_smallest_within_the_bound_and_at_most_16(self, k):
+        delta = 2.0**-k
+        grid, nodes = _knapp_quadrant(delta)
+        rank = grid_factors(Density.cap(delta), grid, nodes).shape[-1]
+        phi = operator._quad_rule(Density.cap(delta), nodes)[0]
+        theta = (grid.y1 - grid.y0) / 2 * np.max(2 * np.sin(phi / 2) ** 2)
+        assert 0.19 < theta < 0.2
+        tail = [theta**n / math.factorial(n) * math.exp(theta) for n in (rank - 1, rank)]
+        assert tail[1] <= 2.0**-56 < tail[0] and rank <= 16, (rank, theta)
+
+    def test_a_theta_above_the_bound_raises(self):
+        # half = 60 and max eps = 0.0311 on the 16-node rule of delta = 1/4: theta = 1.87
+        grid = Grid2(0.0, 8.0, 0.0, 120.0, 16, 16)
+        with pytest.raises(NumericalError, match=r"theta = 1\.8\d* needs over 16 terms$"):
+            grid_factors(Density.cap(0.25), grid, 80)
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_each_column_block_is_the_quadrant_factor_bit_for_bit(self, k):
-        # blocks of 256, 128 and 64 columns start on the coarse rows of the quadrant's
-        # own centres, so a block's e is the same columns of the whole quadrant's e
+        # v = (y - mid)/half is one division per centre, so a block's basis is the same
+        # columns of the whole quadrant's, wherever the block starts
         grid, nodes = _knapp_quadrant(2.0**-k)
-        _, cos_phi, fine = grid_factors(Density.cap(2.0**-k), grid, nodes)
+        rank = grid_factors(Density.cap(2.0**-k), grid, nodes).shape[-1]
         ys = grid.centers()[1]
-        whole = y_factor(cos_phi, fine, ys)
+        whole = y_factor(grid, ys, rank)
+        assert whole.shape == (rank, grid.ny) and np.all(np.abs(whole) <= 1)
         blocks = _column_blocks(grid)
         assert len(blocks) >= 3 and blocks[0][0] == 0 and blocks[-1][1] == grid.ny
         for j0, j1 in blocks:
-            assert np.array_equal(y_factor(cos_phi, fine, ys[j0:j1]), whole[:, j0:j1]), j0
+            assert np.array_equal(y_factor(grid, ys[j0:j1], rank), whole[:, j0:j1]), j0
 
 
 class TestCircleNorm:
