@@ -24,11 +24,16 @@ def ones(grid):
 
 
 class TestWeightedLq2d:
-    def test_unit_mass(self):
+    # the frame share these two once checked is gone; their norm checks stay
+    def test_unit_mass_and_frame_share(self):
         grid = Grid2(0, 1, 0, 1, 100, 100)
-        assert abs(weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2) - 1) < 1e-12
+        norm = weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2)
+        assert abs(norm - 1) < 1e-12
+
+    def test_frame_share_counts_boundary_centers_as_inner(self):
         grid = Grid2(0, 10, 0, 10, 10, 10)
-        assert abs(weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2) - 10) < 1e-12
+        norm = weighted_lq_2d(ones(grid), grid, WeightSpec.separable(0, 0), 2)
+        assert abs(norm - 10) < 1e-12
 
     def test_quasinorm_below_one(self):
         grid = Grid2(0, 1, 0, 1, 64, 64)
