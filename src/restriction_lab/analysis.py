@@ -342,8 +342,6 @@ def _accelerate_rows(
     message names the worst row's residual, the tolerance and
     ``context(row)``, which describes that row's arguments.
     """
-    if terms.shape[1] < 2:
-        return terms[:, 0]
     sums = np.cumsum(terms, axis=1)
     result, last = np.einsum("bj,jc->cb", sums, _averaging_weights(terms.shape[1]))
     move = np.abs(result - last)
@@ -514,15 +512,18 @@ def _rows(a: np.ndarray, idx) -> np.ndarray:
     return a[idx][:, None, None] if np.ndim(a) else a
 
 
-def _batch(exponent, name: str, lo: float, hi: float, x, x_name: str):
+def _batch(exponent, name: str, lo: float, hi: float, x, x_name: str, x_max: float):
     """(exponent, flat x, shape) of a batched transform, or ValueError naming the argument
-    unless the exponent lies in (lo, hi) and every x is positive and finite.  A scalar
-    exponent stays 0-d, so that the envelope's arithmetic does not become per sample."""
+    unless the exponent lies in (lo, hi) and every x in (0, x_max], where its error bound
+    holds.  A scalar exponent stays 0-d, so that the envelope's arithmetic stays scalar."""
     exponent = np.asarray(exponent, dtype=float)
     if not np.all((lo < exponent) & (exponent < hi)):
         raise ValueError(f"{name} must lie in ({lo:g},{hi:g})")
     x = np.asarray(x, dtype=float)
-    if not np.all((0 < x) & (x < np.inf)):
+    if not np.all((0 < x) & (x <= x_max)):
+        if np.all((0 < x) & (x < np.inf)):
+            raise ValueError(f"{x_name} = {float(np.max(x))!r} is above {x_max:g}, "
+                             f"the largest {x_name} its error bound covers")
         raise ValueError(f"{x_name} must be positive and finite")
     shape = np.broadcast_shapes(exponent.shape, x.shape)
     if exponent.ndim:
@@ -540,14 +541,14 @@ def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
     smallest node, 1 + rho/lambda rounds to rho/lambda at every node: such a
     lambda is scale-free, K = lambda^{kappa-1} P(kappa), P the quadrature of
     rho^{-kappa}, one row per distinct kappa.  ``kappa`` broadcasts against
-    ``lams``; kappa in (0, 1), lambda positive and finite.  Relative error
+    ``lams``; kappa in (0, 1), lambda in (0, 100] (a larger lambda raises).  Relative error
     against Re e^{-i lambda} (-i lambda)^{kappa-1} Gamma(1-kappa, -i lambda):
     <= 1e-13 for kappa in [0.3, 0.99999] and lambda
     in [1e-20, 10], <= 1e-11 below (the floor panel's e^{-26} share), and
     <= 1e-10 for kappa down to 1e-3; growing about like lambda above 10, it is
     <= 3e-12 (<= 1e-9 for kappa down to 1e-3) up to lambda = 100.
     """
-    kap, flat, shape = _batch(kappa, "kappa", 0, 1, lams, "lambda")
+    kap, flat, shape = _batch(kappa, "kappa", 0, 1, lams, "lambda", 100.0)
     integral = _transform_many(
         "cos",
         flat,
@@ -599,12 +600,12 @@ def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
     equals u at every node: such an s is scale-free, its integral the
     quadrature of u^{1-delta}, one row per distinct delta, equal bit for bit
     to its per-sample row.  ``delta_exp`` broadcasts against ``s_vals``;
-    delta in (1, 2), s finite and normal (a subnormal s raises).  Relative error against
+    delta in (1, 2), s normal and at most 20 (any other s raises).  Relative error against
     2 pi s^nu K_nu(s) / (2^nu Gamma(nu+1)), nu = delta/2 - 1: <= 5e-13 for
     delta in [1.001, 1.999] and s in [1e-12, 5], <= 1e-11 down to s = 1e-300,
     and where H is exponentially small <= 1e-10 at s = 10, 1e-6 at s = 20.
     """
-    delta, flat, shape = _batch(delta_exp, "delta_exp", 1, 2, s_vals, "s")
+    delta, flat, shape = _batch(delta_exp, "delta_exp", 1, 2, s_vals, "s", 20.0)
     if np.any(flat < np.finfo(float).tiny):  # where h^{1-delta} may overflow
         raise ValueError(f"s = {float(np.min(flat))!r} is below the smallest normal float")
     power = 1.0 - delta
@@ -662,11 +663,11 @@ class CosineKernelTable:
     cosine_weight_kernel_many, and checked against it at the 14 points
     between its nodes: a relative residual over 1e-10 raises
     :class:`NumericalError`.  A lambda the direct kernel treats as scale-free
-    (t below about -109 at kappa = 5/9) goes to it instead, where one
-    quadrature row serves them all, so pieces cover only t above that.  The
-    pieces are fixed in t, so a value does not depend on how calls are
-    batched.  Relative deviation from the direct kernel stays below 1e-12
-    for lambda in [1e-300, 1].
+    (t below about -109 at kappa = 5/9), where one quadrature row serves them
+    all, goes to it instead, and so does lambda in (50, 100], whose piece would
+    need it past 100.  The pieces are fixed in t, so a value does not depend on
+    how calls are batched.  Relative deviation from the direct kernel stays
+    below 1e-12 for lambda in [1e-300, 1].
     """
 
     def __init__(self, kappa: float):
@@ -689,8 +690,8 @@ class CosineKernelTable:
         return int(np.count_nonzero(self._built))
 
     def __call__(self, lams) -> np.ndarray:
-        _, flat, shape = _batch(self.kappa, "kappa", 0, 1, lams, "lambda")
-        free = flat <= self._free
+        _, flat, shape = _batch(self.kappa, "kappa", 0, 1, lams, "lambda", 100.0)
+        free = (flat <= self._free) | (flat > 50.0)
         g = self._interpolate(flat[~free])
         direct = cosine_weight_kernel_many(self.kappa, flat[free])
         out = np.empty_like(flat)

@@ -251,6 +251,8 @@ def _cmd_l2_endpoint(args) -> int:
 
 
 def _cmd_pitt(args) -> int:
+    if max(args.scale_exps) > 1023:
+        raise DomainError("scale exponents must be at most 1023, where 2^k is a finite float")
     scales = [2.0**k for k in args.scale_exps]
     result = pitt_sweep(args.beta, args.p, args.q, scales)
     return _emit(

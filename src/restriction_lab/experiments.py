@@ -38,7 +38,7 @@ from .exponents import (
     DomainError, ExtScalar, ScalarLike, inv_conjugate, inv_conjugate_ratio, scaled, to_fraction,
     weight_exponents,
 )
-from .norms import Grid2, Sampled1, WeightSpec, compensated_sum, weak_lq_1d, weighted_lq_2d
+from .norms import Grid2, Sampled1, WeightSpec, weak_lq_1d, weighted_lq_2d
 from .operator import (Density, circle_norm, constant_reference_radii, extend_on_grid,
                        grid_factors, y_factor)
 
@@ -195,7 +195,10 @@ def _scan_result(samples: list[ScanSample], predicted: PredictedExponent, meta: 
 def _knapp_quadrant(delta: float) -> tuple[Grid2, int]:
     """The closed quadrant x, y >= 0 of the centred Knapp grid, same cells, and its node
     budget 8(|p_max| + 10); an odd axis starts half a cell below 0 to keep its centre line."""
-    grid = Grid2.centered(4 / delta, max(4.0, math.pi / 4 / delta**2), KNAPP_RESOLUTION)
+    half_y = max(4.0, math.pi / 4 / delta / delta)
+    if half_y > KNAPP_CELL_BUDGET:  # a column's 4 half_y cells; inf where delta^-2 overflows
+        raise ConfigurationError(f"delta={delta:g} needs a column over budget {KNAPP_CELL_BUDGET}")
+    grid = Grid2.centered(4 / delta, half_y, KNAPP_RESOLUTION)
     x0 = -grid.dx / 2 if grid.nx % 2 else 0.0
     y0 = -grid.dy / 2 if grid.ny % 2 else 0.0
     quadrant = Grid2(x0, grid.x1, y0, grid.y1, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
@@ -223,13 +226,13 @@ def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: i
         p = y_factor(grid, ys[j0:j1], planes.shape[-1])
         gram = gram + (p * b2[j0:j1]) @ p.T
     rows = np.einsum("sxn,sxn->x", planes @ gram, planes)
-    return compensated_sum(a2 * rows) * grid.cell_measure
+    return float(np.sum(a2 * rows)) * grid.cell_measure
 
 
 def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
     """The same sum for any q and weight: each column block's planes come from
     ``extend_on_grid`` and go through ``weighted_lq_2d`` (one matrix-vector reduction per
-    row chunk for a separable weight); block masses add with compensation."""
+    row chunk for a separable weight); block masses add by numpy's pairwise sum."""
     ys = grid.centers()[1]
     planes = grid_factors(cap, grid, nodes)
     masses = []
@@ -239,7 +242,7 @@ def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, node
         field[:, :, : int(j0 == 0 and grid.y0 < 0)] *= 2 ** (-1 / q)
         block = replace(grid, y0=grid.y0 + j0 * grid.dy, y1=grid.y0 + j1 * grid.dy, ny=j1 - j0)
         masses.append(weighted_lq_2d(field, block, weight, q) ** q)
-    return compensated_sum(np.array(masses))
+    return float(np.sum(masses))
 
 
 def knapp_scan(
@@ -271,8 +274,8 @@ def knapp_scan(
     (``_streamed_mass``), each one real product of 2 nx ny R multiply-adds, reduced with
     no per-cell pow where q/2 is 1 to 4, no weight array for a separable weight and one
     divide per cell for gamma q = 1.  Memory is bounded by one block of KNAPP_BLOCK_CELLS
-    cells, not by the grid.  KNAPP_CELL_BUDGET counts the quadrant
-    cells summed, about delta^{-3}, and is checked before any evaluation.
+    cells, not by the grid.  KNAPP_CELL_BUDGET counts the quadrant cells summed, about
+    delta^{-3}; it and the delta window (``_eps_window``) are checked before any evaluation.
     """
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
@@ -284,14 +287,13 @@ def knapp_scan(
     predicted = predicted_exponent(kind, **exps, r=r, q=q)
     mass = _gram_mass if qf == 2 and kind == "separable" else _streamed_mass
 
-    deltas = [2.0**-k for k in sorted(delta_exps)]
-    if len(deltas) != len(set(delta_exps)):
-        raise DomainError("duplicate delta exponents")
+    deltas = [float(d) for d in _eps_window(delta_exps, "delta", points=0)]
     quadrants = [_knapp_quadrant(d) for d in deltas]
     for d, (quadrant, _) in zip(deltas, quadrants):
         if quadrant.n_cells > KNAPP_CELL_BUDGET:
             raise ConfigurationError(f"delta={d:g} needs {quadrant.n_cells} quadrant cells, "
                                      f"over budget {KNAPP_CELL_BUDGET}")
+    _eps_window(delta_exps, "delta")  # the count last, so that a window over budget says so
 
     samples = []
     for d, (quadrant, nodes) in zip(deltas, quadrants):
@@ -418,15 +420,18 @@ def _inner_s_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(a.reshape(-1) for a in (*s_part, *v_part))
 
 
-def _eps_window(eps_exps: list[int]) -> list[Fraction]:
-    """eps = 2^{-k} over the sorted exponents: distinct, non-negative, and enough to fit."""
-    if len(set(eps_exps)) != len(eps_exps):
-        raise DomainError("duplicate eps exponents")
-    if min(eps_exps, default=0) < 0:
-        raise DomainError("eps exponents must be non-negative")
-    if len(eps_exps) < 3:
-        raise DomainError("need at least 3 points")
-    return [Fraction(1, 2**k) for k in sorted(eps_exps)]
+def _eps_window(exps: list[int], name: str = "eps", points: int = 3) -> list[Fraction]:
+    """``name`` = 2^{-k} over the sorted exponents: distinct, in [0, 1022] (where 2^{-k}
+    is a normal float), and at least ``points`` of them, enough to fit."""
+    if len(set(exps)) != len(exps):
+        raise DomainError(f"duplicate {name} exponents")
+    if min(exps, default=0) < 0:
+        raise DomainError(f"{name} exponents must be non-negative")
+    if max(exps, default=0) > 1022:
+        raise DomainError(f"{name} exponents must be at most 1022, where 2^-k is a normal float")
+    if len(exps) < points:
+        raise DomainError(f"need at least {points} points")
+    return [Fraction(1, 2**k) for k in sorted(exps)]
 
 
 _TRUNC_LN = math.log(1e3)  # ln of the inverse truncated share of both eps-scans

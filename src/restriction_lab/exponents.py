@@ -55,11 +55,9 @@ class ExtScalar:
     """Exact nonnegative-capable rational extended with a unique +infinity.
 
     Stored as a reduced numerator over a positive denominator; infinity, the
-    single value ``INF``, as 1/0.  The reciprocal is total (recip(0) = inf,
-    recip(inf) = 0) and comparison is a total order with infinity maximal.
-    Intermediate threshold arithmetic may produce negative values; the
-    nonnegativity constraints of the domain types are enforced by the
-    parameter classes, not here.
+    single value ``INF``, as 1/0.  Comparison is a total order with infinity
+    maximal.  Values may be negative; the nonnegativity constraints of the
+    domain types are enforced by the parameter classes, not here.
     """
 
     __slots__ = ("_num", "_den")
@@ -80,10 +78,6 @@ class ExtScalar:
         obj = object.__new__(cls)
         obj._num, obj._den = (1, 0) if frac is None else frac.as_integer_ratio()
         return obj
-
-    @classmethod
-    def infinity(cls) -> "ExtScalar":
-        return cls._wrap(None)
 
     @classmethod
     def coerce(cls, value: ScalarLike) -> "ExtScalar":
@@ -110,27 +104,7 @@ class ExtScalar:
         # the value as a Fraction, None for infinity
         return None if self._den == 0 else Fraction(self._num, self._den)
 
-    def recip(self) -> "ExtScalar":
-        """Total reciprocal: recip(inf) = 0, recip(0) = inf."""
-        return INF if self._num == 0 else ExtScalar._wrap(Fraction(*inv_ratio(self)))
-
-    # -- arithmetic (partial where genuinely ambiguous: inf-inf, 0*inf, ...) --
-
-    def __add__(self, other: ScalarLike) -> "ExtScalar":
-        a, b = self._frac(), ExtScalar.coerce(other)._frac()
-        if a is None or b is None:
-            return ExtScalar._wrap(None)
-        return ExtScalar._wrap(a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ScalarLike) -> "ExtScalar":
-        a, b = self._frac(), ExtScalar.coerce(other)._frac()
-        if b is None:
-            raise DomainError("subtraction of infinity is undefined")
-        if a is None:
-            return ExtScalar._wrap(None)
-        return ExtScalar._wrap(a - b)
+    # -- product (partial where genuinely ambiguous: 0 * inf) --
 
     def __mul__(self, other: ScalarLike) -> "ExtScalar":
         a, b = self._frac(), ExtScalar.coerce(other)._frac()
@@ -140,18 +114,10 @@ class ExtScalar:
                 raise DomainError("0 * infinity is undefined")
             if fin is not None and fin < 0:
                 raise DomainError("negative * infinity not supported")
-            return ExtScalar._wrap(None)
+            return INF
         return ExtScalar._wrap(a * b)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: ScalarLike) -> "ExtScalar":
-        return self * ExtScalar.coerce(other).recip()
-
-    def __neg__(self) -> "ExtScalar":
-        if self._den == 0:
-            raise DomainError("negation of infinity not supported")
-        return ExtScalar._wrap(Fraction(-self._num, self._den))
 
     # -- total order with infinity maximal --
 
@@ -201,7 +167,7 @@ def _parse_fraction(text: str) -> Fraction | None:
     return Fraction(int(t))
 
 
-INF = ExtScalar.infinity()
+INF = ExtScalar._wrap(None)
 
 
 def conjugate_exponent(r: ScalarLike) -> ExtScalar:
@@ -277,6 +243,16 @@ def weight_exponents(kind: str, alpha: ScalarLike | None = None, beta: ScalarLik
 # ---------------------------------------------------------------------------
 
 
+def _r_and_q(r: ScalarLike, q: ScalarLike) -> tuple[ExtScalar, ExtScalar]:
+    """r and q as ExtScalars; DomainError unless r lies in [1, inf] and q in (0, inf]."""
+    r, q = ExtScalar.coerce(r), ExtScalar.coerce(q)
+    if r < 1:
+        raise DomainError("r must lie in [1, inf]")
+    if q <= 0:
+        raise DomainError("q must lie in (0, inf]")
+    return r, q
+
+
 @dataclass(frozen=True, slots=True)
 class SeparableParams:
     """Arguments of the separable-weight extension estimate: L^r -> L^q with
@@ -290,14 +266,9 @@ class SeparableParams:
     def __init__(self, alpha: ScalarLike, beta: ScalarLike, r: ScalarLike, q: ScalarLike):
         alpha = ExtScalar.coerce(alpha)
         beta = ExtScalar.coerce(beta)
-        r = ExtScalar.coerce(r)
-        q = ExtScalar.coerce(q)
         if alpha.is_infinite or beta.is_infinite or alpha < 0 or beta < 0:
             raise DomainError("weight exponents must be finite and >= 0")
-        if r < 1:
-            raise DomainError("r must lie in [1, inf]")
-        if q <= 0:
-            raise DomainError("q must lie in (0, inf]")
+        r, q = _r_and_q(r, q)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "r", r)
@@ -314,14 +285,9 @@ class RadialParams:
 
     def __init__(self, gamma: ScalarLike, r: ScalarLike, q: ScalarLike):
         gamma = ExtScalar.coerce(gamma)
-        r = ExtScalar.coerce(r)
-        q = ExtScalar.coerce(q)
         if gamma.is_infinite or gamma < 0:
             raise DomainError("gamma must be finite and >= 0")
-        if r < 1:
-            raise DomainError("r must lie in [1, inf]")
-        if q <= 0:
-            raise DomainError("q must lie in (0, inf]")
+        r, q = _r_and_q(r, q)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "q", q)
@@ -380,12 +346,7 @@ def classify_unweighted(r: ScalarLike, q: ScalarLike) -> Verdict:
 
     The equality case q = 3r' is tagged ``fz-endpoint``.
     """
-    r = ExtScalar.coerce(r)
-    q = ExtScalar.coerce(q)
-    if r < 1:
-        raise DomainError("r must lie in [1, inf]")
-    if q <= 0:
-        raise DomainError("q must lie in (0, inf]")
+    r, q = _r_and_q(r, q)
     if q.is_infinite:
         return _bounded("q-infinite")
     qf = q.as_fraction()

@@ -5,7 +5,7 @@ Grids use the midpoint rule: one evaluation per cell at its center, so the
 weight factors never sit on cell corners.  Reductions are deterministic:
 fixed-size row chunks are summed by numpy's pairwise scheme, or for a
 separable weight a(x) b(y) by the matrix-vector products a @ (mass @ b), and
-the chunk partials are combined with Neumaier compensation.
+the chunk partials by numpy's pairwise sum.
 """
 
 from __future__ import annotations
@@ -23,26 +23,9 @@ __all__ = [
     "Sampled1",
     "weighted_lq_2d",
     "weak_lq_1d",
-    "compensated_sum",
 ]
 
 _CHUNK = 1 << 15
-
-
-def compensated_sum(values: np.ndarray) -> float:
-    """Deterministic chunked Neumaier summation of a 1-D float array."""
-    values = np.asarray(values, dtype=float).reshape(-1)
-    total = 0.0
-    comp = 0.0
-    for start in range(0, values.size, _CHUNK):
-        part = float(np.sum(values[start : start + _CHUNK]))
-        t = total + part
-        if abs(total) >= abs(part):
-            comp += (total - t) + part
-        else:
-            comp += (part - t) + total
-        total = t
-    return total + comp
 
 
 @dataclass(frozen=True)
@@ -162,7 +145,7 @@ def weighted_lq_2d(values: np.ndarray, grid: Grid2, weight: WeightSpec, q: float
             parts.append(np.sum(np.divide(mass, ax[r : r + rows] + ay, out=mass)))
         else:
             parts.append(np.sum(mass * weight_q.inverse_factor(xs[r : r + rows, None], ys)))
-    total = compensated_sum(np.array(parts)) * grid.cell_measure
+    total = float(np.sum(parts)) * grid.cell_measure
     if not math.isfinite(total):  # as it always is where a value is not finite
         if not np.all(np.isfinite(vals)):
             raise NumericalError("non-finite density values on the grid")

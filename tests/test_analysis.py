@@ -334,6 +334,16 @@ class TestCosineKernel:
             with pytest.raises(ValueError, match="lambda must be positive and finite"):
                 cosine_weight_kernel_many(np.array([0.3, 0.5]), np.array([1.0, lam]))
 
+    def test_rejects_lambda_past_its_error_bound(self):
+        # at lambda = 1e50 the quadrature gave -3.4e-65, where K ~ kappa/lambda^2 = 5e-101
+        assert cosine_weight_kernel(0.5, 100.0) > 0
+        for lam in (math.nextafter(100.0, math.inf), 1e3, 1e50):
+            message = "^" + re.escape(f"lambda = {lam!r} is above 100, ")
+            with pytest.raises(ValueError, match=message):
+                cosine_weight_kernel(0.5, lam)
+            with pytest.raises(ValueError, match=message):
+                cosine_weight_kernel_many(np.array([0.3, 0.5]), np.array([1.0, lam]))
+
     # the bounds the docstring states; measured 6.7e-14, 2.5e-12 and 4.9e-11 at worst,
     # and above lambda = 10, up to the edge lambda = 100, 1.3e-12 and 4.8e-10
     @pytest.mark.parametrize("kappas, lams, bound", [
@@ -636,6 +646,14 @@ class TestCosineKernelTable:
             CosineKernelTable(0.5)(np.array([0.1, 0.0]))
         with pytest.raises(ValueError):
             CosineKernelTable(0.5)(np.array([np.nan]))
+        with pytest.raises(ValueError, match=r"^lambda = 1000\.0 is above 100, "):
+            CosineKernelTable(0.5)(np.array([0.1, 1e3]))
+
+    def test_lambda_above_50_is_the_direct_kernel(self):
+        # its piece, t in [4, 6), would be built from the direct kernel past lambda = 100
+        table, lams = CosineKernelTable(0.5), np.array([50.5, 60.0, 99.0, 100.0])
+        assert np.array_equal(table(lams), cosine_weight_kernel_many(0.5, lams))
+        assert table.n_pieces == 0
 
 
 class TestFresnelConstant:
@@ -721,6 +739,16 @@ class TestHankelTransform:
                 hankel_decay_transform(1.5, s)
             with pytest.raises(ValueError, match="s must be positive and finite"):
                 hankel_decay_transform_many(np.array([1.2, 1.5]), np.array([1.0, s]))
+
+    def test_rejects_s_past_its_error_bound(self):
+        # at s = 40 the quadrature gave -7.2e-17 for delta = 1.5, where H = 2.0e-18 > 0
+        assert hankel_decay_transform(1.5, 20.0) > 0
+        for s in (math.nextafter(20.0, math.inf), 40.0, 100.0):
+            message = "^" + re.escape(f"s = {s!r} is above 20, ")
+            with pytest.raises(ValueError, match=message):
+                hankel_decay_transform(1.5, s)
+            with pytest.raises(ValueError, match=message):
+                hankel_decay_transform_many(np.array([1.2, 1.9]), np.array([1.0, s]))
 
     @pytest.mark.parametrize("s", [1e-310, 5e-324])
     def test_a_subnormal_s_raises(self, s):

@@ -114,6 +114,25 @@ class TestArgumentHandling:
         )
         assert code == 1 and "budget" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("pitt --beta 1/2 --p 2 --q 2 --scale-exps 1024",
+         "scale exponents must be at most 1023, where 2^k is a finite float"),
+        ("knapp --kind separable --alpha 0 --beta 0 --r 2 --q 6 --delta-exps 1100..1102",
+         "delta exponents must be at most 1022, where 2^-k is a normal float"),
+        ("dual --kind separable --alpha 3/5 --beta 1/8 --r 4 --q 2 --eps-exps 1100..1102",
+         "eps exponents must be at most 1022, where 2^-k is a normal float"),
+        ("l2-endpoint --alpha 5/18 --beta 5/18 --r 3 --eps-exps 1100..1102",
+         "eps exponents must be at most 1022, where 2^-k is a normal float"),
+        ("knapp --kind separable --alpha 0 --beta 0 --r 2 --q 6 --delta-exps 600..602",
+         "delta=2.40992e-181 needs a column over budget 30000000"),
+        ("knapp --kind separable --alpha 0 --beta 0 --r 2 --q 6 --delta-exps 1..2",
+         "need at least 3 points"),
+    ])
+    def test_out_of_range_exponents_are_one_error_line(self, capsys, argv, message):
+        # these raised OverflowError or ZeroDivisionError from 2^k, 2^-k or delta^-2
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestJsonRoundTrip:
     def test_classify_rationals_reparse(self, capsys):
@@ -273,6 +292,12 @@ class TestOscintCommand:
         code, out, err = invoke(capsys, "oscint", "--kappa", "0.5", "--lam", lam)
         assert (code, out) == (1, "")
         assert err == "error: lambda must be positive and finite\n"
+
+    def test_lambda_past_the_error_bound_is_one_error_line(self, capsys):
+        code, out, err = invoke(capsys, "oscint", "--kappa", "0.5", "--lam", "1e3")
+        assert (code, out) == (1, "")
+        assert err == ("error: lambda = 1000.0 is above 100, "
+                       "the largest lambda its error bound covers\n")
 
 
 # option string -> (required, default) per subcommand, as the flags stood

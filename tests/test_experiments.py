@@ -281,6 +281,26 @@ class TestKnappScan:
         with pytest.raises(DomainError, match="^duplicate delta exponents$"):
             knapp_scan("separable", alpha=0, beta=0, r=2, q=6, delta_exps=[2, 3, 3])
 
+    @pytest.mark.parametrize("window, message", [
+        ([1, 2], "need at least 3 points"),
+        ([-1, 2, 3], "delta exponents must be non-negative"),
+        ([1100, 1101, 1102], "delta exponents must be at most 1022, where 2^-k is a normal float"),
+    ])
+    def test_bad_window_fails_before_any_grid_work(self, monkeypatch, window, message):
+        def grid_work(*args, **kwargs):
+            raise AssertionError("grid work before the delta window was checked")
+
+        monkeypatch.setattr(experiments, "grid_factors", grid_work)
+        with pytest.raises(DomainError) as info:
+            knapp_scan("separable", alpha=0, beta=0, r=2, q=6, delta_exps=window)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("k", [512, 538, 1022])
+    def test_a_delta_past_the_budget_never_overflows(self, k):
+        # (pi/4)/delta^2 overflows from k = 512, and delta^2 underflows to 0 from k = 538
+        with pytest.raises(ConfigurationError, match="needs a column over budget 30000000$"):
+            knapp_scan("separable", alpha=0, beta=0, r=2, q=6, delta_exps=[2, 3, k])
+
     def test_fz_endpoint_flat(self):
         res = knapp_scan("separable", alpha=0, beta=0, r=2, q=6, delta_exps=[2, 3, 4])
         assert abs(res.fitted.slope - 0.0) < 0.05

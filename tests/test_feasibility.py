@@ -127,9 +127,8 @@ class TestSolveTwo:
 class TestVerifyTwo:
     def test_gamma_split_violation(self):
         cert = solve_two("2/3", "3/2", 2)
-        tampered = CertificateTwo(
-            cert.theta, cert.q0, cert.q1, cert.r0, cert.r1, cert.gamma1 + 1
-        )
+        gamma1 = ExtScalar(cert.gamma1.as_fraction() + 1)
+        tampered = CertificateTwo(cert.theta, cert.q0, cert.q1, cert.r0, cert.r1, gamma1)
         result = verify_two(tampered, "2/3", "3/2", 2)
         assert not result.ok and "gamma-split" in result.violations
 

@@ -8,7 +8,6 @@ from restriction_lab.norms import (
     Grid2,
     Sampled1,
     WeightSpec,
-    compensated_sum,
     weak_lq_1d,
     weighted_lq_2d,
 )
@@ -152,20 +151,6 @@ class TestWeakLq1d:
             Sampled1(np.array([-1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             Sampled1(np.array([1.0]), np.array([0.0]))
-
-
-class TestCompensatedSum:
-    def test_matches_fsum(self):
-        rng = np.random.default_rng(11)
-        arr = rng.uniform(-1, 1, size=200_001) * 10.0 ** rng.integers(-8, 8, 200_001)
-        assert abs(compensated_sum(arr) - math.fsum(arr)) < 1e-9 * max(
-            1.0, abs(math.fsum(arr))
-        )
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(13)
-        arr = rng.normal(size=100_000)
-        assert compensated_sum(arr) == compensated_sum(arr.copy())
 
 
 class TestGrid2:
