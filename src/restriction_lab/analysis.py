@@ -27,10 +27,9 @@ checked against it; only the L2-endpoint scan uses it.  The scalar kernel,
 the batched direct kernel, C(kappa) and everything the dual scans, the
 oscint command and acceptance criterion 6 call stay direct.
 
-J0 evaluation: float64 power series below x = 7; precomputed local Taylor
-expansions (anchors every 0.5, seeded by exact rational series sums) on
-[7, 17); Hankel asymptotic expansion with optimal truncation above.
-J0 and J1 stay within 1e-14 of scipy.special.j0/j1 through x = 1e7.
+J0 and J1: Bessel's integral below x = 17, one 32-node folded midpoint sum within
+5e-16 of them; the Hankel expansion, truncated per point, from 17 on.  Both stay
+within 2e-15 of scipy.special.j0/j1 through x = 1e7.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,71 +57,27 @@ __all__ = [
     "hankel_decay_transform_many",
 ]
 
-_SERIES_CUT = 7.0
 _ASYMP_CUT = 17.0
-_ANCHOR_STEP = 0.5
+# values per batch chunk (Bessel's integral, the root scan grid, the tail or one head
+# depth of a transform): keeps each temporary at 256 KiB, cache-sized, whatever the batch
+_CHUNK_NODES = 2**15
 
 
 # ---------------------------------------------------------------------------
 # J0 and J1 evaluation
 # ---------------------------------------------------------------------------
 
-
-def _exact_j0_j1(a: Fraction) -> tuple[float, float]:
-    """J0(a), J1(a) from their 80-term series, summed exactly over one integer
-    denominator each by Horner's rule and rounded by one int / int division."""
-    p, d = a.numerator, a.denominator
-    c = 4 * d * d  # u = a^2/4 = p^2/c
-    n0 = n1 = 0
-    f0 = f1 = 1  # c^{79-m} (79!/m!)^2 and c^{79-m} (79!/m!) (80!/(m+1)!)
-    for m in range(79, -1, -1):
-        n0, n1 = n0 * -p * p + f0, n1 * -p * p + f1
-        f0, f1 = f0 * c * m * m, f1 * c * m * (m + 1)
-    base = c**79 * math.factorial(79)
-    return n0 / (base * math.factorial(79)), p * n1 / (2 * d * base * math.factorial(80))
-
-
-def _build_anchor_table() -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients of J0 about anchors 7.0, 7.5, ..., 17.0.
-
-    Seeded by exact series values of (J0, J1) at the anchor; the remaining
-    coefficients follow from the Bessel ODE x y'' + y' + x y = 0:
-        c_{m+2} = -((m+1)^2 c_{m+1} + a c_m + c_{m-1}) / (a (m+2)(m+1)).
-    """
-    n_anchor = int(round((_ASYMP_CUT - _SERIES_CUT) / _ANCHOR_STEP)) + 1
-    n_terms = 20
-    anchors = _SERIES_CUT + _ANCHOR_STEP * np.arange(n_anchor)
-    coeffs = np.zeros((n_anchor, n_terms))
-    for i, a in enumerate(anchors):
-        af = Fraction(float(a))  # anchors are exact halves, conversion is lossless
-        j0a, j1a = _exact_j0_j1(af)
-        c = coeffs[i]
-        c[0], c[1] = j0a, -j1a
-        for m in range(n_terms - 2):
-            prev = c[m - 1] if m >= 1 else 0.0
-            c[m + 2] = -(((m + 1) ** 2) * c[m + 1] + a * c[m] + prev) / (
-                a * (m + 2) * (m + 1)
-            )
-    return anchors, coeffs
-
-
-_ANCHORS, _ANCHOR_COEFFS = _build_anchor_table()
-
-# factorial-based series coefficients, fixed lengths chosen for x <= 7
-_J0_SERIES = np.array(
-    [(-1) ** m / (math.factorial(m) ** 2) for m in range(27)]
-)
-_J1_SERIES = np.array(
-    [(-1) ** m / (math.factorial(m) * math.factorial(m + 1)) for m in range(27)]
-)
+# sin((k + 1/2) pi/64), k < 32: the nodes of the 128-point midpoint rule for Bessel's
+# integral over a full period, folded by theta -> pi - theta and theta -> theta + pi
+_BESSEL_NODES = np.sin((np.arange(32) + 0.5) * (math.pi / 64))
 
 
 def _hankel_pq(x: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated Hankel expansion sums P_nu, Q_nu for x >= _ASYMP_CUT.
 
     P = sum_m (-1)^m a_{2m}(nu)/x^{2m}, Q = sum_m (-1)^m a_{2m+1}(nu)/x^{2m+1}
-    with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2)/(8 j); each point stops at
-    its own first term below 1e-18, and at x = 17 the error is below 2e-14.
+    with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2)/(8 j); each point stops at its own
+    first term below 1e-18 or at the 23rd; measured within 4e-16 of mpmath on [17, 40].
     """
     p = np.ones_like(x)
     q = np.zeros_like(x)
@@ -142,52 +96,27 @@ def _hankel_pq(x: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _bessel_integral(x: np.ndarray, nu: int) -> np.ndarray:
+    """J_nu(x) = (1/pi) int_0^pi cos(nu theta - x sin theta) d theta by the folded midpoint
+    rule J0 = mean_k cos(x s_k), J1 = mean_k s_k sin(x s_k), s_k the _BESSEL_NODES; on this
+    periodic entire integrand its error, about 2 |J_128(x)|, is below 1e-90 for x < 17."""
+    out, rows = np.empty_like(x), _CHUNK_NODES // _BESSEL_NODES.size
+    for start in range(0, x.size, rows):
+        phase = np.multiply.outer(x[start : start + rows], _BESSEL_NODES)
+        terms = np.cos(phase) if nu == 0 else _BESSEL_NODES * np.sin(phase)
+        out[start : start + rows] = terms.mean(axis=1)
+    return out
+
+
 def _eval_tiered(x: np.ndarray, nu: int) -> np.ndarray:
-    """Vectorized J0 (nu=0) or J1 (nu=1) over nonnegative x."""
+    """J0 (nu=0) or J1 (nu=1) at nonnegative x: Bessel's integral below _ASYMP_CUT, else Hankel."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-
-    low = x < _SERIES_CUT
-    mid = (~low) & (x < _ASYMP_CUT)
-    high = x >= _ASYMP_CUT
-
-    if np.any(low):
-        xs = x[low]
-        u = xs * xs / 4
-        series = _J0_SERIES if nu == 0 else _J1_SERIES
-        acc = np.full_like(xs, series[-1])
-        for c in series[-2::-1]:
-            acc = acc * u + c
-        out[low] = acc if nu == 0 else acc * xs / 2
-
-    if np.any(mid):
-        xs = x[mid]
-        idx = np.clip(
-            np.round((xs - _SERIES_CUT) / _ANCHOR_STEP).astype(int),
-            0,
-            len(_ANCHORS) - 1,
-        )
-        t = xs - _ANCHORS[idx]
-        table = _ANCHOR_COEFFS[idx]
-        if nu == 0:
-            acc = table[:, -1].copy()
-            for m in range(table.shape[1] - 2, -1, -1):
-                acc = acc * t + table[:, m]
-        else:
-            n = table.shape[1]
-            acc = table[:, n - 1] * (n - 1)
-            for m in range(n - 2, 0, -1):
-                acc = acc * t + table[:, m] * m
-            acc = -acc  # J1 = -J0'
-        out[mid] = acc
-
-    if np.any(high):
-        xs = x[high]
-        p, q = _hankel_pq(xs, nu)
-        omega = xs - (2 * nu + 1) * math.pi / 4
-        amp = np.sqrt(2 / (math.pi * xs))
-        out[high] = amp * (p * np.cos(omega) - q * np.sin(omega))
-
+    out, low = np.empty_like(x), x < _ASYMP_CUT
+    out[low] = _bessel_integral(x[low], nu)
+    xs = x[~low]
+    p, q = _hankel_pq(xs, nu)
+    omega = xs - (2 * nu + 1) * math.pi / 4
+    out[~low] = np.sqrt(2 / (math.pi * xs)) * (p * np.cos(omega) - q * np.sin(omega))
     return out
 
 
@@ -201,8 +130,9 @@ def _j1(x) -> np.ndarray:
 
 
 def bessel_j0(x: float) -> float:
-    """J0(x) for finite x, within 1e-14 of scipy.special.j0 for |x| <= 1e7 (both
-    reduce x - pi/4 in double, so both are up to 2e-13 from J0 near 1e7)."""
+    """J0(x) for finite x: within 5e-16 of J0 for |x| < 17 (Bessel's integral), and
+    within 2e-15 of scipy.special.j0 for |x| <= 1e7 (both reduce x - pi/4 in double,
+    so both are up to 2e-13 from J0 near 1e7)."""
     if not math.isfinite(x):
         raise ValueError("bessel_j0 needs finite x")
     return float(_j0(np.array([x]))[0])
@@ -239,20 +169,33 @@ def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray, iters: int = 64) -> np.ndar
     return out
 
 
+def _scan_grid(stop: float):
+    """np.arange(0.5, stop, pi/8) bit for bit (it fills 0.5 + i ((0.5 + pi/8) - 0.5)), in
+    blocks of _CHUNK_NODES + 1 points, each starting at the last point of the one before."""
+    size, step = math.ceil((stop - 0.5) / (math.pi / 8)), (0.5 + math.pi / 8) - 0.5
+    for start in range(0, size - 1, _CHUNK_NODES):
+        yield 0.5 + np.arange(start, min(start + _CHUNK_NODES + 1, size)) * step
+
+
 def _first_roots(f, df, n: int, what: str) -> np.ndarray:
-    """First n positive roots of f: sign changes on a pi/8-spaced scan grid,
-    narrowed by Newton steps (f' = df(x, f(x))) that keep a sign-change bracket,
-    then bisected to the bits that plain bisection of the scan bracket returns."""
+    """First n positive roots of f: sign changes on a pi/8-spaced grid scanned in blocks
+    until n are found (memory O(n)), narrowed by Newton steps (f' = df(x, f(x))) that keep
+    a sign-change bracket, then bisected to the bits plain bisection of that bracket gives."""
     if n < 1:
         raise ValueError("need n >= 1")
     # the n-th root of J0 or J0' lies within pi/4 of n pi; scan a margin beyond it
     stop = (n + 2) * math.pi
-    grid = np.arange(0.5, stop, math.pi / 8)
-    vals = f(grid)
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(flips) < n:
-        raise NumericalError(f"found only {len(flips)} {what} below {stop:.1f}")
-    lo, hi, lo_neg = grid[flips[:n]], grid[flips[:n] + 1], vals[flips[:n]] <= 0
+    brackets, found = [], 0
+    for grid in _scan_grid(stop):
+        vals = f(grid)
+        flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][: n - found]
+        brackets.append((grid[flips], grid[flips + 1], vals[flips] <= 0))
+        found += flips.size
+        if found == n:
+            break
+    else:
+        raise NumericalError(f"found only {found} {what} below {stop:.1f}")
+    lo, hi, lo_neg = (np.concatenate(a) for a in zip(*brackets))
     x = 0.5 * (lo + hi)
     for _ in range(4):
         fx = f(x)
@@ -285,9 +228,6 @@ class ExtremaTable:
     z: np.ndarray
     values: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.z)
-
     def envelope_margin(self) -> float:
         j = np.arange(1, len(self.z) + 1)
         return float(np.min(np.sqrt(j) * np.abs(self.values)))
@@ -296,7 +236,7 @@ class ExtremaTable:
         if not np.all(np.diff(self.z) > 0):
             raise NumericalError("extrema abscissae not strictly increasing")
         # |J1'| = |J0| at a J1 zero, so a root one ulp off leaves ulp(z) |J0(z)|;
-        # measured <= 1.00 over 10^5 extrema, >= 4.7 for a root 8 ulp off
+        # measured <= 1.00 over 10^5 extrema, >= 7.0 for a root 8 ulp off
         resid = np.abs(_j1(self.z)) / (np.spacing(self.z) * np.abs(self.values))
         if np.any(resid > 2.0):
             raise NumericalError(f"extrema residual {resid.max():.3g} ulp(z) |J0(z)| > 2")
@@ -414,11 +354,6 @@ def _head_panels(osc: str, depth: int) -> tuple[np.ndarray, ...]:
     plus the floor panel [0, z1 e^{-depth}]."""
     edges = _zeros(osc)[0] * np.exp(-np.arange(depth + 1.0))
     return _panel_table(osc, np.concatenate(([0.0], edges[1:][::-1])), edges[::-1])
-
-
-# quadrature nodes per batch chunk of the tail or of one head depth: keeps the
-# (rows, panels, nodes) temporaries at 256 KiB, cache-sized, whatever the depth
-_CHUNK_NODES = 2**15
 
 
 def _cap(decay) -> np.ndarray:

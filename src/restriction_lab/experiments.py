@@ -62,6 +62,7 @@ KNAPP_CELL_BUDGET = 30_000_000
 KNAPP_RESOLUTION = 0.25
 KNAPP_BLOCK_CELLS = 1 << 16  # cells per streamed column block: 1 MB of planes, cache-sized
 RING_BLOCK = 1024  # rings per block of the constant-density cross-check: about 15 MB
+RING_BUDGET = 100_000  # the most cross-check rings: j0_extrema is shown to validate that many
 PITT_CELL_BUDGET = 30_000_000  # sum of n_xi n_x over a Pitt sweep; scales 2^-10..2^-6 take 20.5 M
 SPLIT_PHASES = 64  # fine phases per coarse phase of Pitt's split-phase transform
 
@@ -133,11 +134,14 @@ def predicted_exponent(
         raise DomainError("q must be positive and finite")
     if kind == "constant":
         return PredictedExponent(Fraction(1) - qf * (Fraction(1, 2) + to_fraction(weight_sum)))
+    r = ExtScalar.coerce(r)
+    if r < 1:
+        raise DomainError("r must lie in [1, inf]")
 
     exps = weight_exponents(kind, alpha, beta, gamma)
     # 1, 1/q, 1/r' and the weights as integers over one denominator
     one, inv_q, inv_rc, *ws = scaled(
-        1, qf.as_integer_ratio()[::-1], inv_conjugate_ratio(ExtScalar.coerce(r)),
+        1, qf.as_integer_ratio()[::-1], inv_conjugate_ratio(r),
         *(w.as_integer_ratio() for w in exps.values()))
     if kind == "separable":
         big, small = max(ws), min(ws)
@@ -339,7 +343,7 @@ def constant_density_sums(
     """Partial sums S_N = sum_{j<=N} j^s for the constant-density index series.
 
     The exponent s = 1 - q(1/2 + weight_sum) is exact and the divergence
-    verdict is the exact test s >= -1.  With ``cross_check_rings`` = J > 0
+    verdict is the exact test s >= -1.  With ``cross_check_rings`` = J in (0, RING_BUDGET]
     the result also carries the weighted q-th-power mass of 2 pi J0(|.|)
     over the extrema annuli |rho - z_j| <= 0.5 for j <= J (polar quadrature,
     16 radial times 64 angular nodes per ring, folded onto the 16 of the first
@@ -349,6 +353,8 @@ def constant_density_sums(
     """
     if cross_check_rings < 0:
         raise DomainError("cross_check_rings must be non-negative")
+    if cross_check_rings > RING_BUDGET:
+        raise ConfigurationError(f"cross_check_rings={cross_check_rings} over budget {RING_BUDGET}")
     if list(n_list) != sorted(set(n_list)) or not n_list or n_list[0] < 1:
         raise DomainError("n_list must be strictly increasing positive integers")
     qf = float(to_fraction(q))
@@ -438,6 +444,16 @@ _TRUNC_LN = math.log(1e3)  # ln of the inverse truncated share of both eps-scans
 _L2_TAU_CAP = 300.0
 
 
+def _tau_max(eps: Fraction, rate: float, cap: float) -> float:
+    """min(ln(1e3)/rate, cap) for an eps whose integrand decays like e^{-rate tau}, or
+    DomainError naming eps where the share e^{-rate tau_max} its rule drops is over 1/16."""
+    tau_max = min(_TRUNC_LN / rate, cap)
+    if (share := math.exp(-rate * tau_max)) > 1 / 16:
+        raise DomainError(f"eps = {eps}: the tau cap {cap:g} drops {share:.1%} of the mass, "
+                          f"over 1/16")
+    return tau_max
+
+
 def l2_endpoint_scan(
     alpha: ScalarLike,
     beta: ScalarLike,
@@ -461,9 +477,10 @@ def l2_endpoint_scan(
     concentrates like phi^{-1+2 eps}, so it is integrated in
     tau = ln(delta/phi) out to tau_max = min(ln(1e3)/(2 eps), 300); the
     truncated share of the mass is e^{-2 eps tau_max}: 1e-3 wherever the cap
-    300 does not bind, and e^{-600/128} ~ 0.92% at eps = 2^-7, where it does.
-    K is read from a CosineKernelTable per distinct kappa, built for this
-    call only.  The ratio against the exact circle norm is fitted versus eps.
+    300 does not bind, and e^{-600/128} ~ 0.92% at eps = 2^-7, where it does;
+    ``_tau_max`` refuses a share over 1/16 (eps = 2^-8 and below).  K is read
+    from a CosineKernelTable per distinct kappa, built for this call only.  The
+    ratio against the exact circle norm is fitted versus eps.
 
     Nothing in K(2 alpha, .) K(2 beta, .) depends on eps, so phi and both
     kernels are evaluated once, over the distinct tau nodes of the union of
@@ -471,8 +488,8 @@ def l2_endpoint_scan(
     edges of ``_tau_panels`` are the same float sums whatever tau_max is, so
     a smaller eps's rule is bit for bit a prefix of a larger one's except for
     its clipped last panel, and a table value does not depend on its batch.
-    The eps window (distinct, non-negative exponents, mu in (0,1)) is checked
-    before any kernel work.
+    The eps window (distinct, non-negative exponents, mu in (0,1), shares at
+    most 1/16) is checked before any kernel work.
     """
     a = to_fraction(alpha)
     b = to_fraction(beta)
@@ -496,6 +513,7 @@ def l2_endpoint_scan(
     epss = _eps_window(eps_exps)
     if not all(0 < 1 / rf - eps < 1 for eps in epss):
         raise DomainError("need mu = 1/r - eps in (0,1) for every eps")
+    rules = [_tau_panels(_tau_max(eps, 2 * float(eps), _L2_TAU_CAP)) for eps in epss]
 
     s_nodes, s_weights, v_nodes, v_weights = _inner_s_mesh()
     diff_half = np.concatenate([1.0 - s_nodes, v_nodes])  # 1 - s, exact near s = 1
@@ -506,7 +524,6 @@ def l2_endpoint_scan(
     kernel1 = CosineKernelTable(kap1)
     kernel2 = kernel1 if kap2 == kap1 else CosineKernelTable(kap2)
 
-    rules = [_tau_panels(min(_TRUNC_LN / (2 * float(eps)), _L2_TAU_CAP)) for eps in epss]
     tau, rows = np.unique(np.concatenate([nodes for nodes, _ in rules]), return_inverse=True)
     phi = delta * np.exp(-tau)
     half_diff = 0.5 * phi[:, None] * diff_half[None, :]
@@ -663,9 +680,10 @@ def dual_scan(
     taken in tau = -ln t out to tau_max = min(ln(1e3)/rate, 340) (beyond 340,
     1 - cos t underflows).  The truncated share e^{-rate tau_max} is 1e-3 where
     the cap does not bind and ~2.9% for separable r = 4, q = 2 at eps = 2^-7,
-    where it does; the metadata records only tau_cap.  All eps rules are built
-    (and checked) first; one kernel call takes all their nodes, each with its
-    eps's kappa (or delta), and each eps sums its slice.
+    where it does; ``_tau_max`` refuses a share over 1/16, and the metadata
+    records only tau_cap.  All eps rules are built (and checked) first; one
+    kernel call takes all their nodes, each with its eps's kappa (or delta),
+    and each eps sums its slice.
     """
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
@@ -703,7 +721,7 @@ def dual_scan(
             if not 1 < exponent < 2:
                 raise DomainError("gamma + 2/q' + eps must lie in (1,2)")
             rate = rc * epsf
-        tau, w_tau = _tau_panels(min(_TRUNC_LN / rate, _DUAL_TAU_CAP), fine_until=10.0)
+        tau, w_tau = _tau_panels(_tau_max(eps, rate, _DUAL_TAU_CAP), fine_until=10.0)
         rules.append((epsf, w_tau, math.pi * np.exp(-tau), np.full(tau.size, exponent)))
 
     t, exponents = (np.concatenate([rule[i] for rule in rules]) for i in (2, 3))

@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -49,19 +48,6 @@ def series_j0_deriv(x: float) -> float:
         total += term if m % 2 == 0 else -term
         term *= u / ((m + 1) * (m + 2))
     return -x / 2 * total
-
-
-def fraction_j0_j1(a: Fraction) -> tuple[float, float]:
-    """J0(a), J1(a) rounded from their 80-term series summed in Fractions."""
-    u = a * a / 4
-    s0 = s1 = Fraction(0)
-    term = Fraction(1)  # u^m / (m!)^2
-    for m in range(80):
-        s0 += term if m % 2 == 0 else -term
-        t1 = term / (m + 1)  # u^m / (m! (m+1)!)
-        s1 += t1 if m % 2 == 0 else -t1
-        term = term * u / ((m + 1) * (m + 1))
-    return float(s0), float(a / 2 * s1)
 
 
 def incomplete_gamma_kernel(kappa: float, lam: float) -> float:
@@ -121,6 +107,33 @@ class TestBesselJ0:
             for x in (seam - 1e-9, seam, seam + 1e-9):
                 assert abs(bessel_j0(x) - sp.j0(x)) < 1e-12
 
+    def test_integral_tier_within_5e_16_of_mpmath(self):
+        # measured 1.9e-16 (J0 and J1)
+        xs = np.random.default_rng(7).uniform(0.0, 17.0, 300)
+        with mpmath.workdps(40):
+            j0 = np.array([float(mpmath.besselj(0, mpmath.mpf(x))) for x in xs])
+            j1 = np.array([float(mpmath.besselj(1, mpmath.mpf(x))) for x in xs])
+        assert np.max(np.abs(analysis._j0(xs) - j0)) <= 5e-16
+        assert np.max(np.abs(analysis._j1(xs) - j1)) <= 5e-16
+
+    def test_integral_tier_is_batch_independent(self):
+        # chunked by rows, each row's node sum reduced within itself
+        xs = np.random.default_rng(8).uniform(0.0, 17.0, 5000)
+        for ev in (analysis._j0, analysis._j1):
+            whole = ev(xs)
+            for k in (1, 3, 1000, 1025):
+                sliced = np.concatenate([ev(xs[i : i + k]) for i in range(0, xs.size, k)])
+                assert np.array_equal(whole, sliced)
+
+    @pytest.mark.parametrize("nu", [1, 0], ids=["extrema", "zeros"])
+    def test_first_five_roots_within_one_ulp(self, nu):
+        # measured at most 0.75 ulp (extrema) and 0.91 ulp (zeros)
+        z = j0_extrema(5).z if nu else j0_zeros(5)
+        with mpmath.workdps(40):
+            exact = [mpmath.besseljzero(nu, k) for k in range(1, 6)]
+            ulps = [abs(float((mpmath.mpf(a) - e) / np.spacing(a))) for a, e in zip(z, exact)]
+        assert max(ulps) <= 1.0
+
     def test_asymptotic_tier_is_batch_independent(self):
         # the Hankel series stops per point, so a value never depends on its batch
         xs = np.geomspace(17, 1e4, 200000)
@@ -133,13 +146,13 @@ class TestBesselJ0:
             bessel_j0(float("inf"))
 
     def test_scipy_oracle_to_1e7(self):
-        # measured 6.9e-15 (J0) and 7.6e-15 (J1), both near the series cut at 7
+        # measured 5.6e-16 (J0) and 3.7e-16 (J1)
         import scipy.special as sp
 
         xs = np.concatenate([np.linspace(0.0, 1e7, 200001), np.geomspace(1e-3, 1e7, 100001),
                              np.linspace(0.0, 40.0, 40001)])
-        assert np.max(np.abs(analysis._j0(xs) - sp.j0(xs))) <= 1e-14
-        assert np.max(np.abs(analysis._j1(xs) - sp.j1(xs))) <= 1e-14
+        assert np.max(np.abs(analysis._j0(xs) - sp.j0(xs))) <= 2e-15
+        assert np.max(np.abs(analysis._j1(xs) - sp.j1(xs))) <= 2e-15
 
     def test_reduced_argument_error_near_1e7(self):
         # x - pi/4 rounds to ulp(x)/2 ~ 1e-9 near 1e7, times the amplitude 2.5e-4;
@@ -147,17 +160,6 @@ class TestBesselJ0:
         xs = np.random.default_rng(5).uniform(1e5, 1e7, 60)
         exact = np.array([float(mpmath.besselj(0, mpmath.mpf(x))) for x in xs])
         assert np.max(np.abs(analysis._j0(xs) - exact)) <= 3e-13
-
-    def test_anchor_table_is_the_fraction_build(self, monkeypatch):
-        # one int / int division rounds the exact sum as float(Fraction) does
-        monkeypatch.setattr(analysis, "_exact_j0_j1", fraction_j0_j1)
-        anchors, coeffs = analysis._build_anchor_table()
-        assert anchors.tobytes() == analysis._ANCHORS.tobytes()
-        assert coeffs.tobytes() == analysis._ANCHOR_COEFFS.tobytes()
-
-    @pytest.mark.parametrize("a", [Fraction(3, 7), Fraction(22, 3), Fraction(1), Fraction(-5, 2)])
-    def test_integer_series_rounds_like_fractions_off_the_anchors(self, a):
-        assert analysis._exact_j0_j1(a) == fraction_j0_j1(a)
 
 
 class TestExtrema:
@@ -237,6 +239,21 @@ class TestExtrema:
         table = j0_extrema(9)
         assert np.all(zeros[:-1] < table.z[:9])
         assert np.all(table.z[:9] < zeros[1:])
+
+    def test_scan_blocks_are_one_arange_grid(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_CHUNK_NODES", 1000)
+        for n in (1, 999, 10**5):
+            stop = (n + 2) * math.pi
+            blocks = list(analysis._scan_grid(stop))
+            assert all(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            joined = np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
+            assert np.array_equal(joined, np.arange(0.5, stop, math.pi / 8))
+
+    def test_small_scan_blocks_leave_the_roots_alone(self, monkeypatch):
+        # blocks of 64 grid steps: about 125 seams among the first 1000 roots
+        monkeypatch.setattr(analysis, "_CHUNK_NODES", 64)
+        assert np.array_equal(j0_extrema(1000).z, self.scan_and_bisect_64(analysis._j1, 1000))
+        assert np.array_equal(j0_zeros(1000), self.scan_and_bisect_64(analysis._j0, 1000))
 
 
 class TestCosineKernel:

@@ -107,6 +107,20 @@ class TestArgumentHandling:
         assert code == 1 and out == ""
         assert err == "error: cross_check_rings must be non-negative\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        # fitted on truncated rules, these read slope -0.338 against 1/4 and +0.178
+        # against -1/3, and the last failed later with "need mu r < 1"
+        ("dual --kind separable --alpha 3/5 --beta 1/8 --r 4 --q 2 --eps-exps 9..11",
+         "eps = 1/512: the tau cap 340 drops 41.3% of the mass, over 1/16"),
+        ("l2-endpoint --alpha 5/18 --beta 5/18 --r 3 --eps-exps 8..10",
+         "eps = 1/256: the tau cap 300 drops 9.6% of the mass, over 1/16"),
+        ("l2-endpoint --alpha 5/18 --beta 5/18 --r 3 --eps-exps 54..56",
+         "eps = 1/18014398509481984: the tau cap 300 drops 100.0% of the mass, over 1/16"),
+    ], ids=["dual", "l2-endpoint", "l2-endpoint-tiny"])
+    def test_eps_truncated_by_the_tau_cap_is_one_error_line(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_budget_error_is_argument_error(self, capsys):
         code, _, err = invoke(
             capsys, "knapp", "--kind", "separable", "--alpha", "0", "--beta", "0",

@@ -61,6 +61,23 @@ class TestPredictedExponent:
         p = predicted_exponent("separable", alpha="1/2", beta="1/2", q=2, r=2)
         assert p.log_flag == "double"
 
+    def test_r_below_one_is_refused_before_any_knapp_work(self, monkeypatch):
+        with pytest.raises(DomainError, match=r"^r must lie in \[1, inf\]$"):
+            predicted_exponent("separable", alpha=0, beta=0, r="1/2", q=2)
+        with pytest.raises(DomainError, match=r"^r must lie in \[1, inf\]$"):
+            predicted_exponent("radial", gamma="1/2", r="1/2", q=2)
+        # the q check comes first
+        with pytest.raises(DomainError, match="^q must be positive and finite$"):
+            predicted_exponent("separable", alpha=0, beta=0, r="1/2", q=0)
+
+        def no_mass(*args):
+            raise AssertionError("mass summed")
+
+        monkeypatch.setattr(experiments, "_gram_mass", no_mass)
+        monkeypatch.setattr(experiments, "_streamed_mass", no_mass)
+        with pytest.raises(DomainError, match=r"^r must lie in \[1, inf\]$"):
+            knapp_scan("separable", alpha=0, beta=0, r="1/2", q=2, delta_exps=[2, 3, 4])
+
     def test_constant_kind(self):
         assert predicted_exponent("constant", weight_sum=0, q=4).slope == -1
         assert predicted_exponent(
@@ -570,6 +587,27 @@ class TestConstantSums:
         blocked = constant_density_sums("separable", **args).ring_sums
         monkeypatch.setattr(experiments, "RING_BLOCK", 3000)
         assert blocked == constant_density_sums("separable", **args).ring_sums
+
+    def test_rings_over_budget_are_refused_before_any_work(self, monkeypatch):
+        def no_extrema(n):
+            raise AssertionError("extrema computed")
+
+        monkeypatch.setattr(experiments, "j0_extrema", no_extrema)
+        with pytest.raises(ConfigurationError, match="cross_check_rings=100001 over budget 100000"):
+            constant_density_sums("separable", alpha=0, beta=0, q=4, n_list=[10],
+                                  cross_check_rings=experiments.RING_BUDGET + 1)
+
+    def test_ring_budget_validates_under_30_mb(self):
+        # j0_extrema(10^5) validates inside; measured 24.4 MB, where the whole pi/8
+        # scan grid at once would peak at 75.3 MB
+        tracemalloc.start()
+        try:
+            constant_density_sums("separable", alpha=0, beta=0, q=4, n_list=[10],
+                                  cross_check_rings=experiments.RING_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
 
     def test_validation(self):
         with pytest.raises(DomainError):
