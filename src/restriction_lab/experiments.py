@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .errors import ConfigurationError
 from .exponents import (
-    DomainError, ExtScalar, ScalarLike, inv_conjugate, inv_conjugate_ratio, scaled, to_fraction,
+    DomainError, ScalarLike, exact_in, inv_conjugate, inv_conjugate_ratio, scaled,
     weight_exponents,
 )
 from .norms import Grid2, Sampled1, WeightSpec, weak_lq_1d, weighted_lq_2d
@@ -127,16 +127,13 @@ def predicted_exponent(
     and min weight, a log factor for each of M = 1/q, m = 1/q; radial slope =
     1/r' + min(gamma - 2/q, 0) + min(gamma - 1/q, 0), a log at gamma = 2/q or 1/q.
     constant: the index exponent 1 - q(1/2 + weight_sum) of the constant-density
-    partial sums.
+    partial sums.  q must lie in (0, inf), r in [1, inf] and the weights in [0, inf).
     """
-    qf = to_fraction(q)
-    if qf <= 0:
-        raise DomainError("q must be positive and finite")
+    qf = exact_in(q, "q", "(0, inf)")
     if kind == "constant":
-        return PredictedExponent(Fraction(1) - qf * (Fraction(1, 2) + to_fraction(weight_sum)))
-    r = ExtScalar.coerce(r)
-    if r < 1:
-        raise DomainError("r must lie in [1, inf]")
+        weight_sum = exact_in(weight_sum, "weight_sum", "[0, inf)")
+        return PredictedExponent(Fraction(1) - qf * (Fraction(1, 2) + weight_sum))
+    r = exact_in(r, "r", "[1, inf]")
 
     exps = weight_exponents(kind, alpha, beta, gamma)
     # 1, 1/q, 1/r' and the weights as integers over one denominator
@@ -281,12 +278,10 @@ def knapp_scan(
     cells, not by the grid.  KNAPP_CELL_BUDGET counts the quadrant cells summed, about
     delta^{-3}; it and the delta window (``_eps_window``) are checked before any evaluation.
     """
-    r = ExtScalar.coerce(r)
-    q = ExtScalar.coerce(q)
-    if q.is_infinite:
-        raise DomainError("q must be finite")
-    qf = float(to_fraction(q))
+    q = exact_in(q, "q", "(0, inf)")
     exps = weight_exponents(kind, alpha, beta, gamma)
+    r = exact_in(r, "r", "[1, inf]")
+    qf = float(q)
     weight = getattr(WeightSpec, kind)(*sorted(map(float, exps.values()), reverse=True))
     predicted = predicted_exponent(kind, **exps, r=r, q=q)
     mass = _gram_mass if qf == 2 and kind == "separable" else _streamed_mass
@@ -357,7 +352,7 @@ def constant_density_sums(
         raise ConfigurationError(f"cross_check_rings={cross_check_rings} over budget {RING_BUDGET}")
     if list(n_list) != sorted(set(n_list)) or not n_list or n_list[0] < 1:
         raise DomainError("n_list must be strictly increasing positive integers")
-    qf = float(to_fraction(q))
+    qf = float(exact_in(q, "q", "(0, inf)"))
     exps = weight_exponents(kind, alpha, beta, gamma)
     weight_q = getattr(WeightSpec, kind)(*[qf * float(v) for v in exps.values()])
     pred = predicted_exponent("constant", weight_sum=sum(exps.values()), q=q)
@@ -463,8 +458,8 @@ def l2_endpoint_scan(
 ) -> ScanResult:
     """Blow-up of ||extend(F_delta)||_2^2 / ||F_delta||_r^2 as mu -> 1/r.
 
-    Exact preconditions: 0 < 2 beta <= 2 alpha < 1, alpha + beta >= 11/20 and
-    alpha + 2 beta = 3/2 - 1/r' with 1 < r < inf.  The theorem needs alpha + beta > 1/2;
+    Exact preconditions: r in (1, inf), 0 < 2 beta <= 2 alpha < 1,
+    alpha + beta >= 11/20 and alpha + 2 beta = 3/2 - 1/r'.  The theorem needs alpha + beta > 1/2;
     the stricter 11/20 bounds the corner mass the inner mesh drops, about
     2^{-60(2(alpha+beta)-1)} (``_inner_s_mesh``), by 2^-6.  For eps = 2^{-k} the
     profile exponent is mu = 1/r - eps and
@@ -491,12 +486,8 @@ def l2_endpoint_scan(
     The eps window (distinct, non-negative exponents, mu in (0,1), shares at
     most 1/16) is checked before any kernel work.
     """
-    a = to_fraction(alpha)
-    b = to_fraction(beta)
-    r = ExtScalar.coerce(r)
-    if r.is_infinite or r <= 1:
-        raise DomainError("need 1 < r < inf")
-    rf = r.as_fraction()
+    a, b = exact_in(alpha, "alpha", "[0, inf)"), exact_in(beta, "beta", "[0, inf)")
+    r = exact_in(r, "r", "(1, inf)")
     inv_rc = inv_conjugate(r)
     if not (0 < 2 * b <= 2 * a < 1):
         raise DomainError("need 0 < 2 beta <= 2 alpha < 1")
@@ -511,7 +502,7 @@ def l2_endpoint_scan(
         raise DomainError("need 0 < delta < 1")
 
     epss = _eps_window(eps_exps)
-    if not all(0 < 1 / rf - eps < 1 for eps in epss):
+    if not all(0 < 1 / r - eps < 1 for eps in epss):
         raise DomainError("need mu = 1/r - eps in (0,1) for every eps")
     rules = [_tau_panels(_tau_max(eps, 2 * float(eps), _L2_TAU_CAP)) for eps in epss]
 
@@ -534,7 +525,7 @@ def l2_endpoint_scan(
     samples = []
     bounds = np.cumsum([len(w_tau) for _, w_tau in rules])[:-1]
     for eps, (_, w_tau), at in zip(epss, rules, np.split(rows, bounds)):
-        mu = float(1 / rf - eps)
+        mu = float(1 / r - eps)
         inner = (sing ** (-mu) * all_weights)[None, :] * k1[at] * k2[at]
         profile = phi[at] ** (2.0 - 2.0 * mu) * np.sum(inner, axis=1)
         lhs = 8.0 * float(np.sum(w_tau * profile))
@@ -542,7 +533,7 @@ def l2_endpoint_scan(
         rhs = circle_norm(Density.power_singular(delta, mu), r) ** 2
         samples.append(ScanSample(float(eps), lhs, rhs, lhs / rhs))
 
-    return _scan_result(samples, PredictedExponent(2 / rf - 1), {
+    return _scan_result(samples, PredictedExponent(2 / r - 1), {
         "experiment": "l2-endpoint",
         "alpha": a,
         "beta": b,
@@ -597,16 +588,14 @@ def pitt_sweep(
     and sampled on a xi-grid covering the spread 1/s (plus the modulation
     shift).  Returns all ratios and their maximum.  The transform splits
     phases (``_split_phase_cosine``), in memory O((n_xi/64 + 64) n_x + n_xi).
-    The hypothesis 0 <= 1/q - 1/p' <= beta is decided exactly; every scale must be
-    positive and finite and the sweep's sum of n_xi n_x at most PITT_CELL_BUDGET, all
-    checked before any transform.
+    Decided exactly: beta in [0, inf), p in [1, 2], q in (0, inf) and
+    0 <= 1/q - 1/p' <= beta; every scale must be positive and finite and the sweep's
+    sum of n_xi n_x at most PITT_CELL_BUDGET, all checked before any transform.
     """
-    b_x, p_x, q_x = (to_fraction(v) for v in (beta, p, q))
-    if not 1 <= p_x <= 2:
-        raise DomainError("need 1 <= p <= 2")
-    if q_x <= 0:
-        raise DomainError("need q > 0")
-    if not 0 <= 1 / q_x - (1 - 1 / p_x) <= b_x:  # 1/p' = 1 - 1/p
+    b_x = exact_in(beta, "beta", "[0, inf)")
+    p_x = exact_in(p, "p", "[1, 2]")
+    q_x = exact_in(q, "q", "(0, inf)")
+    if not 0 <= 1 / q_x - inv_conjugate(p_x) <= b_x:
         raise DomainError("need 0 <= 1/q - 1/p' <= beta")
     bf, pf, qf = float(b_x), float(p_x), float(q_x)
     if not scales:
@@ -636,9 +625,9 @@ def pitt_sweep(
 
     meta = {
         "experiment": "pitt-sweep",
-        "beta": str(ExtScalar.coerce(beta)),
-        "p": str(ExtScalar.coerce(p)),
-        "q": str(ExtScalar.coerce(q)),
+        "beta": str(b_x),
+        "p": str(p_x),
+        "q": str(q_x),
         "scales": ",".join(repr(s) for s in scales),
         "grid_policy": (
             "x in [-8s,8s] step min(s/8, pi/(xi_max+10/s)); "
@@ -685,13 +674,7 @@ def dual_scan(
     kernel call takes all their nodes, each with its eps's kappa (or delta),
     and each eps sums its slice.
     """
-    r = ExtScalar.coerce(r)
-    q = ExtScalar.coerce(q)
-    if r.is_infinite or r <= 1:
-        raise DomainError("need 1 < r < inf")
-    if q.is_infinite or q <= 1:
-        raise DomainError("need 1 < q < inf")
-    qf = q.as_fraction()
+    r, q = exact_in(r, "r", "(1, inf)"), exact_in(q, "q", "(1, inf)")
     inv_rc = inv_conjugate(r)
     inv_qc = inv_conjugate(q)
     rc = float(1 / inv_rc)
@@ -699,15 +682,15 @@ def dual_scan(
     exps = weight_exponents(kind, alpha, beta, gamma)
     if kind == "separable":
         a, b = exps.values()
-        if b != 1 / qf - inv_rc / 2:
+        if b != 1 / q - inv_rc / 2:
             raise DomainError("need beta = 1/q - 1/(2r') exactly")
-        if not a > 1 / qf:
+        if not a > 1 / q:
             raise DomainError("need alpha > 1/q")
     else:
         (g,) = exps.values()
-        if g != 2 / qf - inv_rc:
+        if g != 2 / q - inv_rc:
             raise DomainError("need gamma = 2/q - 1/r' exactly")
-        if 2 / qf - inv_rc < Fraction(3, 2) / qf - inv_rc / 2:  # max branch: r' >= q
+        if 2 / q - inv_rc < Fraction(3, 2) / q - inv_rc / 2:  # max branch: r' >= q
             raise DomainError("need 2/q - 1/r' to be the max branch (r' >= q)")
 
     rules = []  # (eps, tau weights, t nodes, kernel exponents): every check before any transform

@@ -6,12 +6,14 @@ this module decide membership in the sharp boundedness regions for the
 weighted circle-extension operators with weights (1+|x|)^a (1+|y|)^b and
 (1+|x|+|y|)^g.  All comparisons are exact; no floating point enters any
 decision, because the strict-versus-nonstrict distinctions at the region
-boundaries are precisely what is being decided.
+boundaries are precisely what is being decided.  :func:`exact_in` is the
+single home of the range checks: every entry point that takes r, q, p or a
+weight decides there, first, whether the value lies in its interval.
 
 The paper's two weight families are ``"separable"``, (1+|x|)^alpha
 (1+|y|)^beta, and ``"radial"``, (1+|x|+|y|)^gamma.  :func:`weight_exponents`
 is the one place that maps a family to its exponents; every entry point that
-takes a ``kind`` parses it there.
+takes a ``kind`` parses it there, and refuses a negative or infinite one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ __all__ = [
     "INF",
     "DomainError",
     "conjugate_exponent",
+    "exact_in",
+    "ext_ratio",
     "inv_ratio",
     "inv_conjugate",
     "inv_conjugate_ratio",
@@ -170,42 +174,79 @@ def _parse_fraction(text: str) -> Fraction | None:
 INF = ExtScalar._wrap(None)
 
 
-def conjugate_exponent(r: ScalarLike) -> ExtScalar:
-    """Holder conjugate r/(r-1), with conjugate(1) = inf and conjugate(inf) = 1."""
-    r = ExtScalar.coerce(r)
-    if r < 1:
-        raise DomainError(f"conjugate exponent needs r >= 1, got {r}")
-    num, den = inv_conjugate_ratio(r)  # r' = den/num
-    return INF if num == 0 else ExtScalar(Fraction(den, num))
+def ext_ratio(num: int, den: int) -> ExtScalar:
+    """num/den as an ExtScalar from integers, reduced; den = 0 (a zero reciprocal) is inf."""
+    return INF if den == 0 else ExtScalar._wrap(Fraction(num, den))
 
 
-def inv_ratio(x: ExtScalar) -> tuple[int, int]:
-    """1/x as an integer pair (numerator, positive denominator); 1/inf = 0/1.
+@functools.cache
+def _bounds(interval: str) -> tuple[int, int, int, int, int, int]:
+    """(lo_num, lo_den, lo_min, hi_num, hi_den, hi_min) of an interval written like
+    ``"[0, inf)"``: a finite lower end and hi_den = 0 for inf.  x - lo and hi - x are
+    compared as integers, so an end's min is 0 where it is closed, 1 where it is open."""
+    lo, hi = (ExtScalar(end) for end in interval[1:-1].split(","))
+    return (*lo.as_integer_ratio(), interval[0] == "(", hi._num, hi._den, interval[-1] == ")")
 
-    x = 0 raises DomainError: its reciprocal, infinity, has no such pair.
+
+def exact_in(x: ScalarLike, name: str, interval: str) -> ExtScalar | Fraction:
+    """x, decided exactly to lie in ``interval`` (``"[1, inf]"``, ``"(0, inf)"``,
+    ``"[1, 2]"``, ...), else DomainError "<name> must lie in <interval>".
+
+    x comes back as an ExtScalar when the interval holds inf, else as a Fraction
+    (a Fraction argument as itself).  An int or a Fraction is decided by its integer
+    pair against bounds parsed once per interval string.
     """
-    if x.is_infinite:
-        return 0, 1
-    num, den = x.as_integer_ratio()
-    if num == 0:
-        raise DomainError("infinity has no Fraction value")  # 1/0
-    return (den, num) if num > 0 else (-den, -num)
-
-
-def inv_conjugate_ratio(r: ExtScalar) -> tuple[int, int]:
-    """1/r' = 1 - 1/r as an integer pair; 1/1' = 0 and 1/inf' = 1."""
-    num, den = inv_ratio(r)
-    return den - num, den
-
-
-def inv_conjugate(r: ExtScalar) -> Fraction:
-    """1/r' = 1 - 1/r in exact arithmetic; total for r >= 1 (1/1' = 0, 1/inf' = 1)."""
-    return Fraction(*inv_conjugate_ratio(r))
+    lo_num, lo_den, lo_min, hi_num, hi_den, hi_min = _bounds(interval)
+    if type(x) is Fraction or type(x) is int:
+        num, den = x.as_integer_ratio()
+    else:
+        x = ExtScalar.coerce(x)
+        num, den = x._num, x._den
+    if den == 0:  # inf lies only in an interval closed at inf
+        inside = hi_den == 0 and not hi_min
+    else:  # x - lo and hi - x times the (positive) denominators
+        inside = num * lo_den - lo_num * den >= lo_min and (
+            hi_den == 0 or hi_num * den - num * hi_den >= hi_min)
+    if not inside:
+        raise DomainError(f"{name} must lie in {interval}")
+    if hi_den == 0 and not hi_min:  # the interval holds inf
+        return x if type(x) is ExtScalar else ExtScalar(x)
+    return x if type(x) is Fraction else Fraction(num, den)
 
 
 def to_fraction(x: ScalarLike) -> Fraction:
     """The exact Fraction value of a finite scalar; infinity raises DomainError."""
     return x if type(x) is Fraction else ExtScalar.coerce(x).as_fraction()
+
+
+def conjugate_exponent(r: ScalarLike) -> ExtScalar:
+    """Holder conjugate r/(r-1), with conjugate(1) = inf and conjugate(inf) = 1."""
+    num, den = inv_conjugate_ratio(exact_in(r, "r", "[1, inf]"))  # r' = den/num
+    return ext_ratio(den, num)
+
+
+def inv_ratio(x: ExtScalar | Fraction) -> tuple[int, int]:
+    """1/x as an integer pair (numerator, positive denominator); 1/inf = 0/1.
+
+    x = 0 raises DomainError: 0 has no reciprocal.
+    """
+    if isinstance(x, ExtScalar) and x.is_infinite:
+        return 0, 1
+    num, den = x.as_integer_ratio()
+    if num == 0:
+        raise DomainError("0 has no reciprocal")
+    return (den, num) if num > 0 else (-den, -num)
+
+
+def inv_conjugate_ratio(r: ExtScalar | Fraction) -> tuple[int, int]:
+    """1/r' = 1 - 1/r as an integer pair; 1/1' = 0 and 1/inf' = 1."""
+    num, den = inv_ratio(r)
+    return den - num, den
+
+
+def inv_conjugate(r: ExtScalar | Fraction) -> Fraction:
+    """1/r' = 1 - 1/r in exact arithmetic; total for r >= 1 (1/1' = 0, 1/inf' = 1)."""
+    return Fraction(*inv_conjugate_ratio(r))
 
 
 def scaled(k: int, *ratios: tuple[int, int]) -> tuple[int, ...]:
@@ -223,8 +264,8 @@ def weight_exponents(kind: str, alpha: ScalarLike | None = None, beta: ScalarLik
                      gamma: ScalarLike | None = None) -> dict[str, Fraction]:
     """The exact exponents of weight family ``kind``, by name, in the order
     (alpha, beta) for ``"separable"`` and (gamma,) for ``"radial"``; the other
-    family's exponents are ignored.  An unknown kind or a missing or infinite
-    exponent raises DomainError."""
+    family's exponents are ignored.  An unknown kind, a missing exponent or one
+    outside [0, inf) raises DomainError."""
     names = _WEIGHT_FAMILIES.get(kind)
     if names is None:
         raise DomainError(f"unknown weight kind {kind!r}")
@@ -232,10 +273,7 @@ def weight_exponents(kind: str, alpha: ScalarLike | None = None, beta: ScalarLik
     missing = [name for name in names if given[name] is None]
     if missing:
         raise DomainError(f"missing required exact parameters: {', '.join(missing)}")
-    for name in names:  # only a string or an ExtScalar can be infinite
-        if isinstance(given[name], (str, ExtScalar)) and ExtScalar(given[name]).is_infinite:
-            raise DomainError(f"{name} must be finite")
-    return {name: to_fraction(given[name]) for name in names}
+    return {name: exact_in(given[name], name, "[0, inf)") for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -243,54 +281,35 @@ def weight_exponents(kind: str, alpha: ScalarLike | None = None, beta: ScalarLik
 # ---------------------------------------------------------------------------
 
 
-def _r_and_q(r: ScalarLike, q: ScalarLike) -> tuple[ExtScalar, ExtScalar]:
-    """r and q as ExtScalars; DomainError unless r lies in [1, inf] and q in (0, inf]."""
-    r, q = ExtScalar.coerce(r), ExtScalar.coerce(q)
-    if r < 1:
-        raise DomainError("r must lie in [1, inf]")
-    if q <= 0:
-        raise DomainError("q must lie in (0, inf]")
-    return r, q
-
-
 @dataclass(frozen=True, slots=True)
 class SeparableParams:
     """Arguments of the separable-weight extension estimate: L^r -> L^q with
     weight exponents (alpha, beta)."""
 
-    alpha: ExtScalar
-    beta: ExtScalar
+    alpha: Fraction
+    beta: Fraction
     r: ExtScalar
     q: ExtScalar
 
     def __init__(self, alpha: ScalarLike, beta: ScalarLike, r: ScalarLike, q: ScalarLike):
-        alpha = ExtScalar.coerce(alpha)
-        beta = ExtScalar.coerce(beta)
-        if alpha.is_infinite or beta.is_infinite or alpha < 0 or beta < 0:
-            raise DomainError("weight exponents must be finite and >= 0")
-        r, q = _r_and_q(r, q)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "alpha", exact_in(alpha, "alpha", "[0, inf)"))
+        object.__setattr__(self, "beta", exact_in(beta, "beta", "[0, inf)"))
+        object.__setattr__(self, "r", exact_in(r, "r", "[1, inf]"))
+        object.__setattr__(self, "q", exact_in(q, "q", "(0, inf]"))
 
 
 @dataclass(frozen=True, slots=True)
 class RadialParams:
     """Arguments of the radial-weight extension estimate (exponent gamma)."""
 
-    gamma: ExtScalar
+    gamma: Fraction
     r: ExtScalar
     q: ExtScalar
 
     def __init__(self, gamma: ScalarLike, r: ScalarLike, q: ScalarLike):
-        gamma = ExtScalar.coerce(gamma)
-        if gamma.is_infinite or gamma < 0:
-            raise DomainError("gamma must be finite and >= 0")
-        r, q = _r_and_q(r, q)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "gamma", exact_in(gamma, "gamma", "[0, inf)"))
+        object.__setattr__(self, "r", exact_in(r, "r", "[1, inf]"))
+        object.__setattr__(self, "q", exact_in(q, "q", "(0, inf]"))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +365,7 @@ def classify_unweighted(r: ScalarLike, q: ScalarLike) -> Verdict:
 
     The equality case q = 3r' is tagged ``fz-endpoint``.
     """
-    r, q = _r_and_q(r, q)
+    r, q = exact_in(r, "r", "[1, inf]"), exact_in(q, "q", "(0, inf]")
     if q.is_infinite:
         return _bounded("q-infinite")
     qf = q.as_fraction()
@@ -476,14 +495,12 @@ def riesz_diagram(
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
-    exps = [ExtScalar(v) for v in weight_exponents(kind, **weights).values()]  # not per cell
+    exps = weight_exponents(kind, **weights).values()  # not per cell
     rows: list[DiagramRow] = []
     for i in range(grid_n + 1):
-        inv_r = Fraction(i, grid_n)
-        r = INF if inv_r == 0 else ExtScalar(1 / inv_r)
+        inv_r, r = Fraction(i, grid_n), ext_ratio(grid_n, i)
         for j in range(1, grid_n + 1):
-            inv_q = Fraction(j, grid_n)
-            q = ExtScalar(1 / inv_q)
+            inv_q, q = Fraction(j, grid_n), ext_ratio(grid_n, j)
             if kind == "separable":
                 verdict = classify_separable(SeparableParams(*exps, r, q))
             else:

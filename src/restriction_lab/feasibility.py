@@ -22,7 +22,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .exponents import (
-    INF, DomainError, ExtScalar, ScalarLike, inv_conjugate_ratio, inv_ratio, scaled, to_fraction,
+    DomainError, ExtScalar, ScalarLike, exact_in, ext_ratio, inv_conjugate_ratio, inv_ratio,
+    scaled, to_fraction,
 )
 
 __all__ = [
@@ -93,23 +94,19 @@ class CertificateTwo:
     record = _record
 
 
-def _ratio(num: int, den: int) -> ExtScalar:
-    # exponent num/den from scaled integers; den = 0 (a zero reciprocal) is infinity
-    return INF if den == 0 else ExtScalar._wrap(Fraction(num, den))
-
-
 def _shared_checks(cert: CertificateOne | CertificateTwo, r: ScalarLike, q: ScalarLike,
                    r1_finite: bool, *extra: Fraction):
     """The constraints both propositions put on (theta, q0, q1, r0, r1).
 
-    Returns None when theta lies outside (0, 1), else the violated names so
-    far and (1, theta, 1/q1, 1/r1', *extra) as integers over one denominator.
+    Returns the violated names so far and (1, theta, 1/q1, 1/r1', *extra) as
+    integers over one denominator; the values are None, and the names final,
+    when theta lies outside (0, 1) or an exponent is 0, which has no reciprocal.
     """
     r = ExtScalar.coerce(r)
     q = ExtScalar.coerce(q)
     theta = cert.theta
     if not (theta.is_finite and 0 < theta.as_fraction() < 1):
-        return None
+        return ["theta-range"], None
 
     bad: list[str] = []
     if cert.q0 < 1:
@@ -120,6 +117,8 @@ def _shared_checks(cert: CertificateOne | CertificateTwo, r: ScalarLike, q: Scal
         bad.append("r0-range")
     if (r1_finite and cert.r1.is_infinite) or cert.r1 < 1:
         bad.append("r1-range")
+    if bad and 0 in (cert.q0, cert.q1, cert.r0, cert.r1):
+        return bad, None
 
     one, th, inv_q0, inv_q1, inv_r0, inv_r1, inv_q, inv_r, *extra = scaled(
         1, theta.as_integer_ratio(),
@@ -146,22 +145,14 @@ def solve_one(
 ) -> CertificateOne | Infeasible:
     """Construct an interpolation certificate for the separable weight.
 
-    Preconditions: 0 <= beta <= alpha < 1/q, alpha > 0, 1 <= r < inf,
-    0 < q < inf, all exact rationals.  A certificate exists iff
+    Preconditions, all exact: alpha in (0, inf), beta in [0, inf), r in [1, inf),
+    q in (0, inf) and beta <= alpha < 1/q.  A certificate exists iff
     alpha + beta > 2/q - 1/2 and alpha + 2 beta >= 3/q - 1/r'.
     """
-    a = to_fraction(alpha)
-    b = to_fraction(beta)
-    r = ExtScalar.coerce(r)
-    q = ExtScalar.coerce(q)
-    if r.is_infinite or r < 1:
-        raise DomainError("solve_one needs 1 <= r < inf")
-    if q.is_infinite or q <= 0:
-        raise DomainError("solve_one needs 0 < q < inf")
-    if not (0 <= b <= a):
-        raise DomainError("solve_one needs 0 <= beta <= alpha")
-    if a == 0:
-        raise DomainError("solve_one needs alpha > 0 (q1 = theta/alpha)")
+    a, b = exact_in(alpha, "alpha", "(0, inf)"), exact_in(beta, "beta", "[0, inf)")
+    r, q = exact_in(r, "r", "[1, inf)"), exact_in(q, "q", "(0, inf)")
+    if b > a:
+        raise DomainError("solve_one needs beta <= alpha")
 
     # Feasibility is decided before the alpha < 1/q domain check so that
     # infeasible inputs sitting on that boundary still report Infeasible.
@@ -187,11 +178,11 @@ def solve_one(
 
     t1 = max(2 * a - 2 * b, theta - (one - inv_rc), 0)  # theta / r1'
     cert = CertificateOne(
-        theta=_ratio(theta, one),
-        q0=_ratio(one - theta, inv_q - a),
-        q1=_ratio(theta, a),
-        r0=_ratio(one - theta, one - theta - inv_rc + t1),
-        r1=_ratio(theta, theta - t1),
+        theta=ext_ratio(theta, one),
+        q0=ext_ratio(one - theta, inv_q - a),
+        q1=ext_ratio(theta, a),
+        r0=ext_ratio(one - theta, one - theta - inv_rc + t1),
+        r1=ext_ratio(theta, theta - t1),
     )
     check = verify_one(cert, alpha, beta, r, q)
     if not check.ok:
@@ -208,10 +199,10 @@ def verify_one(
     Returns a pass/fail result; on failure the violated constraints are
     listed by name, one entry per failed constraint.
     """
-    shared = _shared_checks(cert, r, q, True, to_fraction(alpha), to_fraction(beta))
-    if shared is None:
-        return VerifyResult(False, ("theta-range",))
-    bad, (one, th, inv_q1, inv_r1c, a, b) = shared
+    bad, values = _shared_checks(cert, r, q, True, to_fraction(alpha), to_fraction(beta))
+    if values is None:
+        return VerifyResult(False, tuple(bad))
+    one, th, inv_q1, inv_r1c, a, b = values
     if a * one != inv_q1 * th:  # alpha / theta != 1/q1
         bad.append("alpha-split")
     if 2 * b * one < (2 * inv_q1 - inv_r1c) * th:  # beta / theta < 1/q1 - 1/(2 r1')
@@ -241,19 +232,12 @@ def solve_two(
 ) -> CertificateTwo | Infeasible:
     """Construct an interpolation certificate for the radial weight.
 
-    Preconditions: gamma > 0 rational, 1 <= r <= inf, 0 < q < inf.  A
-    certificate exists iff gamma >= max(3/(2q) - 1/(2r'), 2/q - 1/r') and
+    Preconditions: gamma in (0, inf), r in [1, inf], q in (0, inf), all exact.
+    A certificate exists iff gamma >= max(3/(2q) - 1/(2r'), 2/q - 1/r') and
     gamma > 2/q - 1/2.
     """
-    g = to_fraction(gamma)
-    r = ExtScalar.coerce(r)
-    q = ExtScalar.coerce(q)
-    if g <= 0:
-        raise DomainError("solve_two needs gamma > 0")
-    if r < 1:
-        raise DomainError("solve_two needs 1 <= r <= inf")
-    if q.is_infinite or q <= 0:
-        raise DomainError("solve_two needs 0 < q < inf")
+    g = exact_in(gamma, "gamma", "(0, inf)")
+    r, q = exact_in(r, "r", "[1, inf]"), exact_in(q, "q", "(0, inf)")
     # gamma, 1/q, 1/r' and 1 as integers over one denominator; its factor
     # 192 = 3 * 4^3 keeps every third and quarter taken below integral
     one, g, inv_q, inv_rc = scaled(192, g.as_integer_ratio(), inv_ratio(q), inv_conjugate_ratio(r))
@@ -280,12 +264,12 @@ def solve_two(
                 continue
             v = max(3 * u, inv_rc - theta)  # (1-theta)/r0'
             cert = CertificateTwo(
-                theta=_ratio(theta, one),
-                q0=_ratio(one - theta, u),
-                q1=_ratio(theta, inv_q - u),
-                r0=_ratio(one - theta, one - theta - v),
-                r1=_ratio(theta, theta - inv_rc + v),
-                gamma1=_ratio(g, theta),
+                theta=ext_ratio(theta, one),
+                q0=ext_ratio(one - theta, u),
+                q1=ext_ratio(theta, inv_q - u),
+                r0=ext_ratio(one - theta, one - theta - v),
+                r1=ext_ratio(theta, theta - inv_rc + v),
+                gamma1=ext_ratio(g, theta),
             )
             check = verify_two(cert, gamma, r, q)
             if not check.ok:
@@ -298,10 +282,10 @@ def verify_two(
     cert: CertificateTwo, gamma: ScalarLike, r: ScalarLike, q: ScalarLike
 ) -> VerifyResult:
     """Check every constraint of the radial proposition exactly."""
-    shared = _shared_checks(cert, r, q, False, to_fraction(gamma))
-    if shared is None:
-        return VerifyResult(False, ("theta-range",))
-    bad, (one, th, inv_q1, inv_r1c, g) = shared
+    bad, values = _shared_checks(cert, r, q, False, to_fraction(gamma))
+    if values is None:
+        return VerifyResult(False, tuple(bad))
+    one, th, inv_q1, inv_r1c, g = values
     if cert.q0 == cert.q1:
         bad.append("q0-ne-q1")
     g1 = cert.gamma1.as_integer_ratio() if cert.gamma1.is_finite else None

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import _gl, _j0, bessel_j0
 from .errors import NumericalError
-from .exponents import DomainError, ExtScalar, ScalarLike
+from .exponents import DomainError, ScalarLike, exact_in
 from .norms import Grid2
 
 __all__ = [
@@ -181,16 +181,12 @@ def circle_norm(density: Density, r: ScalarLike) -> float:
     Constant: (2 pi)^{1/r}.  Cap: (2 arcsin delta)^{1/r}, sup-norm 1.
     Power-singular: (delta^{1-mu r}/(1-mu r))^{1/r}, requiring mu r < 1.
     """
-    r = ExtScalar.coerce(r)
-    if r < 1:
-        raise DomainError("r must lie in [1, inf]")
+    r = exact_in(r, "r", "[1, inf]")
     if density.kind in ("constant", "cap"):
         arc = 2 * math.pi if density.kind == "constant" else 2 * math.asin(density.delta)
         return 1.0 if r.is_infinite else arc ** (1 / float(r))
     if density.kind == "power-singular":
-        if r.is_infinite:
-            raise DomainError("power-singular density is unbounded (mu r < 1 fails)")
-        rf = float(r)
+        rf = float(exact_in(r, "r", "[1, inf)"))  # phi^-mu is unbounded: no finite sup-norm
         if density.mu * rf >= 1:
             raise DomainError("need mu r < 1 for a finite L^r norm")
         return (density.delta ** (1 - density.mu * rf) / (1 - density.mu * rf)) ** (1 / rf)

@@ -148,6 +148,100 @@ class TestArgumentHandling:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# each subcommand with exact arguments that pass every check, and the interval each
+# exact flag must lie in; a feasibility weight also goes through weight_exponents'
+# [0, inf) before its solver's (0, inf)
+EXACT_FLAGS = [
+    ("classify --kind separable --alpha 1/3 --beta 1/3 --r 2 --q 2",
+     {"alpha": "[0, inf)", "beta": "[0, inf)", "r": "[1, inf]", "q": "(0, inf]"}),
+    ("classify --kind radial --gamma 1/4 --r 4/3 --q 4",
+     {"gamma": "[0, inf)", "r": "[1, inf]", "q": "(0, inf]"}),
+    ("diagram --kind separable --alpha 1/3 --beta 1/3 --grid-n 2",
+     {"alpha": "[0, inf)", "beta": "[0, inf)"}),
+    ("diagram --kind radial --gamma 1/4 --grid-n 2", {"gamma": "[0, inf)"}),
+    ("feasibility --prop one --alpha 1/4 --beta 1/4 --r 2 --q 3",
+     {"alpha": "[0, inf)", "beta": "[0, inf)", "r": "[1, inf)", "q": "(0, inf)"}),
+    ("feasibility --prop two --gamma 1 --r 2 --q 2",
+     {"gamma": "[0, inf)", "r": "[1, inf]", "q": "(0, inf)"}),
+    ("knapp --kind separable --alpha 0 --beta 0 --r 2 --q 6",
+     {"alpha": "[0, inf)", "beta": "[0, inf)", "r": "[1, inf]", "q": "(0, inf)"}),
+    ("knapp --kind radial --gamma 0 --r 2 --q 6",
+     {"gamma": "[0, inf)", "r": "[1, inf]", "q": "(0, inf)"}),
+    ("constant --kind separable --alpha 0 --beta 0 --q 4 --n-list 10",
+     {"alpha": "[0, inf)", "beta": "[0, inf)", "q": "(0, inf)"}),
+    ("constant --kind radial --gamma 0 --q 4 --n-list 10", {"gamma": "[0, inf)", "q": "(0, inf)"}),
+    ("l2-endpoint --alpha 5/18 --beta 5/18 --r 3",
+     {"alpha": "[0, inf)", "beta": "[0, inf)", "r": "(1, inf)"}),
+    ("pitt --beta 1/2 --p 2 --q 2", {"beta": "[0, inf)", "p": "[1, 2]", "q": "(0, inf)"}),
+    ("dual --kind separable --alpha 3/5 --beta 1/8 --r 4 --q 2",
+     {"alpha": "[0, inf)", "beta": "[0, inf)", "r": "(1, inf)", "q": "(1, inf)"}),
+    ("dual --kind radial --gamma 14/15 --r 3 --q 5/4",
+     {"gamma": "[0, inf)", "r": "(1, inf)", "q": "(1, inf)"}),
+]
+_TINY = 10**400  # 1/10^400 rounds to 0.0 as a float
+
+
+def _outside(interval: str) -> list[tuple[str, str]]:
+    """(label, value) just outside each end of an interval written like "[1, 2]": the end
+    itself where it is open, a step of 1/10^400 beyond it where it is closed, and inf
+    beyond an upper end inf that excludes it."""
+    lo, hi = (end.strip() for end in interval[1:-1].split(","))
+    values = [("lo", lo) if interval[0] == "(" else ("lo-", f"{int(lo) * _TINY - 1}/{_TINY}")]
+    if hi != "inf":
+        values.append(("hi", hi) if interval[-1] == ")"
+                      else ("hi+", f"{int(hi) * _TINY + 1}/{_TINY}"))
+    elif interval[-1] == ")":
+        values.append(("inf", "inf"))
+    return values
+
+
+def _sweep_cases():
+    cases, ids = [], []
+    for base, flags in EXACT_FLAGS:
+        label = ":".join(t for t in base.split()[:3] if not t.startswith("--"))
+        for flag, interval in flags.items():
+            for where, value in _outside(interval):
+                cases.append((base, flag, value, f"{flag} must lie in {interval}"))
+                ids.append(f"{label}:{flag}:{where}")
+    # a feasibility weight of 0 passes [0, inf) and fails its solver's (0, inf)
+    for base, flag in ((EXACT_FLAGS[4][0], "alpha"), (EXACT_FLAGS[5][0], "gamma")):
+        cases.append((base, flag, "0", f"{flag} must lie in (0, inf)"))
+        ids.append(f"feasibility:{flag}:solver-lo")
+    return cases, ids
+
+
+@pytest.fixture
+def kernels_raise(monkeypatch):
+    """Every kernel and mass function the scans call raises NumericalError."""
+    from restriction_lab import experiments
+    from restriction_lab.errors import NumericalError
+
+    def reached(*args, **kwargs):
+        raise NumericalError("kernel reached")
+
+    for name in ("_gram_mass", "_streamed_mass", "CosineKernelTable", "cosine_weight_kernel_many",
+                 "hankel_decay_transform_many", "j0_extrema", "_split_phase_cosine", "weak_lq_1d"):
+        monkeypatch.setattr(experiments, name, reached)
+
+
+class TestExactArgumentSweep:
+    @pytest.mark.parametrize("base", [base for base, _ in EXACT_FLAGS])
+    def test_base_arguments_pass_every_check(self, capsys, kernels_raise, base):
+        # the scans get as far as their first kernel; the exact commands complete
+        code, _, err = invoke(capsys, *base.split())
+        if base.split()[0] in ("knapp", "l2-endpoint", "pitt", "dual"):
+            assert (code, err) == (2, "numerical failure: kernel reached\n")
+        else:
+            assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("base, flag, value, message", _sweep_cases()[0],
+                             ids=_sweep_cases()[1])
+    def test_value_outside_its_interval_is_one_error_line(self, capsys, kernels_raise, base,
+                                                          flag, value, message):
+        code, out, err = invoke(capsys, *base.split(), f"--{flag}={value}")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestJsonRoundTrip:
     def test_classify_rationals_reparse(self, capsys):
         code, out, _ = invoke(

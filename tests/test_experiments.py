@@ -67,7 +67,7 @@ class TestPredictedExponent:
         with pytest.raises(DomainError, match=r"^r must lie in \[1, inf\]$"):
             predicted_exponent("radial", gamma="1/2", r="1/2", q=2)
         # the q check comes first
-        with pytest.raises(DomainError, match="^q must be positive and finite$"):
+        with pytest.raises(DomainError, match=r"^q must lie in \(0, inf\)$"):
             predicted_exponent("separable", alpha=0, beta=0, r="1/2", q=0)
 
         def no_mass(*args):
@@ -83,6 +83,38 @@ class TestPredictedExponent:
         assert predicted_exponent(
             "constant", weight_sum="3/4", q=2
         ).slope == Fraction(-3, 2)
+
+
+class TestNegativeWeights:
+    """A negative weight is refused exactly, even one that rounds to -0.0 as a float."""
+
+    TINY = Fraction(-1, 10**400)  # float(TINY) == -0.0
+
+    @pytest.mark.parametrize("kind, name", [("separable", "alpha"), ("separable", "beta"),
+                                            ("radial", "gamma")])
+    def test_refused_before_any_work(self, monkeypatch, kind, name):
+        def reached(*args):
+            raise AssertionError("mass summed")
+
+        monkeypatch.setattr(experiments, "_gram_mass", reached)
+        monkeypatch.setattr(experiments, "_streamed_mass", reached)
+        monkeypatch.setattr(experiments, "j0_extrema", reached)
+        weights = {"alpha": 0, "beta": 0} if kind == "separable" else {"gamma": 0}
+        weights[name] = self.TINY
+        message = rf"^{name} must lie in \[0, inf\)$"
+        with pytest.raises(DomainError, match=message):
+            knapp_scan(kind, r=2, q=6, delta_exps=[2, 3, 4], **weights)
+        with pytest.raises(DomainError, match=message):
+            constant_density_sums(kind, q=4, n_list=[10], cross_check_rings=5, **weights)
+        with pytest.raises(DomainError, match=message):
+            predicted_exponent(kind, r=2, q=6, **weights)
+
+    def test_predicted_exponent_refuses_alpha_minus_one(self):
+        # this once returned the slope -3
+        with pytest.raises(DomainError, match=r"^alpha must lie in \[0, inf\)$"):
+            predicted_exponent("separable", alpha=-1, beta=0, r=2, q=2)
+        with pytest.raises(DomainError, match=r"^weight_sum must lie in \[0, inf\)$"):
+            predicted_exponent("constant", weight_sum=self.TINY, q=4)
 
 
 class TestPredictionClassifierConsistency:
@@ -257,13 +289,18 @@ class TestMissingWeightExponents:
         assert captured.err == f"error: missing required exact parameters: {missing}\n"
 
     @pytest.mark.parametrize("argv, message", [
-        ("classify --kind separable --alpha inf --beta 0 --r 2 --q 3", "alpha must be finite"),
-        ("diagram --kind separable --alpha 0 --beta inf --grid-n 4", "beta must be finite"),
-        ("feasibility --prop two --gamma inf --r 2 --q 3", "gamma must be finite"),
-        ("knapp --kind radial --gamma inf --r 2 --q 2", "gamma must be finite"),
-        ("constant --kind separable --alpha inf --beta 0 --q 4", "alpha must be finite"),
-        ("dual --kind separable --alpha 0 --beta inf --r 2 --q 3", "beta must be finite"),
-        ("knapp --kind separable --alpha 0 --beta 0 --r 2 --q inf", "q must be finite"),
+        ("classify --kind separable --alpha inf --beta 0 --r 2 --q 3",
+         "alpha must lie in [0, inf)"),
+        ("diagram --kind separable --alpha 0 --beta inf --grid-n 4", "beta must lie in [0, inf)"),
+        ("feasibility --prop two --gamma inf --r 2 --q 3", "gamma must lie in [0, inf)"),
+        ("knapp --kind radial --gamma inf --r 2 --q 2", "gamma must lie in [0, inf)"),
+        ("constant --kind separable --alpha inf --beta 0 --q 4", "alpha must lie in [0, inf)"),
+        ("dual --kind separable --alpha 0 --beta inf --r 2 --q 3", "beta must lie in [0, inf)"),
+        ("knapp --kind separable --alpha 0 --beta 0 --r 2 --q inf", "q must lie in (0, inf)"),
+        ("l2-endpoint --alpha inf --beta 1/4 --r 3", "alpha must lie in [0, inf)"),
+        ("constant --kind radial --gamma 1 --q inf", "q must lie in (0, inf)"),
+        ("pitt --beta 1/2 --p inf --q 2", "p must lie in [1, 2]"),
+        ("pitt --beta inf --p 2 --q 2", "beta must lie in [0, inf)"),
     ])
     def test_cli_names_an_infinite_exponent(self, capsys, argv, message):
         assert run(argv.split()) == 1

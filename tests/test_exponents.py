@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from restriction_lab.exponents import (
     classify_separable,
     classify_unweighted,
     conjugate_exponent,
+    exact_in,
     inv_conjugate,
     inv_conjugate_ratio,
     inv_ratio,
@@ -379,5 +382,72 @@ class TestFractionOracle:
         assert inv_ratio(ExtScalar("-2/3")) == (-3, 2)
         assert inv_conjugate_ratio(ExtScalar(1)) == (0, 1)
         assert inv_conjugate(INF) == 1 and inv_conjugate(ExtScalar("4/3")) == Fraction(1, 4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^0 has no reciprocal$"):
             inv_ratio(ExtScalar(0))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "restriction_lab"
+
+# every interval the package passes to exact_in, transcribed with plain Fractions
+# (None is inf), and its finite ends
+INTERVALS = {
+    "[1, inf]": (lambda x: x is None or x >= 1, [1]),
+    "(1, inf)": (lambda x: x is not None and x > 1, [1]),
+    "[1, inf)": (lambda x: x is not None and x >= 1, [1]),
+    "(0, inf]": (lambda x: x is None or x > 0, [0]),
+    "(0, inf)": (lambda x: x is not None and x > 0, [0]),
+    "[0, inf)": (lambda x: x is not None and x >= 0, [0]),
+    "[1, 2]": (lambda x: x is not None and 1 <= x <= 2, [1, 2]),
+}
+
+
+@st.composite
+def interval_points(draw):
+    """(interval, x, form): x is inf (None), an end, an end +- 1/10^k for k <= 400 or
+    any small rational, passed as a Fraction, an int, a string or an ExtScalar."""
+    interval = draw(st.sampled_from(sorted(INTERVALS)))
+    end = Fraction(draw(st.sampled_from(INTERVALS[interval][1])))
+    step = Fraction(draw(st.sampled_from([-1, 1])), 10 ** draw(st.integers(1, 400)))
+    x = draw(st.one_of(st.none(), st.just(end), st.just(end + step),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=50)))
+    forms = ["str", "ExtScalar"] if x is None else ["Fraction", "str", "ExtScalar"]
+    if x is not None and x.denominator == 1:
+        forms.append("int")
+    return interval, x, draw(st.sampled_from(forms))
+
+
+class TestExactIn:
+    def test_transcriptions_cover_every_interval_in_the_package(self):
+        used = {m for path in SRC.glob("*.py")
+                for m in re.findall(r'exact_in\([^()]*?"([\[(][^"]+[\])])"\)', path.read_text())}
+        assert used == set(INTERVALS)
+
+    @settings(max_examples=500, deadline=None)
+    @given(interval_points())
+    @example(("[1, inf]", None, "str"))
+    @example(("(1, inf)", None, "ExtScalar"))
+    @example(("[0, inf)", Fraction(-1, 10**400), "Fraction"))
+    @example(("[1, 2]", Fraction(2) + Fraction(1, 10**400), "str"))
+    def test_matches_its_fraction_transcription(self, point):
+        interval, x, form = point
+        arg = {"Fraction": lambda: x, "int": lambda: int(x),
+               "str": lambda: "inf" if x is None else str(x),
+               "ExtScalar": lambda: INF if x is None else ExtScalar(x)}[form]()
+        if not INTERVALS[interval][0](x):
+            with pytest.raises(DomainError) as info:
+                exact_in(arg, "t", interval)
+            assert str(info.value) == f"t must lie in {interval}"
+            return
+        out = exact_in(arg, "t", interval)
+        if interval.endswith("inf]"):  # may hold inf: an ExtScalar
+            assert type(out) is ExtScalar and out == (INF if x is None else ExtScalar(x))
+            assert out is arg or form != "ExtScalar"
+        else:
+            assert type(out) is Fraction and out == x
+            assert out is arg or form != "Fraction"
+
+    def test_an_open_finite_upper_end_excludes_itself(self):
+        # no interval in the package has one yet
+        assert exact_in("1/2", "t", "(0, 1)") == Fraction(1, 2)
+        with pytest.raises(DomainError, match=r"^t must lie in \(0, 1\)$"):
+            exact_in(1, "t", "(0, 1)")

@@ -424,8 +424,11 @@ class TestFractionOracle:
         cert = CertificateTwo(*map(ExtScalar, ["1/2", 4, 1, 1, "inf", "5/4"]))
         assert "gamma1-floor" in verify_two(cert, "5/8", 2, 2).violations
 
-    def test_zero_exponent_in_certificate_raises(self):
-        cert = solve_two("2/3", "3/2", 2)
-        with pytest.raises(DomainError):
-            verify_two(CertificateTwo(cert.theta, ExtScalar(0), cert.q1, cert.r0, cert.r1,
-                                      cert.gamma1), "2/3", "3/2", 2)
+    @pytest.mark.parametrize("field", ["q0", "q1", "r0", "r1"])
+    @pytest.mark.parametrize("prop", ["one", "two"])
+    def test_zero_field_is_a_range_violation(self, prop, field):
+        # 0 has no reciprocal: the verifier stops at the range check, as at theta-range
+        solve, verify, args = {"one": (solve_one, verify_one, ("1/4", "1/4", 2, 3)),
+                               "two": (solve_two, verify_two, (1, 2, 2))}[prop]
+        zeroed = dataclasses.replace(solve(*args), **{field: ExtScalar(0)})
+        assert verify(zeroed, *args).violations == (f"{field}-range",)
