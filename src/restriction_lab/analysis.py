@@ -21,11 +21,11 @@ quadrature row per distinct exponent, scaled.  K, H, their scalar forms and
 the kernel table check their arguments in one front end, ``_batch``.  Every
 Gauss-Legendre rule in the package comes from ``_gl``.
 
-CosineKernelTable serves one kappa from piecewise Chebyshev interpolation
-of lambda^{1-kappa} K in ln(lambda), built lazily from the direct kernel and
-checked against it; only the L2-endpoint scan uses it.  The scalar kernel,
-the batched direct kernel, C(kappa) and everything the dual scans, the
-oscint command and acceptance criterion 6 call stay direct.
+cosine_kernel_table serves one kappa from piecewise Chebyshev interpolation
+of lambda^{1-kappa} K in ln(lambda), each piece it needs built once per call
+from the direct kernel and checked against it; only the L2-endpoint scan uses
+it.  The scalar kernel, the batched direct kernel, C(kappa) and everything the
+dual scans, the oscint command and acceptance criterion 6 call stay direct.
 
 J0 and J1: Bessel's integral below x = 17, one 32-node folded midpoint sum within
 5e-16 of them; the Hankel expansion, truncated per point, from 17 on.  Both stay
@@ -49,7 +49,7 @@ __all__ = [
     "j0_extrema",
     "j0_zeros",
     "ExtremaTable",
-    "CosineKernelTable",
+    "cosine_kernel_table",
     "cosine_weight_kernel",
     "cosine_weight_kernel_many",
     "fresnel_constant",
@@ -59,7 +59,8 @@ __all__ = [
 
 _ASYMP_CUT = 17.0
 # values per batch chunk (Bessel's integral, the root scan grid, the tail or one head
-# depth of a transform): keeps each temporary at 256 KiB, cache-sized, whatever the batch
+# depth of a transform, the kernel table's recurrence): keeps each temporary at 256 KiB,
+# cache-sized, whatever the batch
 _CHUNK_NODES = 2**15
 
 
@@ -571,101 +572,76 @@ def hankel_decay_transform(delta_exp: float, s: float) -> float:
 # per-kappa Chebyshev table of the cosine kernel
 # ---------------------------------------------------------------------------
 
-_PIECE_DEGREE = 14
 _PIECE_RTOL = 1e-10
-# pieces floor(ln(lambda)/2) of every positive finite double, one column each
-_PIECE_FIRST = math.floor(0.5 * math.log(5e-324))
-_PIECE_COUNT = math.floor(0.5 * math.log(np.finfo(float).max)) + 1 - _PIECE_FIRST
 
 
-def _clenshaw(coef: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coef[k, cols] T_k(x), elementwise over x."""
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for k in range(coef.shape[0] - 1, 0, -1):
-        b1, b2 = coef[k, cols] + 2.0 * x * b1 - b2, b1
-    return coef[0, cols] + x * b1 - b2
+def _clenshaw(coef: np.ndarray, low: float, t: np.ndarray) -> np.ndarray:
+    """sum_k coef[k, j - low] T_k(x) at each t, for t in the piece j = floor(t/2) and
+    x = t - (2j + 1) in [-1, 1]; _CHUNK_NODES points at a time, each coefficient row
+    gathered as coef[k][cols], a one-dimensional take, faster than coef[k, cols]."""
+    out = np.empty_like(t)
+    for start in range(0, t.size, _CHUNK_NODES):
+        ts = t[start : start + _CHUNK_NODES]
+        piece = np.floor(0.5 * ts)
+        cols, x = (piece - low).astype(np.intp), ts - (2.0 * piece + 1.0)
+        b1, b2 = np.zeros_like(x), np.zeros_like(x)
+        for k in range(coef.shape[0] - 1, 0, -1):
+            b1, b2 = coef[k][cols] + 2.0 * x * b1 - b2, b1
+        out[start : start + _CHUNK_NODES] = coef[0][cols] + x * b1 - b2
+    return out
 
 
-class CosineKernelTable:
-    """K(kappa, lambda) for one kappa, interpolated in t = ln(lambda).
+def cosine_kernel_table(kappa: float, *lam_arrays) -> tuple[np.ndarray, ...]:
+    """K(kappa, lambda) at each array of ``lam_arrays``, interpolated in t = ln(lambda).
 
-    g(t) = lambda^{1-kappa} K(kappa, lambda) is smooth in t (it tends to
-    C(kappa) as t -> -inf), so it is fitted on fixed pieces [2j, 2j+2] of
-    the t-axis at degree 14 on 15 first-kind Chebyshev points, evaluated by
-    Clenshaw's recurrence and multiplied by lambda^{kappa-1}.  A piece is
-    built the first time a call needs it, from the direct
-    cosine_weight_kernel_many, and checked against it at the 14 points
-    between its nodes: a relative residual over 1e-10 raises
-    :class:`NumericalError`.  A lambda the direct kernel treats as scale-free
-    (t below about -109 at kappa = 5/9), where one quadrature row serves them
-    all, goes to it instead, and so does lambda in (50, 100], whose piece would
-    need it past 100.  The pieces are fixed in t, so a value does not depend on
-    how calls are batched.  Relative deviation from the direct kernel stays
-    below 1e-12 for lambda in [1e-300, 1].
+    g(t) = lambda^{1-kappa} K(kappa, lambda) is smooth in t (it tends to C(kappa) as
+    t -> -inf), so it is fitted on fixed pieces [2j, 2j+2] of the t-axis at degree 14 on
+    15 first-kind Chebyshev points, evaluated by Clenshaw's recurrence and multiplied by
+    lambda^{kappa-1}.  Each piece some array needs is built once per call from the direct
+    cosine_weight_kernel_many and checked against it at the 14 points between its nodes:
+    a relative residual over 1e-10 raises :class:`NumericalError`.  A lambda the direct
+    kernel treats as scale-free (t below about -109 at kappa = 5/9) goes to it instead,
+    and so does lambda in (50, 100], whose piece would need it past 100.  The pieces are
+    fixed in t, so no value depends on which arrays share the call.  Relative deviation
+    from the direct kernel stays below 1e-12 for lambda in [1e-300, 1].
     """
+    checked = [_batch(kappa, "kappa", 0, 1, lams, "lambda", 100.0)[1:] for lams in lam_arrays]
+    bound = _scale_free_bound("cos", int(_cap(1.0 - kappa)))
+    tables = [(flat > bound) & (flat <= 50.0) for flat, _ in checked]
+    piece = np.floor(0.5 * np.log(np.concatenate([f[m] for (f, _), m in zip(checked, tables)])))
+    low = np.min(piece, initial=0.0)
+    counts = np.bincount((piece - low).astype(np.intp))  # piece j in column j - low
+    built = np.flatnonzero(counts)
+    del piece  # one float per interpolated lambda: not held through the kernel calls
 
-    def __init__(self, kappa: float):
-        if not 0 < kappa < 1:
-            raise ValueError("kappa must lie in (0,1)")
-        self.kappa = kappa
-        n = _PIECE_DEGREE + 1
-        theta = math.pi * (np.arange(n) + 0.5) / n
-        self._nodes = np.cos(theta)
-        self._held_out = np.cos(math.pi * np.arange(1, n) / n)
-        # values at the nodes -> Chebyshev coefficients (discrete cosine transform)
-        self._fit = (2.0 / n) * np.cos(np.outer(theta, np.arange(n)))
-        self._fit[:, 0] *= 0.5
-        self._free = _scale_free_bound("cos", int(_cap(1.0 - kappa)))
-        self._coef = np.zeros((n, _PIECE_COUNT))  # piece j in column j - _PIECE_FIRST
-        self._built = np.zeros(_PIECE_COUNT, dtype=bool)
+    n = 15  # first-kind Chebyshev points of the degree-14 fit
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    # values at the nodes -> Chebyshev coefficients (discrete cosine transform)
+    fit = (2.0 / n) * np.cos(np.outer(theta, np.arange(n)))
+    fit[:, 0] *= 0.5
+    pieces = built + low
+    held_out = np.cos(math.pi * np.arange(1, n) / n)
+    t = 2.0 * pieces[:, None] + 1.0 + np.concatenate((np.cos(theta), held_out))
+    lam = np.exp(t)
+    g = lam ** (1.0 - kappa) * cosine_weight_kernel_many(kappa, lam)
+    # term by term: a matmul's summation order depends on how many pieces are built
+    coef = np.zeros((n, counts.size))
+    for k in range(n):
+        coef[:, built] += fit[k][:, None] * g[:, k]
+    fitted = _clenshaw(coef, low, t[:, n:].reshape(-1)).reshape(-1, n - 1)
+    resid = np.abs(fitted / g[:, n:] - 1.0).max(axis=1)
+    if not np.all(resid <= _PIECE_RTOL):  # NaN residuals fail too
+        worst = int(np.argmax(resid))  # the first NaN, if any
+        lo = 2.0 * pieces[worst]
+        raise NumericalError(f"cosine kernel table (kappa={kappa!r}) failed its check on t = "
+                             f"ln(lambda) in [{lo:g}, {lo + 2:g}]: relative residual "
+                             f"{resid[worst]:.3e} > tolerance {_PIECE_RTOL:.0e}")
 
-    @property
-    def n_pieces(self) -> int:
-        return int(np.count_nonzero(self._built))
-
-    def __call__(self, lams) -> np.ndarray:
-        _, flat, shape = _batch(self.kappa, "kappa", 0, 1, lams, "lambda", 100.0)
-        free = (flat <= self._free) | (flat > 50.0)
-        g = self._interpolate(flat[~free])
-        direct = cosine_weight_kernel_many(self.kappa, flat[free])
-        out = np.empty_like(flat)
-        out[~free], out[free] = g, direct
-        return out.reshape(shape)
-
-    def _interpolate(self, lam: np.ndarray) -> np.ndarray:
-        t = np.log(lam)
-        piece = np.floor(0.5 * t)
-        x = t - (2.0 * piece + 1.0)  # position in the piece, in [-1, 1]
-        cols = piece.astype(np.int64) - _PIECE_FIRST
-        needed = np.zeros_like(self._built)
-        needed[cols] = True
-        missing = np.nonzero(needed & ~self._built)[0]
-        if missing.size:
-            self._build(missing + _PIECE_FIRST)
-        return _clenshaw(self._coef, cols, x) * lam ** (self.kappa - 1.0)
-
-    def _build(self, pieces: np.ndarray) -> None:
-        n = _PIECE_DEGREE + 1
-        centers = 2.0 * pieces + 1.0
-        t = centers[:, None] + np.concatenate((self._nodes, self._held_out))[None, :]
-        lam = np.exp(t)
-        g = lam ** (1.0 - self.kappa) * cosine_weight_kernel_many(self.kappa, lam)
-        # accumulated term by term, not by matmul, whose summation order
-        # depends on how many pieces are built together
-        coef = np.zeros((n, len(pieces)))
-        for k in range(n):
-            coef += self._fit[k][:, None] * g[:, k]
-        rows = np.repeat(np.arange(len(pieces)), n - 1)
-        fitted = _clenshaw(coef, rows, np.tile(self._held_out, len(pieces)))
-        resid = np.abs(fitted.reshape(len(pieces), n - 1) / g[:, n:] - 1.0).max(axis=1)
-        if not np.all(resid <= _PIECE_RTOL):  # NaN residuals fail too
-            worst = int(np.argmax(resid))  # the first NaN, if any
-            lo = 2.0 * pieces[worst]
-            raise NumericalError(
-                f"cosine kernel table (kappa={self.kappa!r}) failed its check on "
-                f"t = ln(lambda) in [{lo:g}, {lo + 2:g}]: relative residual "
-                f"{resid[worst]:.3e} > tolerance {_PIECE_RTOL:.0e}"
-            )
-        self._coef[:, pieces - _PIECE_FIRST] = coef
-        self._built[pieces - _PIECE_FIRST] = True
+    out = []
+    for (flat, shape), table in zip(checked, tables):
+        values = np.empty_like(flat)
+        lam = flat[table]
+        values[table] = _clenshaw(coef, low, np.log(lam)) * lam ** (kappa - 1.0)
+        values[~table] = cosine_weight_kernel_many(kappa, flat[~table])
+        out.append(values.reshape(shape))
+    return tuple(out)

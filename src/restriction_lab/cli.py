@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import ConfigurationError, NumericalError
@@ -169,12 +170,11 @@ def _cmd_feasibility(args) -> int:
             lambda: "INFEASIBLE\n",
             payload=lambda: {"feasible": False, "reason": outcome.reason},
         )
-    record = outcome.record()
     return _emit(
         args,
-        lambda: f"FEASIBLE {record}\n",
+        lambda: f"FEASIBLE {outcome.record()}\n",
         payload=lambda: {
-            "feasible": True, **dict(part.split("=") for part in record.split(" "))
+            "feasible": True, **{f.name: str(getattr(outcome, f.name)) for f in fields(outcome)}
         },
     )
 
@@ -388,11 +388,25 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return argv + extra
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with `--flag -value` written `--flag=-value`, which argparse reads as a value also
+    where it is not a plain negative number (-1/3, -1..1); -h and --help stay flags."""
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if token[:1] == "-" and token[1:2] not in ("-", "h") and flag.startswith("--") and (
+                "=" not in flag and flag != "--help"):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: list[str]) -> int:
     """Dispatch a CLI invocation; never raises on user input."""
     parser = _build_parser()
     try:
-        argv = _apply_config(parser, list(argv))
+        argv = _join_negative_values(_apply_config(parser, list(argv)))
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on argument errors and 0 on --help

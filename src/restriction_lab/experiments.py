@@ -26,9 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import (
-    CosineKernelTable,
     _gl,
     _panel_nodes,
+    cosine_kernel_table,
     cosine_weight_kernel_many,
     hankel_decay_transform_many,
     j0_extrema,
@@ -388,23 +388,10 @@ def constant_density_sums(
 # ---------------------------------------------------------------------------
 
 
-def _tau_panels(tau_max: float, fine_until: float = 12.0) -> tuple[np.ndarray, np.ndarray]:
-    """Panels in tau = ln(scale/endpoint distance): ln2-wide until fine_until,
-    then width 6; Gauss-Legendre 10 points each."""
-    edges = [0.0]
-    step = math.log(2.0)
-    while edges[-1] < min(fine_until, tau_max):
-        edges.append(min(edges[-1] + step, tau_max))
-    while edges[-1] < tau_max:
-        edges.append(min(edges[-1] + 6.0, tau_max))
-    nodes, weights = _panel_nodes(np.array(edges[:-1]), np.array(edges[1:]), 10)
-    return nodes.reshape(-1), weights.reshape(-1)
-
-
 def _inner_s_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature for int_0^1 s^{-mu} (diagonal-singular factor)(s) ds.
 
-    Returns (s_nodes, s_weights, v_nodes, v_weights): the half [0, 1/2] is
+    Returns the nodes' (1 - s, 1 + s, s) and the weights: the half [0, 1/2] is
     graded with exponent 3 towards s = 0 (the s^{-mu} corner); the half
     near s = 1 is parametrized by v = 1 - s with dyadic levels
     [2^{-j-1}, 2^{-j}] down to 2^{-61}, resolving the
@@ -416,9 +403,10 @@ def _inner_s_mesh() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     slopes are unaffected.
     """
     i, j = np.arange(8.0), np.arange(1.0, 61.0)
-    s_part = _panel_nodes(0.5 * (i / 8) ** 3, 0.5 * ((i + 1) / 8) ** 3, 6)
-    v_part = _panel_nodes(2.0 ** -(j + 1), 2.0**-j, 4)
-    return tuple(a.reshape(-1) for a in (*s_part, *v_part))
+    s, s_w = (a.reshape(-1) for a in _panel_nodes(0.5 * (i / 8) ** 3, 0.5 * ((i + 1) / 8) ** 3, 6))
+    v, v_w = (a.reshape(-1) for a in _panel_nodes(2.0 ** -(j + 1), 2.0**-j, 4))
+    return (np.concatenate([1.0 - s, v]), np.concatenate([1.0 + s, 2.0 - v]),
+            np.concatenate([s, 1.0 - v]), np.concatenate([s_w, v_w]))
 
 
 def _eps_window(exps: list[int], name: str = "eps", points: int = 3) -> list[Fraction]:
@@ -439,14 +427,30 @@ _TRUNC_LN = math.log(1e3)  # ln of the inverse truncated share of both eps-scans
 _L2_TAU_CAP = 300.0
 
 
-def _tau_max(eps: Fraction, rate: float, cap: float) -> float:
-    """min(ln(1e3)/rate, cap) for an eps whose integrand decays like e^{-rate tau}, or
-    DomainError naming eps where the share e^{-rate tau_max} its rule drops is over 1/16."""
-    tau_max = min(_TRUNC_LN / rate, cap)
-    if (share := math.exp(-rate * tau_max)) > 1 / 16:
-        raise DomainError(f"eps = {eps}: the tau cap {cap:g} drops {share:.1%} of the mass, "
-                          f"over 1/16")
-    return tau_max
+def _tau_rules(epss: list[Fraction], rates: list[float], cap: float,
+               fine_until: float) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Rules in tau = ln(scale/endpoint distance) for eps-scans whose integrands decay like
+    e^{-rate tau}: from 0 to tau_max = min(ln(1e3)/rate, cap), panels ln2 wide until
+    fine_until and then 6 wide, 10 Gauss-Legendre points each.  Returns the rules' nodes
+    concatenated, each eps's weights and the split points of the nodes between the eps.
+    DomainError names the first eps whose rule would drop a share e^{-rate tau_max} over
+    1/16, before any rule is built."""
+    tau_maxes = [min(_TRUNC_LN / rate, cap) for rate in rates]
+    for eps, rate, tau_max in zip(epss, rates, tau_maxes):
+        if (share := math.exp(-rate * tau_max)) > 1 / 16:
+            raise DomainError(f"eps = {eps}: the tau cap {cap:g} drops {share:.1%} of the "
+                              f"mass, over 1/16")
+    nodes, weights = [], []
+    for tau_max in tau_maxes:
+        edges = [0.0]
+        while edges[-1] < min(fine_until, tau_max):
+            edges.append(min(edges[-1] + math.log(2.0), tau_max))
+        while edges[-1] < tau_max:
+            edges.append(min(edges[-1] + 6.0, tau_max))
+        x, w = _panel_nodes(np.array(edges[:-1]), np.array(edges[1:]), 10)
+        nodes.append(x.reshape(-1))
+        weights.append(w.reshape(-1))
+    return np.concatenate(nodes), weights, np.cumsum([w.size for w in weights])[:-1]
 
 
 def l2_endpoint_scan(
@@ -473,14 +477,14 @@ def l2_endpoint_scan(
     tau = ln(delta/phi) out to tau_max = min(ln(1e3)/(2 eps), 300); the
     truncated share of the mass is e^{-2 eps tau_max}: 1e-3 wherever the cap
     300 does not bind, and e^{-600/128} ~ 0.92% at eps = 2^-7, where it does;
-    ``_tau_max`` refuses a share over 1/16 (eps = 2^-8 and below).  K is read
-    from a CosineKernelTable per distinct kappa, built for this call only.  The
-    ratio against the exact circle norm is fitted versus eps.
+    ``_tau_rules`` refuses a share over 1/16 (eps = 2^-8 and below).  K is read
+    from ``cosine_kernel_table``, one call per distinct kappa.  The ratio
+    against the exact circle norm is fitted versus eps.
 
     Nothing in K(2 alpha, .) K(2 beta, .) depends on eps, so phi and both
     kernels are evaluated once, over the distinct tau nodes of the union of
     all eps rules, and each eps gathers its rows.  That is exact: the panel
-    edges of ``_tau_panels`` are the same float sums whatever tau_max is, so
+    edges of ``_tau_rules`` are the same float sums whatever tau_max is, so
     a smaller eps's rule is bit for bit a prefix of a larger one's except for
     its clipped last panel, and a table value does not depend on its batch.
     The eps window (distinct, non-negative exponents, mu in (0,1), shares at
@@ -504,29 +508,25 @@ def l2_endpoint_scan(
     epss = _eps_window(eps_exps)
     if not all(0 < 1 / r - eps < 1 for eps in epss):
         raise DomainError("need mu = 1/r - eps in (0,1) for every eps")
-    rules = [_tau_panels(_tau_max(eps, 2 * float(eps), _L2_TAU_CAP)) for eps in epss]
+    nodes, tau_weights, bounds = _tau_rules(epss, [2 * float(eps) for eps in epss],
+                                            _L2_TAU_CAP, 12.0)
 
-    s_nodes, s_weights, v_nodes, v_weights = _inner_s_mesh()
-    diff_half = np.concatenate([1.0 - s_nodes, v_nodes])  # 1 - s, exact near s = 1
-    sum_half = np.concatenate([1.0 + s_nodes, 2.0 - v_nodes])  # 1 + s
-    sing = np.concatenate([s_nodes, 1.0 - v_nodes])  # s itself for s^{-mu}
-    all_weights = np.concatenate([s_weights, v_weights])
-    kap1, kap2 = float(2 * a), float(2 * b)
-    kernel1 = CosineKernelTable(kap1)
-    kernel2 = kernel1 if kap2 == kap1 else CosineKernelTable(kap2)
-
-    tau, rows = np.unique(np.concatenate([nodes for nodes, _ in rules]), return_inverse=True)
+    one_minus_s, one_plus_s, s, s_weights = _inner_s_mesh()
+    tau, rows = np.unique(nodes, return_inverse=True)
     phi = delta * np.exp(-tau)
-    half_diff = 0.5 * phi[:, None] * diff_half[None, :]
-    half_sum = 0.5 * phi[:, None] * sum_half[None, :]
-    k1 = kernel1(2.0 * np.sin(half_diff) * np.cos(half_sum))
-    k2 = kernel2(2.0 * np.sin(half_sum) * np.sin(half_diff))
+    half_diff = 0.5 * phi[:, None] * one_minus_s[None, :]
+    half_sum = 0.5 * phi[:, None] * one_plus_s[None, :]
+    lam1 = 2.0 * np.sin(half_diff) * np.cos(half_sum)
+    lam2 = 2.0 * np.sin(half_sum) * np.sin(half_diff)
+    del half_diff, half_sum  # both lambda arrays go to one table call: keep its peak down
+    kap1, kap2 = float(2 * a), float(2 * b)
+    k1, k2 = (cosine_kernel_table(kap1, lam1, lam2) if kap1 == kap2 else
+              (*cosine_kernel_table(kap1, lam1), *cosine_kernel_table(kap2, lam2)))
 
     samples = []
-    bounds = np.cumsum([len(w_tau) for _, w_tau in rules])[:-1]
-    for eps, (_, w_tau), at in zip(epss, rules, np.split(rows, bounds)):
+    for eps, w_tau, at in zip(epss, tau_weights, np.split(rows, bounds)):
         mu = float(1 / r - eps)
-        inner = (sing ** (-mu) * all_weights)[None, :] * k1[at] * k2[at]
+        inner = (s ** (-mu) * s_weights)[None, :] * k1[at] * k2[at]
         profile = phi[at] ** (2.0 - 2.0 * mu) * np.sum(inner, axis=1)
         lhs = 8.0 * float(np.sum(w_tau * profile))
 
@@ -669,10 +669,10 @@ def dual_scan(
     taken in tau = -ln t out to tau_max = min(ln(1e3)/rate, 340) (beyond 340,
     1 - cos t underflows).  The truncated share e^{-rate tau_max} is 1e-3 where
     the cap does not bind and ~2.9% for separable r = 4, q = 2 at eps = 2^-7,
-    where it does; ``_tau_max`` refuses a share over 1/16, and the metadata
-    records only tau_cap.  All eps rules are built (and checked) first; one
-    kernel call takes all their nodes, each with its eps's kappa (or delta),
-    and each eps sums its slice.
+    where it does; ``_tau_rules`` refuses a share over 1/16, and the metadata
+    records only tau_cap.  Every eps's kappa (or delta) and share are checked,
+    and its rule built, first; one kernel call takes all the rules' nodes, each
+    with its eps's exponent, and each eps sums its slice.
     """
     r, q = exact_in(r, "r", "(1, inf)"), exact_in(q, "q", "(1, inf)")
     inv_rc = inv_conjugate(r)
@@ -693,21 +693,19 @@ def dual_scan(
         if 2 / q - inv_rc < Fraction(3, 2) / q - inv_rc / 2:  # max branch: r' >= q
             raise DomainError("need 2/q - 1/r' to be the max branch (r' >= q)")
 
-    rules = []  # (eps, tau weights, t nodes, kernel exponents): every check before any transform
-    for eps in _eps_window(eps_exps):
-        epsf = float(eps)
-        if kind == "separable":
-            exponent = float(b + (1 + eps) * inv_qc)  # kappa
-            rate = 2 * rc * epsf * float(inv_qc)
-        else:
-            exponent = float(g + 2 * inv_qc + eps)  # delta
-            if not 1 < exponent < 2:
-                raise DomainError("gamma + 2/q' + eps must lie in (1,2)")
-            rate = rc * epsf
-        tau, w_tau = _tau_panels(_tau_max(eps, rate, _DUAL_TAU_CAP), fine_until=10.0)
-        rules.append((epsf, w_tau, math.pi * np.exp(-tau), np.full(tau.size, exponent)))
+    epss = _eps_window(eps_exps)  # every check before any transform
+    if kind == "separable":
+        exponents = [float(b + (1 + eps) * inv_qc) for eps in epss]  # kappa
+        rates = [2 * rc * float(eps) * float(inv_qc) for eps in epss]
+    else:
+        exponents = [float(g + 2 * inv_qc + eps) for eps in epss]  # delta
+        if not all(1 < d < 2 for d in exponents):
+            raise DomainError("gamma + 2/q' + eps must lie in (1,2)")
+        rates = [rc * float(eps) for eps in epss]
+    tau, tau_weights, bounds = _tau_rules(epss, rates, _DUAL_TAU_CAP, 10.0)
 
-    t, exponents = (np.concatenate([rule[i] for rule in rules]) for i in (2, 3))
+    t = math.pi * np.exp(-tau)
+    exponents = np.repeat(exponents, [w.size for w in tau_weights])
     if kind == "separable":
         lam = 2.0 * np.sin(t / 2) ** 2  # 1 - cos t, stable for tiny t
         kernel = np.abs(cosine_weight_kernel_many(exponents, lam)) ** rc
@@ -717,11 +715,11 @@ def dual_scan(
         integrand = np.abs(hankel_decay_transform_many(exponents, svals)) ** rc
 
     samples = []
-    bounds = np.cumsum([w_tau.size for _, w_tau, _, _ in rules])[:-1]
-    for (epsf, w_tau, t_eps, _), part in zip(rules, np.split(integrand, bounds)):
+    for eps, w_tau, part, t_eps in zip(epss, tau_weights, np.split(integrand, bounds),
+                                       np.split(t, bounds)):
         lhs = (2.0 * float(np.sum(w_tau * part * t_eps))) ** (1 / rc)
-        rhs = epsf ** (-float(inv_qc))
-        samples.append(ScanSample(epsf, lhs, rhs, lhs / rhs))
+        rhs = float(eps) ** (-float(inv_qc))
+        samples.append(ScanSample(float(eps), lhs, rhs, lhs / rhs))
 
     return _scan_result(samples, PredictedExponent(inv_rc - inv_qc), {
         "experiment": f"dual-{kind}",

@@ -193,12 +193,14 @@ def exact_in(x: ScalarLike, name: str, interval: str) -> ExtScalar | Fraction:
     ``"[1, 2]"``, ...), else DomainError "<name> must lie in <interval>".
 
     x comes back as an ExtScalar when the interval holds inf, else as a Fraction
-    (a Fraction argument as itself).  An int or a Fraction is decided by its integer
-    pair against bounds parsed once per interval string.
+    (a Fraction argument as itself); a None x is named as missing.  An int or a Fraction
+    is decided by its integer pair against bounds parsed once per interval string.
     """
     lo_num, lo_den, lo_min, hi_num, hi_den, hi_min = _bounds(interval)
     if type(x) is Fraction or type(x) is int:
         num, den = x.as_integer_ratio()
+    elif x is None:
+        raise DomainError(f"missing required exact parameters: {name}")
     else:
         x = ExtScalar.coerce(x)
         num, den = x._num, x._den

@@ -15,9 +15,9 @@ from scipy.special import gamma, kv
 
 from restriction_lab import analysis
 from restriction_lab.analysis import (
-    CosineKernelTable,
     bessel_j0,
     bessel_j0_deriv,
+    cosine_kernel_table,
     cosine_weight_kernel,
     cosine_weight_kernel_many,
     fresnel_constant,
@@ -609,35 +609,58 @@ class TestAccelerateRows:
         assert abs(got[0] - math.log(2)) < 1e-9
 
 
-_TABLES = {kappa: CosineKernelTable(kappa) for kappa in (0.3, 5 / 9, 2 / 3, 0.9)}
+def _table(kappa, lams):
+    (values,) = cosine_kernel_table(kappa, lams)
+    return values
+
+
+def _direct_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """The shapes of the lambda arrays the direct kernel is called with from now on."""
+    shapes, direct = [], analysis.cosine_weight_kernel_many
+
+    def counting(kappa, lams):
+        shapes.append(np.shape(lams))
+        return direct(kappa, lams)
+
+    monkeypatch.setattr(analysis, "cosine_weight_kernel_many", counting)
+    return shapes
 
 
 class TestCosineKernelTable:
     @settings(max_examples=150, deadline=None)
     @given(
-        kappa=st.sampled_from(sorted(_TABLES)),
+        kappa=st.sampled_from([0.3, 5 / 9, 2 / 3, 0.9]),
         ln_lams=st.lists(st.floats(math.log(1e-300), 0.0), min_size=1, max_size=8),
     )
     def test_matches_direct_kernel(self, kappa, ln_lams):
         lams = np.exp(np.array(ln_lams))
         direct = cosine_weight_kernel_many(kappa, lams)
-        assert np.all(np.abs(_TABLES[kappa](lams) / direct - 1) <= 1e-12)
+        assert np.all(np.abs(_table(kappa, lams) / direct - 1) <= 1e-12)
 
     def test_batch_independent(self):
-        table = CosineKernelTable(0.45)
         lams = np.array([0.003, 0.9, 1e-7, 2.5e-200, np.exp(-4.0), 0.25])
-        batch = table(lams)
-        fresh = CosineKernelTable(0.45)
+        batch = _table(0.45, lams)
         for lam, got in zip(lams, batch):
-            assert fresh(np.array([lam]))[0] == got
-            assert table(lam) == got
+            assert _table(0.45, np.array([lam]))[0] == got
+            assert _table(0.45, lam) == got
 
-    def test_builds_each_piece_once(self):
-        table = CosineKernelTable(0.5)
-        table(np.array([0.5, 0.3, 1e-3]))
-        assert table.n_pieces == 2  # t in [-2, 0) and [-8, -6)
-        table(np.array([0.4, 2e-3]))
-        assert table.n_pieces == 2
+    def test_builds_each_piece_once(self, monkeypatch):
+        shapes = _direct_shapes(monkeypatch)
+        cosine_kernel_table(0.5, np.array([0.5, 0.3, 1e-3]), np.array([0.4, 2e-3]))
+        # t in [-2, 0) and [-8, -6), built once; then each array's (no) scale-free lambda
+        assert shapes == [(2, 29), (0,), (0,)]
+
+    def test_shared_call_matches_separate_calls(self, monkeypatch):
+        # pieces floor(t/2) = -1, -4, -50, -2 and -1, -4, -10: five distinct ones, each
+        # built once; 1e-200 is scale-free and 70 above 50, so those go to the direct kernel
+        a = np.array([[np.exp(-0.5), np.exp(-1.5)], [np.exp(-7.0), np.exp(-100.0)], [1e-200, 0.1]])
+        b = np.array([np.exp(-1.0), np.exp(-7.5), np.exp(-20.0), 70.0])
+        separate = _table(5 / 9, a), _table(5 / 9, b)
+        shapes = _direct_shapes(monkeypatch)
+        shared = cosine_kernel_table(5 / 9, a, b)
+        assert shapes == [(5, 29), (1,), (1,)]
+        for got, want in zip(shared, separate):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "perturb",
@@ -654,23 +677,25 @@ class TestCosineKernelTable:
             analysis, "cosine_weight_kernel_many", lambda kappa, lams: perturb(direct(kappa, lams))
         )
         with pytest.raises(NumericalError, match=r"kappa=0\.5.*\[-8, -6\].*residual"):
-            CosineKernelTable(0.5)(np.array([1e-3]))
+            _table(0.5, np.array([1e-3]))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            CosineKernelTable(1.0)
+            _table(1.0, np.array([0.1]))
         with pytest.raises(ValueError):
-            CosineKernelTable(0.5)(np.array([0.1, 0.0]))
+            _table(0.5, np.array([0.1, 0.0]))
         with pytest.raises(ValueError):
-            CosineKernelTable(0.5)(np.array([np.nan]))
+            _table(0.5, np.array([np.nan]))
         with pytest.raises(ValueError, match=r"^lambda = 1000\.0 is above 100, "):
-            CosineKernelTable(0.5)(np.array([0.1, 1e3]))
+            cosine_kernel_table(0.5, np.array([0.1]), np.array([0.1, 1e3]))
 
-    def test_lambda_above_50_is_the_direct_kernel(self):
+    def test_lambda_above_50_is_the_direct_kernel(self, monkeypatch):
         # its piece, t in [4, 6), would be built from the direct kernel past lambda = 100
-        table, lams = CosineKernelTable(0.5), np.array([50.5, 60.0, 99.0, 100.0])
-        assert np.array_equal(table(lams), cosine_weight_kernel_many(0.5, lams))
-        assert table.n_pieces == 0
+        lams = np.array([50.5, 60.0, 99.0, 100.0])
+        want = cosine_weight_kernel_many(0.5, lams)
+        shapes = _direct_shapes(monkeypatch)
+        assert np.array_equal(_table(0.5, lams), want)
+        assert shapes == [(0, 29), (4,)]  # no piece built
 
 
 class TestFresnelConstant:

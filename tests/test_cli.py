@@ -99,6 +99,22 @@ class TestArgumentHandling:
         assert code == 1 and out == ""
         assert err == "error: eps exponents must be non-negative\n"
 
+    @pytest.mark.parametrize("config, argv", [
+        (None, "knapp --kind radial --gamma -1/3 --r 2 --q 2"),
+        ("gamma=-1/3\n", "knapp --kind radial --r 2 --q 2"),
+    ], ids=["flag", "config"])
+    def test_negative_exact_value_after_a_space_is_read_as_its_value(self, capsys, tmp_path,
+                                                                     config, argv):
+        if config:
+            (tmp_path / "negative.cfg").write_text(config)
+            argv = f"--config {tmp_path / 'negative.cfg'} {argv}"
+        assert invoke(capsys, *argv.split()) == (1, "", "error: gamma must lie in [0, inf)\n")
+
+    def test_negative_range_after_a_space_is_read_as_its_value(self, capsys):
+        spaced = invoke(capsys, *"pitt --beta 1/2 --p 2 --q 2 --scale-exps -1..1".split())
+        joined = invoke(capsys, *"pitt --beta 1/2 --p 2 --q 2 --scale-exps=-1..1".split())
+        assert spaced == joined and spaced[0] == 0 and "s=0.5 plain" in spaced[1]
+
     def test_negative_ring_count_is_one_error_line(self, capsys):
         code, out, err = invoke(
             capsys, "constant", "--kind", "separable", "--alpha", "0", "--beta", "0",
@@ -219,7 +235,7 @@ def kernels_raise(monkeypatch):
     def reached(*args, **kwargs):
         raise NumericalError("kernel reached")
 
-    for name in ("_gram_mass", "_streamed_mass", "CosineKernelTable", "cosine_weight_kernel_many",
+    for name in ("_gram_mass", "_streamed_mass", "cosine_kernel_table", "cosine_weight_kernel_many",
                  "hankel_decay_transform_many", "j0_extrema", "_split_phase_cosine", "weak_lq_1d"):
         monkeypatch.setattr(experiments, name, reached)
 

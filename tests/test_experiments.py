@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from restriction_lab import experiments
+from restriction_lab import analysis, experiments
 from restriction_lab.analysis import cosine_weight_kernel_many, j0_extrema
 from restriction_lab.errors import ConfigurationError
 from restriction_lab.experiments import (
@@ -256,9 +256,12 @@ class TestMissingWeightExponents:
         (lambda: dual_scan("radial", r=3, q="5/4", eps_exps=[3, 4, 5]), "gamma"),
         (lambda: riesz_diagram("separable", {"alpha": 0}, 4), "beta"),
         (lambda: riesz_diagram("radial", {}, 4), "gamma"),
+        (lambda: predicted_exponent("constant", q=4), "weight_sum"),
+        (lambda: predicted_exponent("separable", alpha=0, beta=0, q=2), "r"),
+        (lambda: predicted_exponent("radial", gamma=1, r=2), "q"),
     ], ids=["pred-radial", "pred-separable", "knapp", "constant-radial",
             "constant-separable", "dual-separable", "dual-radial", "diagram-separable",
-            "diagram-radial"])
+            "diagram-radial", "pred-constant-weight-sum", "pred-separable-r", "pred-radial-q"])
     def test_library_raises_domain_error(self, call, missing):
         with pytest.raises(DomainError, match=f"^missing required exact parameters: {missing}$"):
             call()
@@ -665,10 +668,10 @@ class TestL2Endpoint:
             l2_endpoint_scan("5/18", "5/18", 3, 1.5, [3, 4, 5])  # delta range
 
     def test_alpha_plus_beta_below_11_20_is_refused_before_any_kernel_work(self, monkeypatch):
-        def no_kernel(kappa):
+        def no_kernel(kappa, *lam_arrays):
             raise AssertionError("kernel built")
 
-        monkeypatch.setattr(experiments, "CosineKernelTable", no_kernel)
+        monkeypatch.setattr(experiments, "cosine_kernel_table", no_kernel)
         # alpha + beta = 51/100 would drop 2^-1.2 = 43.5 % of the corner mass
         with pytest.raises(DomainError, match=r">= 11/20.* = 51/100 it holds 43\.5%"):
             l2_endpoint_scan("49/100", "1/50", "100/3", 0.25, [6, 7, 8])
@@ -725,17 +728,24 @@ class TestL2Endpoint:
 
     def test_criterion_10_tables_build_at_most_60_pieces(self, monkeypatch):
         # kappa = 5/9: lambda <= 6.4e-48 (t <= -108.7) is scale-free, so the
-        # pieces span t in [-110, 0), 55 of them, where about 323 were built
-        tables = []
+        # pieces span t in [-110, 0), 55 of them, where about 323 were built; a piece
+        # is built from the direct kernel at its 29 fit and check points
+        tables, shapes = [], []
+        table, direct = experiments.cosine_kernel_table, analysis.cosine_weight_kernel_many
 
-        class Recorded(experiments.CosineKernelTable):
-            def __init__(self, kappa):
-                super().__init__(kappa)
-                tables.append(self)
+        def recorded_table(kappa, *lam_arrays):
+            tables.append(kappa)
+            return table(kappa, *lam_arrays)
 
-        monkeypatch.setattr(experiments, "CosineKernelTable", Recorded)
+        def recorded_direct(kappa, lams):
+            shapes.append(np.shape(lams))
+            return direct(kappa, lams)
+
+        monkeypatch.setattr(experiments, "cosine_kernel_table", recorded_table)
+        monkeypatch.setattr(analysis, "cosine_weight_kernel_many", recorded_direct)
         l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
-        assert len(tables) == 1 and tables[0].n_pieces <= 60
+        builds = [shape for shape in shapes if shape[1:] == (29,)]
+        assert len(tables) == 1 and len(builds) == 1 and builds[0][0] <= 60
 
     def test_sharing_changes_no_sample(self):
         full = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7]).samples
@@ -748,7 +758,12 @@ class TestL2Endpoint:
         tau_maxes = [min(experiments._TRUNC_LN / 2.0 ** (1 - k), experiments._L2_TAU_CAP)
                      for k in range(3, 8)]
         assert tau_maxes[0] == pytest.approx(27.63, abs=0.01) and tau_maxes[-1] == 300.0
-        rules = [experiments._tau_panels(t) for t in tau_maxes]
+        epss = [Fraction(1, 2**k) for k in range(3, 8)]
+        nodes, weights, bounds = experiments._tau_rules(
+            epss, [2 * float(eps) for eps in epss], experiments._L2_TAU_CAP, 12.0)
+        rules = list(zip(np.split(nodes, bounds), weights))
+        for (_, w), tau_max in zip(rules, tau_maxes):  # each rule integrates 1 over [0, tau_max]
+            assert np.sum(w) == pytest.approx(tau_max, rel=1e-13)
         for i, (small_nodes, small_weights) in enumerate(rules):
             for large_nodes, large_weights in rules[i + 1:]:
                 n = len(small_nodes) - 10
@@ -759,15 +774,15 @@ class TestL2Endpoint:
         # five rules of 2,010 tau nodes in all, 700 distinct, times 288 inner
         # nodes, once per kernel factor; evaluated per eps it was 1,157,760
         seen = []
-        table_call = experiments.CosineKernelTable.__call__
+        table = experiments.cosine_kernel_table
 
-        def counting(self, lams):
-            seen.append(np.size(lams))
-            return table_call(self, lams)
+        def counting(kappa, *lam_arrays):
+            seen.append([np.size(lams) for lams in lam_arrays])
+            return table(kappa, *lam_arrays)
 
-        monkeypatch.setattr(experiments.CosineKernelTable, "__call__", counting)
+        monkeypatch.setattr(experiments, "cosine_kernel_table", counting)
         l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
-        assert seen == [700 * 288] * 2  # 403,200 in all
+        assert seen == [[700 * 288] * 2]  # 403,200 in all, in one call for kappa = 5/9
 
     def test_criterion_10_peak_memory(self):
         tracemalloc.start()
@@ -1026,6 +1041,8 @@ class TestEpsWindow:
         ("dual-separable", [3, 3, 4], "duplicate eps exponents"),
         ("dual-radial", [-1, 0, 1, 2], "eps exponents must be non-negative"),
         ("dual-radial", [0, 3, 4], r"gamma \+ 2/q' \+ eps must lie in \(1,2\)"),  # eps = 1 > 1/r'
+        # eps = 1 fails the exponent check and 2^-10 its tau share: the exponent error wins
+        ("dual-radial", [0, 9, 10], r"gamma \+ 2/q' \+ eps must lie in \(1,2\)"),
         ("l2", [3, 4], "need at least 3 points"),
         ("dual-separable", [], "need at least 3 points"),
     ])
@@ -1033,8 +1050,18 @@ class TestEpsWindow:
         def kernel_work(*args, **kwargs):
             raise AssertionError("kernel work before the eps window was checked")
 
-        for name in ("CosineKernelTable", "cosine_weight_kernel_many",
+        for name in ("cosine_kernel_table", "cosine_weight_kernel_many",
                      "hankel_decay_transform_many"):
             monkeypatch.setattr(experiments, name, kernel_work)
         with pytest.raises(DomainError, match=message):
             self.SCANS[scan](window)
+
+    def test_tau_rules_check_every_share_before_any_rule(self, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("a rule built before every share was checked")
+
+        monkeypatch.setattr(experiments, "_panel_nodes", no_rule)
+        epss = [Fraction(1, 8), Fraction(1, 512)]  # 1/512 drops e^{-600/512} at the cap
+        with pytest.raises(DomainError, match=r"^eps = 1/512: the tau cap 300 drops 31\.0% of "
+                                              r"the mass, over 1/16$"):
+            experiments._tau_rules(epss, [2 * float(eps) for eps in epss], 300.0, 12.0)
