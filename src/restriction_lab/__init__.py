@@ -10,7 +10,6 @@ oscillatory-integral small-parameter law.
 from .analysis import (
     ExtremaTable,
     bessel_j0,
-    bessel_j0_deriv,
     cosine_weight_kernel,
     fresnel_constant,
     hankel_decay_transform,
@@ -42,7 +41,6 @@ from .exponents import (
     Verdict,
     classify_radial,
     classify_separable,
-    classify_unweighted,
     conjugate_exponent,
     inv_conjugate,
     riesz_diagram,
@@ -76,7 +74,6 @@ __all__ = [
     "Verdict",
     "classify_radial",
     "classify_separable",
-    "classify_unweighted",
     "conjugate_exponent",
     "inv_conjugate",
     "riesz_diagram",
@@ -89,7 +86,6 @@ __all__ = [
     "verify_two",
     "ExtremaTable",
     "bessel_j0",
-    "bessel_j0_deriv",
     "j0_extrema",
     "j0_zeros",
     "cosine_weight_kernel",

@@ -9,23 +9,19 @@ drive the dual and L2-endpoint experiments; their small-lambda law
 K ~ C(kappa) * lambda^{kappa-1} is an acceptance target, so K is computed
 directly and never through C(kappa).
 
-K, the decaying Hankel transform H(delta, s) and C(kappa) share one driver,
-``_transform_many``: Gauss-Legendre panels on a geometric head from the
+K takes its convergent incomplete-gamma series for lambda <= 2 wherever its two
+terms do not cancel past a stated guard, and the quadrature everywhere else.
+That quadrature, the decaying Hankel transform H(delta, s) and C(kappa) share one
+driver, ``_transform_many``: Gauss-Legendre panels on a geometric head from the
 oscillator's first zero z1 down to the sample's scale x, depth
 clip(ceil(ln z1 - ln x) + 1, 1, 8 + ceil(26/decay)) with decay 1 - kappa
 for K and 2 - delta for H (16 for C); then shared zero-to-zero tail panels,
 summed by iterated averaging, applied as one fixed weight table on the
-partial sums.  A sample so small that its envelope equals its argument-free
-limit at every node, exactly in floating point, is scale-free: it is one
-quadrature row per distinct exponent, scaled.  K, H, their scalar forms and
-the kernel table check their arguments in one front end, ``_batch``.  Every
-Gauss-Legendre rule in the package comes from ``_gl``.
-
-cosine_kernel_table serves one kappa from piecewise Chebyshev interpolation
-of lambda^{1-kappa} K in ln(lambda), each piece it needs built once per call
-from the direct kernel and checked against it; only the L2-endpoint scan uses
-it.  The scalar kernel, the batched direct kernel, C(kappa) and everything the
-dual scans, the oscint command and acceptance criterion 6 call stay direct.
+partial sums.  An s so small that H's envelope equals its argument-free limit
+at every node, exactly in floating point, is scale-free: it is one quadrature
+row per distinct delta.  K, H and their scalar forms check their arguments in
+one front end, ``_batch``.  Every Gauss-Legendre rule in the package comes from
+``_gl``.
 
 J0 and J1: Bessel's integral below x = 17, one 32-node folded midpoint sum within
 5e-16 of them; the Hankel expansion, truncated per point, from 17 on.  Both stay
@@ -45,11 +41,9 @@ from .errors import NumericalError
 
 __all__ = [
     "bessel_j0",
-    "bessel_j0_deriv",
     "j0_extrema",
     "j0_zeros",
     "ExtremaTable",
-    "cosine_kernel_table",
     "cosine_weight_kernel",
     "cosine_weight_kernel_many",
     "fresnel_constant",
@@ -59,8 +53,8 @@ __all__ = [
 
 _ASYMP_CUT = 17.0
 # values per batch chunk (Bessel's integral, the root scan grid, the tail or one head
-# depth of a transform, the kernel table's recurrence): keeps each temporary at 256 KiB,
-# cache-sized, whatever the batch
+# depth of a transform, K's series): keeps each temporary at 256 KiB, cache-sized,
+# whatever the batch
 _CHUNK_NODES = 2**15
 
 
@@ -137,13 +131,6 @@ def bessel_j0(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError("bessel_j0 needs finite x")
     return float(_j0(np.array([x]))[0])
-
-
-def bessel_j0_deriv(x: float) -> float:
-    """J0'(x) = -J1(x), same accuracy budget as bessel_j0."""
-    if not math.isfinite(x):
-        raise ValueError("bessel_j0_deriv needs finite x")
-    return float(-_j1(np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +348,16 @@ def _cap(decay) -> np.ndarray:
     return 8 + np.ceil(26.0 / np.asarray(decay)).astype(int)
 
 
-# log2 of the u/x beyond which 1 + u/x rounds to u/x ("cos") and hypot(u, x) to u ("j0")
-_SCALE_FREE_BITS = {"cos": 54, "j0": 27}
+# log2 of the u/x beyond which hypot(u, x) rounds to u
+_SCALE_FREE_BITS = 27
 
 
 @functools.cache
-def _scale_free_bound(osc: str, cap: int) -> float:
-    """2^-bits (bits = _SCALE_FREE_BITS[osc]) times the smallest node of the head at depth
-    ``cap``: an x at or below it has u/x >= 2^bits at every node (its head is capped, ~40
-    short of its depth); 0.0 where that is not a normal float, as for every cap > 700."""
-    bits = _SCALE_FREE_BITS[osc]
-    bound = float(_head_panels(osc, cap)[0].min()) * 2.0**-bits if cap <= 700 else 0.0
+def _scale_free_bound(cap: int) -> float:
+    """2^-_SCALE_FREE_BITS times the smallest node of the J0 head at depth ``cap``: an x
+    at or below it has u/x >= 2^27 at every node (its head is capped, ~20 short of its
+    depth); 0.0 where that is not a normal float, as for every cap > 700."""
+    bound = float(_head_panels("j0", cap)[0].min()) * 2.0**-_SCALE_FREE_BITS if cap <= 700 else 0.0
     return bound if bound >= np.finfo(float).tiny else 0.0
 
 
@@ -393,32 +379,31 @@ def _transform_many(
     panel holds less than e^{-26} of it.  ``decay`` is one float or one per
     sample, so samples of different exponents share one call; each sample's
     cap is its own.  Every reduction runs row by row, so results do not
-    depend on batching.  With ``free = (power, degree)``, a sample at or
-    below ``_scale_free_bound(osc, cap)`` has the envelope
-    x^degree u^power at every node, exactly in floating point: it is x^degree
-    times one quadrature of u^power, made by this driver once per distinct
-    power and named in a failure by the first such sample.
+    depend on batching.  With ``free = power`` (osc "j0"), a sample at or
+    below ``_scale_free_bound(cap)`` has the envelope u^power at every node,
+    exactly in floating point: it is one quadrature of u^power, made by this
+    driver once per distinct power and named in a failure by the first such
+    sample.
     """
     out = np.empty_like(x)
     cap = _cap(decay)
     direct = np.arange(x.size)
     if free is not None:
-        power, degree = free
         caps = np.unique(cap)
-        bound = np.array([_scale_free_bound(osc, int(c)) for c in caps])
+        bound = np.array([_scale_free_bound(int(c)) for c in caps])
         is_free = x <= bound[np.searchsorted(caps, cap)]
         at, direct = np.nonzero(is_free)[0], np.nonzero(~is_free)[0]
         if at.size:
             powers, first, row = (
-                np.unique(power[at], return_index=True, return_inverse=True)
-                if np.ndim(power) else (power, [0], 0)
+                np.unique(free[at], return_index=True, return_inverse=True)
+                if np.ndim(free) else (free, [0], 0)
             )
             rep = at[first]
             p = _transform_many(
                 osc, x[rep], _take(decay, rep), lambda u, idx: u[None] ** _rows(powers, idx),
                 rtol, lambda i: context(rep[i]),
             )
-            out[at] = x[at] ** _take(degree, at) * p[row]
+            out[at] = p[row]
     depths = np.ceil(math.log(_zeros(osc)[0]) - np.log(x[direct])).astype(int) + 1
     depths = np.clip(depths, 1, _take(cap, direct))
     tail_u, tail_w, tail_osc = _tail_panels(osc)
@@ -467,35 +452,76 @@ def _batch(exponent, name: str, lo: float, hi: float, x, x_name: str, x_max: flo
     return exponent, np.broadcast_to(x, shape).reshape(-1), shape
 
 
+# K's series: terms M < 13 (the first left out is below 2^-62 of the leading term at
+# lambda = 2 for every kappa), kept for lambda <= 2 wherever the leading term is at
+# most 2^7 |K|
+_SERIES_TERMS = 13
+_SERIES_LAM = 2.0
+_SERIES_GUARD = 2.0**7
+
+
+def _kernel_series(kap, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K by its series, where that value holds): lambda <= _SERIES_LAM and
+    F = Gamma(1-kappa) lambda^{kappa-1} / |K| <= _SERIES_GUARD."""
+    coef = [1.0 / (1.0 - kap)]
+    for m in range(1, _SERIES_TERMS):
+        coef.append(-coef[-1] / ((2 * m - kap) * (2 * m + 1 - kap)))
+    lam2, poly = lam * lam, coef[-1]
+    for c in coef[-2::-1]:
+        poly = poly * lam2 + c
+    gamma = math.gamma(1.0 - kap) if not np.ndim(kap) else np.vectorize(math.gamma)(1.0 - kap)
+    lead = gamma * lam**kap / lam  # not lam^(kappa - 1): kappa - 1 would be rounded
+    value = lead * np.sin(lam + 0.5 * math.pi * kap) - poly
+    return value, (lam <= _SERIES_LAM) & (lead <= _SERIES_GUARD * np.abs(value))
+
+
+def _kernel_quadrature(kap, lam: np.ndarray) -> np.ndarray:
+    """K by ``_transform_many``, written in rho = lambda r: (1/lambda) int_0^inf
+    (1+rho/lambda)^{-kappa} cos(rho) d(rho) over the cosine's half-period panels; the
+    head [0, pi/2] follows lambda down at most 8 + ceil(26/(1-kappa)) e-foldings."""
+    return _transform_many(
+        "cos",
+        lam,
+        1.0 - kap,
+        lambda rho, idx: (1.0 + rho / lam[idx][:, None, None]) ** -_rows(kap, idx),
+        1e-9,
+        lambda i: f"cosine_weight_kernel(kappa={float(np.take(kap, i))!r}, "
+        f"lambda={float(lam[i])!r})",
+    ) / lam
+
+
 def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
     """Vectorized K(kappa, lambda) = int_0^inf (1+r)^{-kappa} cos(lambda r) dr.
 
-    Written in rho = lambda r: K = (1/lambda) int_0^inf (1+rho/lambda)^{-kappa}
-    cos(rho) d(rho), summed by ``_transform_many`` over the cosine's
-    half-period panels; the head [0, pi/2] follows lambda down at most
-    8 + ceil(26/(1-kappa)) e-foldings.  For lambda <= 2^-54 times that head's
-    smallest node, 1 + rho/lambda rounds to rho/lambda at every node: such a
-    lambda is scale-free, K = lambda^{kappa-1} P(kappa), P the quadrature of
-    rho^{-kappa}, one row per distinct kappa.  ``kappa`` broadcasts against
-    ``lams``; kappa in (0, 1), lambda in (0, 100] (a larger lambda raises).  Relative error
-    against Re e^{-i lambda} (-i lambda)^{kappa-1} Gamma(1-kappa, -i lambda):
-    <= 1e-13 for kappa in [0.3, 0.99999] and lambda
-    in [1e-20, 10], <= 1e-11 below (the floor panel's e^{-26} share), and
-    <= 1e-10 for kappa down to 1e-3; growing about like lambda above 10, it is
-    <= 3e-12 (<= 1e-9 for kappa down to 1e-3) up to lambda = 100.
+    Its closed form Re e^{-i lambda} (-i lambda)^{kappa-1} Gamma(1-kappa, -i lambda),
+    with gamma(a, z) = z^a sum_n (-z)^n / (n! (a+n)) (DLMF 8.7.1) and e^{-i lambda}
+    folded in term by term, is the convergent series
+
+      K = Gamma(1-kappa) lambda^{kappa-1} sin(lambda + pi kappa/2) - sum_M c_M lambda^{2M},
+      c_0 = 1/(1-kappa),  c_M = -c_{M-1} / ((2M - kappa)(2M + 1 - kappa)),
+
+    summed to M = 12.  It is taken for lambda <= 2 wherever the cancellation factor
+    F = Gamma(1-kappa) lambda^{kappa-1} / |K| is at most 2^7; every other lambda (above
+    2, or where the two terms cancel, as near kappa = 1 or for kappa below about 0.005)
+    takes the quadrature, ``_kernel_quadrature``.  Each lambda's route and value depend
+    on its own (kappa, lambda) alone, never on the batch.  ``kappa`` broadcasts against
+    ``lams``; kappa in (0, 1), lambda in (0, 100] (a larger lambda raises).
+
+    Relative error against the closed form (mpmath, kappa - 1 exact): the series' is
+    about (1-7) F u, u = 2^-53, so <= 1e-13 under the guard, measured <= 7e-14 for
+    kappa in [1e-3, 0.99999] and lambda in [1e-300, 2], <= 1e-14 at kappa = 5/9.  The
+    quadrature's, where it is taken: <= 1e-13 for kappa in [0.3, 0.99999] and lambda in
+    [1e-20, 10], <= 1e-11 below, and <= 1e-10 for kappa down to 1e-3; growing about like
+    lambda above 10, it is <= 3e-12 (<= 1e-9 for kappa down to 1e-3) up to lambda = 100.
     """
     kap, flat, shape = _batch(kappa, "kappa", 0, 1, lams, "lambda", 100.0)
-    integral = _transform_many(
-        "cos",
-        flat,
-        1.0 - kap,
-        lambda rho, idx: (1.0 + rho / flat[idx][:, None, None]) ** -_rows(kap, idx),
-        1e-9,
-        lambda i: f"cosine_weight_kernel(kappa={float(np.take(kap, i))!r}, "
-        f"lambda={float(flat[i])!r})",
-        free=(-kap, kap),  # (rho/lambda)^-kappa = lambda^kappa rho^-kappa
-    )
-    return (integral / flat).reshape(shape)
+    out, held = np.empty_like(flat), np.empty(flat.shape, dtype=bool)
+    for start in range(0, flat.size, _CHUNK_NODES):
+        part = slice(start, start + _CHUNK_NODES)
+        out[part], held[part] = _kernel_series(_take(kap, part), flat[part])
+    rest = np.flatnonzero(~held)
+    out[rest] = _kernel_quadrature(_take(kap, rest), flat[rest])
+    return out.reshape(shape)
 
 
 def cosine_weight_kernel(kappa: float, lam: float) -> float:
@@ -558,7 +584,7 @@ def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
         1e-7,
         lambda i: f"hankel_decay_transform(delta={float(np.take(delta, i))!r}, "
         f"s={float(flat[i])!r})",
-        free=(power, 0.0),  # where hypot(u, s) = u the envelope is u^(1-delta)
+        free=power,  # where hypot(u, s) = u the envelope is u^(1-delta)
     )
     return (2 * math.pi * flat ** (delta - 2) * integral).reshape(shape)
 
@@ -566,82 +592,3 @@ def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
 def hankel_decay_transform(delta_exp: float, s: float) -> float:
     """H(delta, s) for scalar arguments; see hankel_decay_transform_many."""
     return float(hankel_decay_transform_many(delta_exp, s))
-
-
-# ---------------------------------------------------------------------------
-# per-kappa Chebyshev table of the cosine kernel
-# ---------------------------------------------------------------------------
-
-_PIECE_RTOL = 1e-10
-
-
-def _clenshaw(coef: np.ndarray, low: float, t: np.ndarray) -> np.ndarray:
-    """sum_k coef[k, j - low] T_k(x) at each t, for t in the piece j = floor(t/2) and
-    x = t - (2j + 1) in [-1, 1]; _CHUNK_NODES points at a time, each coefficient row
-    gathered as coef[k][cols], a one-dimensional take, faster than coef[k, cols]."""
-    out = np.empty_like(t)
-    for start in range(0, t.size, _CHUNK_NODES):
-        ts = t[start : start + _CHUNK_NODES]
-        piece = np.floor(0.5 * ts)
-        cols, x = (piece - low).astype(np.intp), ts - (2.0 * piece + 1.0)
-        b1, b2 = np.zeros_like(x), np.zeros_like(x)
-        for k in range(coef.shape[0] - 1, 0, -1):
-            b1, b2 = coef[k][cols] + 2.0 * x * b1 - b2, b1
-        out[start : start + _CHUNK_NODES] = coef[0][cols] + x * b1 - b2
-    return out
-
-
-def cosine_kernel_table(kappa: float, *lam_arrays) -> tuple[np.ndarray, ...]:
-    """K(kappa, lambda) at each array of ``lam_arrays``, interpolated in t = ln(lambda).
-
-    g(t) = lambda^{1-kappa} K(kappa, lambda) is smooth in t (it tends to C(kappa) as
-    t -> -inf), so it is fitted on fixed pieces [2j, 2j+2] of the t-axis at degree 14 on
-    15 first-kind Chebyshev points, evaluated by Clenshaw's recurrence and multiplied by
-    lambda^{kappa-1}.  Each piece some array needs is built once per call from the direct
-    cosine_weight_kernel_many and checked against it at the 14 points between its nodes:
-    a relative residual over 1e-10 raises :class:`NumericalError`.  A lambda the direct
-    kernel treats as scale-free (t below about -109 at kappa = 5/9) goes to it instead,
-    and so does lambda in (50, 100], whose piece would need it past 100.  The pieces are
-    fixed in t, so no value depends on which arrays share the call.  Relative deviation
-    from the direct kernel stays below 1e-12 for lambda in [1e-300, 1].
-    """
-    checked = [_batch(kappa, "kappa", 0, 1, lams, "lambda", 100.0)[1:] for lams in lam_arrays]
-    bound = _scale_free_bound("cos", int(_cap(1.0 - kappa)))
-    tables = [(flat > bound) & (flat <= 50.0) for flat, _ in checked]
-    piece = np.floor(0.5 * np.log(np.concatenate([f[m] for (f, _), m in zip(checked, tables)])))
-    low = np.min(piece, initial=0.0)
-    counts = np.bincount((piece - low).astype(np.intp))  # piece j in column j - low
-    built = np.flatnonzero(counts)
-    del piece  # one float per interpolated lambda: not held through the kernel calls
-
-    n = 15  # first-kind Chebyshev points of the degree-14 fit
-    theta = math.pi * (np.arange(n) + 0.5) / n
-    # values at the nodes -> Chebyshev coefficients (discrete cosine transform)
-    fit = (2.0 / n) * np.cos(np.outer(theta, np.arange(n)))
-    fit[:, 0] *= 0.5
-    pieces = built + low
-    held_out = np.cos(math.pi * np.arange(1, n) / n)
-    t = 2.0 * pieces[:, None] + 1.0 + np.concatenate((np.cos(theta), held_out))
-    lam = np.exp(t)
-    g = lam ** (1.0 - kappa) * cosine_weight_kernel_many(kappa, lam)
-    # term by term: a matmul's summation order depends on how many pieces are built
-    coef = np.zeros((n, counts.size))
-    for k in range(n):
-        coef[:, built] += fit[k][:, None] * g[:, k]
-    fitted = _clenshaw(coef, low, t[:, n:].reshape(-1)).reshape(-1, n - 1)
-    resid = np.abs(fitted / g[:, n:] - 1.0).max(axis=1)
-    if not np.all(resid <= _PIECE_RTOL):  # NaN residuals fail too
-        worst = int(np.argmax(resid))  # the first NaN, if any
-        lo = 2.0 * pieces[worst]
-        raise NumericalError(f"cosine kernel table (kappa={kappa!r}) failed its check on t = "
-                             f"ln(lambda) in [{lo:g}, {lo + 2:g}]: relative residual "
-                             f"{resid[worst]:.3e} > tolerance {_PIECE_RTOL:.0e}")
-
-    out = []
-    for (flat, shape), table in zip(checked, tables):
-        values = np.empty_like(flat)
-        lam = flat[table]
-        values[table] = _clenshaw(coef, low, np.log(lam)) * lam ** (kappa - 1.0)
-        values[~table] = cosine_weight_kernel_many(kappa, flat[~table])
-        out.append(values.reshape(shape))
-    return tuple(out)

@@ -28,7 +28,6 @@ import numpy as np
 from .analysis import (
     _gl,
     _panel_nodes,
-    cosine_kernel_table,
     cosine_weight_kernel_many,
     hankel_decay_transform_many,
     j0_extrema,
@@ -477,16 +476,16 @@ def l2_endpoint_scan(
     tau = ln(delta/phi) out to tau_max = min(ln(1e3)/(2 eps), 300); the
     truncated share of the mass is e^{-2 eps tau_max}: 1e-3 wherever the cap
     300 does not bind, and e^{-600/128} ~ 0.92% at eps = 2^-7, where it does;
-    ``_tau_rules`` refuses a share over 1/16 (eps = 2^-8 and below).  K is read
-    from ``cosine_kernel_table``, one call per distinct kappa.  The ratio
-    against the exact circle norm is fitted versus eps.
+    ``_tau_rules`` refuses a share over 1/16 (eps = 2^-8 and below).  K is
+    ``cosine_weight_kernel_many``, one call per factor.  The ratio against the
+    exact circle norm is fitted versus eps.
 
     Nothing in K(2 alpha, .) K(2 beta, .) depends on eps, so phi and both
     kernels are evaluated once, over the distinct tau nodes of the union of
     all eps rules, and each eps gathers its rows.  That is exact: the panel
     edges of ``_tau_rules`` are the same float sums whatever tau_max is, so
     a smaller eps's rule is bit for bit a prefix of a larger one's except for
-    its clipped last panel, and a table value does not depend on its batch.
+    its clipped last panel, and a kernel value does not depend on its batch.
     The eps window (distinct, non-negative exponents, mu in (0,1), shares at
     most 1/16) is checked before any kernel work.
     """
@@ -518,10 +517,11 @@ def l2_endpoint_scan(
     half_sum = 0.5 * phi[:, None] * one_plus_s[None, :]
     lam1 = 2.0 * np.sin(half_diff) * np.cos(half_sum)
     lam2 = 2.0 * np.sin(half_sum) * np.sin(half_diff)
-    del half_diff, half_sum  # both lambda arrays go to one table call: keep its peak down
-    kap1, kap2 = float(2 * a), float(2 * b)
-    k1, k2 = (cosine_kernel_table(kap1, lam1, lam2) if kap1 == kap2 else
-              (*cosine_kernel_table(kap1, lam1), *cosine_kernel_table(kap2, lam2)))
+    del half_diff, half_sum  # each kernel call's peak sits on top of the live arrays
+    k1 = cosine_weight_kernel_many(float(2 * a), lam1)
+    del lam1
+    k2 = cosine_weight_kernel_many(float(2 * b), lam2)
+    del lam2
 
     samples = []
     for eps, w_tau, at in zip(epss, tau_weights, np.split(rows, bounds)):

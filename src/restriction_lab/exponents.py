@@ -41,7 +41,6 @@ __all__ = [
     "SeparableParams",
     "RadialParams",
     "Verdict",
-    "classify_unweighted",
     "classify_separable",
     "classify_radial",
     "riesz_diagram",
@@ -360,26 +359,6 @@ def _bounded(tag: str) -> Verdict:
 @functools.cache
 def _unbounded(name: str) -> Verdict:
     return Verdict(False, violated=name)
-
-
-def classify_unweighted(r: ScalarLike, q: ScalarLike) -> Verdict:
-    """Sharp unweighted region: bounded iff q = inf, or q >= 3r' and q > 4.
-
-    The equality case q = 3r' is tagged ``fz-endpoint``.
-    """
-    r, q = exact_in(r, "r", "[1, inf]"), exact_in(q, "q", "(0, inf]")
-    if q.is_infinite:
-        return _bounded("q-infinite")
-    qf = q.as_fraction()
-    inv_rc = inv_conjugate(r)  # 1/r', zero when r = 1
-    # q >= 3r'  <=>  3/q <= 1/r' in total arithmetic (r = 1 forces q = inf).
-    if 3 / qf > inv_rc:
-        return _unbounded("q-below-3r-conjugate")
-    if qf <= 4:
-        return _unbounded("q-at-most-4")
-    if 3 / qf == inv_rc:
-        return _bounded("fz-endpoint")
-    return _bounded("fz-interior")
 
 
 def classify_separable(p: SeparableParams) -> Verdict:

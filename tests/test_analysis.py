@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma, kv
@@ -16,8 +16,6 @@ from scipy.special import gamma, kv
 from restriction_lab import analysis
 from restriction_lab.analysis import (
     bessel_j0,
-    bessel_j0_deriv,
-    cosine_kernel_table,
     cosine_weight_kernel,
     cosine_weight_kernel_many,
     fresnel_constant,
@@ -51,10 +49,11 @@ def series_j0_deriv(x: float) -> float:
 
 
 def incomplete_gamma_kernel(kappa: float, lam: float) -> float:
-    """K(kappa, lambda) = Re e^{-i lambda} (-i lambda)^{kappa-1} Gamma(1-kappa, -i lambda)."""
+    """K(kappa, lambda) = Re e^{-i lambda} (-i lambda)^{kappa-1} Gamma(1-kappa, -i lambda),
+    with kappa - 1 exact: rounded in floats, it moves K by about |ln lambda| 5.5e-17."""
     with mpmath.workdps(40):
-        z = mpmath.mpc(0, -lam)
-        return float(mpmath.re(mpmath.exp(z) * z ** (kappa - 1) * mpmath.gammainc(1 - kappa, z)))
+        z, k = mpmath.mpc(0, -lam), mpmath.mpf(kappa)
+        return float(mpmath.re(mpmath.exp(z) * z ** (k - 1) * mpmath.gammainc(1 - k, z)))
 
 
 def hankel_nicholson(delta: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -86,7 +85,7 @@ class TestBesselJ0:
     def test_first_extremum_from_series_bisection(self):
         ext = bisect(series_j0_deriv, 3.0, 4.5)
         assert abs(ext - 3.8317059702075123) < 1e-12
-        assert abs(bessel_j0_deriv(ext)) < 1e-10
+        assert abs(float(analysis._j1(ext))) < 1e-10  # J0' = -J1
 
     def test_against_series_below_crossover(self):
         for x in np.linspace(0.01, 6.9, 113):
@@ -323,7 +322,7 @@ class TestCosineKernel:
 
     @pytest.mark.parametrize("kappa", sorted(AVERAGED))
     def test_matches_the_explicitly_averaged_tail(self, kappa):
-        got = cosine_weight_kernel_many(kappa, np.array(self.LAMS))
+        got = analysis._kernel_quadrature(kappa, np.array(self.LAMS))
         assert np.all(np.abs(got / np.array(self.AVERAGED[kappa]) - 1) <= 1e-12)
 
     def test_deep_batch_temporaries_are_bounded(self):
@@ -331,7 +330,7 @@ class TestCosineKernel:
         lams = np.geomspace(1e-300, 1e-200, 4096)
         tracemalloc.start()
         try:
-            cosine_weight_kernel_many(5 / 9, lams)
+            analysis._kernel_quadrature(5 / 9, lams)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -401,19 +400,71 @@ class TestCosineKernel:
         assert abs(at_4 - 1) < abs(at_3 - 1)
 
     def test_non_convergence_names_kappa_and_lambda(self, monkeypatch):
-        # a tail without sign changes cannot be summed by averaging
+        # a tail without sign changes cannot be summed by averaging; lambda = 3 is
+        # past the series' domain, so it reaches the quadrature
         rho, w, cos_rho = analysis._tail_panels("cos")
         monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (rho, w, np.abs(cos_rho)))
-        with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=0\.01\b"):
-            cosine_weight_kernel_many(0.4, np.array([0.01]))
+        with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=3\.0\b"):
+            cosine_weight_kernel_many(0.4, np.array([0.01, 3.0]))
 
+    # the bound the docstring states for the series, where it holds; measured 3.7e-14
+    # at worst (kappa 0.9) and 3.8e-15 at kappa = 5/9.  The kernel takes the
+    # quadrature where it does not, at the quadrature's own bounds
+    @pytest.mark.parametrize("kappa", [1e-3, 0.3, 5 / 9, 0.9, 0.99, 0.999, 0.9999])
+    def test_series_meets_the_closed_form(self, kappa):
+        lams = np.concatenate([np.geomspace(1e-300, 2.0, 31), np.linspace(0.05, 1.95, 20)])
+        value, held = analysis._kernel_series(kappa, lams)
+        want = np.array([incomplete_gamma_kernel(kappa, lam) for lam in lams])
+        assert np.all(np.abs(value / want - 1)[held] <= (1e-14 if kappa == 5 / 9 else 1e-13))
+        got = cosine_weight_kernel_many(kappa, lams)
+        assert np.array_equal(got[held], value[held])
+        quadrature = np.where(lams < 1e-20, 1e-11, 1e-13) if kappa >= 0.3 else 1e-10
+        assert np.all(np.abs(got / want - 1) <= np.where(held, 1e-13, quadrature))
+        # F = Gamma(1-kappa) lambda^{kappa-1} / K: about 2/(pi kappa) at small lambda,
+        # and large near kappa = 1 where K is small
+        assert held.all() == (0.3 <= kappa <= 0.9)
+        assert held.any() == (kappa > 1e-3)
 
-def _direct_kernel(kappa: float, lams: np.ndarray) -> np.ndarray:
-    """K with the envelope (1 + rho/lambda)^-kappa at every sample, none scale-free."""
-    def env(rho, idx):
-        return (1.0 + rho / lams[idx][:, None, None]) ** -kappa
+    @settings(max_examples=150, deadline=None)
+    @given(kappa=st.floats(0.3, 0.99), ln_lam=st.floats(math.log(1e-20), math.log(2.0)))
+    def test_series_matches_the_quadrature_on_their_overlap(self, kappa, ln_lam):
+        # each within 1e-13 of the closed form there
+        lam = np.array([math.exp(ln_lam)])
+        value, held = analysis._kernel_series(kappa, lam)
+        assume(held[0])
+        assert abs(value[0] / analysis._kernel_quadrature(kappa, lam)[0] - 1) <= 2e-13
 
-    return analysis._transform_many("cos", lams, 1.0 - kappa, env, 1e-9, str) / lams
+    @pytest.mark.parametrize("kappa, lam, routed", [
+        (0.5, 2.0, False),  # the domain's end takes the series
+        (0.5, math.nextafter(2.0, math.inf), True),  # past it, the quadrature
+        (0.9999, 0.5, True),  # F ~ 1e5: the terms cancel
+        (1e-3, 1e-300, True),  # F ~ 2/(pi kappa) = 637
+        (0.01, 1e-300, False),  # F ~ 64
+    ])
+    def test_a_lambda_over_the_guard_reaches_the_quadrature(self, monkeypatch, kappa, lam,
+                                                            routed):
+        seen, quadrature = [], analysis._kernel_quadrature
+
+        def recorded(kap, lams):
+            seen.extend(lams.tolist())
+            return quadrature(kap, lams)
+
+        monkeypatch.setattr(analysis, "_kernel_quadrature", recorded)
+        got = cosine_weight_kernel(kappa, lam)
+        assert seen == ([lam] if routed else [])
+        if routed:
+            assert got == quadrature(kappa, np.array([lam]))[0]
+
+    def test_adding_a_lambda_changes_no_value(self, monkeypatch):
+        # a lambda's route and value are its own: not the batch's largest lambda, not
+        # its series chunk, not what else reaches the quadrature
+        lams = np.concatenate([np.geomspace(1e-300, 2.0, 2500), [0.5, 3.0, 60.0]])
+        base = cosine_weight_kernel_many(0.999, lams)
+        for extra in (2.0, 1e-300, 0.7, 1.0, 99.0):
+            grown = cosine_weight_kernel_many(0.999, np.append(lams, extra))
+            assert grown[:-1].tobytes() == base.tobytes()
+        monkeypatch.setattr(analysis, "_CHUNK_NODES", 1000)  # three series chunks
+        assert cosine_weight_kernel_many(0.999, lams).tobytes() == base.tobytes()
 
 
 def _hankel_env(u: np.ndarray, svals: np.ndarray, delta: float) -> np.ndarray:
@@ -430,14 +481,12 @@ def _direct_hankel(delta: float, svals: np.ndarray) -> np.ndarray:
     return 2 * math.pi * svals ** (delta - 2) * integral
 
 
-def _bound(osc: str, exponent: float) -> float:
-    """The scale-free bound of kappa ("cos") or delta ("j0")."""
-    decay = 1.0 - exponent if osc == "cos" else 2.0 - exponent
-    return analysis._scale_free_bound(osc, int(analysis._cap(decay)))
+def _bound(delta: float) -> float:
+    """The scale-free bound of delta."""
+    return analysis._scale_free_bound(int(analysis._cap(2.0 - delta)))
 
 
 class TestScaleFree:
-    KAPPAS = [0.3, 5 / 9, 0.9]
     DELTAS = [1.1, 4 / 3, 1.9]
 
     @staticmethod
@@ -445,17 +494,11 @@ class TestScaleFree:
         return np.concatenate([np.geomspace(bound * 1e-40, bound * 1e6, 300),
                                [bound, np.nextafter(bound, np.inf)]])
 
-    @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_kernel_matches_the_per_sample_envelope(self, kappa):
-        lams = self._straddle(_bound("cos", kappa))
-        got = cosine_weight_kernel_many(kappa, lams)
-        assert np.max(np.abs(got / _direct_kernel(kappa, lams) - 1)) <= 1e-14
-
     @pytest.mark.parametrize("delta", DELTAS)
     def test_hankel_matches_the_per_sample_envelope(self, delta):
         # at a scale-free s, hypot(u, s) is u, so the per-sample envelope is
         # 1.0 * u^{1-delta}: the scale-free row is the per-sample one bit for bit
-        svals = self._straddle(_bound("j0", delta))
+        svals = self._straddle(_bound(delta))
         got = hankel_decay_transform_many(delta, svals)
         assert np.array_equal(got, _direct_hankel(delta, svals))
 
@@ -464,28 +507,24 @@ class TestScaleFree:
         # below the bound H s^{2-delta} / (2 pi) is the quadrature of u^{1-delta},
         # int_0^inf u^{1-delta} J0(u) du = 2^{1-delta} Gamma(1-delta/2) / Gamma(delta/2);
         # measured 1.1e-15 (the per-sample envelope: 2.3e-14 and 5.8e-14)
-        s = np.array([_bound("j0", delta) * 1e-100])
+        s = np.array([_bound(delta) * 1e-100])
         # every sample is scale-free, so the per-sample envelope is never called
-        integral = analysis._transform_many(
-            "j0", s, 2.0 - delta, None, 1e-7, str, free=(1.0 - delta, 0.0))
+        integral = analysis._transform_many("j0", s, 2.0 - delta, None, 1e-7, str,
+                                            free=1.0 - delta)
         limit = 2 ** (1 - delta) * math.gamma(1 - delta / 2) / math.gamma(delta / 2)
         assert abs(integral[0] / limit - 1) <= 1e-14
 
-    @pytest.mark.parametrize("osc, exponent", [("cos", k) for k in KAPPAS]
-                             + [("j0", d) for d in DELTAS])
-    def test_at_the_bound_the_envelope_is_its_limit_at_every_node(self, osc, exponent):
-        x = _bound(osc, exponent)
-        cap = int(analysis._cap(1.0 - exponent if osc == "cos" else 2.0 - exponent))
-        nodes = np.concatenate([analysis._head_panels(osc, cap)[0].ravel(),
-                                analysis._tail_panels(osc)[0].ravel()])
-        if osc == "cos":
-            assert np.all(1.0 + nodes / x == nodes / x)
-        else:
-            assert np.all(np.hypot(nodes, x) == nodes)
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_at_the_bound_the_envelope_is_its_limit_at_every_node(self, delta):
+        x = _bound(delta)
+        cap = int(analysis._cap(2.0 - delta))
+        nodes = np.concatenate([analysis._head_panels("j0", cap)[0].ravel(),
+                                analysis._tail_panels("j0")[0].ravel()])
+        assert np.all(np.hypot(nodes, x) == nodes)
 
     def test_bound_is_zero_where_it_would_not_be_normal(self):
         # cap 8 + ceil(26/0.01) = 2608: no head table is built for it
-        assert _bound("cos", 0.99) == 0.0 and _bound("j0", 1.99) == 0.0
+        assert _bound(1.99) == 0.0
 
     @staticmethod
     def _count_rows(monkeypatch) -> list[int]:
@@ -498,15 +537,6 @@ class TestScaleFree:
         monkeypatch.setattr(analysis, "_accelerate_rows", counting)
         return rows
 
-    def test_one_kernel_row_per_distinct_kappa(self, monkeypatch):
-        rows = self._count_rows(monkeypatch)
-        deep = np.geomspace(1e-300, 1e-140, 90)  # below every bound of KAPPAS
-        cosine_weight_kernel_many(np.repeat(self.KAPPAS, 30), deep)
-        assert sum(rows) == 3
-        rows.clear()
-        cosine_weight_kernel_many(0.3, np.append(deep, [1e-3, 0.5]))
-        assert sum(rows) == 1 + 2  # one row, and two direct samples
-
     def test_one_hankel_row_per_distinct_delta(self, monkeypatch):
         rows = self._count_rows(monkeypatch)
         deep = np.geomspace(1e-300, 1e-130, 90)
@@ -516,21 +546,13 @@ class TestScaleFree:
         hankel_decay_transform_many(1.5, np.append(deep, [1e-3, 0.5]))
         assert sum(rows) == 1 + 2
 
-    @pytest.mark.parametrize("osc, exponent", [("cos", k) for k in KAPPAS]
-                             + [("j0", d) for d in DELTAS])
-    def test_the_kernels_split_at_the_bound(self, monkeypatch, osc, exponent):
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_hankel_splits_at_the_bound(self, monkeypatch, delta):
         # the bound itself takes the scale-free row, the next float up its own
         rows = self._count_rows(monkeypatch)
-        x = _bound(osc, exponent)
-        kernel = cosine_weight_kernel_many if osc == "cos" else hankel_decay_transform_many
-        kernel(exponent, np.array([x, x, np.nextafter(x, np.inf)]))
+        x = _bound(delta)
+        hankel_decay_transform_many(delta, np.array([x, x, np.nextafter(x, np.inf)]))
         assert sum(rows) == 2
-
-    def test_non_converging_row_names_kappa_and_lambda(self, monkeypatch):
-        rho, w, cos_rho = analysis._tail_panels("cos")
-        monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (rho, w, np.abs(cos_rho)))
-        with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=1e-200\b"):
-            cosine_weight_kernel_many(0.4, np.array([1e-200]))
 
     def test_non_converging_row_names_delta_and_s(self, monkeypatch):
         u, w, j0_u = analysis._tail_panels("j0")
@@ -607,95 +629,6 @@ class TestAccelerateRows:
         row = [(-1.0) ** j / (j + 1) for j in range(24)]
         got = analysis._accelerate_rows(np.array([row]), 1e-9, lambda i: "")
         assert abs(got[0] - math.log(2)) < 1e-9
-
-
-def _table(kappa, lams):
-    (values,) = cosine_kernel_table(kappa, lams)
-    return values
-
-
-def _direct_shapes(monkeypatch) -> list[tuple[int, ...]]:
-    """The shapes of the lambda arrays the direct kernel is called with from now on."""
-    shapes, direct = [], analysis.cosine_weight_kernel_many
-
-    def counting(kappa, lams):
-        shapes.append(np.shape(lams))
-        return direct(kappa, lams)
-
-    monkeypatch.setattr(analysis, "cosine_weight_kernel_many", counting)
-    return shapes
-
-
-class TestCosineKernelTable:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        kappa=st.sampled_from([0.3, 5 / 9, 2 / 3, 0.9]),
-        ln_lams=st.lists(st.floats(math.log(1e-300), 0.0), min_size=1, max_size=8),
-    )
-    def test_matches_direct_kernel(self, kappa, ln_lams):
-        lams = np.exp(np.array(ln_lams))
-        direct = cosine_weight_kernel_many(kappa, lams)
-        assert np.all(np.abs(_table(kappa, lams) / direct - 1) <= 1e-12)
-
-    def test_batch_independent(self):
-        lams = np.array([0.003, 0.9, 1e-7, 2.5e-200, np.exp(-4.0), 0.25])
-        batch = _table(0.45, lams)
-        for lam, got in zip(lams, batch):
-            assert _table(0.45, np.array([lam]))[0] == got
-            assert _table(0.45, lam) == got
-
-    def test_builds_each_piece_once(self, monkeypatch):
-        shapes = _direct_shapes(monkeypatch)
-        cosine_kernel_table(0.5, np.array([0.5, 0.3, 1e-3]), np.array([0.4, 2e-3]))
-        # t in [-2, 0) and [-8, -6), built once; then each array's (no) scale-free lambda
-        assert shapes == [(2, 29), (0,), (0,)]
-
-    def test_shared_call_matches_separate_calls(self, monkeypatch):
-        # pieces floor(t/2) = -1, -4, -50, -2 and -1, -4, -10: five distinct ones, each
-        # built once; 1e-200 is scale-free and 70 above 50, so those go to the direct kernel
-        a = np.array([[np.exp(-0.5), np.exp(-1.5)], [np.exp(-7.0), np.exp(-100.0)], [1e-200, 0.1]])
-        b = np.array([np.exp(-1.0), np.exp(-7.5), np.exp(-20.0), 70.0])
-        separate = _table(5 / 9, a), _table(5 / 9, b)
-        shapes = _direct_shapes(monkeypatch)
-        shared = cosine_kernel_table(5 / 9, a, b)
-        assert shapes == [(5, 29), (1,), (1,)]
-        for got, want in zip(shared, separate):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize(
-        "perturb",
-        [
-            # alternating in sign from one lambda to the next: no smooth fit
-            lambda k: k * (1 + 1e-8 * (-1.0) ** np.arange(k.size).reshape(k.shape)),
-            lambda k: np.where(k > np.median(k), np.nan, k),
-        ],
-        ids=["alternating-1e-8", "nan"],
-    )
-    def test_perturbed_piece_raises(self, monkeypatch, perturb):
-        direct = analysis.cosine_weight_kernel_many
-        monkeypatch.setattr(
-            analysis, "cosine_weight_kernel_many", lambda kappa, lams: perturb(direct(kappa, lams))
-        )
-        with pytest.raises(NumericalError, match=r"kappa=0\.5.*\[-8, -6\].*residual"):
-            _table(0.5, np.array([1e-3]))
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            _table(1.0, np.array([0.1]))
-        with pytest.raises(ValueError):
-            _table(0.5, np.array([0.1, 0.0]))
-        with pytest.raises(ValueError):
-            _table(0.5, np.array([np.nan]))
-        with pytest.raises(ValueError, match=r"^lambda = 1000\.0 is above 100, "):
-            cosine_kernel_table(0.5, np.array([0.1]), np.array([0.1, 1e3]))
-
-    def test_lambda_above_50_is_the_direct_kernel(self, monkeypatch):
-        # its piece, t in [4, 6), would be built from the direct kernel past lambda = 100
-        lams = np.array([50.5, 60.0, 99.0, 100.0])
-        want = cosine_weight_kernel_many(0.5, lams)
-        shapes = _direct_shapes(monkeypatch)
-        assert np.array_equal(_table(0.5, lams), want)
-        assert shapes == [(0, 29), (4,)]  # no piece built
 
 
 class TestFresnelConstant:

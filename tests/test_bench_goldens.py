@@ -2,8 +2,9 @@
 benchmark's output check fails here first: each of ``bench/workloads.py``
 CLI_COMMANDS must reproduce ``bench/reference.json``, byte for byte where the
 command is marked exact and within the benchmark's own numeric tolerance
-otherwise; and the ``exact-mix`` queries must pass the benchmark's oracle
-check and reproduce a committed digest of their outcomes."""
+otherwise; the ``exact-mix`` queries must pass the benchmark's oracle
+check and reproduce a committed digest of their outcomes; and every
+workload's warm-up must run."""
 
 import hashlib
 import importlib.util
@@ -50,6 +51,15 @@ def test_cli_command_matches_reference(capsys, label, argv, exact):
     else:
         ok, dev = WORKLOADS._compare_numeric(out, REFERENCE[label])
         assert ok, f"{label}: largest relative deviation {dev}"
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_every_warmup_runs(name):
+    # bench/run.py execs a workload's warm-up before its first pass and in every set-up
+    # sample, so a package name it calls and the package drops fails every run of that
+    # workload: cli-suite's calls the scalar hankel_decay_transform, which no other
+    # benchmark code reaches
+    exec(WORKLOADS.WORKLOADS[name].warmup, {})
 
 
 def _snapped_predictions() -> list[tuple[str, dict]]:

@@ -235,7 +235,7 @@ def kernels_raise(monkeypatch):
     def reached(*args, **kwargs):
         raise NumericalError("kernel reached")
 
-    for name in ("_gram_mass", "_streamed_mass", "cosine_kernel_table", "cosine_weight_kernel_many",
+    for name in ("_gram_mass", "_streamed_mass", "cosine_weight_kernel_many",
                  "hankel_decay_transform_many", "j0_extrema", "_split_phase_cosine", "weak_lq_1d"):
         monkeypatch.setattr(experiments, name, reached)
 

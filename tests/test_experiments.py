@@ -668,10 +668,10 @@ class TestL2Endpoint:
             l2_endpoint_scan("5/18", "5/18", 3, 1.5, [3, 4, 5])  # delta range
 
     def test_alpha_plus_beta_below_11_20_is_refused_before_any_kernel_work(self, monkeypatch):
-        def no_kernel(kappa, *lam_arrays):
+        def no_kernel(kappa, lams):
             raise AssertionError("kernel built")
 
-        monkeypatch.setattr(experiments, "cosine_kernel_table", no_kernel)
+        monkeypatch.setattr(experiments, "cosine_weight_kernel_many", no_kernel)
         # alpha + beta = 51/100 would drop 2^-1.2 = 43.5 % of the corner mass
         with pytest.raises(DomainError, match=r">= 11/20.* = 51/100 it holds 43\.5%"):
             l2_endpoint_scan("49/100", "1/50", "100/3", 0.25, [6, 7, 8])
@@ -702,50 +702,43 @@ class TestL2Endpoint:
             got = (sample.param, sample.lhs, sample.rhs, sample.ratio)
             assert got == pytest.approx(values, rel=1e-9)
 
-    # criterion 10's (param, lhs, rhs), recorded once the tables passed
-    # scale-free lambda to the kernel's one quadrature row per kappa
+    # criterion 10's (param, lhs, rhs), recorded once K took its incomplete-gamma
+    # series for every lambda of the scan
     CRITERION_10 = [
+        (0.125, 468.3496594326223, 1.3597659351036704),
+        (0.0625, 1169.7176343064334, 2.566896274807914),
+        (0.03125, 2634.0837352888834, 4.443485148313442),
+        (0.015625, 5604.788895003175, 7.3658822405999045),
+        (0.0078125, 11475.44445265006, 11.948644019590118),
+    ]
+    # the same, recorded when K came from a per-kappa Chebyshev table (below the
+    # scale-free bound, from the quadrature's one row per kappa)
+    CRITERION_10_TABLE = [
         (0.125, 468.34965943261665, 1.3597659351036704),
         (0.0625, 1169.7176343064189, 2.566896274807914),
         (0.03125, 2634.083735288847, 4.443485148313442),
         (0.015625, 5604.7888950030765, 7.3658822405999045),
         (0.0078125, 11475.444452649803, 11.948644019590118),
     ]
-    # the same, recorded when every lambda was interpolated from its own piece
-    CRITERION_10_PER_PIECE = [
-        (0.125, 468.34965943261665, 1.3597659351036704),
-        (0.0625, 1169.7176343064189, 2.566896274807914),
-        (0.03125, 2634.083735288847, 4.443485148313442),
-        (0.015625, 5604.7888950030765, 7.3658822405999045),
-        (0.0078125, 11475.444452649801, 11.948644019590118),
-    ]
 
     def test_criterion_10_samples_are_bit_identical(self):
         res = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
         assert [(s.param, s.lhs, s.rhs) for s in res.samples] == self.CRITERION_10
-        for got, old in zip(self.CRITERION_10, self.CRITERION_10_PER_PIECE):
-            assert got == pytest.approx(old, rel=1e-14)
+        for got, old in zip(self.CRITERION_10, self.CRITERION_10_TABLE):
+            assert got == pytest.approx(old, rel=1e-13)  # measured 2.2e-14
 
-    def test_criterion_10_tables_build_at_most_60_pieces(self, monkeypatch):
-        # kappa = 5/9: lambda <= 6.4e-48 (t <= -108.7) is scale-free, so the
-        # pieces span t in [-110, 0), 55 of them, where about 323 were built; a piece
-        # is built from the direct kernel at its 29 fit and check points
-        tables, shapes = [], []
-        table, direct = experiments.cosine_kernel_table, analysis.cosine_weight_kernel_many
+    def test_criterion_10_kernels_take_the_series_alone(self, monkeypatch):
+        # every criterion-10 lambda is at most 0.25, where kappa = 5/9 cancels by
+        # a factor F of at most 3.3, far under the guard 2^7: no quadrature
+        sizes, quadrature = [], analysis._kernel_quadrature
 
-        def recorded_table(kappa, *lam_arrays):
-            tables.append(kappa)
-            return table(kappa, *lam_arrays)
+        def recorded(kappa, lams):
+            sizes.append(lams.size)
+            return quadrature(kappa, lams)
 
-        def recorded_direct(kappa, lams):
-            shapes.append(np.shape(lams))
-            return direct(kappa, lams)
-
-        monkeypatch.setattr(experiments, "cosine_kernel_table", recorded_table)
-        monkeypatch.setattr(analysis, "cosine_weight_kernel_many", recorded_direct)
+        monkeypatch.setattr(analysis, "_kernel_quadrature", recorded)
         l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
-        builds = [shape for shape in shapes if shape[1:] == (29,)]
-        assert len(tables) == 1 and len(builds) == 1 and builds[0][0] <= 60
+        assert sizes == [0, 0]
 
     def test_sharing_changes_no_sample(self):
         full = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7]).samples
@@ -774,24 +767,27 @@ class TestL2Endpoint:
         # five rules of 2,010 tau nodes in all, 700 distinct, times 288 inner
         # nodes, once per kernel factor; evaluated per eps it was 1,157,760
         seen = []
-        table = experiments.cosine_kernel_table
+        kernel = experiments.cosine_weight_kernel_many
 
-        def counting(kappa, *lam_arrays):
-            seen.append([np.size(lams) for lams in lam_arrays])
-            return table(kappa, *lam_arrays)
+        def counting(kappa, lams):
+            seen.append((kappa, np.size(lams)))
+            return kernel(kappa, lams)
 
-        monkeypatch.setattr(experiments, "cosine_kernel_table", counting)
+        monkeypatch.setattr(experiments, "cosine_weight_kernel_many", counting)
         l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
-        assert seen == [[700 * 288] * 2]  # 403,200 in all, in one call for kappa = 5/9
+        assert seen == [(5 / 9, 700 * 288)] * 2  # 403,200 in all, one call per factor
 
     def test_criterion_10_peak_memory(self):
+        # measured 8.1 MB: the two 3.2 MB lambda arrays, one kernel output and
+        # the series' chunk temporaries; 16 MB leaves a 2x margin, and a draft
+        # that held every array at once (28.5 MB) fails
         tracemalloc.start()
         try:
             l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 30e6, peak
+        assert peak <= 16e6, peak
 
     def test_bounded_at_r_two_saturates(self):
         # alpha = beta = 1/3: the q = r = 2 case is bounded, so the ratio
@@ -1050,8 +1046,7 @@ class TestEpsWindow:
         def kernel_work(*args, **kwargs):
             raise AssertionError("kernel work before the eps window was checked")
 
-        for name in ("cosine_kernel_table", "cosine_weight_kernel_many",
-                     "hankel_decay_transform_many"):
+        for name in ("cosine_weight_kernel_many", "hankel_decay_transform_many"):
             monkeypatch.setattr(experiments, name, kernel_work)
         with pytest.raises(DomainError, match=message):
             self.SCANS[scan](window)

@@ -15,7 +15,6 @@ from restriction_lab.exponents import (
     SeparableParams,
     classify_radial,
     classify_separable,
-    classify_unweighted,
     conjugate_exponent,
     exact_in,
     inv_conjugate,
@@ -76,24 +75,35 @@ class TestConjugate:
             assert conjugate_exponent(conjugate_exponent(r)) == r
 
 
+def unweighted_bounded(r: ExtScalar, q: ExtScalar) -> bool:
+    """The sharp unweighted region: q = inf, or q >= 3r' and q > 4."""
+    return q.is_infinite or (q >= ExtScalar(3) * conjugate_exponent(r) and q > 4)
+
+
+def zero_weight(r, q) -> tuple[bool, str, str]:
+    """(bounded, separable label, radial label) at zero weight, where both families
+    must decide the unweighted region."""
+    r, q = ExtScalar(r), ExtScalar(q)
+    s, g = sep(0, 0, r, q), rad(0, r, q)
+    assert s.bounded == g.bounded == unweighted_bounded(r, q)
+    return s.bounded, s.label, g.label
+
+
 class TestUnweighted:
     def test_fz_endpoint(self):
-        v = classify_unweighted(2, 6)
-        assert v.bounded and v.case_tag == "fz-endpoint"
+        assert zero_weight(2, 6) == (True, "iv", "radial-endpoint")  # q = 3r'
 
     def test_below_endpoint(self):
-        v = classify_unweighted(2, 5)
-        assert not v.bounded and v.violated == "q-below-3r-conjugate"
+        assert zero_weight(2, 5) == (False, "knapp-sum-weight", "knapp-threshold")
 
     def test_interior_at_r_infinity(self):
-        v = classify_unweighted("inf", "9/2")
-        assert v.bounded and v.case_tag == "fz-interior"
+        assert zero_weight("inf", "9/2") == (True, "ii", "radial-strict")
 
     def test_q_infinite(self):
-        assert classify_unweighted(1, "inf").case_tag == "q-infinite"
+        assert zero_weight(1, "inf") == (True, "q-infinite", "q-infinite")
 
     def test_q_four_exactly_unbounded(self):
-        assert classify_unweighted(4, 4).violated == "q-at-most-4"
+        assert zero_weight(4, 4) == (False, "constant-density", "constant-density")
 
 
 class TestSeparable:
@@ -152,9 +162,9 @@ class TestSeparable:
             r = rng.choice([ExtScalar(1), ExtScalar("inf"), ExtScalar(rand_fraction(rng, 1, 9))])
             q = rng.choice([ExtScalar("inf"), ExtScalar(rand_fraction(rng, "1/4", 12)),
                             ExtScalar(3) * conjugate_exponent(r) if r != 1 else ExtScalar(5)])
-            direct = classify_unweighted(r, q)
-            assert sep(0, 0, r, q).bounded == direct.bounded
-            assert rad(0, r, q).bounded == direct.bounded
+            direct = unweighted_bounded(r, q)
+            assert sep(0, 0, r, q).bounded == direct
+            assert rad(0, r, q).bounded == direct
 
     def test_monotonicity(self):
         rng = random.Random(41)
