@@ -487,12 +487,26 @@ def _bound(delta: float) -> float:
 
 
 class TestScaleFree:
+    KAPPAS = [0.3, 5 / 9, 0.9]
     DELTAS = [1.1, 4 / 3, 1.9]
 
     @staticmethod
     def _straddle(bound: float) -> np.ndarray:
         return np.concatenate([np.geomspace(bound * 1e-40, bound * 1e6, 300),
                                [bound, np.nextafter(bound, np.inf)]])
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_kernel_matches_the_per_sample_envelope(self, kappa):
+        # K has no scale-free row: about where 1 + rho/lambda rounds to rho/lambda at
+        # every node of its head (2^-54 of the smallest), every lambda takes the series,
+        # and the series meets the quadrature's per-sample envelope within the latter's
+        # bound below lambda = 1e-20; measured 9.1e-15, 1.8e-14 and 1.2e-12
+        cap = int(analysis._cap(1.0 - kappa))
+        lams = self._straddle(float(analysis._head_panels("cos", cap)[0].min()) * 2.0**-54)
+        got = cosine_weight_kernel_many(kappa, lams)
+        value, held = analysis._kernel_series(kappa, lams)
+        assert held.all() and np.array_equal(got, value)
+        assert np.max(np.abs(got / analysis._kernel_quadrature(kappa, lams) - 1)) <= 1e-11
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_hankel_matches_the_per_sample_envelope(self, delta):
@@ -514,7 +528,8 @@ class TestScaleFree:
         limit = 2 ** (1 - delta) * math.gamma(1 - delta / 2) / math.gamma(delta / 2)
         assert abs(integral[0] / limit - 1) <= 1e-14
 
-    @pytest.mark.parametrize("delta", DELTAS)
+    # only H has a scale-free row; the ids keep naming its oscillator
+    @pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"j0-{d}")
     def test_at_the_bound_the_envelope_is_its_limit_at_every_node(self, delta):
         x = _bound(delta)
         cap = int(analysis._cap(2.0 - delta))
@@ -546,13 +561,20 @@ class TestScaleFree:
         hankel_decay_transform_many(1.5, np.append(deep, [1e-3, 0.5]))
         assert sum(rows) == 1 + 2
 
-    @pytest.mark.parametrize("delta", DELTAS)
-    def test_hankel_splits_at_the_bound(self, monkeypatch, delta):
+    @pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"j0-{d}")
+    def test_the_kernels_split_at_the_bound(self, monkeypatch, delta):
         # the bound itself takes the scale-free row, the next float up its own
         rows = self._count_rows(monkeypatch)
         x = _bound(delta)
         hankel_decay_transform_many(delta, np.array([x, x, np.nextafter(x, np.inf)]))
         assert sum(rows) == 2
+
+    def test_non_converging_row_names_kappa_and_lambda(self, monkeypatch):
+        # K's deep lambda take the series; its quadrature still names them when called
+        rho, w, cos_rho = analysis._tail_panels("cos")
+        monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (rho, w, np.abs(cos_rho)))
+        with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=1e-200\b"):
+            analysis._kernel_quadrature(0.4, np.array([1e-200]))
 
     def test_non_converging_row_names_delta_and_s(self, monkeypatch):
         u, w, j0_u = analysis._tail_panels("j0")
