@@ -9,19 +9,18 @@ drive the dual and L2-endpoint experiments; their small-lambda law
 K ~ C(kappa) * lambda^{kappa-1} is an acceptance target, so K is computed
 directly and never through C(kappa).
 
-K takes its convergent incomplete-gamma series for lambda <= 2 wherever its two
-terms do not cancel past a stated guard, and the quadrature everywhere else.
-That quadrature, the decaying Hankel transform H(delta, s) and C(kappa) share one
-driver, ``_transform_many``: Gauss-Legendre panels on a geometric head from the
-oscillator's first zero z1 down to the sample's scale x, depth
-clip(ceil(ln z1 - ln x) + 1, 1, 8 + ceil(26/decay)) with decay 1 - kappa
-for K and 2 - delta for H (16 for C); then shared zero-to-zero tail panels,
-summed by iterated averaging, applied as one fixed weight table on the
-partial sums.  An s so small that H's envelope equals its argument-free limit
-at every node, exactly in floating point, is scale-free: it is one quadrature
-row per distinct delta.  K, H and their scalar forms check their arguments in
-one front end, ``_batch``.  Every Gauss-Legendre rule in the package comes from
-``_gl``.
+K and the decaying Hankel transform H(delta, s) each take a convergent series for
+an argument up to 2 (K its incomplete-gamma series, H its modified-Bessel series)
+wherever its two terms do not cancel past one guard, and a quadrature elsewhere;
+one front end, ``_batch``, checks their arguments and routes each sample.
+Measured against mpmath, K's series is within 7e-14 and H's within 1.4e-13
+(7e-14 at random delta); each docstring states its quadrature's bounds.  Both
+quadratures and C(kappa) share one driver, ``_transform_many``: Gauss-Legendre
+panels on a geometric head from the oscillator's first zero z1 down to the
+sample's scale x, depth clip(ceil(ln z1 - ln x) + 1, 1, 8 + ceil(26/decay)) with
+decay 1 - kappa for K and 2 - delta for H (16 for C); then shared zero-to-zero
+tail panels, summed by iterated averaging, applied as one fixed weight table on
+the partial sums.  Every Gauss-Legendre rule in the package comes from ``_gl``.
 
 J0 and J1: Bessel's integral below x = 17, one 32-node folded midpoint sum within
 5e-16 of them; the Hankel expansion, truncated per point, from 17 on.  Both stay
@@ -53,8 +52,8 @@ __all__ = [
 
 _ASYMP_CUT = 17.0
 # values per batch chunk (Bessel's integral, the root scan grid, the tail or one head
-# depth of a transform, K's series): keeps each temporary at 256 KiB, cache-sized,
-# whatever the batch
+# depth of a transform, the series of K and H): keeps each temporary at 256 KiB,
+# cache-sized, whatever the batch
 _CHUNK_NODES = 2**15
 
 
@@ -348,25 +347,12 @@ def _cap(decay) -> np.ndarray:
     return 8 + np.ceil(26.0 / np.asarray(decay)).astype(int)
 
 
-# log2 of the u/x beyond which hypot(u, x) rounds to u
-_SCALE_FREE_BITS = 27
-
-
-@functools.cache
-def _scale_free_bound(cap: int) -> float:
-    """2^-_SCALE_FREE_BITS times the smallest node of the J0 head at depth ``cap``: an x
-    at or below it has u/x >= 2^27 at every node (its head is capped, ~20 short of its
-    depth); 0.0 where that is not a normal float, as for every cap > 700."""
-    bound = float(_head_panels("j0", cap)[0].min()) * 2.0**-_SCALE_FREE_BITS if cap <= 700 else 0.0
-    return bound if bound >= np.finfo(float).tiny else 0.0
-
-
 def _take(a, idx):
     return a[idx] if np.ndim(a) else a
 
 
 def _transform_many(
-    osc: str, x: np.ndarray, decay, env: Callable, rtol: float, context: Callable, free=None
+    osc: str, x: np.ndarray, decay, env: Callable, rtol: float, context: Callable
 ) -> np.ndarray:
     """int_0^inf env(u) osc(u) du for each sample of scale x > 0.
 
@@ -379,41 +365,19 @@ def _transform_many(
     panel holds less than e^{-26} of it.  ``decay`` is one float or one per
     sample, so samples of different exponents share one call; each sample's
     cap is its own.  Every reduction runs row by row, so results do not
-    depend on batching.  With ``free = power`` (osc "j0"), a sample at or
-    below ``_scale_free_bound(cap)`` has the envelope u^power at every node,
-    exactly in floating point: it is one quadrature of u^power, made by this
-    driver once per distinct power and named in a failure by the first such
-    sample.
+    depend on batching.
     """
     out = np.empty_like(x)
-    cap = _cap(decay)
-    direct = np.arange(x.size)
-    if free is not None:
-        caps = np.unique(cap)
-        bound = np.array([_scale_free_bound(int(c)) for c in caps])
-        is_free = x <= bound[np.searchsorted(caps, cap)]
-        at, direct = np.nonzero(is_free)[0], np.nonzero(~is_free)[0]
-        if at.size:
-            powers, first, row = (
-                np.unique(free[at], return_index=True, return_inverse=True)
-                if np.ndim(free) else (free, [0], 0)
-            )
-            rep = at[first]
-            p = _transform_many(
-                osc, x[rep], _take(decay, rep), lambda u, idx: u[None] ** _rows(powers, idx),
-                rtol, lambda i: context(rep[i]),
-            )
-            out[at] = p[row]
-    depths = np.ceil(math.log(_zeros(osc)[0]) - np.log(x[direct])).astype(int) + 1
-    depths = np.clip(depths, 1, _take(cap, direct))
+    depths = np.ceil(math.log(_zeros(osc)[0]) - np.log(x)).astype(int) + 1
+    depths = np.clip(depths, 1, _cap(decay))
     tail_u, tail_w, tail_osc = _tail_panels(osc)
     rows = _CHUNK_NODES // tail_u.size
-    for start in range(0, direct.size, rows):
-        idx = direct[start : start + rows]
+    for start in range(0, x.size, rows):
+        idx = np.arange(start, min(start + rows, x.size))
         tail_terms = np.einsum("bjk,jk->bj", env(tail_u, idx) * tail_osc, tail_w)
         out[idx] = _accelerate_rows(tail_terms, rtol, lambda i: context(idx[i]))
     for depth in np.unique(depths):
-        sel = direct[depths == depth]
+        sel = np.flatnonzero(depths == depth)
         head_u, head_w, head_osc = _head_panels(osc, int(depth))
         rows = max(1, _CHUNK_NODES // head_u.size)
         for start in range(0, sel.size, rows):
@@ -433,31 +397,48 @@ def _rows(a: np.ndarray, idx) -> np.ndarray:
     return a[idx][:, None, None] if np.ndim(a) else a
 
 
-def _batch(exponent, name: str, lo: float, hi: float, x, x_name: str, x_max: float):
-    """(exponent, flat x, shape) of a batched transform, or ValueError naming the argument
-    unless the exponent lies in (lo, hi) and every x in (0, x_max], where its error bound
-    holds.  A scalar exponent stays 0-d, so that the envelope's arithmetic stays scalar."""
+def _batch(series: Callable, quadrature: Callable, exponent, name: str, lo: float,
+           hi: float, x, x_name: str, x_min: float, x_max: float) -> np.ndarray:
+    """A transform at every (exponent, x) of a broadcast batch: ``series(exponent, x)`` ->
+    (values, held) in chunks of _CHUNK_NODES, and ``quadrature(exponent, x)`` where the
+    series does not hold, so each sample's route and value depend on its own arguments
+    alone.  ValueError naming the argument unless the exponent lies in (lo, hi) and every
+    x in [x_min, x_max], where the error bounds hold.  A scalar exponent stays 0-d, so
+    that its arithmetic stays scalar."""
     exponent = np.asarray(exponent, dtype=float)
     if not np.all((lo < exponent) & (exponent < hi)):
         raise ValueError(f"{name} must lie in ({lo:g},{hi:g})")
     x = np.asarray(x, dtype=float)
-    if not np.all((0 < x) & (x <= x_max)):
-        if np.all((0 < x) & (x < np.inf)):
+    if not np.all((x_min <= x) & (x <= x_max)):
+        if not np.all((0 < x) & (x < np.inf)):
+            raise ValueError(f"{x_name} must be positive and finite")
+        if np.any(x > x_max):
             raise ValueError(f"{x_name} = {float(np.max(x))!r} is above {x_max:g}, "
                              f"the largest {x_name} its error bound covers")
-        raise ValueError(f"{x_name} must be positive and finite")
+        floor = ("the smallest normal float" if x_min == np.finfo(float).tiny
+                 else f"{x_min:g}, the smallest {x_name} its error bound covers")
+        raise ValueError(f"{x_name} = {float(np.min(x))!r} is below {floor}")
     shape = np.broadcast_shapes(exponent.shape, x.shape)
     if exponent.ndim:
         exponent = np.broadcast_to(exponent, shape).reshape(-1)
-    return exponent, np.broadcast_to(x, shape).reshape(-1), shape
+    x = np.broadcast_to(x, shape).reshape(-1)
+    out, held = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    for start in range(0, x.size, _CHUNK_NODES):
+        part = slice(start, start + _CHUNK_NODES)
+        out[part], held[part] = series(_take(exponent, part), x[part])
+    rest = np.flatnonzero(~held)
+    if rest.size:  # else its tables, J0's zeros among them, are not built
+        out[rest] = quadrature(_take(exponent, rest), x[rest])
+    return out.reshape(shape)
 
 
-# K's series: terms M < 13 (the first left out is below 2^-62 of the leading term at
-# lambda = 2 for every kappa), kept for lambda <= 2 wherever the leading term is at
-# most 2^7 |K|
+# the series of K and H: terms k < 13 (the first left out is below 2^-62 of the leading
+# term at lambda = 2 or s = 2 for every exponent), kept for lambda or s <= 2 wherever
+# the leading term is at most 2^7 times the value
 _SERIES_TERMS = 13
 _SERIES_LAM = 2.0
 _SERIES_GUARD = 2.0**7
+_gamma = np.vectorize(math.gamma, otypes=[float])
 
 
 def _kernel_series(kap, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -469,25 +450,20 @@ def _kernel_series(kap, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam2, poly = lam * lam, coef[-1]
     for c in coef[-2::-1]:
         poly = poly * lam2 + c
-    gamma = math.gamma(1.0 - kap) if not np.ndim(kap) else np.vectorize(math.gamma)(1.0 - kap)
-    lead = gamma * lam**kap / lam  # not lam^(kappa - 1): kappa - 1 would be rounded
+    lead = _gamma(1.0 - kap) * lam**kap / lam  # not lam^(kappa - 1): kappa - 1 would be rounded
     value = lead * np.sin(lam + 0.5 * math.pi * kap) - poly
-    return value, (lam <= _SERIES_LAM) & (lead <= _SERIES_GUARD * np.abs(value))
+    return value, (lam <= _SERIES_LAM) & (lead / _SERIES_GUARD <= np.abs(value))
 
 
 def _kernel_quadrature(kap, lam: np.ndarray) -> np.ndarray:
     """K by ``_transform_many``, written in rho = lambda r: (1/lambda) int_0^inf
     (1+rho/lambda)^{-kappa} cos(rho) d(rho) over the cosine's half-period panels; the
     head [0, pi/2] follows lambda down at most 8 + ceil(26/(1-kappa)) e-foldings."""
-    return _transform_many(
-        "cos",
-        lam,
-        1.0 - kap,
-        lambda rho, idx: (1.0 + rho / lam[idx][:, None, None]) ** -_rows(kap, idx),
-        1e-9,
-        lambda i: f"cosine_weight_kernel(kappa={float(np.take(kap, i))!r}, "
-        f"lambda={float(lam[i])!r})",
-    ) / lam
+    def env(rho, idx):
+        return (1.0 + rho / lam[idx][:, None, None]) ** -_rows(kap, idx)
+
+    return _transform_many("cos", lam, 1.0 - kap, env, 1e-9, lambda i: (
+        f"cosine_weight_kernel(kappa={float(np.take(kap, i))!r}, lambda={float(lam[i])!r})")) / lam
 
 
 def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
@@ -505,7 +481,8 @@ def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
     2, or where the two terms cancel, as near kappa = 1 or for kappa below about 0.005)
     takes the quadrature, ``_kernel_quadrature``.  Each lambda's route and value depend
     on its own (kappa, lambda) alone, never on the batch.  ``kappa`` broadcasts against
-    ``lams``; kappa in (0, 1), lambda in (0, 100] (a larger lambda raises).
+    ``lams``; kappa in (0, 1), lambda in [1e-300, 100] (any other lambda raises: below
+    1e-300, rho/lambda overflows in the quadrature and lambda^{kappa-1} in the series).
 
     Relative error against the closed form (mpmath, kappa - 1 exact): the series' is
     about (1-7) F u, u = 2^-53, so <= 1e-13 under the guard, measured <= 7e-14 for
@@ -514,14 +491,8 @@ def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
     [1e-20, 10], <= 1e-11 below, and <= 1e-10 for kappa down to 1e-3; growing about like
     lambda above 10, it is <= 3e-12 (<= 1e-9 for kappa down to 1e-3) up to lambda = 100.
     """
-    kap, flat, shape = _batch(kappa, "kappa", 0, 1, lams, "lambda", 100.0)
-    out, held = np.empty_like(flat), np.empty(flat.shape, dtype=bool)
-    for start in range(0, flat.size, _CHUNK_NODES):
-        part = slice(start, start + _CHUNK_NODES)
-        out[part], held[part] = _kernel_series(_take(kap, part), flat[part])
-    rest = np.flatnonzero(~held)
-    out[rest] = _kernel_quadrature(_take(kap, rest), flat[rest])
-    return out.reshape(shape)
+    return _batch(_kernel_series, _kernel_quadrature, kappa, "kappa", 0, 1, lams, "lambda",
+                  1e-300, 100.0)
 
 
 def cosine_weight_kernel(kappa: float, lam: float) -> float:
@@ -550,43 +521,60 @@ def fresnel_constant(kappa: float) -> float:
     )[0])
 
 
-def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
-    """Vectorized H(delta, s) = 2 pi int_0^inf r (1+r^2)^{-delta/2} J0(rs) dr.
+def _hankel_series(delta, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H by its series, where that value holds): s <= _SERIES_LAM and F = (the first of
+    its two terms) / |H| <= _SERIES_GUARD.  H = (pi/a) (first - p_high), with
+    first = Gamma(1+a)/Gamma(1-a) (2/s)^{2a} p_low and p_-+ = sum_k z^k / (k! (1-+a)_k):
+    pi/a stays out of the difference, and 2a = 2 - delta is exact."""
+    a, z = 1.0 - 0.5 * delta, 0.25 * s * s
+    p_low = p_high = 1.0  # nested from the last term in
+    for k in range(_SERIES_TERMS - 1, 0, -1):
+        p_low, p_high = 1.0 + z / (k * (k - a)) * p_low, 1.0 + z / (k * (k + a)) * p_high
+    first = _gamma(1.0 + a) / _gamma(1.0 - a) * (2.0 / s) ** (2.0 - delta) * p_low
+    inner = first - p_high
+    return math.pi / a * inner, (s <= _SERIES_LAM) & (first / _SERIES_GUARD <= np.abs(inner))
 
-    In u = r s: H = 2 pi s^{delta-2} int_0^inf u (s^2 + u^2)^{-delta/2} J0(u) du,
-    summed by ``_transform_many`` over the zero-to-zero panels of J0.  The
-    envelope is (u/h) h^{1-delta}, h = hypot(u, s), which cannot overflow for
-    a normal s.  The head [0, j_1] follows each s down at most
-    8 + ceil(26/(2-delta)) e-foldings (the cap grows without bound as
-    delta -> 2).  For s <= 2^-27 times that head's smallest node, hypot(u, s)
-    equals u at every node: such an s is scale-free, its integral the
-    quadrature of u^{1-delta}, one row per distinct delta, equal bit for bit
-    to its per-sample row.  ``delta_exp`` broadcasts against ``s_vals``;
-    delta in (1, 2), s normal and at most 20 (any other s raises).  Relative error against
-    2 pi s^nu K_nu(s) / (2^nu Gamma(nu+1)), nu = delta/2 - 1: <= 5e-13 for
-    delta in [1.001, 1.999] and s in [1e-12, 5], <= 1e-11 down to s = 1e-300,
-    and where H is exponentially small <= 1e-10 at s = 10, 1e-6 at s = 20.
-    """
-    delta, flat, shape = _batch(delta_exp, "delta_exp", 1, 2, s_vals, "s", 20.0)
-    if np.any(flat < np.finfo(float).tiny):  # where h^{1-delta} may overflow
-        raise ValueError(f"s = {float(np.min(flat))!r} is below the smallest normal float")
+
+def _hankel_quadrature(delta, s: np.ndarray) -> np.ndarray:
+    """H by ``_transform_many``, written in u = r s: 2 pi s^{delta-2} int_0^inf
+    u (s^2 + u^2)^{-delta/2} J0(u) du over J0's zero-to-zero panels.  The envelope is
+    (u/h) h^{1-delta}, h = hypot(u, s), which cannot overflow for a normal s; the head
+    [0, j_1] follows s down at most 8 + ceil(26/(2-delta)) e-foldings."""
     power = 1.0 - delta
 
     def env(u, idx):
-        h = np.hypot(u, flat[idx][:, None, None])
+        h = np.hypot(u, s[idx][:, None, None])
         return (u / h) * h ** _rows(power, idx)
 
-    integral = _transform_many(
-        "j0",
-        flat,
-        2.0 - delta,
-        env,
-        1e-7,
-        lambda i: f"hankel_decay_transform(delta={float(np.take(delta, i))!r}, "
-        f"s={float(flat[i])!r})",
-        free=power,  # where hypot(u, s) = u the envelope is u^(1-delta)
-    )
-    return (2 * math.pi * flat ** (delta - 2) * integral).reshape(shape)
+    integral = _transform_many("j0", s, 2.0 - delta, env, 1e-7, lambda i: (
+        f"hankel_decay_transform(delta={float(np.take(delta, i))!r}, s={float(s[i])!r})"))
+    return 2 * math.pi * s ** (delta - 2) * integral
+
+
+def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
+    """Vectorized H(delta, s) = 2 pi int_0^inf r (1+r^2)^{-delta/2} J0(rs) dr.
+
+    Its closed form 2 pi s^nu K_nu(s) / (2^nu Gamma(nu+1)), nu = delta/2 - 1 (DLMF
+    10.22(v)), with K_nu = K_a, a = 1 - delta/2, by the series of I_{-a} - I_a (DLMF
+    10.25.2, 10.27.4), is the convergent series, z = s^2/4,
+
+      H = pi Gamma(a) [4^a s^{-2a} sum_k z^k/(k! Gamma(k+1-a)) - sum_k z^k/(k! Gamma(k+1+a))],
+
+    summed to k = 12.  It is taken for s <= 2 wherever F = (its first term) / |H| is at
+    most 2^7; every other s (above 2, or where the terms cancel, toward s = 2 and near
+    delta = 2) takes the quadrature, ``_hankel_quadrature``.  Each s's route and value
+    depend on its own (delta, s) alone.  ``delta_exp`` broadcasts against ``s_vals``;
+    delta in (1, 2), s normal and at most 20 (any other s raises).
+
+    Relative error against the closed form (mpmath): the series' is about (1-10) F u,
+    u = 2^-53, most of it from math.gamma's Gamma(1+a)/Gamma(1-a), so <= 1.5e-13;
+    measured <= 7e-14 at 290 random delta in [1.0005, 1.9999] and s in [1e-300, 2], and
+    1.35e-13 where that ratio errs most.  The quadrature's: <= 5e-13 for delta in
+    [1.001, 1.999] and s in [1e-12, 5], <= 1e-11 down to s = 1e-300, and where H is
+    exponentially small <= 1e-10 at s = 10, 1e-6 at s = 20.
+    """
+    return _batch(_hankel_series, _hankel_quadrature, delta_exp, "delta_exp", 1, 2, s_vals,
+                  "s", np.finfo(float).tiny, 20.0)
 
 
 def hankel_decay_transform(delta_exp: float, s: float) -> float:

@@ -62,6 +62,7 @@ KNAPP_RESOLUTION = 0.25
 KNAPP_BLOCK_CELLS = 1 << 16  # cells per streamed column block: 1 MB of planes, cache-sized
 RING_BLOCK = 1024  # rings per block of the constant-density cross-check: about 15 MB
 RING_BUDGET = 100_000  # the most cross-check rings: j0_extrema is shown to validate that many
+TERM_BUDGET = 1_000_000  # the largest constant-density n: 16 bytes a term, 16 MB traced
 PITT_CELL_BUDGET = 30_000_000  # sum of n_xi n_x over a Pitt sweep; scales 2^-10..2^-6 take 20.5 M
 SPLIT_PHASES = 64  # fine phases per coarse phase of Pitt's split-phase transform
 
@@ -334,7 +335,7 @@ def constant_density_sums(
     n_list: list[int],
     cross_check_rings: int = 0,
 ) -> ConstantSumResult:
-    """Partial sums S_N = sum_{j<=N} j^s for the constant-density index series.
+    """Partial sums S_N = sum_{j<=N} j^s (N <= TERM_BUDGET) of the constant-density series.
 
     The exponent s = 1 - q(1/2 + weight_sum) is exact and the divergence
     verdict is the exact test s >= -1.  With ``cross_check_rings`` = J in (0, RING_BUDGET]
@@ -351,6 +352,8 @@ def constant_density_sums(
         raise ConfigurationError(f"cross_check_rings={cross_check_rings} over budget {RING_BUDGET}")
     if list(n_list) != sorted(set(n_list)) or not n_list or n_list[0] < 1:
         raise DomainError("n_list must be strictly increasing positive integers")
+    if n_list[-1] > TERM_BUDGET:
+        raise ConfigurationError(f"n={n_list[-1]} over budget {TERM_BUDGET}")
     qf = float(exact_in(q, "q", "(0, inf)"))
     exps = weight_exponents(kind, alpha, beta, gamma)
     weight_q = getattr(WeightSpec, kind)(*[qf * float(v) for v in exps.values()])

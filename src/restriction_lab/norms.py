@@ -179,7 +179,7 @@ def weak_lq_1d(sample: Sampled1, q) -> float:
     u * (measure of {value >= u})^{1/q}, which at q = inf is the max value.
     """
     q = float(q)
-    if q <= 0:
+    if not q > 0:
         raise ValueError("q must be positive")
     order = np.argsort(sample.values)[::-1]
     v = sample.values[order]

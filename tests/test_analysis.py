@@ -62,6 +62,14 @@ def hankel_nicholson(delta: np.ndarray, s: np.ndarray) -> np.ndarray:
     return 2 * np.pi * s**nu * kv(nu, s) / (2**nu * gamma(nu + 1))
 
 
+def besselk_hankel(delta: float, s: float) -> float:
+    """H(delta, s) = 2 pi s^nu K_nu(s) / (2^nu Gamma(nu+1)), nu = delta/2 - 1, in mpmath."""
+    with mpmath.workdps(40):
+        d, x = mpmath.mpf(delta), mpmath.mpf(s)
+        nu = d / 2 - 1
+        return float(2 * mpmath.pi * x**nu * mpmath.besselk(nu, x) / (2**nu * mpmath.gamma(nu + 1)))
+
+
 def bisect(f, lo, hi, iters=80):
     flo = f(lo)
     for _ in range(iters):
@@ -360,6 +368,17 @@ class TestCosineKernel:
             with pytest.raises(ValueError, match=message):
                 cosine_weight_kernel_many(np.array([0.3, 0.5]), np.array([1.0, lam]))
 
+    def test_rejects_lambda_below_its_error_bound(self):
+        # at lambda = 2.2e-308 the quadrature gave -1.5e307 (rho/lambda overflows), where
+        # K ~ 3.5e304 > 0, and at 1e-310 the series gave inf
+        assert 0 < cosine_weight_kernel(0.001, 1e-300) < np.inf
+        for lam in (math.nextafter(1e-300, 0.0), 2.2250738585072014e-308, 1e-310, 5e-324):
+            message = "^" + re.escape(f"lambda = {lam!r} is below 1e-300, ") + "the smallest"
+            with pytest.raises(ValueError, match=message):
+                cosine_weight_kernel(0.001, lam)
+            with pytest.raises(ValueError, match=message):
+                cosine_weight_kernel_many(np.array([0.3, 0.5]), np.array([1.0, lam]))
+
     # the bounds the docstring states; measured 6.7e-14, 2.5e-12 and 4.9e-11 at worst,
     # and above lambda = 10, up to the edge lambda = 100, 1.3e-12 and 4.8e-10
     @pytest.mark.parametrize("kappas, lams, bound", [
@@ -473,22 +492,8 @@ def _hankel_env(u: np.ndarray, svals: np.ndarray, delta: float) -> np.ndarray:
     return (u / h) * h ** (1.0 - delta)
 
 
-def _direct_hankel(delta: float, svals: np.ndarray) -> np.ndarray:
-    """H with the envelope (u/h) h^{1-delta} at every sample, none scale-free."""
-    integral = analysis._transform_many(
-        "j0", svals, 2.0 - delta, lambda u, idx: _hankel_env(u, svals[idx], delta), 1e-7, str,
-    )
-    return 2 * math.pi * svals ** (delta - 2) * integral
-
-
-def _bound(delta: float) -> float:
-    """The scale-free bound of delta."""
-    return analysis._scale_free_bound(int(analysis._cap(2.0 - delta)))
-
-
 class TestScaleFree:
     KAPPAS = [0.3, 5 / 9, 0.9]
-    DELTAS = [1.1, 4 / 3, 1.9]
 
     @staticmethod
     def _straddle(bound: float) -> np.ndarray:
@@ -508,79 +513,12 @@ class TestScaleFree:
         assert held.all() and np.array_equal(got, value)
         assert np.max(np.abs(got / analysis._kernel_quadrature(kappa, lams) - 1)) <= 1e-11
 
-    @pytest.mark.parametrize("delta", DELTAS)
-    def test_hankel_matches_the_per_sample_envelope(self, delta):
-        # at a scale-free s, hypot(u, s) is u, so the per-sample envelope is
-        # 1.0 * u^{1-delta}: the scale-free row is the per-sample one bit for bit
-        svals = self._straddle(_bound(delta))
-        got = hankel_decay_transform_many(delta, svals)
-        assert np.array_equal(got, _direct_hankel(delta, svals))
-
-    @pytest.mark.parametrize("delta", DELTAS[:2])
-    def test_scale_free_hankel_meets_its_limit(self, delta):
-        # below the bound H s^{2-delta} / (2 pi) is the quadrature of u^{1-delta},
-        # int_0^inf u^{1-delta} J0(u) du = 2^{1-delta} Gamma(1-delta/2) / Gamma(delta/2);
-        # measured 1.1e-15 (the per-sample envelope: 2.3e-14 and 5.8e-14)
-        s = np.array([_bound(delta) * 1e-100])
-        # every sample is scale-free, so the per-sample envelope is never called
-        integral = analysis._transform_many("j0", s, 2.0 - delta, None, 1e-7, str,
-                                            free=1.0 - delta)
-        limit = 2 ** (1 - delta) * math.gamma(1 - delta / 2) / math.gamma(delta / 2)
-        assert abs(integral[0] / limit - 1) <= 1e-14
-
-    # only H has a scale-free row; the ids keep naming its oscillator
-    @pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"j0-{d}")
-    def test_at_the_bound_the_envelope_is_its_limit_at_every_node(self, delta):
-        x = _bound(delta)
-        cap = int(analysis._cap(2.0 - delta))
-        nodes = np.concatenate([analysis._head_panels("j0", cap)[0].ravel(),
-                                analysis._tail_panels("j0")[0].ravel()])
-        assert np.all(np.hypot(nodes, x) == nodes)
-
-    def test_bound_is_zero_where_it_would_not_be_normal(self):
-        # cap 8 + ceil(26/0.01) = 2608: no head table is built for it
-        assert _bound(1.99) == 0.0
-
-    @staticmethod
-    def _count_rows(monkeypatch) -> list[int]:
-        rows, accelerate = [], analysis._accelerate_rows
-
-        def counting(terms, rtol, context):
-            rows.append(terms.shape[0])
-            return accelerate(terms, rtol, context)
-
-        monkeypatch.setattr(analysis, "_accelerate_rows", counting)
-        return rows
-
-    def test_one_hankel_row_per_distinct_delta(self, monkeypatch):
-        rows = self._count_rows(monkeypatch)
-        deep = np.geomspace(1e-300, 1e-130, 90)
-        hankel_decay_transform_many(np.repeat(self.DELTAS, 30), deep)
-        assert sum(rows) == 3
-        rows.clear()
-        hankel_decay_transform_many(1.5, np.append(deep, [1e-3, 0.5]))
-        assert sum(rows) == 1 + 2
-
-    @pytest.mark.parametrize("delta", DELTAS, ids=lambda d: f"j0-{d}")
-    def test_the_kernels_split_at_the_bound(self, monkeypatch, delta):
-        # the bound itself takes the scale-free row, the next float up its own
-        rows = self._count_rows(monkeypatch)
-        x = _bound(delta)
-        hankel_decay_transform_many(delta, np.array([x, x, np.nextafter(x, np.inf)]))
-        assert sum(rows) == 2
-
     def test_non_converging_row_names_kappa_and_lambda(self, monkeypatch):
         # K's deep lambda take the series; its quadrature still names them when called
         rho, w, cos_rho = analysis._tail_panels("cos")
         monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (rho, w, np.abs(cos_rho)))
         with pytest.raises(NumericalError, match=r"kappa=0\.4, lambda=1e-200\b"):
             analysis._kernel_quadrature(0.4, np.array([1e-200]))
-
-    def test_non_converging_row_names_delta_and_s(self, monkeypatch):
-        u, w, j0_u = analysis._tail_panels("j0")
-        monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (u, w, np.abs(j0_u)))
-        with pytest.raises(NumericalError, match=r"delta=1\.5, s=1e-200\b"):
-            hankel_decay_transform_many(1.5, np.array([1e-200]))
 
 
 def _averaged(row: list[float]) -> tuple[float, float]:
@@ -714,12 +652,12 @@ class TestHankelTransform:
 
     @pytest.mark.parametrize("delta", [1.1, 1.5, 1.9])
     def test_growth_factor_is_one_power(self, monkeypatch, delta):
-        # H = 2 pi s^{delta-2} I; with I = 1 the factor stands alone.  Against 40-digit
-        # mpmath at delta = 1.5, s ** (delta - 2) reads 2.2e-16 and exp((delta - 2) ln s),
-        # which carries about |(delta - 2) ln s| ulp, 2.8e-14
+        # the quadrature's H = 2 pi s^{delta-2} I; with I = 1 the factor stands alone.
+        # Against 40-digit mpmath at delta = 1.5, s ** (delta - 2) reads 2.2e-16 and
+        # exp((delta - 2) ln s), which carries about |(delta - 2) ln s| ulp, 2.8e-14
         monkeypatch.setattr(analysis, "_transform_many", lambda osc, x, *a, **kw: np.ones_like(x))
         s = np.geomspace(1e-300, 1e-250, 200)
-        got = hankel_decay_transform_many(delta, s)
+        got = analysis._hankel_quadrature(delta, s)
         with mpmath.workdps(40):
             exact = [2 * mpmath.mpf(math.pi) * mpmath.mpf(x) ** (mpmath.mpf(delta) - 2) for x in s]
             err = max(abs(mpmath.mpf(g) / e - 1) for g, e in zip(got, exact))
@@ -780,11 +718,83 @@ class TestHankelTransform:
             assert np.max(np.abs(row / want - 1)) <= 1e-14
 
     def test_non_convergence_names_delta_and_s(self, monkeypatch):
-        # a tail without sign changes cannot be summed by averaging
+        # a tail without sign changes cannot be summed by averaging; s = 3 is past the
+        # series' domain, so it reaches the quadrature
         u, w, j0_u = analysis._tail_panels("j0")
         monkeypatch.setattr(analysis, "_tail_panels", lambda osc: (u, w, np.abs(j0_u)))
-        with pytest.raises(NumericalError, match=r"delta=1\.5, s=0\.5\b"):
-            hankel_decay_transform_many(1.5, np.array([0.5]))
+        with pytest.raises(NumericalError, match=r"delta=1\.5, s=3\.0\b"):
+            hankel_decay_transform_many(1.5, np.array([0.5, 3.0]))
+
+    # the bound the docstring states for the series, where it holds; measured 6.2e-14 at
+    # worst (delta 1.99).  H takes the quadrature where it does not, at the quadrature's
+    # own bounds
+    @pytest.mark.parametrize("delta", [1.001, 1.01, 1.1, 4 / 3, 1.5, 1.7, 1.9, 1.99, 1.999,
+                                       1.9999])
+    def test_series_meets_the_closed_form(self, delta):
+        svals = np.concatenate([np.geomspace(1e-300, 2.0, 31), np.linspace(0.05, 1.95, 20)])
+        value, held = analysis._hankel_series(delta, svals)
+        want = np.array([besselk_hankel(delta, s) for s in svals])
+        assert np.all(np.abs(value / want - 1)[held] <= 1e-13)
+        got = hankel_decay_transform_many(delta, svals)
+        assert np.array_equal(got[held], value[held])
+        quadrature = np.where(svals < 1e-12, 1e-11, 5e-13)
+        assert np.all(np.abs(got / want - 1) <= np.where(held, 1e-13, quadrature))
+        # F = (first term) / H: about 1 at small s for delta away from 2, 40-70 at s = 2
+        # (H ~ e^-s, each term ~ e^s), and large near delta = 2, where both terms are
+        # about 1/a, a = 1 - delta/2
+        assert held.all() == (delta <= 1.7)
+        assert held.any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(delta=st.floats(1.001, 1.999), ln_s=st.floats(math.log(1e-12), math.log(2.0)))
+    def test_series_matches_the_quadrature_on_their_overlap(self, delta, ln_s):
+        # the series within 1e-13 of the closed form, the quadrature within 5e-13
+        s = np.array([math.exp(ln_s)])
+        value, held = analysis._hankel_series(delta, s)
+        assume(held[0])
+        assert abs(value[0] / analysis._hankel_quadrature(delta, s)[0] - 1) <= 6e-13
+
+    @pytest.mark.parametrize("delta, s, routed", [
+        (1.5, 2.0, False),  # the domain's end takes the series (F ~ 43)
+        (1.5, math.nextafter(2.0, math.inf), True),  # past it, the quadrature
+        (1.9999, 0.5, True),  # F ~ 1e4: the terms cancel
+        (1.9999, 1e-300, False),  # F ~ 15
+        (1.999, 1.0, True),  # F ~ 3e3
+        (1.95, 2.0, True),  # F ~ 400
+        (1.001, 1e-300, False),  # F ~ 1
+    ])
+    def test_an_s_over_the_guard_reaches_the_quadrature(self, monkeypatch, delta, s, routed):
+        seen, quadrature = [], analysis._hankel_quadrature
+
+        def recorded(deltas, svals):
+            seen.extend(svals.tolist())
+            return quadrature(deltas, svals)
+
+        monkeypatch.setattr(analysis, "_hankel_quadrature", recorded)
+        got = hankel_decay_transform(delta, s)
+        assert seen == ([s] if routed else [])
+        if routed:
+            assert got == quadrature(delta, np.array([s]))[0]
+
+    def test_adding_an_s_changes_no_value(self, monkeypatch):
+        # an s's route and value are its own: not the batch's largest s, not its series
+        # chunk, not what else reaches the quadrature
+        svals = np.concatenate([np.geomspace(1e-300, 2.0, 2500), [0.5, 3.0, 15.0]])
+        base = hankel_decay_transform_many(1.999, svals)
+        for extra in (2.0, 1e-300, 0.7, 1.0, 19.0):
+            grown = hankel_decay_transform_many(1.999, np.append(svals, extra))
+            assert grown[:-1].tobytes() == base.tobytes()
+        monkeypatch.setattr(analysis, "_CHUNK_NODES", 1000)  # three series chunks
+        assert hankel_decay_transform_many(1.999, svals).tobytes() == base.tobytes()
+
+    def test_every_tiny_s_takes_the_series(self):
+        # where the quadrature's scale-free row used to serve (s at most 2^-27 of its
+        # capped head's smallest node: 1e-25 at delta = 1.001, 7e-127 at 1.9)
+        deltas = np.linspace(1.001, 1.95, 60)[:, None]
+        svals = np.geomspace(np.finfo(float).tiny, 1e-40, 80)
+        value, held = analysis._hankel_series(deltas, np.broadcast_to(svals, (60, 80)))
+        assert held.all()
+        assert np.array_equal(hankel_decay_transform_many(deltas, svals), value)
 
     # recorded with the head laddered all the way down to s (no depth cap); the
     # cap 8 + ceil(26/(2-delta)) leaves under e^{-26} of the mass to the floor panel

@@ -137,6 +137,13 @@ class TestArgumentHandling:
         code, out, err = invoke(capsys, *argv.split())
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_constant_past_the_term_budget_is_one_error_line(self, capsys):
+        # this escaped run as a MemoryError asking for 7.28 TiB
+        code, out, err = invoke(capsys, *"constant --kind separable --alpha 0 --beta 0 --q 4 "
+                                         "--n-list 10,1000000000000".split())
+        assert (code, out) == (1, "")
+        assert err == "error: n=1000000000000 over budget 1000000\n"
+
     def test_budget_error_is_argument_error(self, capsys):
         code, _, err = invoke(
             capsys, "knapp", "--kind", "separable", "--alpha", "0", "--beta", "0",
@@ -422,6 +429,13 @@ class TestOscintCommand:
         assert (code, out) == (1, "")
         assert err == ("error: lambda = 1000.0 is above 100, "
                        "the largest lambda its error bound covers\n")
+
+    def test_lambda_below_the_error_bound_is_one_error_line(self, capsys):
+        # this printed K=inf and exited 0
+        code, out, err = invoke(capsys, "oscint", "--kappa", "0.001", "--lam", "1e-310")
+        assert (code, out) == (1, "")
+        assert err == ("error: lambda = 1e-310 is below 1e-300, "
+                       "the smallest lambda its error bound covers\n")
 
 
 # option string -> (required, default) per subcommand, as the flags stood

@@ -637,6 +637,17 @@ class TestConstantSums:
             constant_density_sums("separable", alpha=0, beta=0, q=4, n_list=[10],
                                   cross_check_rings=experiments.RING_BUDGET + 1)
 
+    def test_term_budget_sums_under_20_mb(self):
+        # measured 16.0 MB: the powers and their cumulative sum, 8 bytes a term each
+        tracemalloc.start()
+        try:
+            res = constant_density_sums("separable", alpha=0, beta=0, q=4,
+                                        n_list=[10, experiments.TERM_BUDGET])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.sums[-1][0] == experiments.TERM_BUDGET and peak <= 20e6
+
     def test_ring_budget_validates_under_30_mb(self):
         # j0_extrema(10^5) validates inside; measured 24.4 MB, where the whole pi/8
         # scan grid at once would peak at 75.3 MB
@@ -729,7 +740,7 @@ class TestL2Endpoint:
 
     def test_criterion_10_kernels_take_the_series_alone(self, monkeypatch):
         # every criterion-10 lambda is at most 0.25, where kappa = 5/9 cancels by
-        # a factor F of at most 3.3, far under the guard 2^7: no quadrature
+        # a factor F of at most 3.3, far under the guard 2^7: no quadrature call
         sizes, quadrature = [], analysis._kernel_quadrature
 
         def recorded(kappa, lams):
@@ -738,7 +749,7 @@ class TestL2Endpoint:
 
         monkeypatch.setattr(analysis, "_kernel_quadrature", recorded)
         l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
-        assert sizes == [0, 0]
+        assert sizes == []
 
     def test_sharing_changes_no_sample(self):
         full = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7]).samples

@@ -151,6 +151,10 @@ class TestWeakLq1d:
             Sampled1(np.array([-1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             Sampled1(np.array([1.0]), np.array([0.0]))
+        s = Sampled1(np.array([0.3, 2.5]), np.array([1.0, 1.0]))
+        for q in (0.0, -1.0, float("nan")):  # NaN returned NaN
+            with pytest.raises(ValueError, match="^q must be positive$"):
+                weak_lq_1d(s, q)
 
 
 class TestGrid2:
