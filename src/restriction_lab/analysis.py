@@ -415,9 +415,8 @@ def _batch(series: Callable, quadrature: Callable, exponent, name: str, lo: floa
         if np.any(x > x_max):
             raise ValueError(f"{x_name} = {float(np.max(x))!r} is above {x_max:g}, "
                              f"the largest {x_name} its error bound covers")
-        floor = ("the smallest normal float" if x_min == np.finfo(float).tiny
-                 else f"{x_min:g}, the smallest {x_name} its error bound covers")
-        raise ValueError(f"{x_name} = {float(np.min(x))!r} is below {floor}")
+        raise ValueError(f"{x_name} = {float(np.min(x))!r} is below {x_min:g}, the smallest "
+                         f"{x_name} its error bound covers")
     shape = np.broadcast_shapes(exponent.shape, x.shape)
     if exponent.ndim:
         exponent = np.broadcast_to(exponent, shape).reshape(-1)
@@ -564,7 +563,7 @@ def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
     most 2^7; every other s (above 2, or where the terms cancel, toward s = 2 and near
     delta = 2) takes the quadrature, ``_hankel_quadrature``.  Each s's route and value
     depend on its own (delta, s) alone.  ``delta_exp`` broadcasts against ``s_vals``;
-    delta in (1, 2), s normal and at most 20 (any other s raises).
+    delta in (1, 2), s in [1e-300, 20] (any other s raises; below, H ~ s^{delta-2} overflows).
 
     Relative error against the closed form (mpmath): the series' is about (1-10) F u,
     u = 2^-53, most of it from math.gamma's Gamma(1+a)/Gamma(1-a), so <= 1.5e-13;
@@ -574,7 +573,7 @@ def hankel_decay_transform_many(delta_exp, s_vals: np.ndarray) -> np.ndarray:
     exponentially small <= 1e-10 at s = 10, 1e-6 at s = 20.
     """
     return _batch(_hankel_series, _hankel_quadrature, delta_exp, "delta_exp", 1, 2, s_vals,
-                  "s", np.finfo(float).tiny, 20.0)
+                  "s", 1e-300, 20.0)
 
 
 def hankel_decay_transform(delta_exp: float, s: float) -> float:

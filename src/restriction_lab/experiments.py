@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -214,20 +215,34 @@ def _column_blocks(grid: Grid2) -> list[tuple[int, int]]:
 
 
 def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
-    """A folded quadrant's sum of |f w^{-1}|^2 cell_measure for a separable weight a(x) b(y)
-    (q = 2 only), as sum_x a(x)^2 sum_s a_s(x)^T G a_s(x) over the ``grid_factors`` planes
-    a_s, G = sum_y b(y)^2 p(y) p(y)^T the R x R Gram of the ``y_factor`` basis, by blocks."""
+    """A folded quadrant's sum of |f w^{-1}|^q cell_measure for a separable weight a(x) b(y)
+    and q = 2m, m = 1..4: |f|^2 = P(x, v) has degree 2(R - 1) in the rescaled y, so the sum
+    is sum_x a(x)^q sum_{k<D} [P^m]_k(x) M_k, D = 2m(R - 1) + 1, with the y-moments
+    M_{i + (R-1) j} = sum_y b(y)^q v^i (v^{R-1})^j of the ``y_factor`` basis, by blocks; at
+    m = 1 the Gram form a_s^T G a_s of the planes, G_{nn'} = M_{n+n'}, and above it [P^m]_k
+    from one unaliased real FFT of the planes, of length >= D.  Cost O(ny R m + nx D log D)."""
     xs, ys = grid.centers()
-    a2, b2 = weight.inverse_factor(xs, 0.0) ** 2, weight.inverse_factor(0.0, ys) ** 2
-    a2[: int(grid.x0 < 0)] /= 2  # an odd axis's centre line has one mirror image
-    b2[: int(grid.y0 < 0)] /= 2
-    planes = grid_factors(cap, grid, nodes)
+    a, b = weight.inverse_factor(xs, 0.0) ** q, weight.inverse_factor(0.0, ys) ** q
+    a[: int(grid.x0 < 0)] /= 2  # an odd axis's centre line has one mirror image
+    b[: int(grid.y0 < 0)] /= 2
+    planes, m = grid_factors(cap, grid, nodes), round(q / 2)
+    n = np.arange(planes.shape[-1])
     gram = 0
     for j0, j1 in _column_blocks(grid):
-        p = y_factor(grid, ys[j0:j1], planes.shape[-1])
-        gram = gram + (p * b2[j0:j1]) @ p.T
-    rows = np.einsum("sxn,sxn->x", planes @ gram, planes)
-    return float(np.sum(a2 * rows)) * grid.cell_measure
+        p = y_factor(grid, ys[j0:j1], n.size)
+        weights = accumulate([b[j0:j1], *[p[-1]] * (2 * m - 1)], np.multiply)
+        gram = gram + np.array(list(weights)) @ p.T  # gram[j, i] = M_{i + (R-1) j}
+    moments = np.concatenate((gram[0], gram[1:, 1:].ravel()))
+    if m == 1:
+        rows = np.einsum("sxn,sxn->x", planes @ moments[n[:, None] + n], planes)
+    else:
+        size = 1 << moments.size.bit_length()
+        spec = np.fft.rfft(planes, size)
+        power = spectrum = spec[0] ** 2 + spec[1] ** 2  # P's, then P^m's by products
+        for _ in range(m - 1):
+            power = power * spectrum
+        rows = np.fft.irfft(power, size)[:, : moments.size] @ moments
+    return float(a @ rows) * grid.cell_measure
 
 
 def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
@@ -269,14 +284,15 @@ def knapp_scan(
     is summed, with an odd axis's centre line halved, and the sum quadrupled.
     The same symmetry folds the cap's K nodes into ceil(K/2) real columns, and e^{-iy} f
     is a polynomial of degree R - 1 <= 15 in the rescaled y (R = 12 at delta = 2^-2..2^-8):
-    ``grid_factors`` returns its coefficients as two real planes.  For q = 2 and a
-    separable weight the real R x R Gram form (``_gram_mass``) sums it at cost
-    O((nx + ny) R^2); every other case streams the planes in column blocks
-    (``_streamed_mass``), each one real product of 2 nx ny R multiply-adds, reduced with
-    no per-cell pow where q/2 is 1 to 4, no weight array for a separable weight and one
-    divide per cell for gamma q = 1.  Memory is bounded by one block of KNAPP_BLOCK_CELLS
-    cells, not by the grid.  KNAPP_CELL_BUDGET counts the quadrant cells summed, about
-    delta^{-3}; it and the delta window (``_eps_window``) are checked before any evaluation.
+    ``grid_factors`` returns its coefficients as two real planes.  For q = 2, 4, 6 or 8 and
+    a separable weight the moment form (``_gram_mass``) sums |f|^q from y-moments at cost
+    O(ny R q + nx D log D), D = q(R - 1) + 1 <= 89, with no per-cell work; every other case
+    streams the planes in column blocks (``_streamed_mass``), each one real product of
+    2 nx ny R multiply-adds, reduced with no per-cell pow where q/2 is 1 to 4, no weight
+    array for a separable weight and one divide per cell for gamma q = 1.  Memory is
+    bounded by one block of KNAPP_BLOCK_CELLS cells, not by the grid.  KNAPP_CELL_BUDGET
+    counts the quadrant cells summed, about delta^{-3}; it and the delta window
+    (``_eps_window``) are checked before any evaluation.
     """
     q = exact_in(q, "q", "(0, inf)")
     exps = weight_exponents(kind, alpha, beta, gamma)
@@ -284,7 +300,7 @@ def knapp_scan(
     qf = float(q)
     weight = getattr(WeightSpec, kind)(*sorted(map(float, exps.values()), reverse=True))
     predicted = predicted_exponent(kind, **exps, r=r, q=q)
-    mass = _gram_mass if qf == 2 and kind == "separable" else _streamed_mass
+    mass = _gram_mass if qf / 2 in (1, 2, 3, 4) and kind == "separable" else _streamed_mass
 
     deltas = [float(d) for d in _eps_window(delta_exps, "delta", points=0)]
     quadrants = [_knapp_quadrant(d) for d in deltas]
@@ -516,11 +532,11 @@ def l2_endpoint_scan(
     one_minus_s, one_plus_s, s, s_weights = _inner_s_mesh()
     tau, rows = np.unique(nodes, return_inverse=True)
     phi = delta * np.exp(-tau)
-    half_diff = 0.5 * phi[:, None] * one_minus_s[None, :]
+    sin_diff = np.sin(0.5 * phi[:, None] * one_minus_s[None, :])
     half_sum = 0.5 * phi[:, None] * one_plus_s[None, :]
-    lam1 = 2.0 * np.sin(half_diff) * np.cos(half_sum)
-    lam2 = 2.0 * np.sin(half_sum) * np.sin(half_diff)
-    del half_diff, half_sum  # each kernel call's peak sits on top of the live arrays
+    lam1 = 2.0 * sin_diff * np.cos(half_sum)
+    lam2 = 2.0 * np.sin(half_sum) * sin_diff
+    del sin_diff, half_sum  # each kernel call's peak sits on top of the live arrays
     k1 = cosine_weight_kernel_many(float(2 * a), lam1)
     del lam1
     k2 = cosine_weight_kernel_many(float(2 * b), lam2)

@@ -688,11 +688,22 @@ class TestHankelTransform:
     @pytest.mark.parametrize("s", [1e-310, 5e-324])
     def test_a_subnormal_s_raises(self, s):
         # (u/h) h^{1-delta} overflows at h = s near delta = 2: these gave inf and NaN
-        with pytest.raises(ValueError, match=rf"^s = {s!r} is below the smallest normal float$"):
+        message = "^" + re.escape(f"s = {s!r} is below 1e-300, the smallest s its error bound")
+        with pytest.raises(ValueError, match=message):
             hankel_decay_transform(1.999, s)
-        with pytest.raises(ValueError, match="is below the smallest normal float"):
+        with pytest.raises(ValueError, match="is below 1e-300"):
             hankel_decay_transform_many(np.array([1.2, 1.999]), np.array([1.0, s]))
-        assert math.isfinite(hankel_decay_transform(1.999, np.finfo(float).tiny))
+        assert math.isfinite(hankel_decay_transform(1.999, 1e-300))
+
+    @pytest.mark.parametrize("s", [math.nextafter(1e-300, 0.0), 1e-305, 2.3e-308])
+    def test_s_below_the_floor_raises_where_h_would_overflow(self, s):
+        # H grows like s^{delta-2}: at delta = 1.0001 and s = 2.3e-308 it is past the float
+        # range, and this returned inf with an overflow warning; at s = 1e-300 it is finite
+        with pytest.raises(ValueError, match="^" + re.escape(f"s = {s!r} is below 1e-300, ")):
+            hankel_decay_transform(1.0001, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 6e300 < hankel_decay_transform(1.0000001, 1e-300) < 7e300
 
     ORACLE_DELTAS = [1.001, 1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 1.99, 1.999]
 
@@ -791,7 +802,7 @@ class TestHankelTransform:
         # where the quadrature's scale-free row used to serve (s at most 2^-27 of its
         # capped head's smallest node: 1e-25 at delta = 1.001, 7e-127 at 1.9)
         deltas = np.linspace(1.001, 1.95, 60)[:, None]
-        svals = np.geomspace(np.finfo(float).tiny, 1e-40, 80)
+        svals = np.geomspace(1e-300, 1e-40, 80)
         value, held = analysis._hankel_series(deltas, np.broadcast_to(svals, (60, 80)))
         assert held.all()
         assert np.array_equal(hankel_decay_transform_many(deltas, svals), value)

@@ -455,10 +455,12 @@ class TestKnappScan:
             assert peak <= 100e6, (kind, kw, peak)
 
     @pytest.mark.parametrize("kind, kw", [("separable", dict(alpha=0, beta=0, q=6, r=2)),
+                                          ("separable", dict(alpha="1/4", beta="1/4", q=3, r=2)),
                                           ("radial", dict(gamma="1/2", q=2, r=2))])
     def test_streamed_memory_stays_under_8_mb(self, kind, kw):
-        # one column block (1 MB of planes) and the x factor that the quadrant's planes
-        # are built from: about 3.2 and 2.5 MB; the whole quadrant's planes would be 211 MB
+        # a streamed scan holds one column block (1 MB of planes) and the x factor that the
+        # quadrant's planes are built from: about 2.5 MB; the whole quadrant's planes would
+        # be 211 MB.  The moment form of q = 6 holds the planes' spectra: about 5.8 MB
         tracemalloc.start()
         try:
             knapp_scan(kind, delta_exps=[2, 3, 6], **kw)
@@ -467,17 +469,37 @@ class TestKnappScan:
             tracemalloc.stop()
         assert peak < 8e6, peak
 
-    @pytest.mark.parametrize("exps", [(1 / 3, 1 / 3), (1.0, 1.0)])
-    def test_gram_form_matches_the_streamed_grid(self, exps):
+    @pytest.mark.parametrize("q", [2.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("exps", [(0.0, 0.0), (1 / 3, 1 / 3), (1.0, 1.0), (0.3, 0.2),
+                                      (0.5, 0.25)])
+    def test_gram_form_matches_the_streamed_grid(self, exps, q):
         # the two evaluations of one midpoint sum, each the other's oracle, at
         # the scan's own quadrants and node budgets
         weight = WeightSpec.separable(*exps)
         for k in range(2, 7):
             delta = 2.0**-k
             grid, nodes = experiments._knapp_quadrant(delta)
-            args = (Density.cap(delta), grid, weight, 2.0, nodes)
+            args = (Density.cap(delta), grid, weight, q, nodes)
             gram, streamed = experiments._gram_mass(*args), experiments._streamed_mass(*args)
             assert gram == pytest.approx(streamed, rel=1e-13), k
+
+    @pytest.mark.parametrize("kind, kw, route", [
+        ("separable", dict(alpha="1/4", beta="1/4", q=4), "_gram_mass"),
+        ("separable", dict(alpha="1/4", beta="1/4", q=8), "_gram_mass"),
+        ("separable", dict(alpha="1/4", beta="1/4", q=5), "_streamed_mass"),
+        ("separable", dict(alpha="1/4", beta="1/4", q="3/2"), "_streamed_mass"),
+        ("separable", dict(alpha="1/4", beta="1/4", q=10), "_streamed_mass"),
+        ("radial", dict(gamma="1/2", q=2), "_streamed_mass"),
+        ("radial", dict(gamma="1/4", q=6), "_streamed_mass"),
+    ])
+    def test_moment_form_takes_separable_q_2_to_8_only(self, monkeypatch, kind, kw, route):
+        reached = []
+        for name in ("_gram_mass", "_streamed_mass"):
+            mass = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *args, name=name, mass=mass: (
+                reached.append(name) or mass(*args)))
+        knapp_scan(kind, r=2, delta_exps=[2, 3, 4], **kw)
+        assert reached == [route] * 3
 
     def test_bounded_boundary_ratio_saturates(self):
         # criterion 8's two-sided miss: at (1/3, 1/3, q = 2, r = 2) the operator
