@@ -32,6 +32,7 @@ from .exponents import (
     weight_exponents,
 )
 from .experiments import (
+    TERM_BUDGET,
     ScanResult,
     constant_density_sums,
     dual_scan,
@@ -61,6 +62,9 @@ def _int_range(text: str) -> list[int]:
             lo_i, hi_i = int(lo), int(hi)
             if hi_i < lo_i:
                 raise ValueError
+            if hi_i - lo_i >= TERM_BUDGET:  # the most values any flag takes; checked unbuilt
+                raise argparse.ArgumentTypeError(
+                    f"{text!r} has {hi_i - lo_i + 1} values, over budget {TERM_BUDGET}")
             return list(range(lo_i, hi_i + 1))
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
@@ -357,7 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config FILE as default flags."""
+    """Prepend key=value pairs from --config FILE (or --config=FILE) as default flags."""
+    argv = [part for token in argv for part in (
+        token.split("=", 1) if token.startswith("--config=") else [token])]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")

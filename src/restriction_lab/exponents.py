@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import ConfigurationError
+
 __all__ = [
     "ExtScalar",
     "INF",
@@ -455,6 +457,9 @@ def classify_radial(p: RadialParams) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+DIAGRAM_CELL_BUDGET = 250_000  # (grid_n + 1) grid_n cells: grid_n = 499 takes about 3 s, 31 MB
+
+
 @dataclass(frozen=True, slots=True)
 class DiagramRow:
     inv_r: Fraction
@@ -472,10 +477,14 @@ def riesz_diagram(
     ``kind`` is ``"separable"`` (weights alpha, beta) or ``"radial"``
     (weight gamma).  1/r ranges over [0, 1] (i = 0..n, 0 meaning r = inf)
     and 1/q over (0, 1] (j = 1..n).  Rows carry the verdict with its case
-    tag so the colored regions of the diagrams are reconstructible.
+    tag so the colored regions of the diagrams are reconstructible.  A grid of more than
+    DIAGRAM_CELL_BUDGET cells raises ConfigurationError before any cell is classified.
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
+    if (grid_n + 1) * grid_n > DIAGRAM_CELL_BUDGET:
+        raise ConfigurationError(f"grid_n={grid_n} needs {(grid_n + 1) * grid_n} cells, "
+                                 f"over budget {DIAGRAM_CELL_BUDGET}")
     exps = weight_exponents(kind, **weights).values()  # not per cell
     rows: list[DiagramRow] = []
     for i in range(grid_n + 1):

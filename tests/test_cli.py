@@ -144,6 +144,27 @@ class TestArgumentHandling:
         assert (code, out) == (1, "")
         assert err == "error: n=1000000000000 over budget 1000000\n"
 
+    @pytest.mark.parametrize("argv, flag, text, values", [
+        ("constant --kind separable --alpha 0 --beta 0 --q 4 --n-list 1..1000000000",
+         "n-list", "1..1000000000", 1_000_000_000),
+        ("knapp --kind separable --alpha 0 --beta 0 --r 2 --q 6 --delta-exps 2..300000000",
+         "delta-exps", "2..300000000", 299_999_999),
+    ])
+    def test_a_range_past_the_term_budget_is_refused_before_it_is_built(
+            self, capsys, argv, flag, text, values):
+        # under a 1.5 GB address-space limit these ended in a MemoryError traceback
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"restriction-lab {argv.split()[0]}: error: argument --{flag}: {text!r} has "
+            f"{values} values, over budget 1000000"]
+
+    def test_diagram_past_the_cell_budget_is_one_error_line(self, capsys):
+        code, out, err = invoke(capsys, *"diagram --kind radial --gamma 1/2 "
+                                         "--grid-n 100000".split())
+        assert (code, out) == (1, "")
+        assert err == "error: grid_n=100000 needs 10000100000 cells, over budget 250000\n"
+
     def test_budget_error_is_argument_error(self, capsys):
         code, _, err = invoke(
             capsys, "knapp", "--kind", "separable", "--alpha", "0", "--beta", "0",
@@ -359,6 +380,19 @@ class TestConfigFile:
             "--alpha", "0", "--beta", "0",
         )
         assert code == 0 and out.startswith("UNBOUNDED")
+
+    @pytest.mark.parametrize("argv", [
+        "classify --kind separable --r 2 --q 2",
+        "classify --kind separable --alpha 0 --beta 0 --r 2 --q 2",
+        "diagram --kind separable --grid-n 3 --format csv",
+    ])
+    def test_config_equals_path_matches_config_space_path(self, capsys, tmp_path, argv):
+        # --config=PATH was accepted by argparse and the file never read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=1/3\nbeta=1/3\n")
+        spaced = invoke(capsys, "--config", str(cfg), *argv.split())
+        joined = invoke(capsys, f"--config={cfg}", *argv.split())
+        assert joined == spaced and spaced[0] == 0
 
     def test_line_without_equals_is_an_argument_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from restriction_lab import exponents
+from restriction_lab.errors import ConfigurationError
 from restriction_lab.exponents import (
     INF,
     DomainError,
@@ -248,6 +250,16 @@ class TestRieszDiagram:
     def test_grid_n_validation(self):
         with pytest.raises(DomainError):
             riesz_diagram("separable", {"alpha": 0, "beta": 0}, 1)
+
+    def test_a_grid_at_the_cell_budget_is_classified(self, monkeypatch):
+        monkeypatch.setattr(exponents, "DIAGRAM_CELL_BUDGET", 12)  # grid_n = 3: (3 + 1) 3 cells
+        assert len(riesz_diagram("radial", {"gamma": "1/2"}, 3)) == 12
+
+    def test_a_grid_one_cell_over_the_budget_is_refused_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(exponents, "DIAGRAM_CELL_BUDGET", 11)
+        monkeypatch.setattr(exponents, "classify_radial", None)  # a classified cell would raise
+        with pytest.raises(ConfigurationError, match=r"^grid_n=3 needs 12 cells, over budget 11$"):
+            riesz_diagram("radial", {"gamma": "1/2"}, 3)
 
 
 # ---------------------------------------------------------------------------
