@@ -323,16 +323,20 @@ def _take(a, idx):
 
 
 def _batch(series: Callable, quadrature: Callable, exponent, name: str, lo: float,
-           hi: float, x, x_name: str, x_min: float, x_max: float) -> np.ndarray:
+           hi: float, x, x_name: str, x_min: float, x_max: float,
+           exp_min: float = 0.0) -> np.ndarray:
     """A transform at every (exponent, x) of a broadcast batch: ``series(exponent, x)`` ->
     (values, held) in chunks of _CHUNK_NODES, and ``quadrature(exponent, x)`` where the
     series does not hold, so each sample's route and value depend on its own arguments
-    alone.  ValueError naming the argument unless the exponent lies in (lo, hi) and every
-    x in [x_min, x_max], where the error bounds hold.  A scalar exponent stays 0-d, so
-    that its arithmetic stays scalar."""
+    alone.  ValueError naming the argument unless the exponent lies in (lo, hi), at
+    least exp_min, and every x in [x_min, x_max], where the error bounds hold.  A scalar
+    exponent stays 0-d, so that its arithmetic stays scalar."""
     exponent = np.asarray(exponent, dtype=float)
     if not np.all((lo < exponent) & (exponent < hi)):
         raise ValueError(f"{name} must lie in ({lo:g},{hi:g})")
+    if np.any(exponent < exp_min):
+        raise ValueError(f"{name} = {float(np.min(exponent))!r} is below {exp_min:g}, the "
+                         f"smallest {name} its error bound covers")
     x = np.asarray(x, dtype=float)
     if not np.all((x_min <= x) & (x <= x_max)):
         if not np.all((0 < x) & (x < np.inf)):
@@ -411,18 +415,19 @@ def cosine_weight_kernel_many(kappa, lams: np.ndarray) -> np.ndarray:
     2, or where the two terms cancel, as near kappa = 1 or for kappa below about 0.005)
     takes the quadrature, ``_kernel_quadrature``.  Each lambda's route and value depend
     on its own (kappa, lambda) alone, never on the batch.  ``kappa`` broadcasts against
-    ``lams``; kappa in (0, 1), lambda in [1e-300, 100] (any other lambda raises: below
-    1e-300, lambda^{kappa-1} overflows in the series and _CUT/lambda in the quadrature).
+    ``lams``; kappa in [1e-300, 1), lambda in [1e-300, 100] (any other argument raises:
+    below 1e-300, lambda^{kappa-1} overflows in the series and _CUT/lambda in the
+    quadrature, and a kappa there leaves K subnormal or 0, outside the relative bound).
 
     Relative error against the closed form (mpmath, kappa - 1 exact): the series' is
     about (1-7) F u, u = 2^-53, so <= 1e-13 under the guard, measured <= 7e-14 for
     kappa in [1e-3, 0.99999] and lambda in [1e-300, 2], <= 1e-14 at kappa = 5/9.  The
-    quadrature's is <= 1e-14 for kappa >= 1e-300, measured <= 5.6e-16 for kappa in
+    quadrature's is <= 1e-14 on the whole domain, measured <= 5.6e-16 for kappa in
     [1e-5, 0.99999] and lambda in [1e-300, 100] (and <= 3e-16 at kappa = 1e-100, 1e-300);
-    its step check never read above 5e-16.  Both routes return K > 0 for kappa >= 1e-300.
+    its step check never read above 5e-16.  Both routes return K > 0.
     """
     return _batch(_kernel_series, _kernel_quadrature, kappa, "kappa", 0, 1, lams, "lambda",
-                  1e-300, 100.0)
+                  1e-300, 100.0, exp_min=1e-300)
 
 
 def cosine_weight_kernel(kappa: float, lam: float) -> float:

@@ -37,7 +37,7 @@ __all__ = [
     "inv_ratio",
     "inv_conjugate",
     "inv_conjugate_ratio",
-    "to_fraction",
+    "finite_ratio",
     "scaled",
     "weight_exponents",
     "SeparableParams",
@@ -57,36 +57,25 @@ class DomainError(ValueError):
 
 
 class ExtScalar:
-    """Exact nonnegative-capable rational extended with a unique +infinity.
+    """Exact rational extended with a unique +infinity.
 
-    Stored as a reduced numerator over a positive denominator; infinity, the
-    single value ``INF``, as 1/0.  Comparison is a total order with infinity
-    maximal.  Values may be negative; the nonnegativity constraints of the
-    domain types are enforced by the parameter classes, not here.
+    The reduced integer pair (numerator, positive denominator), with infinity, the
+    value ``INF``, as 1/0, is the only representation the decisions use: order (total,
+    infinity maximal), equality and product are integer arithmetic on pairs, and an int
+    operand costs one integer product, with no ExtScalar built for it.  Every computed
+    value comes from :func:`ext_ratio`, the one pair constructor; a Fraction is built
+    only by as_fraction() and hash.  Values may be negative; the nonnegativity
+    constraints of the domain types are enforced by the parameter classes, not here.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, value: ScalarLike = 0):
-        if isinstance(value, (int, Fraction)):
-            self._num, self._den = value.as_integer_ratio()
-        elif isinstance(value, ExtScalar):
-            self._num, self._den = value._num, value._den
-        elif isinstance(value, str):
-            frac = _parse_fraction(value)
-            self._num, self._den = (1, 0) if frac is None else frac.as_integer_ratio()
-        else:
-            raise TypeError(f"cannot build ExtScalar from {type(value).__name__}")
-
-    @classmethod
-    def _wrap(cls, frac: Fraction | None) -> "ExtScalar":
-        obj = object.__new__(cls)
-        obj._num, obj._den = (1, 0) if frac is None else frac.as_integer_ratio()
-        return obj
+        self._num, self._den = _ratio(value)
 
     @classmethod
     def coerce(cls, value: ScalarLike) -> "ExtScalar":
-        return value if isinstance(value, ExtScalar) else cls(value)
+        return value if type(value) is ExtScalar or isinstance(value, ExtScalar) else cls(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -105,37 +94,35 @@ class ExtScalar:
             raise DomainError("infinity has no Fraction value")
         return self._num, self._den
 
-    def _frac(self) -> Fraction | None:
-        # the value as a Fraction, None for infinity
-        return None if self._den == 0 else Fraction(self._num, self._den)
-
     # -- product (partial where genuinely ambiguous: 0 * inf) --
 
     def __mul__(self, other: ScalarLike) -> "ExtScalar":
-        a, b = self._frac(), ExtScalar.coerce(other)._frac()
-        if a is None or b is None:
-            fin = b if a is None else a
-            if fin is not None and fin == 0:
+        num, den = _ratio(other)
+        if self._den == 0 or den == 0:
+            num *= self._num  # inf's numerator is 1: the finite factor's numerator
+            if num == 0:
                 raise DomainError("0 * infinity is undefined")
-            if fin is not None and fin < 0:
+            if num < 0:
                 raise DomainError("negative * infinity not supported")
-            return INF
-        return ExtScalar._wrap(a * b)
+            return ext_ratio(1, 0)
+        return ext_ratio(self._num * num, self._den * den)
 
     __rmul__ = __mul__
 
     # -- total order with infinity maximal --
 
     def _compare(op):
-        # finite values by one cross-multiplication; infinity (True) beats finite
+        # an int by one product; other values by one cross-multiplication of reduced
+        # pairs, where infinity (True) beats finite
         def compare(self, other: ScalarLike) -> bool:
-            o = other if type(other) is ExtScalar else ExtScalar(other)
-            if self._den == 0 or o._den == 0:
-                return op(self._den == 0, o._den == 0)
-            return op(self._num * o._den, o._num * self._den)
+            if type(other) is int:
+                return op(self._num, other * self._den) if self._den else op(1, 0)
+            num, den = (other._num, other._den) if type(other) is ExtScalar else _ratio(other)
+            if self._den == 0 or den == 0:
+                return op(self._den == 0, den == 0)
+            return op(self._num * den, num * self._den)
         return compare
 
-    _equal = _compare(operator.eq)
     __lt__ = _compare(operator.lt)
     __le__ = _compare(operator.le)
     __gt__ = _compare(operator.gt)
@@ -143,12 +130,17 @@ class ExtScalar:
     del _compare
 
     def __eq__(self, other: object) -> bool:
+        # reduced pairs are canonical: equal values have equal pairs
+        if type(other) is ExtScalar:
+            return self._num == other._num and self._den == other._den
+        if type(other) is int:
+            return self._den == 1 and self._num == other
         if not isinstance(other, (ExtScalar, Fraction, int, str)):
             return NotImplemented
-        return self._equal(other)
+        return (self._num, self._den) == _ratio(other)
 
     def __hash__(self) -> int:
-        return hash(self._frac())
+        return hash(None if self._den == 0 else self.as_fraction())
 
     def __float__(self) -> float:
         return float("inf") if self._den == 0 else self._num / self._den
@@ -162,22 +154,38 @@ class ExtScalar:
         return f"ExtScalar({str(self)!r})"
 
 
-def _parse_fraction(text: str) -> Fraction | None:
-    t = text.strip()
-    if t in ("inf", "infinity", "oo"):
-        return None
-    if "/" in t:
-        num, _, den = t.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(t))
-
-
-INF = ExtScalar._wrap(None)
-
-
 def ext_ratio(num: int, den: int) -> ExtScalar:
-    """num/den as an ExtScalar from integers, reduced; den = 0 (a zero reciprocal) is inf."""
-    return INF if den == 0 else ExtScalar._wrap(Fraction(num, den))
+    """num/den as an ExtScalar from integers, reduced by their gcd with the denominator
+    made positive; den = 0 (a zero reciprocal) is inf.  The one pair constructor."""
+    x = object.__new__(ExtScalar)
+    if den:
+        g = math.gcd(num, den)
+        x._num, x._den = (num // g, den // g) if den > 0 else (-num // g, -den // g)
+    else:
+        x._num, x._den = 1, 0
+    return x
+
+
+def _ratio(x: ScalarLike) -> tuple[int, int]:
+    """x's reduced integer pair, (1, 0) for inf; exact types are tested first."""
+    if type(x) is ExtScalar or isinstance(x, ExtScalar):
+        return x._num, x._den
+    if type(x) is int or type(x) is Fraction or isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
+    if not isinstance(x, str):
+        raise TypeError(f"cannot build ExtScalar from {type(x).__name__}")
+    t = x.strip()
+    if t in ("inf", "infinity", "oo"):
+        return 1, 0
+    num, slash, den = t.partition("/")
+    num, den = int(num), (int(den) if slash else 1)
+    if den == 0:
+        raise ZeroDivisionError(f"{x!r} has a zero denominator")
+    x = ext_ratio(num, den)
+    return x._num, x._den
+
+
+INF = ext_ratio(1, 0)
 
 
 @functools.cache
@@ -185,8 +193,8 @@ def _bounds(interval: str) -> tuple[int, int, int, int, int, int]:
     """(lo_num, lo_den, lo_min, hi_num, hi_den, hi_min) of an interval written like
     ``"[0, inf)"``: a finite lower end and hi_den = 0 for inf.  x - lo and hi - x are
     compared as integers, so an end's min is 0 where it is closed, 1 where it is open."""
-    lo, hi = (ExtScalar(end) for end in interval[1:-1].split(","))
-    return (*lo.as_integer_ratio(), interval[0] == "(", hi._num, hi._den, interval[-1] == ")")
+    lo, hi = (_ratio(end) for end in interval[1:-1].split(","))
+    return (*lo, interval[0] == "(", *hi, interval[-1] == ")")
 
 
 def exact_in(x: ScalarLike, name: str, interval: str) -> ExtScalar | Fraction:
@@ -194,8 +202,8 @@ def exact_in(x: ScalarLike, name: str, interval: str) -> ExtScalar | Fraction:
     ``"[1, 2]"``, ...), else DomainError "<name> must lie in <interval>".
 
     x comes back as an ExtScalar when the interval holds inf, else as a Fraction
-    (a Fraction argument as itself); a None x is named as missing.  An int or a Fraction
-    is decided by its integer pair against bounds parsed once per interval string.
+    (an argument of that type as itself); a None x is named as missing.  x is decided by
+    its integer pair against bounds parsed once per interval string.
     """
     lo_num, lo_den, lo_min, hi_num, hi_den, hi_min = _bounds(interval)
     if type(x) is Fraction or type(x) is int:
@@ -203,8 +211,7 @@ def exact_in(x: ScalarLike, name: str, interval: str) -> ExtScalar | Fraction:
     elif x is None:
         raise DomainError(f"missing required exact parameters: {name}")
     else:
-        x = ExtScalar.coerce(x)
-        num, den = x._num, x._den
+        num, den = _ratio(x)
     if den == 0:  # inf lies only in an interval closed at inf
         inside = hi_den == 0 and not hi_min
     else:  # x - lo and hi - x times the (positive) denominators
@@ -213,13 +220,16 @@ def exact_in(x: ScalarLike, name: str, interval: str) -> ExtScalar | Fraction:
     if not inside:
         raise DomainError(f"{name} must lie in {interval}")
     if hi_den == 0 and not hi_min:  # the interval holds inf
-        return x if type(x) is ExtScalar else ExtScalar(x)
+        return x if type(x) is ExtScalar else ext_ratio(num, den)
     return x if type(x) is Fraction else Fraction(num, den)
 
 
-def to_fraction(x: ScalarLike) -> Fraction:
-    """The exact Fraction value of a finite scalar; infinity raises DomainError."""
-    return x if type(x) is Fraction else ExtScalar.coerce(x).as_fraction()
+def finite_ratio(x: ScalarLike) -> tuple[int, int]:
+    """The reduced integer pair of a finite scalar; infinity raises DomainError."""
+    num, den = _ratio(x)
+    if den == 0:
+        raise DomainError("infinity has no Fraction value")
+    return num, den
 
 
 def conjugate_exponent(r: ScalarLike) -> ExtScalar:
@@ -228,14 +238,14 @@ def conjugate_exponent(r: ScalarLike) -> ExtScalar:
     return ext_ratio(den, num)
 
 
-def inv_ratio(x: ExtScalar | Fraction) -> tuple[int, int]:
+def inv_ratio(x: ScalarLike) -> tuple[int, int]:
     """1/x as an integer pair (numerator, positive denominator); 1/inf = 0/1.
 
     x = 0 raises DomainError: 0 has no reciprocal.
     """
-    if isinstance(x, ExtScalar) and x.is_infinite:
+    num, den = (x._num, x._den) if type(x) is ExtScalar else _ratio(x)
+    if den == 0:
         return 0, 1
-    num, den = x.as_integer_ratio()
     if num == 0:
         raise DomainError("0 has no reciprocal")
     return (den, num) if num > 0 else (-den, -num)

@@ -19,11 +19,10 @@ its verifier indicates an implementation bug and aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 from .exponents import (
-    DomainError, ExtScalar, ScalarLike, exact_in, ext_ratio, inv_conjugate_ratio, inv_ratio,
-    scaled, to_fraction,
+    DomainError, ExtScalar, ScalarLike, exact_in, ext_ratio, finite_ratio, inv_conjugate_ratio,
+    inv_ratio, scaled,
 )
 
 __all__ = [
@@ -95,17 +94,16 @@ class CertificateTwo:
 
 
 def _shared_checks(cert: CertificateOne | CertificateTwo, r: ScalarLike, q: ScalarLike,
-                   r1_finite: bool, *extra: Fraction):
+                   r1_finite: bool, *extra: tuple[int, int]):
     """The constraints both propositions put on (theta, q0, q1, r0, r1).
 
-    Returns the violated names so far and (1, theta, 1/q1, 1/r1', *extra) as
-    integers over one denominator; the values are None, and the names final,
-    when theta lies outside (0, 1) or an exponent is 0, which has no reciprocal.
+    Returns the violated names so far and (1, theta, 1/q1, 1/r1', *extra), extra given
+    as integer pairs, as integers over one denominator; the values are None, and the
+    names final, when theta lies outside (0, 1) or an exponent is 0, which has no
+    reciprocal.
     """
-    r = ExtScalar.coerce(r)
-    q = ExtScalar.coerce(q)
-    theta = cert.theta
-    if not (theta.is_finite and 0 < theta.as_fraction() < 1):
+    theta = cert.theta.as_integer_ratio() if cert.theta.is_finite else (1, 0)
+    if not 0 < theta[0] < theta[1]:  # 0 < theta < 1 over a positive denominator
         return ["theta-range"], None
 
     bad: list[str] = []
@@ -121,9 +119,7 @@ def _shared_checks(cert: CertificateOne | CertificateTwo, r: ScalarLike, q: Scal
         return bad, None
 
     one, th, inv_q0, inv_q1, inv_r0, inv_r1, inv_q, inv_r, *extra = scaled(
-        1, theta.as_integer_ratio(),
-        *map(inv_ratio, (cert.q0, cert.q1, cert.r0, cert.r1, q, r)),
-        *[x.as_integer_ratio() for x in extra])
+        1, theta, *map(inv_ratio, (cert.q0, cert.q1, cert.r0, cert.r1, q, r)), *extra)
     if (one - th) * inv_q0 + th * inv_q1 != inv_q * one:
         bad.append("q-convexity")
     if (one - th) * inv_r0 + th * inv_r1 != inv_r * one:
@@ -199,7 +195,7 @@ def verify_one(
     Returns a pass/fail result; on failure the violated constraints are
     listed by name, one entry per failed constraint.
     """
-    bad, values = _shared_checks(cert, r, q, True, to_fraction(alpha), to_fraction(beta))
+    bad, values = _shared_checks(cert, r, q, True, finite_ratio(alpha), finite_ratio(beta))
     if values is None:
         return VerifyResult(False, tuple(bad))
     one, th, inv_q1, inv_r1c, a, b = values
@@ -282,7 +278,7 @@ def verify_two(
     cert: CertificateTwo, gamma: ScalarLike, r: ScalarLike, q: ScalarLike
 ) -> VerifyResult:
     """Check every constraint of the radial proposition exactly."""
-    bad, values = _shared_checks(cert, r, q, False, to_fraction(gamma))
+    bad, values = _shared_checks(cert, r, q, False, finite_ratio(gamma))
     if values is None:
         return VerifyResult(False, tuple(bad))
     one, th, inv_q1, inv_r1c, g = values

@@ -97,13 +97,20 @@ class WeightSpec:
 
     def inverse_factor(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """w^{-1} at the points (x, y), broadcast against each other; w^{-q} is
-        the inverse factor of the same family with every exponent times q."""
-        ax, ay = np.abs(x), np.abs(y)
+        the inverse factor of the same family with every exponent times q.  A zero
+        exponent's factor is 1 (t ** -0.0 is exactly 1.0): it takes no abs and no pow."""
         if self.kind == "separable":
-            return (1 + ax) ** (-self.alpha) * (1 + ay) ** (-self.beta)
-        if self.kind == "radial":
-            return (1 + ax + ay) ** (-self.gamma)
-        raise ValueError(f"unknown weight kind {self.kind!r}")
+            parts = [(1 + np.abs(t)) ** -e for t, e in ((x, self.alpha), (y, self.beta)) if e]
+        elif self.kind == "radial":
+            parts = [(1 + np.abs(x) + np.abs(y)) ** -self.gamma] if self.gamma else []
+        else:
+            raise ValueError(f"unknown weight kind {self.kind!r}")
+        if len(parts) == 2:
+            return parts[0] * parts[1]
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        if not parts:
+            return np.ones(shape)
+        return parts[0] if np.shape(parts[0]) == shape else parts[0] * np.ones(shape)
 
 
 def weighted_lq_2d(values: np.ndarray, grid: Grid2, weight: WeightSpec, q: float) -> float:

@@ -410,7 +410,18 @@ class TestCosineKernel:
 
     def test_a_subnormal_kappa_underflows_without_a_warning(self):
         # K ~ kappa/lambda^2 underflows to 0 there; the step check must not divide by it
-        assert cosine_weight_kernel(5e-324, 100.0) == 0.0
+        assert analysis._kernel_quadrature(5e-324, np.array([100.0]))[0] == 0.0
+
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-310])
+    def test_a_subnormal_kappa_raises(self, kappa):
+        # K's relative bound holds from kappa = 1e-300; below, K is subnormal or 0
+        message = "^" + re.escape(f"kappa = {kappa!r} is below 1e-300, the smallest kappa its "
+                                  "error bound covers") + "$"
+        with pytest.raises(ValueError, match=message):
+            cosine_weight_kernel(kappa, 100.0)
+        with pytest.raises(ValueError, match=message):
+            cosine_weight_kernel_many(np.array([0.5, kappa]), np.array([1.0, 1e-3]))
+        assert cosine_weight_kernel(1e-300, 100.0) > 0
 
     def test_non_convergence_names_a_deep_lambda(self, monkeypatch):
         # K's deep lambda take the series; its quadrature still names them when called

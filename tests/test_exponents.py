@@ -19,6 +19,7 @@ from restriction_lab.exponents import (
     classify_separable,
     conjugate_exponent,
     exact_in,
+    ext_ratio,
     inv_conjugate,
     inv_conjugate_ratio,
     inv_ratio,
@@ -56,6 +57,58 @@ class TestExtScalar:
     def test_undefined_forms_raise(self):
         with pytest.raises(DomainError):
             INF * ExtScalar(0)
+
+
+# integers well past 2^64, either sign, and zero
+wide_ints = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([0, 1, -1, 2**64, -(2**64)]))
+wide_fractions = st.builds(Fraction, wide_ints, st.integers(1, 2**70))
+
+
+@st.composite
+def operands(draw):
+    """(oracle, operand): the oracle a Fraction, None for inf; the operand that value as
+    an int, a Fraction, a string, an ExtScalar, INF or "inf"."""
+    form = draw(st.sampled_from(["int", "Fraction", "str", "ExtScalar", "inf"]))
+    if form == "inf":
+        return None, draw(st.sampled_from([INF, "inf"]))
+    if form == "int":
+        value = draw(wide_ints)
+        return Fraction(value), value
+    value = draw(st.one_of(wide_fractions, st.fractions(max_denominator=12)))
+    return value, {"Fraction": value, "str": str(value), "ExtScalar": ExtScalar(value)}[form]
+
+
+class TestIntegerPair:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_ints, wide_ints)
+    @example(0, -7)
+    @example(-(2**64) - 2, -(2**65) - 4)
+    @example(5, 0)
+    def test_ext_ratio_matches_fraction(self, num, den):
+        x = ext_ratio(num, den)
+        if den == 0:  # a zero reciprocal: inf
+            assert x.is_infinite and x == INF and str(x) == "inf"
+            return
+        f = Fraction(num, den)
+        assert x.as_integer_ratio() == (f.numerator, f.denominator)
+        assert str(x) == str(f) and str(ExtScalar(f"{num}/{den}")) == str(f)
+
+    @settings(max_examples=500, deadline=None)
+    @given(operands(), operands())
+    @example((None, INF), (Fraction(0), 0))
+    @example((Fraction(2**64), ExtScalar(2**64)), (Fraction(2**64), 2**64))
+    def test_order_equality_and_hash_match_the_oracle(self, left, right):
+        def key(v):
+            return (1, 0) if v is None else (0, v)
+
+        (x, lhs), (y, rhs) = left, right
+        lhs = ExtScalar(lhs)
+        assert (lhs < rhs) == (key(x) < key(y))
+        assert (lhs <= rhs) == (key(x) <= key(y))
+        assert (lhs == rhs) == (key(x) == key(y)) == (rhs == lhs)
+        assert hash(lhs) == hash(x)
+        if lhs == rhs and not isinstance(rhs, str):
+            assert hash(lhs) == hash(rhs)
 
 
 class TestConjugate:

@@ -78,6 +78,27 @@ class TestWeightedLq2d:
         assert np.allclose(rad, (1 + xs[:, None] + ys[None, :]) ** -0.5)
 
     @pytest.mark.parametrize("weight", [
+        WeightSpec.separable(0.0, 0.0), WeightSpec.separable(0.0, 0.8),
+        WeightSpec.separable(4 / 3, 0.0), WeightSpec.separable(4 / 3, 0.8),
+        WeightSpec.radial(0.0), WeightSpec.radial(1.5),
+    ])
+    def test_weight_factors_match_the_pow_form_bit_for_bit(self, weight):
+        # a zero exponent skips its abs and pow: t ** -0.0 is exactly 1.0
+        def pow_form(x, y):
+            ax, ay = np.abs(x), np.abs(y)
+            if weight.kind == "separable":
+                return (1 + ax) ** -weight.alpha * (1 + ay) ** -weight.beta
+            return (1 + ax + ay) ** -weight.gamma
+
+        x, y = np.random.default_rng(7).normal(scale=40.0, size=(2, 6, 5))
+        cases = [(x, y), (x[:, :1], y[:1]), (x[:, 0], 0.0), (0.0, y[0]), (x, 0.0),
+                 (x[0, :, None], y[0, 0, None]), (1.5, -2.0), (np.array([np.nan, np.inf]), 3.0)]
+        for a, b in cases:
+            got, ref = weight.inverse_factor(a, b), pow_form(a, b)
+            assert np.shape(got) == np.shape(ref) and np.result_type(got) == np.result_type(ref)
+            assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("weight", [
         WeightSpec.separable(4 / 3, 4 / 5), WeightSpec.radial(1.5),
     ])
     def test_weight_factors_are_even_in_each_axis(self, weight):
