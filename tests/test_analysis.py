@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -141,8 +142,53 @@ class TestBesselJ0:
             ulps = [abs(float((mpmath.mpf(a) - e) / np.spacing(a))) for a, e in zip(z, exact)]
         assert max(ulps) <= 1.0
 
+    @pytest.mark.parametrize("nu", [1, 0], ids=["extrema", "zeros"])
+    def test_asymptotic_tier_roots_within_one_ulp(self, nu):
+        # roots past x = 17, where J0 and J1 take the Hankel expansion; measured 0.28, 0.22,
+        # 0.96 and 0.23 ulp (extrema), 0.27, 0.15, 0.33 and 0.01 ulp (zeros)
+        ks = [6, 10, 100, 1000]
+        z = (j0_extrema(1000).z if nu else j0_zeros(1000))[np.array(ks) - 1]
+        assert z.min() > analysis._ASYMP_CUT
+        with mpmath.workdps(40):
+            exact = [mpmath.besseljzero(nu, k) for k in ks]
+            ulps = [abs(float((mpmath.mpf(a) - e) / np.spacing(a))) for a, e in zip(z, exact)]
+        assert max(ulps) <= 1.0, ulps
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_hankel_coefficients_are_the_exact_rationals_rounded_once(self, nu):
+        exact = [math.prod((Fraction(4 * nu**2 - (2 * j - 1) ** 2, 8 * j) for j in range(1, k + 1)),
+                           start=Fraction(1)) for k in range(24)]
+        p, q = analysis._HANKEL_COEFFICIENTS[nu]
+        assert p == [float((-1) ** m * exact[2 * m]) for m in range(12)]
+        assert q == [float((-1) ** m * exact[2 * m + 1]) for m in range(12)]
+
+    def test_asymptotic_tier_within_1e_15_of_mpmath(self):
+        # measured 3.5e-16 (J0) and 5.8e-16 (J1); the bound the _hankel_pq docstring states
+        xs = np.random.default_rng(9).uniform(17.0, 200.0, 300)
+        with mpmath.workdps(40):
+            j0 = np.array([float(mpmath.besselj(0, mpmath.mpf(x))) for x in xs])
+            j1 = np.array([float(mpmath.besselj(1, mpmath.mpf(x))) for x in xs])
+        assert np.max(np.abs(analysis._j0(xs) - j0)) <= 1e-15
+        assert np.max(np.abs(analysis._j1(xs) - j1)) <= 1e-15
+
+    @pytest.mark.parametrize("x", [1e154, 1e200, 1e250, 1e300])
+    def test_extreme_arguments_take_the_leading_term(self, x):
+        # t = (1/x)^2 underflows quietly; 1/(x*x) would overflow past 1.3e154 and warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [float(analysis._j0(np.array([x]))[0]), float(analysis._j1(np.array([x]))[0])]
+        lead = [math.sqrt(2 / (math.pi * x)) * math.cos(x - (2 * nu + 1) * math.pi / 4)
+                for nu in (0, 1)]
+        assert got == pytest.approx(lead, rel=1e-15, abs=0.0)
+
+    def test_extreme_arguments_pinned(self):
+        assert float(analysis._j0(np.array([1e300]))[0]) == pytest.approx(-4.59e-151, rel=1e-3)
+        assert float(analysis._j0(np.array([1e200]))[0]) == pytest.approx(6.10e-101, rel=1e-3)
+        assert float(analysis._j1(np.array([1e250]))[0]) == pytest.approx(3.48e-126, rel=1e-3)
+
     def test_asymptotic_tier_is_batch_independent(self):
-        # the Hankel series stops per point, so a value never depends on its batch
+        # every point takes the same fixed-degree polynomial, so a value never depends
+        # on its batch
         xs = np.geomspace(17, 1e4, 200000)
         whole = analysis._j0(xs)
         sliced = np.concatenate([analysis._j0(xs[i : i + 16]) for i in range(0, xs.size, 16)])
@@ -655,11 +701,12 @@ class TestHankelTransform:
                                                  r"[-+.e0-9]+ > tolerance 1e-09$"):
             hankel_decay_transform_many(1.5, np.array([0.5, 3.0]))
 
-    # the bound the docstring states for the series, where it holds; measured 6.2e-14 at
+    # the bound the docstring states for the series, where it holds; measured 3.4e-14 at
     # worst (delta 1.99).  H takes the quadrature where it does not, at the quadrature's
-    # own bounds
-    @pytest.mark.parametrize("delta", [1.001, 1.01, 1.1, 4 / 3, 1.5, 1.7, 1.9, 1.99, 1.999,
-                                       1.9999])
+    # own bounds.  At delta = 1.4199 (a = 0.29005) math.gamma's Gamma(1+a)/Gamma(1-a)
+    # errs most, by 9.3 u
+    @pytest.mark.parametrize("delta", [1.001, 1.01, 1.1, 4 / 3, 1.4199, 1.5, 1.7, 1.9, 1.99,
+                                       1.999, 1.9999])
     def test_series_meets_the_closed_form(self, delta):
         svals = np.concatenate([np.geomspace(1e-300, 2.0, 31), np.linspace(0.05, 1.95, 20)])
         value, held = analysis._hankel_series(delta, svals)
@@ -673,6 +720,17 @@ class TestHankelTransform:
         # about 1/a, a = 1 - delta/2
         assert held.all() == (delta <= 1.7)
         assert held.any()
+
+    def test_gamma_ratio_within_4_ulp_of_mpmath(self):
+        # measured 3.5 u over 4,000 random a; the odd series, not math.gamma (9.3 u at
+        # a = 0.29005)
+        a = np.append(np.random.default_rng(4).uniform(1e-6, 0.5, 500), [0.29005, 1e-300])
+        got = analysis._gamma_ratio(a)
+        with mpmath.workdps(40):
+            err = max(abs(mpmath.mpf(g) / (mpmath.gamma(1 + mpmath.mpf(x))
+                                           / mpmath.gamma(1 - mpmath.mpf(x))) - 1)
+                      for g, x in zip(got, a))
+        assert err <= 4 * 2.0**-53, float(err)
 
     @settings(max_examples=100, deadline=None)
     @given(delta=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
