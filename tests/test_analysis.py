@@ -57,6 +57,21 @@ def incomplete_gamma_kernel(kappa: float, lam: float) -> float:
         return float(mpmath.re(mpmath.exp(z) * z ** (k - 1) * mpmath.gammainc(1 - k, z)))
 
 
+def full_kernel_series(kap, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K's series and its guard with the 13-term Horner sum and np.sin(lambda + t) at
+    every lambda, as ``analysis._kernel_series`` summed it before it skipped both where
+    lambda + t rounds to t = pi kappa/2."""
+    coef = [1.0 / (1.0 - kap)]
+    for m in range(1, 13):
+        coef.append(-coef[-1] / ((2 * m - kap) * (2 * m + 1 - kap)))
+    lam2, poly = lam * lam, coef[-1]
+    for c in coef[-2::-1]:
+        poly = poly * lam2 + c
+    lead = np.vectorize(math.gamma, otypes=[float])(1.0 - kap) * lam**kap / lam
+    value = lead * np.sin(lam + 0.5 * math.pi * kap) - poly
+    return value, (lam <= 2.0) & (lead / 2.0**7 <= np.abs(value))
+
+
 def hankel_nicholson(delta: np.ndarray, s: np.ndarray) -> np.ndarray:
     """H(delta, s) = 2 pi s^nu K_nu(s) / (2^nu Gamma(nu+1)), nu = delta/2 - 1."""
     nu = delta / 2 - 1
@@ -540,6 +555,37 @@ class TestCosineKernel:
         assert seen == ([lam] if routed else [])
         if routed:
             assert got == quadrature(kappa, np.array([lam]))[0]
+
+    # kappa within 3 ulps of 1/pi and 2/pi, where t = pi kappa/2 crosses 1/2 and 1 and
+    # ulp(t) doubles: t runs 1/2 - 3 ulps .. 1/2 + 2 ulps and 1 - 3 ulps .. 1 + 2 ulps
+    EDGE_KAPPAS = [c + j * math.ulp(c) for c in (1 / math.pi, 2 / math.pi) for j in range(-3, 4)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(kappa=st.one_of(st.sampled_from(EDGE_KAPPAS), st.floats(1e-3, 0.999)),
+           other=st.floats(1e-3, 0.999),
+           ln_lams=st.lists(st.floats(math.log(1e-300), math.log(1e-12)), max_size=6))
+    def test_rounded_away_lambda_is_bit_identical(self, kappa, other, ln_lams):
+        # where lambda + t rounds to t the series is lead sin(t) - c_0, which must be
+        # the full sum's value and guard bit for bit: lambda at the float neighbours of
+        # ulp(t)/2, where that rounding starts, and across [1e-300, 1e-12]
+        assert sorted({math.ulp(0.5 * math.pi * k) for k in self.EDGE_KAPPAS}) == [
+            2.0**-54, 2.0**-53, 2.0**-52]
+        t = 0.5 * math.pi * kappa
+        edge = [math.ulp(t) / 2]
+        for _ in range(2):
+            edge = [math.nextafter(edge[0], 0.0)] + edge + [math.nextafter(edge[-1], 1.0)]
+        lams = np.array(edge + [max(math.exp(x), 1e-300) for x in ln_lams])
+        assert np.any(lams + t == t) and not np.all(lams + t == t)
+        want = full_kernel_series(kappa, lams)
+        for kap in (kappa, np.asarray(kappa)):
+            assert all(map(np.array_equal, analysis._kernel_series(kap, lams), want))
+        kappas = np.resize([kappa, math.nextafter(kappa, 0.0), math.nextafter(kappa, 1.0),
+                            other], lams.size)  # a kappa per lambda, as the dual scan's
+        got = analysis._kernel_series(kappas, lams)
+        assert all(map(np.array_equal, got, full_kernel_series(kappas, lams)))
+        for lam, value, held in zip(lams, *want):  # a 0-d lambda
+            if held:
+                assert cosine_weight_kernel(kappa, lam) == value
 
     def test_adding_a_lambda_changes_no_value(self, monkeypatch):
         # a lambda's route and value are its own: not the batch's largest lambda, not

@@ -773,6 +773,28 @@ class TestL2Endpoint:
         l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
         assert sizes == []
 
+    def test_criterion_10_rounded_away_lambda(self, monkeypatch):
+        # the lambda so small that lambda + t rounds to t = pi kappa/2, which the series
+        # takes as lead sin(t) - c_0 without its sum or a sine of their own: 81 % of
+        # the 403,200, and neither call reaches the quadrature
+        seen, sizes = [], []
+        kernel, quadrature = experiments.cosine_weight_kernel_many, analysis._kernel_quadrature
+
+        def counting(kappa, lams):
+            t = 0.5 * math.pi * kappa
+            seen.append((lams.size, np.count_nonzero(lams + t == t)))
+            return kernel(kappa, lams)
+
+        def recorded(kappa, lams):
+            sizes.append(lams.size)
+            return quadrature(kappa, lams)
+
+        monkeypatch.setattr(experiments, "cosine_weight_kernel_many", counting)
+        monkeypatch.setattr(analysis, "_kernel_quadrature", recorded)
+        l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
+        assert seen == [(201_600, 157_316), (201_600, 170_078)]
+        assert sizes == []
+
     def test_sharing_changes_no_sample(self):
         full = l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7]).samples
         for window, part in (([3, 4, 5], full[:3]), ([5, 6, 7], full[2:])):
@@ -1009,6 +1031,20 @@ class TestDualScans:
         b = dual_scan("separable", alpha="3/5", beta="1/8", r=4, q=2,
                       eps_exps=[3, 4, 5])
         assert a.samples == b.samples
+
+    def test_separable_samples_are_bit_identical(self):
+        # (lhs, rhs), recorded when K summed its series and took its own sine at every
+        # lambda; the scan's per-eps kappa skip only the sum where lambda + t rounds to t
+        pinned = [
+            (29.42437475409216, 2.8284271247461903),
+            (49.297228092155535, 4.0),
+            (82.73597792136262, 5.656854249492381),
+            (138.9943107088795, 8.0),
+            (228.5707127629679, 11.313708498984761),
+        ]
+        res = dual_scan("separable", alpha="3/5", beta="1/8", r=4, q=2,
+                        eps_exps=[3, 4, 5, 6, 7])
+        assert [(s.lhs, s.rhs) for s in res.samples] == pinned
 
     # the two cli-suite configurations and r = q
     CONFIGS = {
