@@ -150,11 +150,11 @@ def bessel_j0(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray, iters: int = 64) -> np.ndarray:
+def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized bisection; f(lo) and f(hi) must have opposite signs and f acts
     point by point, so a bracket whose midpoint is one of its ends is final."""
     out, live, flo = np.empty_like(lo), np.arange(lo.size), f(lo)
-    for _ in range(iters):
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)
         out[live[done]] = mid[done]

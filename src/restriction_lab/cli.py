@@ -372,11 +372,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     path = argv[idx + 1]
     try:
         with open(path) as handle:
-            lines = [
-                (number, line.strip())
-                for number, line in enumerate(handle, 1)
-                if line.strip() and not line.startswith("#")
-            ]
+            lines = [(number, line) for number, line in enumerate(map(str.strip, handle), 1)
+                     if line and not line.startswith("#")]
     except OSError as exc:
         parser.error(f"cannot read config {path}: {exc}")
     extra: list[str] = []

@@ -194,17 +194,16 @@ def _scan_result(samples: list[ScanSample], predicted: PredictedExponent, meta: 
 # ---------------------------------------------------------------------------
 
 
-def _knapp_quadrant(delta: float) -> tuple[Grid2, int]:
-    """The closed quadrant x, y >= 0 of the centred Knapp grid, same cells, and its node
-    budget 8(|p_max| + 10); an odd axis starts half a cell below 0 to keep its centre line."""
+def _knapp_quadrant(delta: float) -> Grid2:
+    """The closed quadrant x, y >= 0 of the centred Knapp grid, same cells and same far
+    corner (x1, y1); an odd axis starts half a cell below 0 to keep its centre line."""
     half_y = max(4.0, math.pi / 4 / delta / delta)
     if half_y > KNAPP_CELL_BUDGET:  # a column's 4 half_y cells; inf where delta^-2 overflows
         raise ConfigurationError(f"delta={delta:g} needs a column over budget {KNAPP_CELL_BUDGET}")
     grid = Grid2.centered(4 / delta, half_y, KNAPP_RESOLUTION)
     x0 = -grid.dx / 2 if grid.nx % 2 else 0.0
     y0 = -grid.dy / 2 if grid.ny % 2 else 0.0
-    quadrant = Grid2(x0, grid.x1, y0, grid.y1, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
-    return quadrant, int(8 * (math.hypot(grid.x1, grid.y1) + 10))
+    return Grid2(x0, grid.x1, y0, grid.y1, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
 
 
 def _column_blocks(grid: Grid2) -> list[tuple[int, int]]:
@@ -214,7 +213,7 @@ def _column_blocks(grid: Grid2) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
+def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float) -> float:
     """A folded quadrant's sum of |f w^{-1}|^q cell_measure for a separable weight a(x) b(y)
     and q = 2m, m = 1..4: |f|^2 = P(x, v) has degree 2(R - 1) in the rescaled y, so the sum
     is sum_x a(x)^q sum_{k<D} [P^m]_k(x) M_k, D = 2m(R - 1) + 1, with the y-moments
@@ -225,7 +224,7 @@ def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: i
     a, b = weight.inverse_factor(xs, 0.0) ** q, weight.inverse_factor(0.0, ys) ** q
     a[: int(grid.x0 < 0)] /= 2  # an odd axis's centre line has one mirror image
     b[: int(grid.y0 < 0)] /= 2
-    planes, m = grid_factors(cap, grid, nodes), round(q / 2)
+    planes, m = grid_factors(cap, grid), round(q / 2)
     n = np.arange(planes.shape[-1])
     gram = 0
     for j0, j1 in _column_blocks(grid):
@@ -245,12 +244,13 @@ def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: i
     return float(a @ rows) * grid.cell_measure
 
 
-def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float, nodes: int) -> float:
+def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float) -> float:
     """The same sum for any q and weight: each column block's planes come from
     ``extend_on_grid`` and go through ``weighted_lq_2d`` (one matrix-vector reduction per
-    row chunk for a separable weight); block masses add by numpy's pairwise sum."""
+    row chunk for a separable weight, a divide per cell for a radial one), block masses
+    by numpy's pairwise sum."""
     ys = grid.centers()[1]
-    planes = grid_factors(cap, grid, nodes)
+    planes = grid_factors(cap, grid)
     masses = []
     for j0, j1 in _column_blocks(grid):
         field = extend_on_grid(planes, y_factor(grid, ys[j0:j1], planes.shape[-1]))
@@ -288,11 +288,11 @@ def knapp_scan(
     a separable weight the moment form (``_gram_mass``) sums |f|^q from y-moments at cost
     O(ny R q + nx D log D), D = q(R - 1) + 1 <= 89, with no per-cell work; every other case
     streams the planes in column blocks (``_streamed_mass``), each one real product of
-    2 nx ny R multiply-adds, reduced with no per-cell pow where q/2 is 1 to 4, no weight
-    array for a separable weight and one divide per cell for gamma q = 1.  Memory is
-    bounded by one block of KNAPP_BLOCK_CELLS cells, not by the grid.  KNAPP_CELL_BUDGET
-    counts the quadrant cells summed, about delta^{-3}; it and the delta window
-    (``_eps_window``) are checked before any evaluation.
+    2 nx ny R multiply-adds, reduced with no per-cell pow at q = 2, no weight array for a
+    separable weight and one divide per cell for a radial one; ``grid_factors`` takes the
+    node budget from the quadrant's far corner.  Memory is bounded by one block of
+    KNAPP_BLOCK_CELLS cells, not by the grid.  KNAPP_CELL_BUDGET counts the quadrant cells
+    summed, about delta^{-3}; it and the delta window (``_eps_window``) are checked first.
     """
     q = exact_in(q, "q", "(0, inf)")
     exps = weight_exponents(kind, alpha, beta, gamma)
@@ -304,16 +304,17 @@ def knapp_scan(
 
     deltas = [float(d) for d in _eps_window(delta_exps, "delta", points=0)]
     quadrants = [_knapp_quadrant(d) for d in deltas]
-    for d, (quadrant, _) in zip(deltas, quadrants):
+    for d, quadrant in zip(deltas, quadrants):
         if quadrant.n_cells > KNAPP_CELL_BUDGET:
             raise ConfigurationError(f"delta={d:g} needs {quadrant.n_cells} quadrant cells, "
                                      f"over budget {KNAPP_CELL_BUDGET}")
     _eps_window(delta_exps, "delta")  # the count last, so that a window over budget says so
 
     samples = []
-    for d, (quadrant, nodes) in zip(deltas, quadrants):
-        lhs = (4 * mass(Density.cap(d), quadrant, weight, qf, nodes)) ** (1 / qf)
-        rhs = circle_norm(Density.cap(d), r)
+    for d, quadrant in zip(deltas, quadrants):
+        cap = Density.cap(d)
+        lhs = (4 * mass(cap, quadrant, weight, qf)) ** (1 / qf)
+        rhs = circle_norm(cap, r)
         samples.append(ScanSample(d, lhs, rhs, lhs / rhs))
 
     return _scan_result(samples, predicted, {

@@ -70,7 +70,7 @@ class ExtScalar:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, value: ScalarLike = 0):
+    def __init__(self, value: ScalarLike):
         self._num, self._den = _ratio(value)
 
     @classmethod

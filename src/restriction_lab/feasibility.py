@@ -213,16 +213,6 @@ def verify_one(
 # ---------------------------------------------------------------------------
 
 
-def _pick_theta_two(one: int, g: int, inv_q: int, inv_rc: int) -> list[int]:
-    lo = max(4 * inv_q - 2 * g - 4 * inv_rc // 3, 12 * inv_q - 6 * g - 4 * inv_rc, 0)
-    hi = min(one - 4 * inv_q + 4 * g, one)
-    if not lo < hi:
-        raise InternalSolverError("empty theta window despite feasible inequalities")
-    # candidates at 1/2, 1/4, 3/4 of the window, all strictly interior; tried in
-    # order until one admits a u with q0 != q1
-    return [lo + (hi - lo) * k // 4 for k in (2, 1, 3)]
-
-
 def solve_two(
     gamma: ScalarLike, r: ScalarLike, q: ScalarLike
 ) -> CertificateTwo | Infeasible:
@@ -243,18 +233,20 @@ def solve_two(
     if 2 * g <= 4 * inv_q - one:
         return Infeasible("gamma <= 2/q - 1/2")
 
-    for theta in _pick_theta_two(one, g, inv_q, inv_rc):
-        # window for u = (1-theta)/q0 below the strict caps (1-theta)/4 and 1/q
+    lo = max(4 * inv_q - 2 * g - 4 * inv_rc // 3, 12 * inv_q - 6 * g - 4 * inv_rc, 0)
+    hi = min(one - 4 * inv_q + 4 * g, one)
+    if not lo < hi:
+        raise InternalSolverError("empty theta window despite feasible inequalities")
+    # theta at 1/2, 1/4, 3/4 of the window, all strictly interior; tried in order until
+    # one admits a u with q0 != q1
+    for theta in [lo + (hi - lo) * k // 4 for k in (2, 1, 3)]:
+        # window [low, high] for u = (1-theta)/q0: feasibility and lo <= theta < hi give
+        # low <= high and low < min((1-theta)/4, 1/q), all multiples of 16 (exact floors)
         low = max(inv_q - g, inv_q - g // 2 - theta // 4, 0)
         high = min(inv_q, inv_rc // 3, g - 2 * inv_q + inv_rc)
-        strict_cap = min((one - theta) // 4, inv_q)
-        if low > high:
-            continue
+        cap = min(high, (one - theta) // 4)
         for parts in (2, 4):  # u at 1/2, then 1/4, of the way from low to the cap
-            cap = min(high, strict_cap)
-            u = low + (cap - low) // parts if low < cap else low
-            if not (low <= u <= high and u < strict_cap):
-                continue
+            u = low + (cap - low) // parts
             # q0 = (1-theta)/u would equal q1 = theta/(1/q - u), failing q0-ne-q1
             if theta * u == (one - theta) * (inv_q - u):
                 continue

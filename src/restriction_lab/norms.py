@@ -11,7 +11,7 @@ the chunk partials by numpy's pairwise sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +83,10 @@ class WeightSpec:
     beta: float = 0.0
     gamma: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("separable", "radial"):
+            raise ValueError(f"unknown weight kind {self.kind!r}")
+
     @classmethod
     def separable(cls, alpha: float, beta: float) -> "WeightSpec":
         if alpha < 0 or beta < 0:
@@ -101,10 +105,8 @@ class WeightSpec:
         exponent's factor is 1 (t ** -0.0 is exactly 1.0): it takes no abs and no pow."""
         if self.kind == "separable":
             parts = [(1 + np.abs(t)) ** -e for t, e in ((x, self.alpha), (y, self.beta)) if e]
-        elif self.kind == "radial":
-            parts = [(1 + np.abs(x) + np.abs(y)) ** -self.gamma] if self.gamma else []
         else:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+            parts = [(1 + np.abs(x) + np.abs(y)) ** -self.gamma] if self.gamma else []
         if len(parts) == 2:
             return parts[0] * parts[1]
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
@@ -118,6 +120,9 @@ def weighted_lq_2d(values: np.ndarray, grid: Grid2, weight: WeightSpec, q: float
 
     ``values`` holds f at the cell centers, shape (nx, ny), or its real and
     imaginary planes, shape (2, nx, ny); q > 0 may be below 1 (quasinorm, same formula).
+    By row chunks, |f|^q is |f|^2 raised in place to q/2 (no pow at q = 2) and reduced as
+    a @ (|f|^q @ b) for a separable weight, a and b its inverse factors to the q, or for
+    a radial one divided per cell by (1 + |x| + |y|)^{gamma q} (no pow at gamma q = 1).
     """
     if not (q > 0 and math.isfinite(q)):
         raise ValueError("q must be positive and finite")
@@ -127,31 +132,24 @@ def weighted_lq_2d(values: np.ndarray, grid: Grid2, weight: WeightSpec, q: float
         raise ValueError(f"values shape {vals.shape} != grid shape {(grid.nx, grid.ny)}")
 
     xs, ys = grid.centers()
-    # |f|^q w^{-q} by row chunks of ~_CHUNK cells; w^{-q} is the family with exponents times q
-    weight_q = replace(weight, alpha=q * weight.alpha, beta=q * weight.beta, gamma=q * weight.gamma)
-    separable, half = weight.kind == "separable", q / 2
-    reciprocal = weight_q.kind == "radial" and weight_q.gamma == 1
-    if separable:  # w^{-q} = a(x) b(y), so a chunk's mass is a @ (|f|^q @ b)
-        a, b = weight_q.inverse_factor(xs, 0.0), weight_q.inverse_factor(0.0, ys)
-    elif reciprocal:  # w^{-q} = 1/(1 + |x| + |y|): one add and one divide per cell
+    separable, power = weight.kind == "separable", q * weight.gamma
+    if separable:
+        a, b = weight.inverse_factor(xs, 0.0) ** q, weight.inverse_factor(0.0, ys) ** q
+    else:
         ax, ay = 1 + np.abs(xs[:, None]), np.abs(ys)
     rows, parts = max(1, _CHUNK // grid.ny), []
     for r in range(0, grid.nx, rows):
         mass = np.square(planes[0][r : r + rows], dtype=float)
         mass += np.square(planes[1][r : r + rows])
-        if half in (2, 4):  # products in place of a per-cell pow
-            for _ in range(int(half) // 2):
-                mass *= mass
-        elif half == 3:
-            mass *= mass * mass
-        elif half != 1:
-            mass **= half
+        if q != 2:
+            mass **= q / 2
         if separable:
             parts.append(a[r : r + rows] @ (mass @ b))
-        elif reciprocal:
-            parts.append(np.sum(np.divide(mass, ax[r : r + rows] + ay, out=mass)))
         else:
-            parts.append(np.sum(mass * weight_q.inverse_factor(xs[r : r + rows, None], ys)))
+            base = ax[r : r + rows] + ay
+            if power != 1:
+                base **= power
+            parts.append(np.sum(np.divide(mass, base, out=mass)))
     total = float(np.sum(parts)) * grid.cell_measure
     if not math.isfinite(total):  # as it always is where a value is not finite
         if not np.all(np.isfinite(vals)):

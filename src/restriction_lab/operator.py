@@ -130,10 +130,11 @@ def extend(density: Density, p: Point2, nodes: int) -> complex:
     return complex(np.sum(w * np.exp(1j * phase)))
 
 
-def grid_factors(cap: Density, grid: Grid2, nodes: int) -> np.ndarray:
+def grid_factors(cap: Density, grid: Grid2) -> np.ndarray:
     """Planes (2, nx, R), real and imaginary parts, of the coefficients A of e^{-iy}
     extend(cap) = sum_n A[x, n] v^n at the grid's centres, y = mid + half v, |v| < 1.
 
+    The cap's rule takes the budget 8(|p_max| + 10), |p_max| the grid's farthest corner.
     The cap's rule is symmetric in phi <-> -phi bit for bit, so each pair folds into the
     real c = 2 w cos(x sin phi) (an unpaired phi = 0 keeps w).  With eps = 2 sin^2(phi/2),
     e^{i y cos phi} = e^{iy} e^{-i mid eps} e^{-i half eps v}, and the Taylor series in v
@@ -144,7 +145,8 @@ def grid_factors(cap: Density, grid: Grid2, nodes: int) -> np.ndarray:
     but the cap DomainError, and a rule that is not symmetric NumericalError."""
     if cap.kind != "cap":
         raise DomainError(f"grid factors need the cap density, not {cap.kind!r}")
-    phi, w = _quad_rule(cap, nodes)
+    p_max = math.hypot(max(-grid.x0, grid.x1), max(-grid.y0, grid.y1))
+    phi, w = _quad_rule(cap, int(8 * (p_max + 10)))
     if not (np.array_equal(phi, -phi[::-1]) and np.array_equal(w, w[::-1])):
         raise NumericalError(f"the cap's {phi.size}-node rule is not symmetric in phi")
     phi, w = phi[phi >= 0], np.where(phi == 0, w, 2 * w)[phi >= 0]

@@ -613,6 +613,11 @@ class TestFresnelConstant:
         for i in range(1, 18):
             assert fresnel_constant(i / 18) > 0
 
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, math.nan])
+    def test_kappa_outside_the_open_interval_is_refused(self, kappa):
+        with pytest.raises(ValueError, match=r"^kappa must lie in \(0,1\)$"):
+            fresnel_constant(kappa)
+
 
 class TestHankelTransform:
     def test_scaling_ratio(self):

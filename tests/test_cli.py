@@ -159,6 +159,22 @@ class TestArgumentHandling:
             f"restriction-lab {argv.split()[0]}: error: argument --{flag}: {text!r} has "
             f"{values} values, over budget 1000000"]
 
+    @pytest.mark.parametrize("text", ["5..2", "a..b"])
+    def test_a_range_that_is_not_one_is_an_argument_error(self, capsys, text):
+        code, out, err = invoke(capsys, *"knapp --kind separable --alpha 0 --beta 0 --r 2 "
+                                         f"--q 6 --delta-exps {text}".split())
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"restriction-lab knapp: error: argument --delta-exps: {text!r} is not an integer "
+            "range 'a..b' or comma list"]
+
+    def test_an_unwritable_out_path_is_an_io_failure(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "x.csv"
+        code, out, err = invoke(capsys, *"diagram --kind separable --alpha 0 --beta 0 "
+                                         f"--grid-n 2 --out {missing}".split())
+        assert (code, out) == (2, "") and not missing.parent.exists()
+        assert err == f"i/o failure: [Errno 2] No such file or directory: '{missing}'\n"
+
     def test_diagram_past_the_cell_budget_is_one_error_line(self, capsys):
         code, out, err = invoke(capsys, *"diagram --kind radial --gamma 1/2 "
                                          "--grid-n 100000".split())
@@ -300,6 +316,13 @@ class TestJsonRoundTrip:
         assert ExtScalar(payload["q"]) == ExtScalar("inf")
         assert payload["decision"] == "bounded"
 
+    def test_constant_json_carries_the_ring_sums(self, capsys):
+        code, out, _ = invoke(capsys, *"constant --kind separable --alpha 0 --beta 0 --q 4 "
+                                       "--rings 100 --n-list 10,100 --format json".split())
+        payload = json.loads(out)
+        assert code == 0 and list(payload) == ["exponent", "verdict", "sums", "ring_sums"]
+        assert [n for n, _ in payload["ring_sums"]] == [n for n, _ in payload["sums"]] == [10, 100]
+
     def test_feasibility_json(self, capsys):
         code, out, _ = invoke(
             capsys, "feasibility", "--prop", "two",
@@ -393,6 +416,13 @@ class TestConfigFile:
         spaced = invoke(capsys, "--config", str(cfg), *argv.split())
         joined = invoke(capsys, f"--config={cfg}", *argv.split())
         assert joined == spaced and spaced[0] == 0
+
+    def test_indented_comment_is_skipped(self, capsys, tmp_path):
+        # an indented comment was read as a line without '=' and refused
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# weights\nalpha=1/3\n  # note\n\t# tab\nbeta=1/3\nr=2\nq=2\n")
+        code, out, err = invoke(capsys, "--config", str(cfg), "classify", "--kind", "separable")
+        assert (code, out, err) == (0, "BOUNDED case=iv\n", "")
 
     def test_line_without_equals_is_an_argument_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

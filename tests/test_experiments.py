@@ -13,6 +13,8 @@ from restriction_lab.analysis import cosine_weight_kernel_many, j0_extrema
 from restriction_lab.errors import ConfigurationError
 from restriction_lab.experiments import (
     PredictedExponent,
+    ScanResult,
+    ScanSample,
     constant_density_sums,
     dual_scan,
     fit_loglog_slope,
@@ -320,6 +322,13 @@ class TestFit:
         assert fit.stderr == pytest.approx(0.0)
         assert fit.r_squared == 1.0
 
+    @pytest.mark.parametrize("params", [(0.25, 0.5, 0.125), (0.25, 0.25, 0.125)])
+    def test_scan_parameters_must_be_strictly_monotone(self, params):
+        samples = tuple(ScanSample(p, 1.0, 1.0, 1.0) for p in params)
+        fitted = fit_loglog_slope([(1, 1), (2, 2), (4, 4)])
+        with pytest.raises(ValueError, match="^scan parameters must be strictly monotone$"):
+            ScanResult(samples, fitted, None, {})
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             fit_loglog_slope([(1, 1), (2, 2)])
@@ -478,8 +487,7 @@ class TestKnappScan:
         weight = WeightSpec.separable(*exps)
         for k in range(2, 7):
             delta = 2.0**-k
-            grid, nodes = experiments._knapp_quadrant(delta)
-            args = (Density.cap(delta), grid, weight, q, nodes)
+            args = (Density.cap(delta), experiments._knapp_quadrant(delta), weight, q)
             gram, streamed = experiments._gram_mass(*args), experiments._streamed_mass(*args)
             assert gram == pytest.approx(streamed, rel=1e-13), k
 
@@ -1000,11 +1008,12 @@ class TestDualScans:
                       eps_exps=[3, 4, 5])  # alpha too small
 
     def test_radial_preconditions(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^need gamma = 2/q - 1/r' exactly$"):
             dual_scan("radial", gamma="1/2", r=3, q="5/4", eps_exps=[3, 4])
-        with pytest.raises(DomainError):
-            # r' < q puts gamma on the wrong max branch
-            dual_scan("radial", gamma=0, r=8, q=4, eps_exps=[3, 4])
+        with pytest.raises(DomainError, match=r"^need 2/q - 1/r' to be the max branch"):
+            # gamma = 2/q - 1/r' = 1/6 exactly, but r' = 3 < q = 4 puts it on the
+            # wrong max branch
+            dual_scan("radial", gamma="1/6", r="3/2", q=4, eps_exps=[3, 4])
 
     def test_separable_growth(self):
         res = dual_scan("separable", alpha="3/5", beta="1/8", r=4, q=2,

@@ -58,6 +58,14 @@ class TestExtScalar:
         with pytest.raises(DomainError):
             INF * ExtScalar(0)
 
+    @pytest.mark.parametrize("value, error, message", [
+        ("1/0", ZeroDivisionError, "^'1/0' has a zero denominator$"),
+        (1.5, TypeError, "^cannot build ExtScalar from float$"),
+    ])
+    def test_zero_denominator_and_inexact_type_are_refused(self, value, error, message):
+        with pytest.raises(error, match=message):
+            ExtScalar(value)
+
 
 # integers well past 2^64, either sign, and zero
 wide_ints = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([0, 1, -1, 2**64, -(2**64)]))

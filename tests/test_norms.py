@@ -196,10 +196,22 @@ class TestGrid2:
             Grid2(1, 0, 0, 1, 4, 4)
 
 
+class TestWeightSpec:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: WeightSpec.separable(-0.1, 0), "^weight exponents must be >= 0$"),
+        (lambda: WeightSpec.separable(0, -0.1), "^weight exponents must be >= 0$"),
+        (lambda: WeightSpec.radial(-0.1), "^weight exponents must be >= 0$"),
+        (lambda: WeightSpec("conic"), "^unknown weight kind 'conic'$"),
+    ], ids=["alpha", "beta", "gamma", "kind"])
+    def test_refused_when_built(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 class TestWeightedLq2dOracle:
     # the direct formula (sum |f w^{-1}|^q cell)^{1/q}, weights written out, on a
-    # grid of several row chunks; q/2 below one, one, integer (repeated products)
-    # and not an integer, and the radial weight at gamma q = 1 (one divide per cell)
+    # grid of several row chunks; q/2 below one, one (no pow), integer and not an
+    # integer, and the radial weight at gamma q = 1 (no pow of 1 + |x| + |y|) and above
     GRID = Grid2(-3.0, 5.0, -2.0, 7.0, 301, 257)
     WEIGHTS = [
         (WeightSpec.separable(0.3, 0.7),

@@ -25,9 +25,14 @@ from restriction_lab.operator import (
 GRID = Grid2(-3.5, 7.5, -2.25, 2.25, 11, 9)
 
 
-def field_on(density, grid, nodes):
+def budget(grid):
+    # grid_factors' full-circle node budget 8(|p_max| + 10), p_max the farthest corner
+    return int(8 * (math.hypot(max(-grid.x0, grid.x1), max(-grid.y0, grid.y1)) + 10))
+
+
+def field_on(density, grid):
     # the planes of e^{-iy} extend, put back together and turned by e^{iy}
-    planes, ys = grid_factors(density, grid, nodes), grid.centers()[1]
+    planes, ys = grid_factors(density, grid), grid.centers()[1]
     field = extend_on_grid(planes, y_factor(grid, ys, planes.shape[-1]))
     return (field[0] + 1j * field[1]) * np.exp(1j * ys)
 
@@ -115,10 +120,10 @@ class TestGridEvaluation:
     def test_matches_pointwise(self):
         xs, ys = GRID.centers()
         cap = Density.cap(0.25)
-        grid = field_on(cap, GRID, 300)
+        grid = field_on(cap, GRID)
         for i in (0, 5, 10):
             for j in (0, 4, 8):
-                direct = extend(cap, Point2(xs[i], ys[j]), 300)
+                direct = extend(cap, Point2(xs[i], ys[j]), budget(GRID))
                 assert abs(grid[i, j] - direct) < 1e-12
 
     def test_first_bessel_zero(self):
@@ -135,15 +140,18 @@ class TestFoldedCapFactors:
     # pair as one real cosine column; pointwise extend sums all K nodes apart
 
     @pytest.mark.parametrize("k, n_nodes", [(2, 20), (3, 23)])
-    def test_folded_grid_matches_pointwise_extend(self, k, n_nodes):
+    def test_folded_grid_matches_pointwise_extend(self, monkeypatch, k, n_nodes):
         delta = 2.0**-k
-        grid, nodes = _knapp_quadrant(delta)
-        cap, arc = Density.cap(delta), 2 * math.asin(delta)
+        grid = _knapp_quadrant(delta)
+        nodes, cap, arc = budget(grid), Density.cap(delta), 2 * math.asin(delta)
         assert effective_node_count(nodes, arc) == n_nodes
         xs, ys = grid.centers()
-        planes = grid_factors(cap, grid, nodes)
+        budgets, rule = [], operator._quad_rule
+        monkeypatch.setattr(operator, "_quad_rule", lambda d, n: budgets.append(n) or rule(d, n))
+        planes = grid_factors(cap, grid)
+        assert budgets == [nodes]  # grid_factors' own budget, from the quadrant's far corner
         assert planes.dtype == np.float64 and planes.shape == (2, grid.nx, 12)
-        field = field_on(cap, grid, nodes)
+        field = field_on(cap, grid)
         rng = np.random.default_rng(k)
         rows = [0, grid.nx - 1, *rng.integers(grid.nx, size=60)]
         cols = [0, grid.ny - 1, *rng.integers(grid.ny, size=60)]
@@ -154,7 +162,7 @@ class TestFoldedCapFactors:
     def test_gauss_legendre_rules_are_symmetric_bit_for_bit(self):
         for k in range(1, 8):
             delta = 2.0**-k
-            n = effective_node_count(_knapp_quadrant(delta)[1], 2 * math.asin(delta))
+            n = effective_node_count(budget(_knapp_quadrant(delta)), 2 * math.asin(delta))
             t, w = _gl(n)
             assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1]), n
 
@@ -162,12 +170,12 @@ class TestFoldedCapFactors:
         phi, w = np.array([-0.5, 0.0, 0.5]), np.array([0.3, 0.4, 0.3 + 1e-16])
         monkeypatch.setattr(operator, "_quad_rule", lambda density, nodes: (phi, w))
         with pytest.raises(NumericalError, match="not symmetric"):
-            grid_factors(Density.cap(0.25), GRID, 300)
+            grid_factors(Density.cap(0.25), GRID)
 
     def test_other_densities_are_refused(self):
         for density in (Density.constant(), Density.power_singular(0.3, 0.5)):
             with pytest.raises(DomainError, match=f"cap density, not {density.kind!r}"):
-                grid_factors(density, GRID, 300)
+                grid_factors(density, GRID)
 
 
 class TestYExpansion:
@@ -185,41 +193,42 @@ class TestYExpansion:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_matches_direct_phases_on_every_knapp_quadrant(self, k):
         delta = 2.0**-k
-        grid, nodes = _knapp_quadrant(delta)
+        grid = _knapp_quadrant(delta)
         cap, arc = Density.cap(delta), 2 * math.asin(delta)
-        planes = grid_factors(cap, grid, nodes)
+        planes = grid_factors(cap, grid)
         xs, ys = grid.centers()
         rng = np.random.default_rng(k)
         rows = np.array([0, grid.nx - 1, *rng.integers(grid.nx, size=60)])
         cols = np.array([0, grid.ny - 1, *rng.integers(grid.ny, size=60)])
         p = y_factor(grid, ys[cols], planes.shape[-1])
         got = np.einsum("sin,ni->si", planes[:, rows], p)
-        err = np.abs(got[0] + 1j * got[1] - self.direct(cap, nodes, xs[rows], ys[cols]))
+        err = np.abs(got[0] + 1j * got[1] - self.direct(cap, budget(grid), xs[rows], ys[cols]))
         assert np.max(err) <= 1e-13 * arc, (k, np.max(err))
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_rank_is_the_smallest_within_the_bound_and_at_most_16(self, k):
         delta = 2.0**-k
-        grid, nodes = _knapp_quadrant(delta)
-        rank = grid_factors(Density.cap(delta), grid, nodes).shape[-1]
-        phi = operator._quad_rule(Density.cap(delta), nodes)[0]
+        grid = _knapp_quadrant(delta)
+        rank = grid_factors(Density.cap(delta), grid).shape[-1]
+        phi = operator._quad_rule(Density.cap(delta), budget(grid))[0]
         theta = (grid.y1 - grid.y0) / 2 * np.max(2 * np.sin(phi / 2) ** 2)
         assert 0.19 < theta < 0.2
         tail = [theta**n / math.factorial(n) * math.exp(theta) for n in (rank - 1, rank)]
         assert tail[1] <= 2.0**-56 < tail[0] and rank <= 16, (rank, theta)
 
     def test_a_theta_above_the_bound_raises(self):
-        # half = 60 and max eps = 0.0311 on the 16-node rule of delta = 1/4: theta = 1.87
+        # half = 60 and max eps = 0.0317 on the 84-node rule of delta = 1/4 that the
+        # grid's budget 8(|p_max| + 10) = 1042 gives: theta = 1.90
         grid = Grid2(0.0, 8.0, 0.0, 120.0, 16, 16)
-        with pytest.raises(NumericalError, match=r"theta = 1\.8\d* needs over 16 terms$"):
-            grid_factors(Density.cap(0.25), grid, 80)
+        with pytest.raises(NumericalError, match=r"theta = 1\.9\d* needs over 16 terms$"):
+            grid_factors(Density.cap(0.25), grid)
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_each_column_block_is_the_quadrant_factor_bit_for_bit(self, k):
         # v = (y - mid)/half is one division per centre, so a block's basis is the same
         # columns of the whole quadrant's, wherever the block starts
-        grid, nodes = _knapp_quadrant(2.0**-k)
-        rank = grid_factors(Density.cap(2.0**-k), grid, nodes).shape[-1]
+        grid = _knapp_quadrant(2.0**-k)
+        rank = grid_factors(Density.cap(2.0**-k), grid).shape[-1]
         ys = grid.centers()[1]
         whole = y_factor(grid, ys, rank)
         assert whole.shape == (rank, grid.ny) and np.all(np.abs(whole) <= 1)
