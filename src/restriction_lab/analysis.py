@@ -51,9 +51,8 @@ __all__ = [
 ]
 
 _ASYMP_CUT = 17.0
-# values per batch chunk (Bessel's integral, the root scan grid, the trapezoid rule's
-# rows, the series of K and H): keeps each temporary at 256 KiB, cache-sized, whatever
-# the batch
+# values per batch chunk (Bessel's integral, the trapezoid rule's rows, the series of
+# K and H): keeps each temporary at 256 KiB, cache-sized, whatever the batch
 _CHUNK_NODES = 2**15
 
 
@@ -152,9 +151,10 @@ def bessel_j0(x: float) -> float:
 
 def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized bisection; f(lo) and f(hi) must have opposite signs and f acts
-    point by point, so a bracket whose midpoint is one of its ends is final."""
+    point by point.  A bracket whose midpoint is one of its ends is final, and every
+    halving of a finite float bracket shrinks it, so the loop ends by itself."""
     out, live, flo = np.empty_like(lo), np.arange(lo.size), f(lo)
-    for _ in range(64):
+    while True:
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)
         out[live[done]] = mid[done]
@@ -165,38 +165,23 @@ def _bisect_roots(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         take_left = (flo <= 0) != (fmid <= 0)
         hi = np.where(take_left, mid, hi)
         lo, flo = np.where(take_left, lo, mid), np.where(take_left, flo, fmid)
-    out[live] = 0.5 * (lo + hi)
-    return out
-
-
-def _scan_grid(stop: float):
-    """np.arange(0.5, stop, pi/8) bit for bit (it fills 0.5 + i ((0.5 + pi/8) - 0.5)), in
-    blocks of _CHUNK_NODES + 1 points, each starting at the last point of the one before."""
-    size, step = math.ceil((stop - 0.5) / (math.pi / 8)), (0.5 + math.pi / 8) - 0.5
-    for start in range(0, size - 1, _CHUNK_NODES):
-        yield 0.5 + np.arange(start, min(start + _CHUNK_NODES + 1, size)) * step
 
 
 def _first_roots(f, df, n: int, what: str) -> np.ndarray:
-    """First n positive roots of f: sign changes on a pi/8-spaced grid scanned in blocks
-    until n are found (memory O(n)), narrowed by Newton steps (f' = df(x, f(x))) that keep
-    a sign-change bracket, then bisected to the bits plain bisection of that bracket gives."""
+    """First n positive roots of f = J0 or J1: the k-th is the only root in
+    ((k - 1/2) pi, (k + 1/2) pi) once the ends of every such bracket differ in sign
+    (Sturm comparison; see the README), which is checked first.  Newton steps from k pi
+    (f' = df(x, f(x))) keep a sign-change bracket, then bisection narrows it to the bits
+    plain bisection of that bracket gives."""
     if n < 1:
         raise ValueError("need n >= 1")
-    # the n-th root of J0 or J0' lies within pi/4 of n pi; scan a margin beyond it
-    stop = (n + 2) * math.pi
-    brackets, found = [], 0
-    for grid in _scan_grid(stop):
-        vals = f(grid)
-        flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][: n - found]
-        brackets.append((grid[flips], grid[flips + 1], vals[flips] <= 0))
-        found += flips.size
-        if found == n:
-            break
-    else:
-        raise NumericalError(f"found only {found} {what} below {stop:.1f}")
-    lo, hi, lo_neg = (np.concatenate(a) for a in zip(*brackets))
-    x = 0.5 * (lo + hi)
+    edges = (np.arange(n + 1) + 0.5) * math.pi
+    neg = f(edges) <= 0
+    if np.any(same := neg[:-1] == neg[1:]):
+        raise NumericalError(f"{what} bracket k = {np.argmax(same) + 1}: f has one sign "
+                             f"at both ends of ((k - 1/2) pi, (k + 1/2) pi)")
+    lo, hi, lo_neg = edges[:-1], edges[1:], neg[:-1]
+    x = np.arange(1, n + 1) * math.pi
     for _ in range(4):
         fx = f(x)
         left = (fx <= 0) != lo_neg  # the sign change lies in [lo, x]
@@ -247,9 +232,9 @@ class ExtremaTable:
 def j0_extrema(n: int) -> ExtremaTable:
     """First n positive local extrema of J0 (the positive roots of J0').
 
-    Roots are located as sign changes of the evaluated derivative on a
-    pi/8-spaced scan grid and narrowed, by bracketed Newton then bisection, to
-    the bits of plain bisection; no asymptotic guess is used without a bracket.
+    The j-th is the root of J1 in ((j - 1/2) pi, (j + 1/2) pi), a bracket whose ends
+    are checked to differ in sign, narrowed by bracketed Newton then bisection to the
+    bits of plain bisection; NumericalError names a bracket that fails the check.
     """
     z = _first_roots(_j1, _dj1, n, "extrema")
     table = ExtremaTable(z=z, values=_j0(z))
@@ -258,7 +243,7 @@ def j0_extrema(n: int) -> ExtremaTable:
 
 
 def j0_zeros(n: int) -> np.ndarray:
-    """First n positive zeros of J0, bracketed and refined like the extrema."""
+    """First n positive zeros of J0, on the extrema's brackets and refined like them."""
     return _first_roots(_j0, _dj0, n, "zeros")
 
 

@@ -423,7 +423,8 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return 2
-    except (DomainError, ConfigurationError, ValueError) as exc:
+    except (DomainError, ConfigurationError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError: an exact value inside its interval that no float holds
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

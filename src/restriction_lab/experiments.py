@@ -196,14 +196,14 @@ def _scan_result(samples: list[ScanSample], predicted: PredictedExponent, meta: 
 
 def _knapp_quadrant(delta: float) -> Grid2:
     """The closed quadrant x, y >= 0 of the centred Knapp grid, same cells and same far
-    corner (x1, y1); an odd axis starts half a cell below 0 to keep its centre line."""
+    corner (x1, y1).  nx = 32/delta is even for every delta = 2^-k, so x starts at 0; an
+    odd y axis starts half a cell below 0 to keep its centre line."""
     half_y = max(4.0, math.pi / 4 / delta / delta)
     if half_y > KNAPP_CELL_BUDGET:  # a column's 4 half_y cells; inf where delta^-2 overflows
         raise ConfigurationError(f"delta={delta:g} needs a column over budget {KNAPP_CELL_BUDGET}")
     grid = Grid2.centered(4 / delta, half_y, KNAPP_RESOLUTION)
-    x0 = -grid.dx / 2 if grid.nx % 2 else 0.0
     y0 = -grid.dy / 2 if grid.ny % 2 else 0.0
-    return Grid2(x0, grid.x1, y0, grid.y1, (grid.nx + 1) // 2, (grid.ny + 1) // 2)
+    return Grid2(0.0, grid.x1, y0, grid.y1, grid.nx // 2, (grid.ny + 1) // 2)
 
 
 def _column_blocks(grid: Grid2) -> list[tuple[int, int]]:
@@ -222,8 +222,7 @@ def _gram_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float) -> float
     from one unaliased real FFT of the planes, of length >= D.  Cost O(ny R m + nx D log D)."""
     xs, ys = grid.centers()
     a, b = weight.inverse_factor(xs, 0.0) ** q, weight.inverse_factor(0.0, ys) ** q
-    a[: int(grid.x0 < 0)] /= 2  # an odd axis's centre line has one mirror image
-    b[: int(grid.y0 < 0)] /= 2
+    b[: int(grid.y0 < 0)] /= 2  # an odd axis's centre line has one mirror image
     planes, m = grid_factors(cap, grid), round(q / 2)
     n = np.arange(planes.shape[-1])
     gram = 0
@@ -254,8 +253,7 @@ def _streamed_mass(cap: Density, grid: Grid2, weight: WeightSpec, q: float) -> f
     masses = []
     for j0, j1 in _column_blocks(grid):
         field = extend_on_grid(planes, y_factor(grid, ys[j0:j1], planes.shape[-1]))
-        field[:, : int(grid.x0 < 0)] *= 2 ** (-1 / q)  # the Gram form's halving, on |f|^q
-        field[:, :, : int(j0 == 0 and grid.y0 < 0)] *= 2 ** (-1 / q)
+        field[:, :, : int(j0 == 0 and grid.y0 < 0)] *= 2 ** (-1 / q)  # the Gram form's halving
         block = replace(grid, y0=grid.y0 + j0 * grid.dy, y1=grid.y0 + j1 * grid.dy, ny=j1 - j0)
         masses.append(weighted_lq_2d(field, block, weight, q) ** q)
     return float(np.sum(masses))
@@ -281,7 +279,7 @@ def knapp_scan(
 
     |extend(Cap)| and both weights are even in x and in y (the cap's nodes
     are symmetric, phi <-> -phi), so only the grid's closed quadrant x, y >= 0
-    is summed, with an odd axis's centre line halved, and the sum quadrupled.
+    is summed, with an odd y axis's centre line halved, and the sum quadrupled.
     The same symmetry folds the cap's K nodes into ceil(K/2) real columns, and e^{-iy} f
     is a polynomial of degree R - 1 <= 15 in the rescaled y (R = 12 at delta = 2^-2..2^-8):
     ``grid_factors`` returns its coefficients as two real planes.  For q = 2, 4, 6 or 8 and
@@ -504,7 +502,7 @@ def l2_endpoint_scan(
     kernels are evaluated once, over the distinct tau nodes of the union of
     all eps rules, and each eps gathers its rows.  That is exact: the panel
     edges of ``_tau_rules`` are the same float sums whatever tau_max is, so
-    a smaller eps's rule is bit for bit a prefix of a larger one's except for
+    a larger eps's rule is bit for bit a prefix of a smaller one's except for
     its clipped last panel, and a kernel value does not depend on its batch.
     The eps window (distinct, non-negative exponents, mu in (0,1), shares at
     most 1/16) is checked before any kernel work.

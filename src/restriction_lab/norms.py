@@ -86,17 +86,15 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in ("separable", "radial"):
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        if not all(0 <= e < math.inf for e in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("weight exponents must lie in [0, inf)")  # nan fails too
 
     @classmethod
     def separable(cls, alpha: float, beta: float) -> "WeightSpec":
-        if alpha < 0 or beta < 0:
-            raise ValueError("weight exponents must be >= 0")
         return cls("separable", alpha=alpha, beta=beta)
 
     @classmethod
     def radial(cls, gamma: float) -> "WeightSpec":
-        if gamma < 0:
-            raise ValueError("weight exponents must be >= 0")
         return cls("radial", gamma=gamma)
 
     def inverse_factor(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -267,7 +267,7 @@ class TestExtrema:
             lo, flo = np.where(take_left, lo, mid), np.where(take_left, flo, fmid)
         return 0.5 * (lo + hi)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 5000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 5000, 25_000])
     def test_roots_are_the_bits_of_plain_bisection(self, n):
         assert np.array_equal(j0_extrema(n).z, self.scan_and_bisect_64(analysis._j1, n))
         assert np.array_equal(j0_zeros(n), self.scan_and_bisect_64(analysis._j0, n))
@@ -308,20 +308,20 @@ class TestExtrema:
         assert np.all(zeros[:-1] < table.z[:9])
         assert np.all(table.z[:9] < zeros[1:])
 
-    def test_scan_blocks_are_one_arange_grid(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_CHUNK_NODES", 1000)
-        for n in (1, 999, 10**5):
-            stop = (n + 2) * math.pi
-            blocks = list(analysis._scan_grid(stop))
-            assert all(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
-            joined = np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
-            assert np.array_equal(joined, np.arange(0.5, stop, math.pi / 8))
+    def test_no_roots_is_refused(self):
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            j0_extrema(0)
 
-    def test_small_scan_blocks_leave_the_roots_alone(self, monkeypatch):
-        # blocks of 64 grid steps: about 125 seams among the first 1000 roots
-        monkeypatch.setattr(analysis, "_CHUNK_NODES", 64)
-        assert np.array_equal(j0_extrema(1000).z, self.scan_and_bisect_64(analysis._j1, 1000))
-        assert np.array_equal(j0_zeros(1000), self.scan_and_bisect_64(analysis._j0, 1000))
+    def test_a_bracket_without_a_sign_change_is_refused_before_newton(self):
+        # J1 up to 3 pi, then 1: the ends of bracket 3, (5 pi/2, 7 pi/2), are both positive
+        def f(x):
+            return np.where(x < 3 * math.pi, analysis._j1(x), 1.0)
+
+        def df(x, fx):
+            raise AssertionError("a Newton step ran")
+
+        with pytest.raises(NumericalError, match=r"^extrema bracket k = 3: f has one sign"):
+            analysis._first_roots(f, df, 5, "extrema")
 
 
 class TestCosineKernel:

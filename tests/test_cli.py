@@ -207,6 +207,21 @@ class TestArgumentHandling:
         code, out, err = invoke(capsys, *argv.split())
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    BIG = "1" + "0" * 400  # exact and inside every interval, but past the largest float
+
+    @pytest.mark.parametrize("argv", [
+        f"knapp --kind separable --alpha {BIG} --beta 0 --r 2 --q 2",
+        f"knapp --kind separable --alpha 0 --beta 0 --r 2 --q 1/{BIG}",
+        f"knapp --kind separable --alpha 0 --beta 0 --r {BIG} --q 2",
+        f"constant --kind radial --gamma {BIG} --q 2",
+        f"pitt --beta {BIG} --p 2 --q 2",
+    ], ids=["knapp-alpha", "knapp-q", "knapp-r", "constant-gamma", "pitt-beta"])
+    def test_exact_values_without_a_float_are_one_error_line(self, capsys, argv):
+        # these raised OverflowError, or ZeroDivisionError where q rounded to 0.0
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 # each subcommand with exact arguments that pass every check, and the interval each
 # exact flag must lie in; a feasibility weight also goes through weight_exponents'
@@ -434,6 +449,21 @@ class TestConfigFile:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == [f"restriction-lab: error: config {cfg} line 2: 'q' is not key=value"]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("--config {missing} classify --kind separable", "cannot read config {missing}: "),
+        ("classify --kind separable --alpha 0 --beta 0 --r 2 --q 2 --config",
+         "unrecognized arguments: --config"),
+        ("--config", "argument --config: expected one argument"),
+        ("--config {cfg}", "argument command: invalid choice: '1/3'"),
+    ], ids=["missing-file", "last-token", "last-token-alone", "no-subcommand"])
+    def test_config_misuse_is_an_argument_error(self, capsys, tmp_path, argv, message):
+        cfg, missing = tmp_path / "run.cfg", tmp_path / "missing.cfg"
+        cfg.write_text("alpha=1/3\n")
+        code, out, err = invoke(capsys, *argv.format(cfg=cfg, missing=missing).split())
+        assert (code, out) == (1, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message.format(missing=missing) in errors[0]
 
 
 class TestRepeatedRuns:

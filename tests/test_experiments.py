@@ -478,6 +478,13 @@ class TestKnappScan:
             tracemalloc.stop()
         assert peak < 8e6, peak
 
+    @pytest.mark.parametrize("k", range(13))  # the column budget refuses k >= 13
+    def test_x_axis_never_keeps_a_centre_line(self, k):
+        # the centred grid's nx = 32/delta is even, so the quadrant is [0, 4/delta] in
+        # half its columns
+        quadrant = experiments._knapp_quadrant(2.0**-k)
+        assert (quadrant.x0, quadrant.x1, quadrant.nx) == (0.0, 4 * 2.0**k, 2 ** (k + 4))
+
     @pytest.mark.parametrize("q", [2.0, 4.0, 6.0, 8.0])
     @pytest.mark.parametrize("exps", [(0.0, 0.0), (1 / 3, 1 / 3), (1.0, 1.0), (0.3, 0.2),
                                       (0.5, 0.25)])

@@ -15,6 +15,7 @@ from restriction_lab.exponents import (
     ExtScalar,
     RadialParams,
     SeparableParams,
+    Verdict,
     classify_radial,
     classify_separable,
     conjugate_exponent,
@@ -65,6 +66,21 @@ class TestExtScalar:
     def test_zero_denominator_and_inexact_type_are_refused(self, value, error, message):
         with pytest.raises(error, match=message):
             ExtScalar(value)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: INF.as_integer_ratio(), DomainError, "^infinity has no Fraction value$"),
+        (lambda: ExtScalar(-1) * INF, DomainError, r"^negative \* infinity not supported$"),
+        (lambda: Verdict(True), ValueError, "^bounded verdict must carry exactly a case tag$"),
+        (lambda: Verdict(False), ValueError,
+         "^unbounded verdict must carry exactly a violation$"),
+    ], ids=["inf-ratio", "negative-times-inf", "bounded-verdict", "unbounded-verdict"])
+    def test_partial_operations_are_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_a_float_is_never_equal(self):
+        # a float is not exact: == gives NotImplemented, so Python answers False
+        assert not ExtScalar(1) == 1.5 and ExtScalar(1) != 1.0
 
 
 # integers well past 2^64, either sign, and zero

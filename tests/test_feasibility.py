@@ -93,6 +93,11 @@ class TestVerifyOne:
         result = verify_one(tampered, "1/3", "1/3", 2, 2)
         assert result.violations == ("theta-range",)
 
+    def test_an_infinite_weight_is_refused(self):
+        cert = solve_one("1/3", "1/3", 2, 2)
+        with pytest.raises(DomainError, match="^infinity has no Fraction value$"):
+            verify_one(cert, "inf", 0, 2, 2)
+
 
 class TestSolveTwo:
     def test_endpoint_case(self):

@@ -172,6 +172,8 @@ class TestWeakLq1d:
             Sampled1(np.array([-1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             Sampled1(np.array([1.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="^values and measures must be equal-length 1-D"):
+            Sampled1(np.ones(2), np.ones(3))
         s = Sampled1(np.array([0.3, 2.5]), np.array([1.0, 1.0]))
         for q in (0.0, -1.0, float("nan")):  # NaN returned NaN
             with pytest.raises(ValueError, match="^q must be positive$"):
@@ -197,12 +199,19 @@ class TestGrid2:
 
 
 class TestWeightSpec:
+    EXPONENTS = r"^weight exponents must lie in \[0, inf\)$"
+
     @pytest.mark.parametrize("build, message", [
-        (lambda: WeightSpec.separable(-0.1, 0), "^weight exponents must be >= 0$"),
-        (lambda: WeightSpec.separable(0, -0.1), "^weight exponents must be >= 0$"),
-        (lambda: WeightSpec.radial(-0.1), "^weight exponents must be >= 0$"),
+        (lambda: WeightSpec.separable(-0.1, 0), EXPONENTS),
+        (lambda: WeightSpec.separable(0, -0.1), EXPONENTS),
+        (lambda: WeightSpec.radial(-0.1), EXPONENTS),
+        (lambda: WeightSpec.separable(math.nan, 0), EXPONENTS),
+        (lambda: WeightSpec.separable(0, math.inf), EXPONENTS),
+        (lambda: WeightSpec.radial(math.inf), EXPONENTS),
+        (lambda: WeightSpec.radial(math.nan), EXPONENTS),
         (lambda: WeightSpec("conic"), "^unknown weight kind 'conic'$"),
-    ], ids=["alpha", "beta", "gamma", "kind"])
+    ], ids=["alpha", "beta", "gamma", "alpha-nan", "beta-inf", "gamma-inf", "gamma-nan",
+            "kind"])
     def test_refused_when_built(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -267,3 +276,14 @@ class TestWeightedLq2dOracle:
         for bad in (vals.T, np.stack((vals.real,) * 3), np.stack((vals, vals))):
             with pytest.raises(ValueError, match="shape"):
                 weighted_lq_2d(bad, self.GRID, WeightSpec.radial(0.5), 2)
+
+    @pytest.mark.parametrize("q", [0.0, math.inf])
+    def test_q_outside_zero_to_inf_raises(self, q):
+        with pytest.raises(ValueError, match="^q must be positive and finite$"):
+            weighted_lq_2d(self.field(), self.GRID, WeightSpec.radial(0.5), q)
+
+    def test_finite_field_whose_mass_overflows_raises(self):
+        vals = np.full((self.GRID.nx, self.GRID.ny), 1e200)  # |f|^2 overflows to inf
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalError, match="^q-th power mass is not finite$"):
+            weighted_lq_2d(vals, self.GRID, WeightSpec.separable(0.3, 0.7), 2)

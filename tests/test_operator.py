@@ -270,6 +270,19 @@ class TestDensityValidation:
         with pytest.raises(DomainError):
             Density.power_singular(0.5, 1.0)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Point2(math.inf, 0), ValueError, "^points must be finite$"),
+        (lambda: Density.power_singular(1.5, 0.3), DomainError,
+         r"^support width delta must lie in \(0,1\]$"),
+        (lambda: extend(Density("conic"), Point2(1, 2), 16), DomainError,
+         "^unknown density kind 'conic'$"),
+        (lambda: circle_norm(Density("conic"), 2), DomainError,
+         "^unknown density kind 'conic'$"),
+    ], ids=["point", "support-width", "extend-kind", "circle-norm-kind"])
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_node_scaling(self):
         assert effective_node_count(1000, 2 * math.pi) == 1000
         assert effective_node_count(1000, 0.001) == 16
