@@ -336,7 +336,7 @@ def _batch(series: Callable, quadrature: Callable, exponent, name: str, lo: floa
         raise ValueError(f"{name} = {float(np.min(exponent))!r} is below {exp_min:g}, the "
                          f"smallest {name} its error bound covers")
     x = np.asarray(x, dtype=float)
-    if not np.all((x_min <= x) & (x <= x_max)):
+    if x.size and not (x_min <= x.min() and x.max() <= x_max):  # a nan fails too
         if not np.all((0 < x) & (x < np.inf)):
             raise ValueError(f"{x_name} must be positive and finite")
         if np.any(x > x_max):
@@ -348,12 +348,12 @@ def _batch(series: Callable, quadrature: Callable, exponent, name: str, lo: floa
     if exponent.ndim:
         exponent = np.broadcast_to(exponent, shape).reshape(-1)
     x = np.broadcast_to(x, shape).reshape(-1)
-    out, held = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    out, rest = np.empty_like(x), []
     for start in range(0, x.size, _CHUNK_NODES):
         part = slice(start, start + _CHUNK_NODES)
-        out[part], held[part] = series(_take(exponent, part), x[part])
-    rest = np.flatnonzero(~held)
-    if rest.size:
+        out[part], held = series(_take(exponent, part), x[part])
+        rest.append(start + np.flatnonzero(~held))
+    if rest and (rest := np.concatenate(rest)).size:
         out[rest] = quadrature(_take(exponent, rest), x[rest])
     return out.reshape(shape)
 
@@ -384,7 +384,8 @@ def _kernel_series(kap, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     poly = coef[-1]
     for c in coef[-2::-1]:
         poly = poly * lam2 + c
-    lead = _gamma(1.0 - kap) * lam**kap / lam  # not lam^(kappa - 1): kappa - 1 would be rounded
+    gamma = math.gamma(1.0 - kap) if np.ndim(kap) == 0 else _gamma(1.0 - kap)
+    lead = gamma * lam**kap / lam  # not lam^(kappa - 1): kappa - 1 would be rounded
     sine = np.sin(arg if np.ndim(kap) else t)  # a kappa per lambda keeps a sine each
     value = lead * sine - 1.0 / (1.0 - kap)
     value[full] = lead[full] * (sine[full] if np.ndim(kap) else np.sin(arg[full])) - poly

@@ -384,11 +384,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         flag = "--" + key.strip().replace("_", "-")
         if flag not in argv:  # explicit flags override the file
             extra.extend([flag, value.strip()])
-    # insert config defaults right after the subcommand token
+    # config defaults go right after the subcommand token; argparse reports a missing one
     for i, token in enumerate(argv):
         if token in _COMMANDS:
             return argv[: i + 1] + extra + argv[i + 1 :]
-    return argv + extra
+    return argv
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:

@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .errors import ConfigurationError
 from .exponents import (
-    DomainError, ScalarLike, exact_in, inv_conjugate, inv_conjugate_ratio, scaled,
+    DomainError, ScalarLike, exact_in, float_of, inv_conjugate, inv_conjugate_ratio, scaled,
     weight_exponents,
 )
 from .norms import Grid2, Sampled1, WeightSpec, weak_lq_1d, weighted_lq_2d
@@ -295,8 +295,8 @@ def knapp_scan(
     q = exact_in(q, "q", "(0, inf)")
     exps = weight_exponents(kind, alpha, beta, gamma)
     r = exact_in(r, "r", "[1, inf]")
-    qf = float(q)
-    weight = getattr(WeightSpec, kind)(*sorted(map(float, exps.values()), reverse=True))
+    qf = float_of(q, "q")
+    weight = getattr(WeightSpec, kind)(*sorted(map(float_of, exps.values(), exps), reverse=True))
     predicted = predicted_exponent(kind, **exps, r=r, q=q)
     mass = _gram_mass if qf / 2 in (1, 2, 3, 4) and kind == "separable" else _streamed_mass
 
@@ -369,9 +369,9 @@ def constant_density_sums(
         raise DomainError("n_list must be strictly increasing positive integers")
     if n_list[-1] > TERM_BUDGET:
         raise ConfigurationError(f"n={n_list[-1]} over budget {TERM_BUDGET}")
-    qf = float(exact_in(q, "q", "(0, inf)"))
+    qf = float_of(exact_in(q, "q", "(0, inf)"), "q")
     exps = weight_exponents(kind, alpha, beta, gamma)
-    weight_q = getattr(WeightSpec, kind)(*[qf * float(v) for v in exps.values()])
+    weight_q = getattr(WeightSpec, kind)(*[qf * v for v in map(float_of, exps.values(), exps)])
     pred = predicted_exponent("constant", weight_sum=sum(exps.values()), q=q)
     s = pred.slope
 
@@ -442,6 +442,8 @@ def _eps_window(exps: list[int], name: str = "eps", points: int = 3) -> list[Fra
 
 _TRUNC_LN = math.log(1e3)  # ln of the inverse truncated share of both eps-scans
 _L2_TAU_CAP = 300.0
+_TAU_POINTS = 10  # Gauss-Legendre points per tau panel
+_TRIG_CUT = 2.0**-27  # in (0, _TRIG_CUT] np.sin(x) == x and np.cos(x) == 1.0, bit for bit
 
 
 def _tau_rules(epss: list[Fraction], rates: list[float], cap: float,
@@ -464,7 +466,7 @@ def _tau_rules(epss: list[Fraction], rates: list[float], cap: float,
             edges.append(min(edges[-1] + math.log(2.0), tau_max))
         while edges[-1] < tau_max:
             edges.append(min(edges[-1] + 6.0, tau_max))
-        x, w = _panel_nodes(np.array(edges[:-1]), np.array(edges[1:]), 10)
+        x, w = _panel_nodes(np.array(edges[:-1]), np.array(edges[1:]), _TAU_POINTS)
         nodes.append(x.reshape(-1))
         weights.append(w.reshape(-1))
     return np.concatenate(nodes), weights, np.cumsum([w.size for w in weights])[:-1]
@@ -498,14 +500,14 @@ def l2_endpoint_scan(
     ``cosine_weight_kernel_many``, one call per factor.  The ratio against the
     exact circle norm is fitted versus eps.
 
-    Nothing in K(2 alpha, .) K(2 beta, .) depends on eps, so phi and both
-    kernels are evaluated once, over the distinct tau nodes of the union of
-    all eps rules, and each eps gathers its rows.  That is exact: the panel
-    edges of ``_tau_rules`` are the same float sums whatever tau_max is, so
-    a larger eps's rule is bit for bit a prefix of a smaller one's except for
-    its clipped last panel, and a kernel value does not depend on its batch.
-    The eps window (distinct, non-negative exponents, mu in (0,1), shares at
-    most 1/16) is checked before any kernel work.
+    Nothing in K(2 alpha, .) K(2 beta, .) depends on eps, so both kernels are evaluated once,
+    over the union of all eps rules: the shared panels of ``_tau_rules`` (the same float sums
+    whatever tau_max is), then each rule's clipped last panel.  Each eps reads its rows as two
+    views and forms (w k1) k2 in lam2's buffer; a kernel value does not depend on its batch,
+    so every sample is bit for bit the per-eps one.  Trig is taken only up to the last row
+    with phi > _TRIG_CUT = 2^-27: past it sin and cos round to x and 1.0.  The eps window
+    (distinct, non-negative exponents, mu in (0,1), shares at most 1/16) is checked before
+    any kernel work.
     """
     a, b = exact_in(alpha, "alpha", "[0, inf)"), exact_in(beta, "beta", "[0, inf)")
     r = exact_in(r, "r", "(1, inf)")
@@ -529,24 +531,30 @@ def l2_endpoint_scan(
                                             _L2_TAU_CAP, 12.0)
 
     one_minus_s, one_plus_s, s, s_weights = _inner_s_mesh()
-    tau, rows = np.unique(nodes, return_inverse=True)
+    rules = np.split(nodes, bounds)  # the last, longest rule holds every shared panel
+    shared = rules[-1].size - _TAU_POINTS
+    tau = np.concatenate([rules[-1][:shared], *(rule[-_TAU_POINTS:] for rule in rules)])
     phi = delta * np.exp(-tau)
-    sin_diff = np.sin(0.5 * phi[:, None] * one_minus_s[None, :])
-    half_sum = 0.5 * phi[:, None] * one_plus_s[None, :]
-    lam1 = 2.0 * sin_diff * np.cos(half_sum)
-    lam2 = 2.0 * np.sin(half_sum) * sin_diff
-    del sin_diff, half_sum  # each kernel call's peak sits on top of the live arrays
+    lam1 = np.multiply.outer(0.5 * phi, one_minus_s)  # sd, then 2 sin(sd) cos(hs)
+    lam2 = np.multiply.outer(0.5 * phi, one_plus_s)  # hs, then 2 sin(hs) sin(sd)
+    n = 1 + int(np.max(np.flatnonzero(phi > _TRIG_CUT), initial=-1))  # the rows that need trig
+    lam1[:n], lam2[:n] = (2.0 * np.sin(lam1[:n]) * np.cos(lam2[:n]),
+                          2.0 * np.sin(lam2[:n]) * np.sin(lam1[:n]))
+    lam1[n:] *= 2.0  # past row n sin(sd) == sd, sin(hs) == hs and cos(hs) == 1.0, and
+    lam2[n:] *= lam1[n:]  # hs (2 sd) is (2 hs) sd bit for bit, as doubling is exact
     k1 = cosine_weight_kernel_many(float(2 * a), lam1)
     del lam1
-    k2 = cosine_weight_kernel_many(float(2 * b), lam2)
-    del lam2
+    k2 = cosine_weight_kernel_many(float(2 * b), lam2)  # lam2 then holds each rule's products
 
     samples = []
-    for eps, w_tau, at in zip(epss, tau_weights, np.split(rows, bounds)):
+    for eps, w_tau, own in zip(epss, tau_weights, range(shared, tau.size, _TAU_POINTS)):
         mu = float(1 / r - eps)
-        inner = (s ** (-mu) * s_weights)[None, :] * k1[at] * k2[at]
-        profile = phi[at] ** (2.0 - 2.0 * mu) * np.sum(inner, axis=1)
-        lhs = 8.0 * float(np.sum(w_tau * profile))
+        profile = []
+        for part in (slice(w_tau.size - _TAU_POINTS), slice(own, own + _TAU_POINTS)):
+            np.multiply(s ** (-mu) * s_weights, k1[part], out=lam2[part])
+            lam2[part] *= k2[part]
+            profile.append(phi[part] ** (2.0 - 2.0 * mu) * np.sum(lam2[part], axis=1))
+        lhs = 8.0 * float(np.sum(w_tau * np.concatenate(profile)))
 
         rhs = circle_norm(Density.power_singular(delta, mu), r) ** 2
         samples.append(ScanSample(float(eps), lhs, rhs, lhs / rhs))
@@ -615,7 +623,7 @@ def pitt_sweep(
     q_x = exact_in(q, "q", "(0, inf)")
     if not 0 <= 1 / q_x - inv_conjugate(p_x) <= b_x:
         raise DomainError("need 0 <= 1/q - 1/p' <= beta")
-    bf, pf, qf = float(b_x), float(p_x), float(q_x)
+    bf, pf, qf = float_of(b_x, "beta"), float_of(p_x, "p"), float_of(q_x, "q")
     if not scales:
         raise DomainError("need at least one scale")
     if not all(0 < s < math.inf for s in scales):  # NaN fails too

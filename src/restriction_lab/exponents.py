@@ -224,6 +224,17 @@ def exact_in(x: ScalarLike, name: str, interval: str) -> ExtScalar | Fraction:
     return x if type(x) is Fraction else Fraction(num, den)
 
 
+def float_of(x: ExtScalar | Fraction, name: str) -> float:
+    """The float of an exact x, else DomainError naming x where no float holds it."""
+    try:
+        value = float(x)
+    except OverflowError:
+        raise DomainError(f"{name} is past the largest float") from None
+    if value == 0 and x != 0:
+        raise DomainError(f"{name} is not 0 but rounds to 0.0 as a float")
+    return value
+
+
 def finite_ratio(x: ScalarLike) -> tuple[int, int]:
     """The reduced integer pair of a finite scalar; infinity raises DomainError."""
     num, den = _ratio(x)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import _gl, _j0, bessel_j0
 from .errors import NumericalError
-from .exponents import DomainError, ScalarLike, exact_in
+from .exponents import DomainError, ScalarLike, exact_in, float_of
 from .norms import Grid2
 
 __all__ = [
@@ -186,9 +186,9 @@ def circle_norm(density: Density, r: ScalarLike) -> float:
     r = exact_in(r, "r", "[1, inf]")
     if density.kind in ("constant", "cap"):
         arc = 2 * math.pi if density.kind == "constant" else 2 * math.asin(density.delta)
-        return 1.0 if r.is_infinite else arc ** (1 / float(r))
+        return 1.0 if r.is_infinite else arc ** (1 / float_of(r, "r"))
     if density.kind == "power-singular":
-        rf = float(exact_in(r, "r", "[1, inf)"))  # phi^-mu is unbounded: no finite sup-norm
+        rf = float_of(exact_in(r, "r", "[1, inf)"), "r")  # phi^-mu is unbounded: no finite sup-norm
         if density.mu * rf >= 1:
             raise DomainError("need mu r < 1 for a finite L^r norm")
         return (density.delta ** (1 - density.mu * rf) / (1 - density.mu * rf)) ** (1 / rf)

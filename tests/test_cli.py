@@ -222,6 +222,22 @@ class TestArgumentHandling:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (f"knapp --kind separable --alpha {BIG} --beta 0 --r 2 --q 2",
+         "alpha is past the largest float"),
+        (f"knapp --kind separable --alpha 0 --beta 0 --r 2 --q 1/{BIG}",
+         "q is not 0 but rounds to 0.0 as a float"),
+        (f"knapp --kind separable --alpha 0 --beta 0 --r {BIG} --q 2",
+         "r is past the largest float"),
+        (f"constant --kind radial --gamma {BIG} --q 2", "gamma is past the largest float"),
+        (f"pitt --beta {BIG} --p 2 --q 2", "beta is past the largest float"),
+    ], ids=["knapp-alpha", "knapp-q", "knapp-r", "constant-gamma", "pitt-beta"])
+    def test_exact_values_without_a_float_name_their_flag(self, capsys, argv, message):
+        # these printed Python's own text: "integer division result too large for a
+        # float" and "float division by zero"
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 # each subcommand with exact arguments that pass every check, and the interval each
 # exact flag must lie in; a feasibility weight also goes through weight_exponents'
@@ -455,7 +471,7 @@ class TestConfigFile:
         ("classify --kind separable --alpha 0 --beta 0 --r 2 --q 2 --config",
          "unrecognized arguments: --config"),
         ("--config", "argument --config: expected one argument"),
-        ("--config {cfg}", "argument command: invalid choice: '1/3'"),
+        ("--config {cfg}", "the following arguments are required: command"),
     ], ids=["missing-file", "last-token", "last-token-alone", "no-subcommand"])
     def test_config_misuse_is_an_argument_error(self, capsys, tmp_path, argv, message):
         cfg, missing = tmp_path / "run.cfg", tmp_path / "missing.cfg"

@@ -847,17 +847,62 @@ class TestL2Endpoint:
         l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
         assert seen == [(5 / 9, 700 * 288)] * 2  # 403,200 in all, one call per factor
 
+    @pytest.mark.parametrize("args, rows, trig_rows", [
+        (("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7]), 700, 187),  # criterion 10
+        (("2/5", "23/60", "3/2", 0.9, [1, 2, 3]), 230, 211),  # two rules' last panels need trig
+    ], ids=["criterion-10", "trig-last-panels"])
+    def test_lambdas_are_the_full_trig_formula(self, monkeypatch, args, rows, trig_rows):
+        # the scan takes sin and cos only up to the last row with phi > 2^-27, yet both
+        # lambda arrays it passes are the full formula's bit for bit on every row
+        seen = []
+        kernel = experiments.cosine_weight_kernel_many
+
+        def capturing(kappa, lams):
+            seen.append(lams.copy())  # the scan reuses the second array's buffer
+            return kernel(kappa, lams)
+
+        monkeypatch.setattr(experiments, "cosine_weight_kernel_many", capturing)
+        l2_endpoint_scan(*args)
+        epss = [Fraction(1, 2**k) for k in args[-1]]
+        nodes, _, _ = experiments._tau_rules(
+            epss, [2 * float(eps) for eps in epss], experiments._L2_TAU_CAP, 12.0)
+        phi = args[3] * np.exp(-np.unique(nodes))
+        assert phi.size == rows and np.count_nonzero(phi > 2.0**-27) == trig_rows
+        one_minus_s, one_plus_s, _, _ = experiments._inner_s_mesh()
+        sin_diff = np.sin(0.5 * phi[:, None] * one_minus_s[None, :])
+        half_sum = 0.5 * phi[:, None] * one_plus_s[None, :]
+        want1 = 2.0 * sin_diff * np.cos(half_sum)
+        want2 = 2.0 * np.sin(half_sum) * sin_diff
+        lam1, lam2 = seen
+        # the scan lays its rows out in its own order: match each row by its bytes
+        index = {row.tobytes(): i for i, row in enumerate(want1)}
+        order = [index[row.tobytes()] for row in lam1]
+        assert sorted(order) == list(range(rows))
+        assert lam2.tobytes() == want2[order].tobytes()
+
+    def test_sin_and_cos_round_to_x_and_one_up_to_the_trig_cut(self):
+        # what the scan's trig cut rests on: for 0 < x <= 2^-27, sin x = x (1 - x^2/6 + ...)
+        # and cos x = 1 - x^2/2 + ... lie within half an ulp of x and of 1.0, so np.sin(x) == x
+        # and np.cos(x) == 1.0; a libm that rounds otherwise fails here, not in the scan
+        cut = experiments._TRIG_CUT
+        assert cut == 2.0**-27
+        x = np.concatenate([np.geomspace(1e-300, cut, 200_000),
+                            [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)]])
+        assert np.sin(x).tobytes() == x.tobytes()
+        assert np.all(np.cos(x) == 1.0)
+        assert np.cos(2.0**-26) == 1.0 - 2.0**-53  # one binade up the cosine no longer rounds to 1
+
     def test_criterion_10_peak_memory(self):
-        # measured 8.1 MB: the two 3.2 MB lambda arrays, one kernel output and
-        # the series' chunk temporaries; 16 MB leaves a 2x margin, and a draft
-        # that held every array at once (28.5 MB) fails
+        # measured 7.6 MB on a first call, 6.9 MB after: the two 1.6 MB lambda arrays, one
+        # kernel output and the series' chunk temporaries; 15.3 MB leaves a 2x margin, and a
+        # draft that held every array at once (28.5 MB) fails
         tracemalloc.start()
         try:
             l2_endpoint_scan("5/18", "5/18", 3, 0.25, [3, 4, 5, 6, 7])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6, peak
+        assert peak <= 15.3e6, peak
 
     def test_bounded_at_r_two_saturates(self):
         # alpha = beta = 1/3: the q = r = 2 case is bounded, so the ratio
@@ -1002,7 +1047,7 @@ class TestPitt:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6, peak
+        assert peak <= 15.3e6, peak
 
 
 class TestDualScans:
