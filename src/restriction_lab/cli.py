@@ -122,7 +122,7 @@ def _emit(args, text, payload=None, table=None) -> int:
     asked for is called.  A format without its renderer falls back to text.
     """
     if args.format == "json" and payload is not None:
-        out = json.dumps(payload()) + "\n"
+        out = json.dumps(payload(), allow_nan=False) + "\n"
     elif args.format == "csv" and table is not None:
         out = table()
     else:

@@ -33,7 +33,7 @@ from .analysis import (
     hankel_decay_transform_many,
     j0_extrema,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .exponents import (
     DomainError, ScalarLike, exact_in, float_of, inv_conjugate, inv_conjugate_ratio, scaled,
     weight_exponents,
@@ -64,8 +64,10 @@ KNAPP_BLOCK_CELLS = 1 << 16  # cells per streamed column block: 1 MB of planes, 
 RING_BLOCK = 1024  # rings per block of the constant-density cross-check: about 15 MB
 RING_BUDGET = 100_000  # the most cross-check rings: j0_extrema is shown to validate that many
 TERM_BUDGET = 1_000_000  # the largest constant-density n: 16 bytes a term, 16 MB traced
-PITT_CELL_BUDGET = 30_000_000  # sum of n_xi n_x over a Pitt sweep; scales 2^-10..2^-6 take 20.5 M
-SPLIT_PHASES = 64  # fine phases per coarse phase of Pitt's split-phase transform
+# sum of n_xi + n_x over a Pitt sweep: every scale has n_xi n_x >= 52.3 (n_xi + n_x), so
+# no sweep within the 30 M cosine-table cells once allowed (at most 574 k points) is refused
+PITT_POINT_BUDGET = 1_000_000
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,7 +361,8 @@ def constant_density_sums(
     16 radial times 64 angular nodes per ring, folded onto the 16 of the first
     quadrant since both weight families see only |x| and |y|: (J, 16, 16) points,
     RING_BLOCK rings at a time, each ring reduced within itself, so blocks change
-    no sum), whose growth reproduces the same index exponent.
+    no sum), whose growth reproduces the same index exponent; NumericalError names
+    the first ring whose running sum passes the largest float.
     """
     if cross_check_rings < 0:
         raise DomainError("cross_check_rings must be non-negative")
@@ -371,7 +374,8 @@ def constant_density_sums(
         raise ConfigurationError(f"n={n_list[-1]} over budget {TERM_BUDGET}")
     qf = float_of(exact_in(q, "q", "(0, inf)"), "q")
     exps = weight_exponents(kind, alpha, beta, gamma)
-    weight_q = getattr(WeightSpec, kind)(*[qf * v for v in map(float_of, exps.values(), exps)])
+    floats = [float_of(v, name) for name, v in exps.items()]
+    weight, weight_q = (getattr(WeightSpec, kind)(*[c * v for v in floats]) for c in (1, qf))
     pred = predicted_exponent("constant", weight_sum=sum(exps.values()), q=q)
     s = pred.slope
 
@@ -386,14 +390,25 @@ def constant_density_sums(
         sin, cos = np.sin(theta), np.cos(theta)
         t16, w16 = _gl(16)
         z, masses = j0_extrema(cross_check_rings).z, []
-        for start in range(0, z.size, RING_BLOCK):
-            # annulus half-width 0.5 (delta_env) around each extremum z_j
-            rho = z[start : start + RING_BLOCK, None] + 0.5 * t16
-            wfac = weight_q.inverse_factor(rho[:, :, None] * sin, rho[:, :, None] * cos)
-            angular = np.sum(wfac, axis=2) * (2 * math.pi / 16)
-            vals = np.abs(constant_reference_radii(rho)) ** qf
-            masses.append(np.sum(0.5 * w16 * rho * vals * angular, axis=1))
-        ring_cum = np.cumsum(np.concatenate(masses))
+        with np.errstate(over="ignore"):  # a sum past the largest float is refused below
+            for start in range(0, z.size, RING_BLOCK):
+                # annulus half-width 0.5 (delta_env) around each extremum z_j
+                rho = z[start : start + RING_BLOCK, None] + 0.5 * t16
+                radii = np.abs(constant_reference_radii(rho))
+                wfac = weight_q.inverse_factor(rho[:, :, None] * sin, rho[:, :, None] * cos)
+                vals = radii**qf
+                # a ring whose |2 pi J0|^q passes 1 and overflows, or meets an underflowed w^-q
+                # (inf * 0, a spurious inf or a lost term), takes each point's (|2 pi J0| w^-1)^q
+                big = np.flatnonzero(np.max(vals, axis=1) > 1)
+                redo = big[np.isinf(vals[big]).any(axis=1) | (wfac[big] < _TINY).any(axis=(1, 2))]
+                vals[redo], r = 1.0, rho[redo][:, :, None]
+                wfac[redo] = (radii[redo][:, :, None] * weight.inverse_factor(r * sin, r * cos))**qf
+                angular = np.sum(wfac, axis=2) * (2 * math.pi / 16)
+                masses.append(np.sum(0.5 * w16 * rho * vals * angular, axis=1))
+            ring_cum = np.cumsum(np.concatenate(masses))
+        if not np.isfinite(ring_cum[-1]):
+            ring = int(np.argmin(np.isfinite(ring_cum))) + 1
+            raise NumericalError(f"the ring masses at q={q} pass the largest float by ring {ring}")
         marks = [n for n in n_list if n <= cross_check_rings]
         ring_sums = tuple((n, float(ring_cum[n - 1])) for n in marks)
 
@@ -585,22 +600,11 @@ class PittResult:
 def _pitt_axes(s: float) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """(start, stop, step) of the x grid and of the xi grid at scale s."""
     xi_max = 1.0 + 10.0 / s
-    # spacing must keep the alias images at 2 pi / dx outside the
-    # sampled band [0, xi_max] plus the transform's spread of ~10/s
+    # only the L^p denominators use the x grid; its spacing, once set to keep a quadrature
+    # transform's aliases out of [0, xi_max], fixes their values: a coarser one moves them
     dx = min(s / 8, math.pi / (xi_max + 10.0 / s))
     dxi = min(1 / 8, 1 / (8 * s))
     return (-8 * s, 8 * s + dx / 2, dx), (dxi / 2, xi_max, dxi)
-
-
-def _split_phase_cosine(xis: np.ndarray, dxi: float, xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """sum_j cos(xi_i x_j) f(x_j) for each row f of fs, xis in steps of dxi: with
-    xi_{aM+m} = xi_{aM} + m dxi (M = SPLIT_PHASES), two real matmuls of coarse and
-    fine cosines and sines, 2 (n_xi/M + M) n_x phases in place of n_xi n_x."""
-    coarse = np.outer(xis[::SPLIT_PHASES], xs)
-    fine = np.outer(dxi * np.arange(SPLIT_PHASES), xs).T
-    out = (np.cos(coarse) * fs[:, None]) @ np.cos(fine)
-    out -= (np.sin(coarse) * fs[:, None]) @ np.sin(fine)
-    return out.reshape(len(fs), -1)[:, : xis.size]
 
 
 def pitt_sweep(
@@ -609,14 +613,14 @@ def pitt_sweep(
     """Uniformity of the weighted weak-norm bound over a dilation family.
 
     For f_s(x) = exp(-(x/s)^2) and its modulation f_s(x) cos(x):
-    ratio(s) = weak-L^q of (1+|xi|)^{-beta} |f_s^(xi)| over ||f_s||_p, with
-    the transform computed by trapezoid quadrature on an x-grid adapted to s
-    and sampled on a xi-grid covering the spread 1/s (plus the modulation
-    shift).  Returns all ratios and their maximum.  The transform splits
-    phases (``_split_phase_cosine``), in memory O((n_xi/64 + 64) n_x + n_xi).
-    Decided exactly: beta in [0, inf), p in [1, 2], q in (0, inf) and
-    0 <= 1/q - 1/p' <= beta; every scale must be positive and finite and the sweep's
-    sum of n_xi n_x at most PITT_CELL_BUDGET, all checked before any transform.
+    ratio(s) = weak-L^q of (1+|xi|)^{-beta} |f_s^(xi)| over ||f_s||_p.  The
+    transforms are the closed forms s sqrt(pi) exp(-(s xi)^2/4) and the mean of
+    its shifts by xi -+ 1, sampled on a xi grid covering the spread 1/s (plus the
+    modulation shift); ||f_s||_p is a sum on an x grid adapted to s.  Returns all
+    ratios and their maximum.  Decided exactly: beta in [0, inf), p in [1, 2],
+    q in (0, inf) and 0 <= 1/q - 1/p' <= beta; every scale must be positive and
+    finite and the sweep's sum of n_xi + n_x at most PITT_POINT_BUDGET, all checked
+    before any per-scale work.
     """
     b_x = exact_in(beta, "beta", "[0, inf)")
     p_x = exact_in(p, "p", "[1, 2]")
@@ -631,35 +635,30 @@ def pitt_sweep(
     # (scale, x or xi, start/stop/step)
     ax = np.array([_pitt_axes(s) for s in scales]).reshape(-1, 2, 3)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # s ~ 1e-320 or 1e300
-        cells = np.sum(np.prod(np.ceil((ax[..., 1] - ax[..., 0]) / ax[..., 2]), axis=1))
-    if not cells <= PITT_CELL_BUDGET:
-        raise ConfigurationError(f"scales need {cells:.0f} transform cells (n_xi n_x), "
-                                 f"over budget {PITT_CELL_BUDGET}")
+        points = np.sum(np.ceil((ax[..., 1] - ax[..., 0]) / ax[..., 2]))
+    if not points <= PITT_POINT_BUDGET:
+        raise ConfigurationError(f"scales need {points:.7g} grid points (n_xi + n_x), "
+                                 f"over budget {PITT_POINT_BUDGET}")
 
     entries = []
     for s, ((x0, x1, dx), (xi0, xi1, dxi)) in zip(scales, ax):
         xs = np.arange(x0, x1, dx)
         xis = np.arange(xi0, xi1, dxi)
         base = np.exp(-((xs / s) ** 2))
-        fs = np.array([base, base * np.cos(xs)])
-        fhats = np.abs(_split_phase_cosine(xis, dxi, xs, fs)) * dx  # even f: real cosine transform
-        for variant, fx, fhat in zip(("plain", "modulated"), fs, fhats):
+        half = 0.5 * s * math.sqrt(math.pi)
+        fhats = (2 * half * np.exp(-0.25 * (s * xis) ** 2),
+                 half * (np.exp(-0.25 * (s * (xis - 1)) ** 2)
+                         + np.exp(-0.25 * (s * (xis + 1)) ** 2)))
+        for variant, fx, fhat in zip(("plain", "modulated"), (base, base * np.cos(xs)), fhats):
             weighted = (1 + xis) ** (-bf) * fhat
             weak = weak_lq_1d(Sampled1(weighted, np.full(xis.shape, 2 * dxi)), qf)
             denom = (dx * np.sum(np.abs(fx) ** pf)) ** (1 / pf)
             entries.append((s, variant, weak / denom))
 
-    meta = {
-        "experiment": "pitt-sweep",
-        "beta": str(b_x),
-        "p": str(p_x),
-        "q": str(q_x),
-        "scales": ",".join(repr(s) for s in scales),
-        "grid_policy": (
-            "x in [-8s,8s] step min(s/8, pi/(xi_max+10/s)); "
-            "xi in (0, 1+10/s) step min(1/8, 1/(8s))"
-        ),
-    }
+    meta = {"experiment": "pitt-sweep", "beta": str(b_x), "p": str(p_x), "q": str(q_x),
+            "scales": ",".join(repr(s) for s in scales),
+            "grid_policy": "x in [-8s,8s] step min(s/8, pi/(xi_max+10/s)); "
+                           "xi in (0, 1+10/s) step min(1/8, 1/(8s))"}
     return PittResult(tuple(entries), max(e[2] for e in entries), meta)
 
 

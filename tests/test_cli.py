@@ -311,7 +311,7 @@ def kernels_raise(monkeypatch):
         raise NumericalError("kernel reached")
 
     for name in ("_gram_mass", "_streamed_mass", "cosine_weight_kernel_many",
-                 "hankel_decay_transform_many", "j0_extrema", "_split_phase_cosine", "weak_lq_1d"):
+                 "hankel_decay_transform_many", "j0_extrema", "weak_lq_1d"):
         monkeypatch.setattr(experiments, name, reached)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -697,6 +698,49 @@ class TestConstantSums:
             tracemalloc.stop()
         assert peak <= 30e6
 
+    @staticmethod
+    def _log_space_ring_masses(kind, q, exps, rings):
+        """Each ring's mass over all 64 angular nodes, summed in logs."""
+        theta = (np.arange(64) + 0.5) * (2 * math.pi / 64)
+        t16, w16 = np.polynomial.legendre.leggauss(16)
+        masses = []
+        for zj in j0_extrema(rings).z:
+            rho = zj + 0.5 * t16
+            x, y = np.abs(rho[:, None] * np.sin(theta)), np.abs(rho[:, None] * np.cos(theta))
+            if kind == "radial":
+                log_w = -q * exps[0] * np.log1p(x + y)
+            else:
+                log_w = -q * (exps[0] * np.log1p(x) + exps[1] * np.log1p(y))
+            log_radial = np.log(0.5 * w16 * rho) + q * np.log(np.abs(constant_reference_radii(rho)))
+            log_terms = log_radial[:, None] + log_w + math.log(2 * math.pi / 64)
+            masses.append(math.exp(np.logaddexp.reduce(log_terms, axis=None)))
+        return np.cumsum(masses)
+
+    @pytest.mark.parametrize("argv, kind, exps, honest", [
+        ("constant --kind radial --gamma 1 --q 1000 --n-list 1,10,100 --rings 10",
+         "radial", [1.0], 9e-289),  # |2 pi J0|^q overflowed, w^-q underflowed: inf * 0
+        ("constant --kind separable --alpha 1/3 --beta 5/18 --q 1000 --rings 1 --n-list 1",
+         "separable", [1 / 3, 5 / 18], 3.5e188),  # only |2 pi J0|^q overflowed: inf
+    ])
+    def test_ring_masses_past_the_power_range_are_honest(self, capsys, argv, kind, exps,
+                                                         honest):
+        # these printed "ring mass B_1 = nan" and "ring_sums": [[1, Infinity]]
+        assert run([*argv.split(), "--format", "json"]) == 0
+        ring_sums = json.loads(capsys.readouterr().out)["ring_sums"]
+        want = self._log_space_ring_masses(kind, 1000.0, exps, ring_sums[-1][0])
+        assert ring_sums[0][1] == pytest.approx(honest, rel=0.1)
+        for n, got in ring_sums:
+            assert abs(got / want[n - 1] - 1) <= 1e-12, (n, got, want[n - 1])
+
+    def test_ring_mass_past_the_float_range_is_a_numerical_failure(self, capsys):
+        # (2 pi J0)^1000 ~ e^928 at the first extremum, with weight 1
+        argv = "constant --kind separable --alpha 0 --beta 0 --q 1000 --rings 3 --n-list 1"
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: the ring masses at q=1000 pass the "
+                                "largest float by ring 1\n")
+
     def test_validation(self):
         with pytest.raises(DomainError):
             constant_density_sums("separable", alpha=0, beta=0, q=4, n_list=[5, 5])
@@ -1001,19 +1045,22 @@ class TestPitt:
         r = {s: v for s, var, v in res.ratios if var == "plain"}
         assert 1.5 < r[2.0**-4] / r[2.0**-6] < 2.7  # sqrt(16/4) = 2
 
-    def test_split_phases_match_the_cosine_table(self):
-        # measured 5.2e-16 at worst over these scales
-        for s in [2.0**k for k in [*range(-10, 7), 9]]:
-            got = [r for _, _, r in pitt_sweep("1/2", 2, 2, [s]).ratios]
-            want = table_pitt_ratios(0.5, 2.0, 2.0, s)
-            assert max(abs(g / w - 1) for g, w in zip(got, want)) <= 1e-13, s
+    def test_closed_form_matches_the_cosine_table(self):
+        # the table is an independent trapezoid quadrature of the transform; measured
+        # 8.0e-15 at worst (s = 2^9), 2.0e-15 at (1, 1, 1) and (0, 2, 2)
+        for beta, p, q, exps in [("1/2", 2, 2, [*range(-10, 7), 9]), (1, 1, 1, [-3, 0, 3]),
+                                 (0, 2, 2, [-3, 0, 3])]:
+            for s in [2.0**k for k in exps]:
+                got = [r for _, _, r in pitt_sweep(beta, p, q, [s]).ratios]
+                want = table_pitt_ratios(float(Fraction(beta)), p, q, s)
+                assert max(abs(g / w - 1) for g, w in zip(got, want)) <= 1e-13, (beta, p, q, s)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_scale_fails_before_any_transform(self, monkeypatch, bad):
-        def transform(*args):
-            raise AssertionError("transform before the scales were checked")
+        def weak_norm(*args):
+            raise AssertionError("per-scale work before the scales were checked")
 
-        monkeypatch.setattr(experiments, "_split_phase_cosine", transform)
+        monkeypatch.setattr(experiments, "weak_lq_1d", weak_norm)
         with pytest.raises(DomainError, match="scales must be positive and finite"):
             pitt_sweep("1/2", 2, 2, [1.0, bad])
 
@@ -1022,32 +1069,43 @@ class TestPitt:
             pitt_sweep("1/2", 2, 2, [])
 
     def test_budget_guard_fires_before_any_transform(self, monkeypatch):
-        def transform(*args):
-            raise AssertionError("transform before the budget was checked")
+        def weak_norm(*args):
+            raise AssertionError("per-scale work before the budget was checked")
 
-        monkeypatch.setattr(experiments, "_split_phase_cosine", transform)
-        # 2^11 alone asks for 16,464 x 10,533 cells, a 1.4 GB cosine table
-        with pytest.raises(ConfigurationError, match="173415312 transform cells"):
-            pitt_sweep("1/2", 2, 2, [2.0**11])
-        with pytest.raises(ConfigurationError, match="over budget"):
-            pitt_sweep("1/2", 2, 2, [2.0**k for k in range(-10, -4)] + [2.0**9])
-        for extreme in (1e-320, 1e300):  # a zero x step; more cells than a double holds
-            with pytest.raises(ConfigurationError, match="inf transform cells"):
-                pitt_sweep("1/2", 2, 2, [extreme])
+        monkeypatch.setattr(experiments, "weak_lq_1d", weak_norm)
+        # 2^17 alone asks for 667,647 + 1,048,656 grid points
+        with pytest.raises(ConfigurationError, match="1716303 grid points"):
+            pitt_sweep("1/2", 2, 2, [2.0**17])
+        # 2^15 and 2^16 each fit; together they take 1,287,456
+        with pytest.raises(ConfigurationError, match="over budget 1000000"):
+            pitt_sweep("1/2", 2, 2, [2.0**15, 2.0**16])
+        with pytest.raises(ConfigurationError, match="inf grid points"):  # a zero x step
+            pitt_sweep("1/2", 2, 2, [1e-320])
+        with pytest.raises(ConfigurationError, match=r"need 1\.309296e\+301 grid points"):
+            pitt_sweep("1/2", 2, 2, [1e300])  # 1.3e301: a sum of two counts stays finite
 
     def test_cli_budget_is_an_argument_error(self, capsys):
-        assert run("pitt --beta 1/2 --p 2 --q 2 --scale-exps 11..11".split()) == 1
+        assert run("pitt --beta 1/2 --p 2 --q 2 --scale-exps 17..17".split()) == 1
         assert "over budget" in capsys.readouterr().err
 
-    def test_peak_memory_at_s_2e9(self):
-        # the cosine table at 4,176 x 2,710 cells took about 181 MB; measured 7.4 MB
+    @staticmethod
+    def _peak(s: float) -> int:
         tracemalloc.start()
         try:
-            pitt_sweep("1/2", 2, 2, [2.0**9])
-            peak = tracemalloc.get_traced_memory()[1]
+            pitt_sweep("1/2", 2, 2, [s])
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 15.3e6, peak
+
+    def test_peak_memory_at_s_2e9(self):
+        # the cosine table at 4,176 x 2,710 cells took about 181 MB; measured 0.37 MB
+        peak = self._peak(2.0**9)
+        assert peak <= 1e6, peak
+
+    def test_peak_memory_at_s_2e16(self):
+        # the largest power of two the point budget accepts (858,243 points); measured 45.8 MB
+        peak = self._peak(2.0**16)
+        assert peak <= 64e6, peak
 
 
 class TestDualScans:
