@@ -374,8 +374,8 @@ def constant_density_sums(
         raise ConfigurationError(f"n={n_list[-1]} over budget {TERM_BUDGET}")
     qf = float_of(exact_in(q, "q", "(0, inf)"), "q")
     exps = weight_exponents(kind, alpha, beta, gamma)
-    floats = [float_of(v, name) for name, v in exps.items()]
-    weight, weight_q = (getattr(WeightSpec, kind)(*[c * v for v in floats]) for c in (1, qf))
+    weight = getattr(WeightSpec, kind)(*map(float_of, exps.values(), exps))
+    weight_q = getattr(WeightSpec, kind)(*[qf * v for v in map(float_of, exps.values(), exps)])
     pred = predicted_exponent("constant", weight_sum=sum(exps.values()), q=q)
     s = pred.slope
 
